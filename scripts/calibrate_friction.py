@@ -16,7 +16,6 @@ Usage:
 """
 
 import argparse
-import math
 
 from origrip import (
     GripperConfig,
@@ -41,8 +40,8 @@ def main() -> None:
 
     frictionless = resolve_contacts(args.theta, probe, config, TPU95A, mu=0.0)
     side = frictionless.finger(0)
-    slope = sum(r.normal_force * math.cos(math.radians(r.inclination)) for r in side.records)
-    intercept = sum(r.normal_force * math.sin(math.radians(r.inclination)) for r in side.records)
+    slope = squeeze_force(side)
+    intercept = pullout_capacity(side)  # at mu = 0 only the hooking term is left
     mu = calibrate_friction(probe, args.theta, config, TPU95A, target_side_force=args.target)
 
     print(f"probe contacts per side : {len(side)}")

@@ -18,6 +18,7 @@ arguments.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from .planner import PlanError
 from .scenario import (
     Scenario,
     ScenarioError,
+    check_override,
     load_scenario,
     make_result_record,
     material_table,
@@ -202,26 +204,12 @@ def _run_material_curve(args) -> int:
 
 
 def _apply_overrides(args, scn: Scenario) -> Scenario:
-    import dataclasses
-
     changes: dict = {}
     if getattr(args, "theta", None) is not None:
         changes["theta"] = args.theta
-    if getattr(args, "mu", None) is not None:
-        if args.mu < 0:
-            raise ScenarioError([f"--mu: must be non-negative, got {args.mu:g}"])
-        changes["mu"] = args.mu
-    if getattr(args, "material", None) is not None:
-        table = material_table()
-        if args.material not in table:
-            raise ScenarioError(
-                [f"--material: unknown material {args.material!r}; known: {', '.join(sorted(table))}"]
-            )
-        changes["material"] = table[args.material]
-    if getattr(args, "grid", None) is not None:
-        if args.grid <= 0:
-            raise ScenarioError([f"--grid: must be positive, got {args.grid:g}"])
-        changes["lift_step"] = args.grid
+    for flag, key in (("mu", "mu"), ("material", "material"), ("grid", "lift_step")):
+        if getattr(args, flag, None) is not None:
+            changes[key] = check_override(scn, f"--{flag}", key, getattr(args, flag))
     return dataclasses.replace(scn, **changes) if changes else scn
 
 

@@ -571,12 +571,8 @@ def calibrate_friction(
     side = contacts.finger(0)
     if len(side) == 0:
         raise ValueError("probe makes no contact on the reference finger")
-    slope = sum(
-        r.normal_force * math.cos(math.radians(r.inclination)) for r in side.records
-    )
-    intercept = sum(
-        r.normal_force * math.sin(math.radians(r.inclination)) for r in side.records
-    )
+    slope = squeeze_force(side)
+    intercept = pullout_capacity(side)  # at mu = 0 only the hooking term is left
     if slope <= 0.0:
         raise ValueError("degenerate probe contact: no friction-bearing normal force")
     mu = (target_side_force - intercept) / slope

@@ -30,7 +30,7 @@ from enum import Enum
 from .grasp import lift_check, resolve_contacts
 from .mechanics import SIL950, MaterialModel
 from .shapes import ObjectShape, equator_z, grasp_width, stack_on
-from .transmission import GripperConfig, opening
+from .transmission import GripperConfig, opening, unclamped_theta_for_opening
 
 _BISECT_TOL = 1e-6  # deg
 
@@ -63,14 +63,27 @@ def _strain_interval(
     """Unclamped closure-angle interval where the squeeze strain (judged on
     the widest cross-section) sits in the material's secure band."""
     width = grasp_width(obj)
-    law = config.law
     pen_lo = material.strain_lo * config.rest_depth
     pen_hi = material.strain_hi * config.rest_depth
+    return (
+        unclamped_theta_for_opening(width - 2.0 * pen_lo, config),
+        unclamped_theta_for_opening(width - 2.0 * pen_hi, config),
+    )
 
-    def theta_at(target_opening: float) -> float:
-        return (law.r0 - config.module_offset - target_opening / 2.0) / law.slope
 
-    return theta_at(width - 2.0 * pen_lo), theta_at(width - 2.0 * pen_hi)
+def _carries(
+    theta: float,
+    obj: ObjectShape,
+    config: GripperConfig,
+    material: MaterialModel,
+    mu: float,
+    torque_scale: float,
+    safety: float = 1.0,
+) -> bool:
+    """Resolve the contacts at ``theta``, then check they bear the object's
+    weight with the given safety factor (untouched objects are not carried)."""
+    contacts = resolve_contacts(theta, obj, config, material, mu, torque_scale)
+    return len(contacts) > 0 and lift_check(contacts, obj, safety=safety).holds
 
 
 def holds_at(
@@ -93,10 +106,7 @@ def holds_at(
     strain = pen / config.rest_depth
     if not material.strain_lo <= strain <= material.strain_hi:
         return False
-    contacts = resolve_contacts(theta, obj, config, material, mu, torque_scale)
-    if len(contacts) == 0:
-        return False
-    return lift_check(contacts, obj, safety=safety).holds
+    return _carries(theta, obj, config, material, mu, torque_scale, safety)
 
 
 def hold_window(
@@ -128,8 +138,7 @@ def hold_window(
         return None
 
     def ok(theta: float) -> bool:
-        contacts = resolve_contacts(theta, obj, config, material, mu, torque_scale)
-        return len(contacts) > 0 and lift_check(contacts, obj, safety=safety).holds
+        return _carries(theta, obj, config, material, mu, torque_scale, safety)
 
     if not ok(hi):
         return None
@@ -259,7 +268,7 @@ def plan_stacked(scene: StackedScene) -> Plan:
 
     # Opening angle at which the jaws lose contact with the bottom object.
     law = scene.config.law
-    theta_touch = (law.r0 - scene.config.module_offset - w_bottom / 2.0) / law.slope
+    theta_touch = unclamped_theta_for_opening(w_bottom, scene.config)
     release_lo = top_win.theta_lo
     release_hi = bottom_win.theta_lo
     choose_hi = min(release_hi, theta_touch)
@@ -296,15 +305,7 @@ def simulate_plan(scene: StackedScene, plan: Plan) -> tuple[StageState, ...]:
     bear its weight outright (no planning safety margin here); the expected
     progression is (both, top only, none).
     """
-
-    def carried(theta: float, obj: ObjectShape) -> bool:
-        contacts = resolve_contacts(
-            theta, obj, scene.config, scene.material, scene.mu, scene.torque_scale
-        )
-        if len(contacts) == 0:
-            return False
-        return lift_check(contacts, obj).holds
-
+    carry = (scene.config, scene.material, scene.mu, scene.torque_scale)
     stages = []
     for stage, theta in (
         ("grasp", plan.theta_grasp),
@@ -315,8 +316,8 @@ def simulate_plan(scene: StackedScene, plan: Plan) -> tuple[StageState, ...]:
             StageState(
                 stage=stage,
                 theta=theta,
-                top_held=carried(theta, scene.top),
-                bottom_held=carried(theta, scene.bottom),
+                top_held=_carries(theta, scene.top, *carry),
+                bottom_held=_carries(theta, scene.bottom, *carry),
             )
         )
     return tuple(stages)

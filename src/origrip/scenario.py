@@ -15,11 +15,13 @@ Scenes are YAML mappings with a ``kind`` discriminator:
     Workcell geometry only; reports sequential vs. multi-object transport
     distance and time.
 
-The loader validates strictly: unknown keys are rejected and all problems
-are reported in one pass with dotted field paths.  Materials are looked up
-by name in the built-in table, optionally extended by the YAML file named
-in the ``ORIGRIP_MATERIALS`` environment variable and by a scene-level
-``materials`` section (scene entries win).
+The loader validates strictly: unknown keys and non-finite numbers are
+rejected and all problems are reported in one pass with dotted field paths.
+One field table per scene section (key, type, bounds, default) drives
+reading, writing back, sweep axes and command-line overrides.  Materials
+are looked up by name in the built-in table, optionally extended by the
+YAML file named in the ``ORIGRIP_MATERIALS`` environment variable and by a
+scene-level ``materials`` section (scene entries win).
 """
 
 from __future__ import annotations
@@ -28,10 +30,13 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence, Union
+from typing import Any, Union
 
 import yaml
 
@@ -51,7 +56,6 @@ from .transmission import GripperConfig, TransmissionLaw, opening
 
 MATERIALS_ENV_VAR = "ORIGRIP_MATERIALS"
 
-_SCENARIO_KINDS = ("single_grasp", "pullout", "stacked", "pickplace")
 _SHAPE_SIZES = {
     "sphere": (1,),
     "cube": (1,),
@@ -123,313 +127,360 @@ Scenario = Union[SingleGraspScenario, PulloutScenario, StackedScenario, PickPlac
 
 
 # --------------------------------------------------------------------------
-# validation helpers
+# field tables
+# --------------------------------------------------------------------------
+
+NUMBER, INTEGER, TEXT, NUMBERS, SECTION, SECTIONS = (
+    "number", "integer", "text", "number list", "section", "named sections"
+)
+
+
+@dataclass(frozen=True, eq=False)
+class Field:
+    """One key of a scene section: its type, bounds and default.
+
+    A missing optional key reads as ``default``; None leaves it to the
+    dataclass the section builds.  ``lo``/``hi`` bound a number and every
+    item of a number list.  ``attr`` is where the writer finds the value on
+    the built object: a dotted attribute path (the key by default), or one
+    path per item for a number list kept as separate attributes.  ``bind``
+    gives bounds that depend on fields read earlier in the same section;
+    ``convert`` maps a checked value to what the section is built from and
+    raises ValueError when it cannot.
+    """
+
+    key: str
+    type: str = NUMBER
+    required: bool = False
+    default: Any = None
+    lo: float | None = None
+    lo_open: bool = False
+    hi: float | None = None
+    choices: tuple | None = None
+    lengths: tuple[int, ...] = ()
+    section: Section | None = None
+    attr: str | tuple[str, ...] | None = None
+    bind: Callable[[dict], dict] | None = None
+    convert: Callable[[Any, dict], Any] | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class Section:
+    """A mapping of fields, built into one object once every field reads cleanly.
+
+    ``extra_keys`` are accepted without being read here.
+    """
+
+    fields: tuple[Field, ...]
+    build: Callable[[dict], Any]
+    extra_keys: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "keys", frozenset(f.key for f in self.fields) | set(self.extra_keys))
+
+
+def _display(fields: tuple[Field, ...], obj: str) -> str:
+    """Source of a dict display that writes ``fields`` of the built object
+    ``obj`` back to plain data: every field, defaults included."""
+    items = []
+    for field in fields:
+        attr = field.attr or field.key
+        value = f"[{', '.join(f'{obj}.{a}' for a in attr)}]" if isinstance(attr, tuple) else f"{obj}.{attr}"
+        if field.type == SECTION:
+            value = _display(field.section.fields, value)
+        elif field.type == SECTIONS:  # a scene writes back the one material it uses
+            value = f"{{{value}.name: {_display(field.section.fields, value)}}}"
+        elif field.type == NUMBERS and isinstance(attr, str):
+            value = f"list({value})"
+        items.append(f"{field.key!r}: {value}")
+    return "{" + ", ".join(items) + "}"
+
+
+_FAILED = object()  # a field or section that did not read cleanly
+
+
+@lru_cache(maxsize=32)  # scenes mostly share a few laws and shapes
+def _bounded(field: Field, **bounds: Any) -> Field:
+    return replace(field, **bounds)
+
+
+def _theta_in_law(values: dict) -> dict:
+    """The law's angle range; none to judge against when the gripper failed."""
+    if "gripper" not in values:
+        return {}
+    law = values["gripper"].law
+    return {"lo": law.theta_min, "hi": law.theta_max}
+
+
+def _pick_material(name: str, values: dict) -> MaterialModel:
+    table = values.get("materials", BUILTIN_MATERIALS)
+    if name not in table:
+        raise ValueError(f"unknown material {name!r}; known: {', '.join(sorted(table))}")
+    return table[name]
+
+
+def _object_section(default_name: str, with_z: bool) -> Section:
+    def build(v: dict) -> ObjectShape:
+        pose = Pose(**{k: v.pop(k) for k in ("z", "yaw") if k in v})
+        name = v.pop("name", "") or default_name
+        return ObjectShape(ShapeKind(v.pop("shape")), v.pop("size"), name=name, pose=pose, **v)
+
+    fields = (
+        Field("shape", TEXT, required=True, choices=tuple(_SHAPE_SIZES), attr="kind.value"),
+        Field("size", NUMBERS, required=True, lo=0.0, lo_open=True, attr="dims",
+              bind=lambda v: {"lengths": _SHAPE_SIZES[v["shape"]]}),
+        Field("mass", lo=0.0),
+        Field("name", TEXT),
+        Field("yaw", attr="pose.yaw"),
+    )
+    return Section(fields + ((Field("z", attr="pose.z"),) if with_z else ()), build)
+
+
+_LAW = Section(
+    (
+        Field("r0", lo=0.0, lo_open=True),
+        Field("slope", lo=0.0, lo_open=True),
+        Field("theta_min"),
+        Field("theta_max"),
+    ),
+    lambda v: TransmissionLaw(**v),
+)
+
+_GRIPPER = Section(
+    (
+        Field("law", SECTION, section=_LAW),
+        Field("finger_count", INTEGER, choices=(2, 4)),
+        *(
+            Field(key, lo=0.0, lo_open=True)
+            for key in ("module_offset", "module_height", "rest_depth", "panel_span",
+                        "bend_lever_arm", "curvature_threshold")
+        ),
+        Field("module_levels", NUMBERS, lengths=(1, 2, 3, 4), lo=0.0, lo_open=True),
+    ),
+    lambda v: GripperConfig(**v),
+)
+
+_MATERIAL = Section(
+    (
+        Field("plateau_force", required=True, lo=0.0, lo_open=True),
+        Field("force_band", default=0.05, lo=0.0, hi=0.2),
+        Field("plateau_torque", required=True, lo=0.0, lo_open=True),
+        Field("torque_band", default=0.05, lo=0.0, hi=0.2),
+        Field("strain_range", NUMBERS, lengths=(2,), lo=0.0, lo_open=True, attr=("strain_lo", "strain_hi")),
+        Field("angle_range", NUMBERS, lengths=(2,), lo=0.0, lo_open=True, attr=("angle_lo", "angle_hi")),
+        Field("overload_stiffness", lo=0.0, lo_open=True),
+    ),
+    lambda v: MaterialModel(**v),
+)
+
+_CYCLE = Section(
+    (
+        *(Field(key, NUMBERS, lengths=(2,)) for key in ("pick", "place_bottom", "place_top")),
+        *(
+            Field(key, lo=0.0, lo_open=True)
+            for key in ("approach_height", "descend_speed", "ascend_speed", "travel_speed")
+        ),
+        *(Field(key, lo=0.0) for key in ("grasp_dwell", "release_dwell")),
+    ),
+    lambda v: CycleSpec(**v),
+)
+
+
+def _mech_fields(src: str) -> tuple[Field, ...]:
+    """Gripper, material and friction fields of the grasping kinds; ``src``
+    is the attribute prefix under which the scenario keeps them."""
+    return (
+        Field("gripper", SECTION, section=_GRIPPER, attr=src + "config"),
+        Field("materials", SECTIONS, section=_MATERIAL, attr=src + "material",
+              convert=lambda entries, values: {**material_table(), **entries}),
+        Field("material", TEXT, required=True, attr=src + "material.name", convert=_pick_material),
+        Field("mu", default=0.5, lo=0.0, attr=src + "mu"),
+        Field("torque_scale", default=1.0, lo=0.0, lo_open=True, attr=src + "torque_scale"),
+    )
+
+
+_THETA = Field("theta", required=True, bind=_theta_in_law)
+_ROOT_KEYS = ("kind", "name")
+
+
+def _grasp_kind(cls: type, obj_attr: str, default_name: str, *extra: Field) -> Section:
+    """A single-object kind: contact fields, theta, ``extra`` and the object."""
+    obj = Field("object", SECTION, required=True, section=_object_section(default_name, True), attr=obj_attr)
+    return Section(
+        _mech_fields("") + (_THETA, *extra, obj),
+        lambda v: cls(
+            v["name"], v["gripper"], v["material"], v["mu"], v["torque_scale"], v["theta"], v["object"],
+            *(v[f.key] for f in extra),
+        ),
+        _ROOT_KEYS,
+    )
+
+
+_KINDS: dict[str, Section] = {
+    "single_grasp": _grasp_kind(SingleGraspScenario, "obj", "object"),
+    "pullout": _grasp_kind(
+        PulloutScenario, "probe", "probe", Field("lift_step", default=0.5, lo=0.0, lo_open=True)
+    ),
+    "stacked": Section(
+        _mech_fields("scene.") + (
+            Field("clearance", default=0.0, lo=0.0),
+            Field("safety", default=1.2, lo=1.0, attr="scene.safety"),
+            Field("top", SECTION, required=True, section=_object_section("top", False), attr="scene.top"),
+            Field("bottom", SECTION, required=True, section=_object_section("bottom", False),
+                  attr="scene.bottom"),
+        ),
+        lambda v: StackedScenario(
+            v["name"],
+            make_stacked_scene(
+                v["top"], v["bottom"], v["clearance"], v["gripper"], v["material"], v["mu"],
+                v["safety"], v["torque_scale"],
+            ),
+            v["clearance"],
+        ),
+        _ROOT_KEYS,
+    ),
+    # a pick-and-place scene accepts, and ignores, the grasping kinds' sections
+    "pickplace": Section(
+        (Field("cycle", SECTION, required=True, section=_CYCLE, attr="spec"),),
+        lambda v: PickPlaceScenario(v["name"], v["cycle"]),
+        _ROOT_KEYS + ("gripper", "materials"),
+    ),
+}
+
+_KIND = Field("kind", TEXT, required=True, choices=tuple(_KINDS))
+_NAME = Field("name", TEXT)
+
+# compiled once per kind, so writing a scene costs what a hand-written literal does
+_WRITERS = {
+    kind: eval(f"lambda o: {_display((_KIND, _NAME) + section.fields, 'o')}")
+    for kind, section in _KINDS.items()
+}
+
+
+# --------------------------------------------------------------------------
+# reading and writing through the tables
 # --------------------------------------------------------------------------
 
 
-class _Check:
-    """Accumulates dotted-path error messages while pulling typed fields."""
+def _fail(errors: list[str], path: str, message: str) -> object:
+    errors.append(f"{path}: {message}")
+    return _FAILED
 
-    def __init__(self):
-        self.errors: list[str] = []
 
-    def fail(self, path: str, message: str) -> None:
-        self.errors.append(f"{path}: {message}")
-
-    def mapping(self, value: Any, path: str) -> dict | None:
-        if not isinstance(value, Mapping):
-            self.fail(path, f"expected a mapping, got {type(value).__name__}")
-            return None
-        return dict(value)
-
-    def known_keys(self, data: Mapping, path: str, allowed: Iterable[str]) -> None:
-        allowed = set(allowed)
+def _read_section(
+    errors: list[str], data: Any, path: str, section: Section, values: dict | None = None
+) -> Any:
+    """Build ``section`` from mapping ``data``, or report why not and return _FAILED."""
+    if not isinstance(data, Mapping):
+        return _fail(errors, path, f"expected a mapping, got {type(data).__name__}")
+    prefix = f"{path}." if path else ""
+    if not section.keys.issuperset(data):
         for key in data:
-            if key not in allowed:
-                self.fail(f"{path}.{key}" if path else str(key), "unknown key")
-
-    def number(
-        self,
-        data: Mapping,
-        key: str,
-        path: str,
-        default: float | None = None,
-        required: bool = False,
-        lo: float | None = None,
-        hi: float | None = None,
-        lo_open: bool = False,
-    ) -> float | None:
-        where = f"{path}.{key}" if path else key
-        if key not in data:
-            if required:
-                self.fail(where, "required field is missing")
-                return None
-            return default
-        value = data[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.fail(where, f"expected a number, got {type(value).__name__}")
-            return None
-        value = float(value)
-        if lo is not None and (value <= lo if lo_open else value < lo):
-            self.fail(where, f"must be {'>' if lo_open else '>='} {lo:g}, got {value:g}")
-            return None
-        if hi is not None and value > hi:
-            self.fail(where, f"must be <= {hi:g}, got {value:g}")
-            return None
-        return value
-
-    def integer(
-        self,
-        data: Mapping,
-        key: str,
-        path: str,
-        default: int | None = None,
-        choices: tuple[int, ...] | None = None,
-    ) -> int | None:
-        where = f"{path}.{key}" if path else key
-        if key not in data:
-            return default
-        value = data[key]
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.fail(where, f"expected an integer, got {type(value).__name__}")
-            return None
-        if choices is not None and value not in choices:
-            self.fail(where, f"must be one of {sorted(choices)}, got {value}")
-            return None
-        return value
-
-    def text(
-        self,
-        data: Mapping,
-        key: str,
-        path: str,
-        default: str | None = None,
-        required: bool = False,
-        choices: tuple[str, ...] | None = None,
-    ) -> str | None:
-        where = f"{path}.{key}" if path else key
-        if key not in data:
-            if required:
-                self.fail(where, "required field is missing")
-                return None
-            return default
-        value = data[key]
-        if not isinstance(value, str):
-            self.fail(where, f"expected a string, got {type(value).__name__}")
-            return None
-        if choices is not None and value not in choices:
-            self.fail(where, f"must be one of {list(choices)}, got {value!r}")
-            return None
-        return value
-
-    def number_list(
-        self,
-        data: Mapping,
-        key: str,
-        path: str,
-        lengths: tuple[int, ...],
-        required: bool = False,
-        default: tuple[float, ...] | None = None,
-        positive: bool = False,
-    ) -> tuple[float, ...] | None:
-        where = f"{path}.{key}" if path else key
-        if key not in data:
-            if required:
-                self.fail(where, "required field is missing")
-                return None
-            return default
-        value = data[key]
-        if not isinstance(value, (list, tuple)):
-            self.fail(where, f"expected a list of numbers, got {type(value).__name__}")
-            return None
-        if len(value) not in lengths:
-            counts = " or ".join(str(n) for n in lengths)
-            self.fail(where, f"expected {counts} value(s), got {len(value)}")
-            return None
-        out = []
-        for i, item in enumerate(value):
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                self.fail(f"{where}[{i}]", f"expected a number, got {type(item).__name__}")
-                return None
-            if positive and item <= 0:
-                self.fail(f"{where}[{i}]", f"must be > 0, got {item:g}")
-                return None
-            out.append(float(item))
-        return tuple(out)
-
-    def raise_if_failed(self) -> None:
-        if self.errors:
-            raise ScenarioError(self.errors)
-
-
-def _build_gripper(chk: _Check, data: Mapping | None, path: str) -> GripperConfig:
-    if data is None:
-        return GripperConfig()
-    section = chk.mapping(data, path)
-    if section is None:
-        return GripperConfig()
-    chk.known_keys(
-        section,
-        path,
-        (
-            "finger_count",
-            "module_offset",
-            "module_levels",
-            "module_height",
-            "rest_depth",
-            "panel_span",
-            "bend_lever_arm",
-            "curvature_threshold",
-            "law",
-        ),
-    )
-    law = TransmissionLaw()
-    if "law" in section:
-        law_map = chk.mapping(section["law"], f"{path}.law")
-        if law_map is not None:
-            chk.known_keys(law_map, f"{path}.law", ("r0", "slope", "theta_min", "theta_max"))
-            r0 = chk.number(law_map, "r0", f"{path}.law", default=law.r0, lo=0.0, lo_open=True)
-            slope = chk.number(law_map, "slope", f"{path}.law", default=law.slope, lo=0.0, lo_open=True)
-            theta_min = chk.number(law_map, "theta_min", f"{path}.law", default=law.theta_min)
-            theta_max = chk.number(law_map, "theta_max", f"{path}.law", default=law.theta_max)
-            if None not in (r0, slope, theta_min, theta_max):
-                try:
-                    law = TransmissionLaw(r0=r0, slope=slope, theta_min=theta_min, theta_max=theta_max)
-                except ValueError as exc:
-                    chk.fail(f"{path}.law", str(exc))
-
-    kwargs: dict[str, Any] = {"law": law}
-    finger_count = chk.integer(section, "finger_count", path, choices=(2, 4))
-    if finger_count is not None:
-        kwargs["finger_count"] = finger_count
-    for key in ("module_offset", "module_height", "rest_depth", "panel_span", "bend_lever_arm", "curvature_threshold"):
-        value = chk.number(section, key, path, lo=0.0, lo_open=True)
-        if value is not None:
-            kwargs[key] = value
-    levels = chk.number_list(section, "module_levels", path, lengths=(1, 2, 3, 4), positive=True)
-    if levels is not None:
-        kwargs["module_levels"] = levels
-    try:
-        return GripperConfig(**kwargs)
-    except ValueError as exc:
-        chk.fail(path, str(exc))
-        return GripperConfig()
-
-
-def _build_material_table(chk: _Check, section: Any, path: str) -> dict[str, MaterialModel]:
-    table = dict(BUILTIN_MATERIALS)
-    env_path = os.environ.get(MATERIALS_ENV_VAR)
-    if env_path:
-        try:
-            raw = yaml.safe_load(Path(env_path).read_text())
-        except (OSError, yaml.YAMLError) as exc:
-            chk.fail("materials", f"cannot read {MATERIALS_ENV_VAR} file {env_path!r}: {exc}")
-            raw = None
-        if raw is not None:
-            table.update(_parse_materials(chk, raw, f"{MATERIALS_ENV_VAR}"))
-    if section is not None:
-        table.update(_parse_materials(chk, section, path))
-    return table
-
-
-def _parse_materials(chk: _Check, data: Any, path: str) -> dict[str, MaterialModel]:
-    out: dict[str, MaterialModel] = {}
-    mapping = chk.mapping(data, path)
-    if mapping is None:
-        return out
-    for name, body in mapping.items():
-        where = f"{path}.{name}"
-        entry = chk.mapping(body, where)
-        if entry is None:
+            if key not in section.keys:
+                _fail(errors, f"{prefix}{key}", "unknown key")
+    values = {} if values is None else values
+    clean = len(errors)
+    for field in section.fields:
+        if field.bind is not None:
+            try:
+                field = _bounded(field, **field.bind(values))
+            except KeyError:  # bounded by an earlier field that failed
+                return _FAILED
+        value = _read_field(errors, data, prefix + field.key, field, values)
+        if value is _FAILED or value is None:
             continue
-        chk.known_keys(
-            entry,
-            where,
-            (
-                "plateau_force",
-                "force_band",
-                "plateau_torque",
-                "torque_band",
-                "strain_range",
-                "angle_range",
-                "overload_stiffness",
-            ),
-        )
-        pf = chk.number(entry, "plateau_force", where, required=True, lo=0.0, lo_open=True)
-        fb = chk.number(entry, "force_band", where, default=0.05, lo=0.0, hi=0.2)
-        pt = chk.number(entry, "plateau_torque", where, required=True, lo=0.0, lo_open=True)
-        tb = chk.number(entry, "torque_band", where, default=0.05, lo=0.0, hi=0.2)
-        strain = chk.number_list(entry, "strain_range", where, (2,), default=(0.1, 0.5), positive=True)
-        angle = chk.number_list(entry, "angle_range", where, (2,), default=(5.0, 25.0), positive=True)
-        stiff = chk.number(entry, "overload_stiffness", where, lo=0.0, lo_open=True)
-        if None in (pf, fb, pt, tb) or strain is None or angle is None:
-            continue
-        try:
-            out[str(name)] = MaterialModel(
-                name=str(name),
-                plateau_force=pf,
-                force_band=fb,
-                plateau_torque=pt,
-                torque_band=tb,
-                strain_lo=strain[0],
-                strain_hi=strain[1],
-                angle_lo=angle[0],
-                angle_hi=angle[1],
-                overload_stiffness=stiff,
-            )
-        except ValueError as exc:
-            chk.fail(where, str(exc))
-    return out
-
-
-def _build_object(
-    chk: _Check,
-    data: Any,
-    path: str,
-    default_name: str,
-    allow_z: bool,
-) -> ObjectShape | None:
-    entry = chk.mapping(data, path)
-    if entry is None:
-        return None
-    allowed = ["shape", "size", "mass", "name", "yaw"]
-    if allow_z:
-        allowed.append("z")
-    chk.known_keys(entry, path, allowed)
-    shape = chk.text(entry, "shape", path, required=True, choices=tuple(_SHAPE_SIZES))
-    if shape is None:
-        return None
-    size = chk.number_list(entry, "size", path, _SHAPE_SIZES[shape], required=True, positive=True)
-    mass = chk.number(entry, "mass", path, default=0.0, lo=0.0)
-    name = chk.text(entry, "name", path, default=default_name)
-    yaw = chk.number(entry, "yaw", path, default=0.0)
-    z = chk.number(entry, "z", path, default=0.0) if allow_z else 0.0
-    if size is None or mass is None or yaw is None or z is None:
-        return None
+        if isinstance(field.attr, tuple):
+            values.update(zip(field.attr, value))
+        else:
+            values[field.key] = value
+    if len(errors) > clean:
+        return _FAILED
     try:
-        return ObjectShape(
-            kind=ShapeKind(shape),
-            dims=size,
-            mass=mass,
-            name=name or default_name,
-            pose=Pose(z=z, yaw=yaw),
-        )
+        return section.build(values)
     except ValueError as exc:
-        chk.fail(path, str(exc))
-        return None
+        return _fail(errors, path, str(exc))
 
 
-def _pick_material(
-    chk: _Check, data: Mapping, table: Mapping[str, MaterialModel], path: str = ""
-) -> MaterialModel | None:
-    name = chk.text(data, "material", path, required=True)
-    if name is None:
-        return None
-    if name not in table:
-        known = ", ".join(sorted(table))
-        chk.fail("material" if not path else f"{path}.material", f"unknown material {name!r}; known: {known}")
-        return None
-    return table[name]
+def _read_field(errors: list[str], data: Mapping, where: str, field: Field, values: dict) -> Any:
+    """The field's checked value, its default when missing, or _FAILED."""
+    raw = data.get(field.key, _FAILED)
+    if raw is None or raw is _FAILED:
+        if field.section is not None and not field.required:
+            raw = {}  # an absent or empty optional section takes its defaults
+        elif raw is _FAILED:
+            return _fail(errors, where, "required field is missing") if field.required else field.default
+    kind = field.type
+    if kind == NUMBER:
+        value = _number(errors, raw, where, field)
+    elif kind == SECTION:
+        value = _read_section(errors, raw, where, field.section)
+    elif kind == SECTIONS:
+        value = _read_named(errors, raw, where, field.section)
+    elif kind == NUMBERS and not isinstance(raw, (list, tuple)):
+        value = _fail(errors, where, f"expected a list of numbers, got {type(raw).__name__}")
+    elif kind == NUMBERS and len(raw) not in field.lengths:
+        counts = " or ".join(str(n) for n in field.lengths)
+        value = _fail(errors, where, f"expected {counts} value(s), got {len(raw)}")
+    elif kind == NUMBERS:
+        value = tuple([_number(errors, item, where, field, i) for i, item in enumerate(raw)])
+        value = _FAILED if _FAILED in value else value
+    elif kind == TEXT and not isinstance(raw, str):
+        value = _fail(errors, where, f"expected a string, got {type(raw).__name__}")
+    elif kind == INTEGER and (isinstance(raw, bool) or not isinstance(raw, int)):
+        value = _fail(errors, where, f"expected an integer, got {type(raw).__name__}")
+    elif field.choices is not None and raw not in field.choices:
+        value = _fail(errors, where, f"must be one of {list(field.choices)}, got {raw!r}")
+    else:
+        value = raw
+    if value is _FAILED or field.convert is None:
+        return value
+    try:
+        return field.convert(value, values)
+    except ScenarioError as exc:
+        errors.extend(exc.errors)
+    except ValueError as exc:
+        _fail(errors, where, str(exc))
+    return _FAILED
+
+
+def _number(errors: list[str], raw: Any, where: str, field: Field, index: int | None = None) -> Any:
+    """``raw`` (item ``index`` of a list) as a finite float inside the
+    field's bounds, or _FAILED."""
+    if raw.__class__ is not float and (isinstance(raw, bool) or not isinstance(raw, (int, float))):
+        problem = f"expected a number, got {type(raw).__name__}"
+    elif not math.isfinite(value := float(raw)):
+        problem = f"must be finite, got {value:g}"
+    elif field.lo is not None and (value <= field.lo if field.lo_open else value < field.lo):
+        problem = f"must be {'>' if field.lo_open else '>='} {field.lo:g}, got {value:g}"
+    elif field.hi is not None and value > field.hi:
+        problem = f"must be <= {field.hi:g}, got {value:g}"
+    else:
+        return value
+    return _fail(errors, where if index is None else f"{where}[{index}]", problem)
+
+
+def _read_named(errors: list[str], data: Any, path: str, section: Section) -> Any:
+    """Entries of a mapping of named sections that read cleanly."""
+    if not isinstance(data, Mapping):
+        return _fail(errors, path, f"expected a mapping, got {type(data).__name__}")
+    built = {
+        str(name): _read_section(errors, body, f"{path}.{name}", section, {"name": str(name)})
+        for name, body in data.items()
+    }
+    return {name: entry for name, entry in built.items() if entry is not _FAILED}
+
+
+def _field_at(fields: tuple[Field, ...], parts: Sequence[str]) -> Field | None:
+    """Table entry for a dotted path into a written scene, if there is one."""
+    for field in fields:
+        if field.key == parts[0]:
+            if len(parts) == 1:
+                return field
+            if field.section is None:
+                return None
+            rest = parts[1:] if field.type == SECTION else parts[2:]
+            return _field_at(field.section.fields, rest) if rest else None
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -439,113 +490,20 @@ def _pick_material(
 
 def parse_scenario(data: Any, source: str = "<dict>") -> Scenario:
     """Validate a raw mapping and assemble the typed scenario."""
-    chk = _Check()
-    root = chk.mapping(data, source if source != "<dict>" else "scenario")
-    if root is None:
-        chk.raise_if_failed()
-    kind = chk.text(root, "kind", "", required=True, choices=_SCENARIO_KINDS)
-    if kind is None:
-        chk.raise_if_failed()
-
-    common = ["kind", "name", "gripper", "materials"]
-    mech = ["material", "mu", "torque_scale"]
-    default_name = Path(source).stem if source not in ("<dict>", "") else "scenario"
-    name = chk.text(root, "name", "", default=default_name) or default_name
-
-    if kind == "single_grasp":
-        chk.known_keys(root, "", common + mech + ["theta", "object"])
-        config = _build_gripper(chk, root.get("gripper"), "gripper")
-        table = _build_material_table(chk, root.get("materials"), "materials")
-        material = _pick_material(chk, root, table)
-        mu = chk.number(root, "mu", "", default=0.5, lo=0.0)
-        torque_scale = chk.number(root, "torque_scale", "", default=1.0, lo=0.0, lo_open=True)
-        theta = chk.number(
-            root, "theta", "", required=True, lo=config.law.theta_min, hi=config.law.theta_max
-        )
-        obj = _build_object(chk, root.get("object"), "object", "object", allow_z=True) \
-            if "object" in root else (chk.fail("object", "required field is missing") or None)
-        chk.raise_if_failed()
-        return SingleGraspScenario(name, config, material, mu, torque_scale, theta, obj)
-
-    if kind == "pullout":
-        chk.known_keys(root, "", common + mech + ["theta", "object", "lift_step"])
-        config = _build_gripper(chk, root.get("gripper"), "gripper")
-        table = _build_material_table(chk, root.get("materials"), "materials")
-        material = _pick_material(chk, root, table)
-        mu = chk.number(root, "mu", "", default=0.5, lo=0.0)
-        torque_scale = chk.number(root, "torque_scale", "", default=1.0, lo=0.0, lo_open=True)
-        theta = chk.number(
-            root, "theta", "", required=True, lo=config.law.theta_min, hi=config.law.theta_max
-        )
-        lift_step = chk.number(root, "lift_step", "", default=0.5, lo=0.0, lo_open=True)
-        probe = _build_object(chk, root.get("object"), "object", "probe", allow_z=True) \
-            if "object" in root else (chk.fail("object", "required field is missing") or None)
-        chk.raise_if_failed()
-        return PulloutScenario(name, config, material, mu, torque_scale, theta, probe, lift_step)
-
-    if kind == "stacked":
-        chk.known_keys(root, "", common + mech + ["top", "bottom", "clearance", "safety"])
-        config = _build_gripper(chk, root.get("gripper"), "gripper")
-        table = _build_material_table(chk, root.get("materials"), "materials")
-        material = _pick_material(chk, root, table)
-        mu = chk.number(root, "mu", "", default=0.5, lo=0.0)
-        torque_scale = chk.number(root, "torque_scale", "", default=1.0, lo=0.0, lo_open=True)
-        clearance = chk.number(root, "clearance", "", default=0.0, lo=0.0)
-        safety = chk.number(root, "safety", "", default=1.2, lo=1.0)
-        top = _build_object(chk, root.get("top"), "top", "top", allow_z=False) \
-            if "top" in root else (chk.fail("top", "required field is missing") or None)
-        bottom = _build_object(chk, root.get("bottom"), "bottom", "bottom", allow_z=False) \
-            if "bottom" in root else (chk.fail("bottom", "required field is missing") or None)
-        chk.raise_if_failed()
-        scene = make_stacked_scene(
-            top, bottom, clearance, config, material, mu, safety, torque_scale
-        )
-        return StackedScenario(name, scene, clearance)
-
-    # pickplace
-    chk.known_keys(root, "", common + ["cycle"])
-    cycle_map = chk.mapping(root.get("cycle"), "cycle") if "cycle" in root else None
-    if "cycle" not in root:
-        chk.fail("cycle", "required field is missing")
-    spec = CycleSpec()
-    if cycle_map is not None:
-        chk.known_keys(
-            cycle_map,
-            "cycle",
-            (
-                "pick",
-                "place_bottom",
-                "place_top",
-                "approach_height",
-                "descend_speed",
-                "ascend_speed",
-                "travel_speed",
-                "grasp_dwell",
-                "release_dwell",
-            ),
-        )
-        kwargs: dict[str, Any] = {}
-        for site in ("pick", "place_bottom", "place_top"):
-            xy = chk.number_list(cycle_map, site, "cycle", (2,))
-            if xy is not None:
-                kwargs[site] = xy
-        for key, lo_open in (
-            ("approach_height", True),
-            ("descend_speed", True),
-            ("ascend_speed", True),
-            ("travel_speed", True),
-            ("grasp_dwell", False),
-            ("release_dwell", False),
-        ):
-            value = chk.number(cycle_map, key, "cycle", lo=0.0, lo_open=lo_open)
-            if value is not None:
-                kwargs[key] = value
-        try:
-            spec = CycleSpec(**kwargs)
-        except ValueError as exc:
-            chk.fail("cycle", str(exc))
-    chk.raise_if_failed()
-    return PickPlaceScenario(name, spec)
+    if not isinstance(data, Mapping):
+        where = source if source != "<dict>" else "scenario"
+        raise ScenarioError([f"{where}: expected a mapping, got {type(data).__name__}"])
+    errors: list[str] = []
+    kind = _read_field(errors, data, "kind", _KIND, {})
+    if errors:
+        raise ScenarioError(errors)
+    name = _read_field(errors, data, "name", _NAME, {})
+    if not isinstance(name, str) or not name:
+        name = Path(source).stem if source not in ("<dict>", "") else "scenario"
+    scn = _read_section(errors, data, "", _KINDS[kind], {"name": name})
+    if errors:
+        raise ScenarioError(errors)
+    return scn
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -564,113 +522,28 @@ def scenario_digest(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-# --------------------------------------------------------------------------
-# serialization back to plain data
-# --------------------------------------------------------------------------
-
-
-def _gripper_dict(config: GripperConfig) -> dict:
-    return {
-        "finger_count": config.finger_count,
-        "module_offset": config.module_offset,
-        "module_levels": list(config.module_levels),
-        "module_height": config.module_height,
-        "rest_depth": config.rest_depth,
-        "panel_span": config.panel_span,
-        "bend_lever_arm": config.bend_lever_arm,
-        "curvature_threshold": config.curvature_threshold,
-        "law": {
-            "r0": config.law.r0,
-            "slope": config.law.slope,
-            "theta_min": config.law.theta_min,
-            "theta_max": config.law.theta_max,
-        },
-    }
-
-
-def _material_dict(material: MaterialModel) -> dict:
-    return {
-        "plateau_force": material.plateau_force,
-        "force_band": material.force_band,
-        "plateau_torque": material.plateau_torque,
-        "torque_band": material.torque_band,
-        "strain_range": [material.strain_lo, material.strain_hi],
-        "angle_range": [material.angle_lo, material.angle_hi],
-        "overload_stiffness": material.overload_stiffness,
-    }
-
-
-def _object_dict(obj: ObjectShape, with_z: bool) -> dict:
-    out: dict[str, Any] = {"shape": obj.kind.value, "size": list(obj.dims), "mass": obj.mass}
-    if obj.name:
-        out["name"] = obj.name
-    if obj.pose.yaw:
-        out["yaw"] = obj.pose.yaw
-    if with_z and obj.pose.z:
-        out["z"] = obj.pose.z
-    return out
-
-
 def scenario_to_dict(scn: Scenario) -> dict:
-    """Plain mapping that parses back to an equivalent scenario."""
-    if isinstance(scn, SingleGraspScenario):
-        return {
-            "kind": "single_grasp",
-            "name": scn.name,
-            "gripper": _gripper_dict(scn.config),
-            "materials": {scn.material.name: _material_dict(scn.material)},
-            "material": scn.material.name,
-            "mu": scn.mu,
-            "torque_scale": scn.torque_scale,
-            "theta": scn.theta,
-            "object": _object_dict(scn.obj, with_z=True),
-        }
-    if isinstance(scn, PulloutScenario):
-        return {
-            "kind": "pullout",
-            "name": scn.name,
-            "gripper": _gripper_dict(scn.config),
-            "materials": {scn.material.name: _material_dict(scn.material)},
-            "material": scn.material.name,
-            "mu": scn.mu,
-            "torque_scale": scn.torque_scale,
-            "theta": scn.theta,
-            "lift_step": scn.lift_step,
-            "object": _object_dict(scn.probe, with_z=True),
-        }
-    if isinstance(scn, StackedScenario):
-        scene = scn.scene
-        return {
-            "kind": "stacked",
-            "name": scn.name,
-            "gripper": _gripper_dict(scene.config),
-            "materials": {scene.material.name: _material_dict(scene.material)},
-            "material": scene.material.name,
-            "mu": scene.mu,
-            "torque_scale": scene.torque_scale,
-            "clearance": scn.clearance,
-            "safety": scene.safety,
-            "top": _object_dict(scene.top, with_z=False),
-            "bottom": _object_dict(scene.bottom, with_z=False),
-        }
-    if isinstance(scn, PickPlaceScenario):
-        spec = scn.spec
-        return {
-            "kind": "pickplace",
-            "name": scn.name,
-            "cycle": {
-                "pick": list(spec.pick),
-                "place_bottom": list(spec.place_bottom),
-                "place_top": list(spec.place_top),
-                "approach_height": spec.approach_height,
-                "descend_speed": spec.descend_speed,
-                "ascend_speed": spec.ascend_speed,
-                "travel_speed": spec.travel_speed,
-                "grasp_dwell": spec.grasp_dwell,
-                "release_dwell": spec.release_dwell,
-            },
-        }
-    raise TypeError(f"not a scenario: {type(scn).__name__}")
+    """Plain mapping that parses back to an equivalent scenario.
+
+    Every table field is written, including those that hold their default,
+    so any numeric field can be a sweep axis.
+    """
+    if not isinstance(scn, (SingleGraspScenario, PulloutScenario, StackedScenario, PickPlaceScenario)):
+        raise TypeError(f"not a scenario: {type(scn).__name__}")
+    return _WRITERS[scn.kind](scn)
+
+
+def check_override(scn: Scenario, flag: str, key: str, value: Any) -> Any:
+    """A command-line override of the scene field ``key``, checked and
+    converted by its table entry; a bound failure keeps the flag's wording."""
+    field = _field_at(_KINDS[scn.kind].fields, [key])
+    errors: list[str] = []
+    checked = _read_field(errors, {key: value}, flag, field, {"materials": material_table()})
+    if errors and field.type == NUMBER and math.isfinite(value):
+        errors = [f"{flag}: must be {'positive' if field.lo_open else 'non-negative'}, got {value:g}"]
+    if errors:
+        raise ScenarioError(errors)
+    return checked
 
 
 def save_scenario(scn: Scenario, path: str | Path) -> None:
@@ -735,9 +608,12 @@ def run_pullout(scn: PulloutScenario, seed: int | None = None) -> dict:
 
     material = _maybe_perturbed(scn.material, seed)
     grid = default_lift_grid(scn.probe, scn.config, step=scn.lift_step)
-    trace = pullout_trace(
-        scn.theta, scn.probe, scn.config, material, scn.mu, grid, scn.torque_scale
-    )
+    try:
+        trace = pullout_trace(
+            scn.theta, scn.probe, scn.config, material, scn.mu, grid, scn.torque_scale
+        )
+    except ValueError as exc:  # the probe does not reach every module level
+        raise ScenarioError([f"object: {exc}"]) from exc
     return {
         "theta": scn.theta,
         "opening": opening(scn.theta, scn.config),
@@ -752,17 +628,7 @@ def run_pullout(scn: PulloutScenario, seed: int | None = None) -> dict:
 
 
 def run_stacked(scn: StackedScenario, seed: int | None = None) -> dict:
-    scene = scn.scene
-    if seed is not None:
-        scene = StackedScene(
-            top=scene.top,
-            bottom=scene.bottom,
-            config=scene.config,
-            material=perturbed(scene.material, seed),
-            mu=scene.mu,
-            safety=scene.safety,
-            torque_scale=scene.torque_scale,
-        )
+    scene = replace(scn.scene, material=_maybe_perturbed(scn.scene.material, seed))
     plan = plan_stacked(scene)
     stages = simulate_plan(scene, plan)
     return {
@@ -851,33 +717,41 @@ def run_sweep(
     input order; outputs are flattened to scalar columns.
     """
     base = scenario_to_dict(scn)
-    _resolve_axis(base, axis)  # validate once up front
-    rows: list[dict] = []
+    parts = axis.split(".")
+    cast = int if _axis_field(scn, base, axis).type == INTEGER else float
     for value in values:
-        data = json.loads(json.dumps(base))  # deep copy of plain data
-        parent, leaf = _resolve_axis(data, axis)
-        parent[leaf] = float(value)
+        if cast is int and not float(value).is_integer():
+            raise ScenarioError([f"{axis}: expected an integer, got {value:g}"])
+    rows: list[dict] = []
+    for value in map(cast, values):
+        # copy only the mappings on the axis path: parsing never mutates its input
+        data = node = dict(base)
+        for part in parts[:-1]:
+            node[part] = dict(node[part])
+            node = node[part]
+        node[parts[-1]] = value
         variant = parse_scenario(data, source=f"<sweep {axis}={value:g}>")
         outputs = run_scenario(variant, seed=seed)
-        row: dict[str, Any] = {axis: float(value)}
+        row: dict[str, Any] = {axis: value}
         _flatten("", outputs, row)
         rows.append(row)
     return rows
 
 
-def _resolve_axis(data: dict, axis: str) -> tuple[dict, str]:
+def _axis_field(scn: Scenario, data: dict, axis: str) -> Field:
+    """Table entry of a dotted sweep axis, checked against the written scene."""
     parts = axis.split(".")
     node: Any = data
     for i, part in enumerate(parts[:-1]):
         if not isinstance(node, dict) or part not in node:
             raise ScenarioError([f"{axis}: no such field (stuck at {'.'.join(parts[: i + 1])})"])
         node = node[part]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
+    if not isinstance(node, dict) or parts[-1] not in node:
         raise ScenarioError([f"{axis}: no such field"])
-    if isinstance(node[leaf], bool) or not isinstance(node[leaf], (int, float)):
+    field = _field_at(_KINDS[scn.kind].fields, parts)
+    if field is None or field.type not in (NUMBER, INTEGER):
         raise ScenarioError([f"{axis}: not a numeric field"])
-    return node, leaf
+    return field
 
 
 def _flatten(prefix: str, value: Any, out: dict) -> None:
@@ -942,7 +816,17 @@ def write_csv(data: Any, stream: io.TextIOBase) -> None:
 
 def material_table() -> dict[str, MaterialModel]:
     """Built-in materials plus any defined via the environment override."""
-    chk = _Check()
-    table = _build_material_table(chk, None, "materials")
-    chk.raise_if_failed()
+    table = dict(BUILTIN_MATERIALS)
+    env_path = os.environ.get(MATERIALS_ENV_VAR)
+    if env_path:
+        try:
+            raw = yaml.safe_load(Path(env_path).read_text())
+        except (OSError, yaml.YAMLError) as exc:
+            message = f"cannot read {MATERIALS_ENV_VAR} file {env_path!r}: {exc}"
+            raise ScenarioError([f"materials: {message}"]) from exc
+        errors: list[str] = []
+        entries = {} if raw is None else _read_named(errors, raw, MATERIALS_ENV_VAR, _MATERIAL)
+        if errors:
+            raise ScenarioError(errors)
+        table.update(entries)
     return table

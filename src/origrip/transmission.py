@@ -119,14 +119,19 @@ def opening_range(config: GripperConfig | None = None) -> tuple[float, float]:
     return opening(law.theta_max, config), opening(law.theta_min, config)
 
 
+def unclamped_theta_for_opening(target: float, config: GripperConfig) -> float:
+    """Servo angle of aperture ``target`` (mm), extrapolated past the guide range."""
+    law = config.law
+    return (law.r0 - config.module_offset - target / 2.0) / law.slope
+
+
 def theta_for_opening(target: float, config: GripperConfig | None = None) -> float:
     """Servo angle producing aperture ``target`` (mm).  Exact linear inverse."""
     config = config or GripperConfig()
-    law = config.law
     lo, hi = opening_range(config)
     if not lo <= target <= hi:
         raise OpeningRangeError(target, lo, hi)
-    return (law.r0 - config.module_offset - target / 2.0) / law.slope
+    return unclamped_theta_for_opening(target, config)
 
 
 def finger_bearings(config: GripperConfig | None = None) -> tuple[float, ...]:

@@ -1,6 +1,8 @@
 import json
+from pathlib import Path
 
 import pytest
+import yaml
 
 from origrip.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
 from origrip.demo import demo_scene_path
@@ -148,6 +150,61 @@ def test_pullout_grid_override(capsys):
     code, _, err = run_json(capsys, ["pullout", "--scene", PULLOUT, "--grid", "0"])
     assert code == EXIT_INVALID
     assert "--grid" in err
+
+
+def test_pullout_short_probe_is_invalid(capsys, tmp_path):
+    scene = tmp_path / "short_probe.yaml"
+    scene.write_text(
+        "kind: pullout\nmaterial: tpu95a\ntheta: 30.0\nobject:\n  shape: cube\n  size: [40.0]\n"
+    )
+    code, record, err = run_json(capsys, ["pullout", "--scene", str(scene)])
+    assert code == EXIT_INVALID
+    assert record is None
+    assert "origrip:" in err and "object: probe span [0, 40] mm does not cover" in err
+
+
+def _scene_with(tmp_path, scene, dotted, literal):
+    data = yaml.safe_load(Path(scene).read_text())
+    *parents, leaf = dotted.split(".")
+    node = data
+    for key in parents:
+        node = node[key]
+    node[leaf] = "@VALUE@"
+    path = tmp_path / "scene.yaml"
+    path.write_text(yaml.safe_dump(data).replace("'@VALUE@'", literal))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, scene, where, value",
+    [
+        ("grasp", ENVELOPING, "mu", ".nan"),
+        ("grasp", ENVELOPING, "mu", ".inf"),
+        ("grasp", ENVELOPING, "theta", ".nan"),
+        ("grasp", ENVELOPING, "object.mass", ".inf"),
+        ("grasp", ENVELOPING, "object.size", "[.nan, 67.0, 80.0]"),
+        ("pullout", PULLOUT, "mu", ".nan"),
+        ("multi", STACKED, "mu", ".nan"),
+        ("multi", STACKED, "top.mass", ".inf"),
+        ("compare", PICKPLACE, "cycle.travel_speed", ".inf"),
+        ("grasp", ENVELOPING, "--mu", "nan"),
+        ("grasp", ENVELOPING, "--mu", "inf"),
+        ("pullout", PULLOUT, "--grid", "nan"),
+        ("pullout", PULLOUT, "--grid", "inf"),
+    ],
+)
+def test_non_finite_numbers_are_invalid(capsys, tmp_path, command, scene, where, value):
+    if where.startswith("--"):
+        argv = [command, "--scene", scene, where, value]
+        expected = f"{where}: must be finite"
+    else:
+        argv = [command, "--scene", _scene_with(tmp_path, scene, where, value)]
+        expected = "must be finite"
+    code, record, err = run_json(capsys, argv)
+    assert code == EXIT_INVALID
+    assert record is None
+    assert err.startswith("origrip:") and expected in err
+    assert "Traceback" not in err
 
 
 def test_multi_command(capsys):

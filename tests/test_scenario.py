@@ -330,6 +330,23 @@ def test_sweep_axis_validation():
         run_sweep(scn, "material", [1.0])
 
 
+def test_sweep_reaches_default_valued_fields():
+    rows = run_sweep(load_scenario(demo_scene_path("grasp_parallel")), "object.yaw", [0.0, 30.0])
+    assert [row["object.yaw"] for row in rows] == [0.0, 30.0]
+    rows = run_sweep(load_scenario(demo_scene_path("stacked_spheres")), "top.yaw", [0.0, 15.0])
+    assert [row["top.yaw"] for row in rows] == [0.0, 15.0]
+
+
+def test_sweep_over_integer_field():
+    scn = load_scenario(demo_scene_path("grasp_parallel"))
+    rows = run_sweep(scn, "gripper.finger_count", [2.0, 4.0])
+    assert [row["gripper.finger_count"] for row in rows] == [2, 4]
+    with pytest.raises(ScenarioError, match="gripper.finger_count: expected an integer, got 2.5"):
+        run_sweep(scn, "gripper.finger_count", [2.0, 2.5])
+    with pytest.raises(ScenarioError, match=r"gripper.finger_count: must be one of \[2, 4\], got 3"):
+        run_sweep(scn, "gripper.finger_count", [3.0])
+
+
 def test_sweep_rows_depend_only_on_value():
     scn = load_scenario(demo_scene_path("grasp_parallel"))
     forward = run_sweep(scn, "theta", [30.0, 45.0, 60.0])
