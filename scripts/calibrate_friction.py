@@ -38,11 +38,14 @@ def main() -> None:
     config = GripperConfig()
     probe = curved_block(45.5, 67.0, 80.0)
 
-    frictionless = resolve_contacts(args.theta, probe, config, TPU95A, mu=0.0)
-    side = frictionless.finger(0)
-    slope = squeeze_force(side)
-    intercept = pullout_capacity(side)  # at mu = 0 only the hooking term is left
-    mu = calibrate_friction(probe, args.theta, config, TPU95A, target_side_force=args.target)
+    try:
+        frictionless = resolve_contacts(args.theta, probe, config, TPU95A, mu=0.0)
+        side = frictionless.finger(0)
+        slope = squeeze_force(side)
+        intercept = pullout_capacity(side)  # at mu = 0 only the hooking term is left
+        mu = calibrate_friction(probe, args.theta, config, TPU95A, target_side_force=args.target)
+    except ValueError as exc:  # angle out of range, no probe contact, or target too low
+        parser.error(str(exc))
 
     print(f"probe contacts per side : {len(side)}")
     print(f"friction slope          : {slope:.5f} N per unit mu")

@@ -4,6 +4,8 @@ closure analysis, pull-out traces, stacked-pair release planning, and
 pick-and-place cycle accounting.
 """
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .transmission import (
     AngleRangeError,
@@ -118,4 +120,8 @@ from .scenario import (
 )
 from .demo import demo_scene_dir, demo_scene_path, list_demo_scenes, run_demo_suite
 
-__all__ = [name for name in dir() if not name.startswith("_")] + ["__version__"]
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+] + ["__version__"]

@@ -35,7 +35,6 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from .mechanics import (
@@ -57,6 +56,7 @@ from .shapes import (
 from .transmission import GripperConfig, finger_bearings, opening
 
 _MAX_INCLINATION = 89.9  # deg; keeps sin/cos well-conditioned at deep hooks
+_MAX_LIFT_POINTS = 100_000  # a pull-out trace point costs tens of microseconds
 
 
 class GraspMode(Enum):
@@ -297,25 +297,17 @@ class ForceClosure:
 def is_force_closure(primitives: np.ndarray) -> ForceClosure:
     """Strict origin-in-hull test in wrench space.
 
-    Decision by linear program: the origin is interior to the convex cone of
-    the primitives iff some positive combination (all weights >= 1) sums to
-    zero and the primitives span the full wrench space.  The margin is the
-    distance from the origin to the hull boundary, 0 when not closed.
+    The primitives positively span wrench space iff the origin lies strictly
+    inside their convex hull.  The margin is the origin's distance to the
+    nearest hull facet (the Ferrari-Canny epsilon quality), 0 when not
+    closed.  Sets of rank below 3 are flat and never closed; the rank
+    tolerance is relative to the largest component, so the verdict is
+    scale-free and rounding noise cannot pass a flat set off as a thin hull.
     """
     primitives = np.asarray(primitives, dtype=float)
     if primitives.ndim != 2 or primitives.shape[1] != 3 or primitives.shape[0] < 2:
         raise ValueError("need at least two wrench primitives of dimension 3")
-    if np.linalg.matrix_rank(primitives, tol=1e-9) < 3:
-        return ForceClosure(False, 0.0)
-    m = primitives.shape[0]
-    lp = linprog(
-        c=np.ones(m),
-        A_eq=primitives.T,
-        b_eq=np.zeros(3),
-        bounds=[(1.0, None)] * m,
-        method="highs",
-    )
-    if not lp.success:
+    if np.linalg.matrix_rank(primitives, tol=1e-9 * np.abs(primitives).max()) < 3:
         return ForceClosure(False, 0.0)
     try:
         hull = ConvexHull(primitives)
@@ -487,12 +479,15 @@ class PulloutTrace:
 def default_lift_grid(
     probe: ObjectShape, config: GripperConfig | None = None, step: float = 0.5
 ) -> np.ndarray:
-    """Grid from 0 to just past full disengagement."""
+    """Grid from 0 to just past full disengagement, at most ``_MAX_LIFT_POINTS`` points."""
     config = config or GripperConfig()
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step:g}")
     _, span_hi = z_span(probe)
     lift_max = span_hi - (config.module_levels[0] - config.module_height / 2.0) + 2.0 * step
+    points = (lift_max + step) / step
+    if points > _MAX_LIFT_POINTS:
+        raise ValueError(f"lift grid of {points:.3g} points exceeds {_MAX_LIFT_POINTS}")
     return np.arange(0.0, lift_max + step, step)
 
 

@@ -607,7 +607,10 @@ def run_pullout(scn: PulloutScenario, seed: int | None = None) -> dict:
     from .grasp import default_lift_grid
 
     material = _maybe_perturbed(scn.material, seed)
-    grid = default_lift_grid(scn.probe, scn.config, step=scn.lift_step)
+    try:
+        grid = default_lift_grid(scn.probe, scn.config, step=scn.lift_step)
+    except ValueError as exc:  # a tiny step or a huge probe
+        raise ScenarioError([f"lift_step: {exc}"]) from exc
     try:
         trace = pullout_trace(
             scn.theta, scn.probe, scn.config, material, scn.mu, grid, scn.torque_scale

@@ -2,7 +2,7 @@
 
 Everything here is deliberately brute force and shares no code with the
 implementations under test: closure is judged by direction sampling instead
-of an LP, widths by projecting polygon vertices, arc unions by a dense
+of a convex hull, widths by projecting polygon vertices, arc unions by a dense
 angular grid, and hold windows by sweeping the hold predicate directly.
 """
 

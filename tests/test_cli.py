@@ -163,6 +163,25 @@ def test_pullout_short_probe_is_invalid(capsys, tmp_path):
     assert "origrip:" in err and "object: probe span [0, 40] mm does not cover" in err
 
 
+@pytest.mark.parametrize(
+    "size, extra",
+    [
+        ("[1.0e+9]", []),  # a huge probe at the default step
+        ("[100.0]", ["--grid", "1e-6"]),  # a tiny step
+    ],
+)
+def test_pullout_oversized_lift_grid_is_invalid(capsys, tmp_path, size, extra):
+    scene = tmp_path / "long_grid.yaml"
+    scene.write_text(
+        f"kind: pullout\nmaterial: tpu95a\ntheta: 30.0\nobject:\n  shape: cube\n  size: {size}\n"
+    )
+    code, record, err = run_json(capsys, ["pullout", "--scene", str(scene), *extra])
+    assert code == EXIT_INVALID
+    assert record is None
+    assert err.startswith("origrip: ") and "lift_step: lift grid of" in err
+    assert "Traceback" not in err
+
+
 def _scene_with(tmp_path, scene, dotted, literal):
     data = yaml.safe_load(Path(scene).read_text())
     *parents, leaf = dotted.split(".")

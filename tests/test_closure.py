@@ -70,6 +70,15 @@ def test_planar_forces_without_torque_span_not_closed():
     )
     assert not is_force_closure(prims).closed
     assert not oracles.positive_span_closed(prims)
+    # each force as two coincident cone edges (a frictionless contact): with
+    # rounding-level torque noise the six rows span a thin hull around the
+    # origin, which only the rank guard calls flat
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        noisy = np.repeat(prims, 2, axis=0)
+        noisy[:, 2] = rng.normal(0.0, 1e-13, 6)
+        assert not is_force_closure(noisy).closed
+        assert not oracles.positive_span_closed(noisy)
 
 
 def test_force_closure_input_validation():
@@ -90,7 +99,7 @@ def test_lp_agrees_with_direction_sampling():
         assert is_force_closure(prims).closed == oracles.positive_span_closed(prims)
 
 
-@given(st.floats(min_value=1e-3, max_value=1e3))
+@given(st.floats(min_value=1e-12, max_value=1e12))
 @settings(max_examples=30)
 def test_scaling_never_flips_closure(scale):
     closed_contacts = resolve_contacts(60.0, V_PROBE, material=TPU95A, mu=MU_STAR)

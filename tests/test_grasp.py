@@ -255,6 +255,8 @@ def test_default_lift_grid():
     assert grid[-1] >= 91.0  # reaches past full disengagement
     with pytest.raises(ValueError):
         default_lift_grid(P_PROBE, step=0.0)
+    with pytest.raises(ValueError, match="lift grid of .* points exceeds 100000"):
+        default_lift_grid(P_PROBE, step=1e-6)
 
 
 def _scaled_config(config, s):
