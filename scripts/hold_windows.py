@@ -11,8 +11,25 @@ Usage:
 """
 
 import argparse
+import math
 
 from origrip import GripperConfig, ObjectShape, Pose, ShapeKind, hold_window, material_table
+
+MAX_ROWS = 1000
+
+
+def size_range(spec: str) -> tuple[float, float, float]:
+    """``lo:hi:step`` as finite numbers with 0 < lo <= hi, step > 0 and at
+    most MAX_ROWS sizes."""
+    try:
+        lo, hi, step = (float(p) for p in spec.split(":"))
+    except ValueError:
+        raise ValueError(f"expected lo:hi:step, got {spec!r}") from None
+    if not all(map(math.isfinite, (lo, hi, step))) or not 0.0 < lo <= hi or step <= 0.0:
+        raise ValueError(f"need finite numbers with 0 < lo <= hi and step > 0, got {spec!r}")
+    if (hi - lo) / step >= MAX_ROWS:
+        raise ValueError(f"{spec!r} gives more than {MAX_ROWS} sizes")
+    return lo, hi, step
 
 
 def main() -> None:
@@ -25,9 +42,18 @@ def main() -> None:
     parser.add_argument("--mu", type=float, default=0.5)
     args = parser.parse_args()
 
-    lo, hi, step = (float(p) for p in args.sizes.split(":"))
+    try:
+        lo, hi, step = size_range(args.sizes)
+    except ValueError as exc:
+        parser.error(f"--sizes: {exc}")
+    for flag, value in (("--mass", args.mass), ("--mu", args.mu)):
+        if not 0.0 <= value < math.inf:
+            parser.error(f"{flag}: must be finite and non-negative, got {value:g}")
+    table = material_table()
+    if args.material not in table:
+        parser.error(f"--material: unknown material {args.material!r}; known: {', '.join(sorted(table))}")
     config = GripperConfig(finger_count=args.fingers)
-    material = material_table()[args.material]
+    material = table[args.material]
 
     print(f"{'size':>6}  {'window lo':>9}  {'window hi':>9}  limiting")
     size = lo

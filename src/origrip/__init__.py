@@ -106,6 +106,7 @@ from .scenario import (
     ScenarioError,
     SingleGraspScenario,
     StackedScenario,
+    edit_scenario,
     load_scenario,
     make_result_record,
     material_table,

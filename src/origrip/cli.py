@@ -18,7 +18,6 @@ arguments.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from .planner import PlanError
 from .scenario import (
     Scenario,
     ScenarioError,
-    check_override,
+    edit_scenario,
     load_scenario,
     make_result_record,
     material_table,
@@ -203,14 +202,20 @@ def _run_material_curve(args) -> int:
     return EXIT_OK
 
 
+_OVERRIDES = {"theta": "theta", "mu": "mu", "material": "material", "grid": "lift_step"}  # flag: field
+
+
 def _apply_overrides(args, scn: Scenario) -> Scenario:
-    changes: dict = {}
-    if getattr(args, "theta", None) is not None:
-        changes["theta"] = args.theta
-    for flag, key in (("mu", "mu"), ("material", "material"), ("grid", "lift_step")):
-        if getattr(args, flag, None) is not None:
-            changes[key] = check_override(scn, f"--{flag}", key, getattr(args, flag))
-    return dataclasses.replace(scn, **changes) if changes else scn
+    """``scn`` edited by the given override flags under the scene-file rules."""
+    given = {key: flag for flag, key in _OVERRIDES.items() if getattr(args, flag, None) is not None}
+    if not given:
+        return scn
+    try:
+        return edit_scenario(scn, {key: getattr(args, flag) for key, flag in given.items()})
+    except ScenarioError as exc:  # name the flag the user typed, not the field
+        split = [error.partition(": ") for error in exc.errors]
+        raise ScenarioError([f"--{given[path]}: {why}" if path in given else path + sep + why
+                             for path, sep, why in split]) from None
 
 
 def _run_scene_command(args, command: str, expected_kind: str) -> int:

@@ -169,8 +169,8 @@ def _level_contacts(
     torque_scale: float,
 ) -> list[ContactRecord]:
     """Contact records with the gripper raised by ``lift`` mm."""
-    if mu < 0.0:
-        raise ValueError(f"mu must be non-negative, got {mu:g}")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and non-negative, got {mu:g}")
     aperture = opening(theta, config)
     mode = grasp_mode(obj, config)
     span_lo, span_hi = z_span(obj)
@@ -391,12 +391,11 @@ def closure_summary(
     config: GripperConfig | None = None,
     slip_margin: float = 15.0,
 ) -> ClosureResult:
-    """Force closure always; form closure only where it applies."""
-    fc = (
-        is_force_closure(contact_wrench_primitives(contacts))
-        if len(contacts) >= 2
-        else ForceClosure(False, 0.0)
-    )
+    """Force closure always; form closure only where it applies.  Fewer than
+    two contacts close nothing, and form closure is then not judged."""
+    if len(contacts) < 2:
+        return ClosureResult(False, None, 0.0, None)
+    fc = is_force_closure(contact_wrench_primitives(contacts))
     if contacts.grasp_mode is GraspMode.V_ENVELOPING:
         form, wrap = is_form_closure(contacts, obj, config, slip_margin)
         return ClosureResult(fc.closed, form, fc.margin, wrap)
@@ -562,6 +561,8 @@ def calibrate_friction(
     normal forces do not depend on mu, which makes the capacity linear in mu
     and the fit closed-form.
     """
+    if not math.isfinite(target_side_force):
+        raise ValueError(f"target must be finite, got {target_side_force:g}")
     contacts = resolve_contacts(theta, probe, config, material, mu=0.0, torque_scale=torque_scale)
     side = contacts.finger(0)
     if len(side) == 0:

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._finite import require_finite
+
 # --------------------------------------------------------------------------
 # material description
 # --------------------------------------------------------------------------
@@ -46,6 +48,7 @@ class MaterialModel:
     overload_stiffness: float | None = None   # N per unit strain beyond strain_hi
 
     def __post_init__(self):
+        require_finite(self)
         if self.plateau_force <= 0.0 or self.plateau_torque <= 0.0:
             raise ValueError("plateau levels must be positive")
         if not 0.0 <= self.force_band <= 0.2:

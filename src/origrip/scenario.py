@@ -35,6 +35,7 @@ import os
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Union
 
@@ -179,21 +180,21 @@ class Section:
         object.__setattr__(self, "keys", frozenset(f.key for f in self.fields) | set(self.extra_keys))
 
 
-def _display(fields: tuple[Field, ...], obj: str) -> str:
-    """Source of a dict display that writes ``fields`` of the built object
-    ``obj`` back to plain data: every field, defaults included."""
-    items = []
+def _write(fields: tuple[Field, ...], obj: Any) -> dict:
+    """``fields`` of the built object ``obj`` as plain data: every field,
+    defaults included."""
+    out = {}
     for field in fields:
         attr = field.attr or field.key
-        value = f"[{', '.join(f'{obj}.{a}' for a in attr)}]" if isinstance(attr, tuple) else f"{obj}.{attr}"
+        value = attrgetter(*attr)(obj) if isinstance(attr, tuple) else attrgetter(attr)(obj)
         if field.type == SECTION:
-            value = _display(field.section.fields, value)
+            value = _write(field.section.fields, value)
         elif field.type == SECTIONS:  # a scene writes back the one material it uses
-            value = f"{{{value}.name: {_display(field.section.fields, value)}}}"
-        elif field.type == NUMBERS and isinstance(attr, str):
-            value = f"list({value})"
-        items.append(f"{field.key!r}: {value}")
-    return "{" + ", ".join(items) + "}"
+            value = {value.name: _write(field.section.fields, value)}
+        elif field.type == NUMBERS:
+            value = list(value)
+        out[field.key] = value
+    return out
 
 
 _FAILED = object()  # a field or section that did not read cleanly
@@ -350,11 +351,7 @@ _KINDS: dict[str, Section] = {
 _KIND = Field("kind", TEXT, required=True, choices=tuple(_KINDS))
 _NAME = Field("name", TEXT)
 
-# compiled once per kind, so writing a scene costs what a hand-written literal does
-_WRITERS = {
-    kind: eval(f"lambda o: {_display((_KIND, _NAME) + section.fields, 'o')}")
-    for kind, section in _KINDS.items()
-}
+_ROOT = (_KIND, _NAME)
 
 
 # --------------------------------------------------------------------------
@@ -530,20 +527,32 @@ def scenario_to_dict(scn: Scenario) -> dict:
     """
     if not isinstance(scn, (SingleGraspScenario, PulloutScenario, StackedScenario, PickPlaceScenario)):
         raise TypeError(f"not a scenario: {type(scn).__name__}")
-    return _WRITERS[scn.kind](scn)
+    return _write(_ROOT + _KINDS[scn.kind].fields, scn)
 
 
-def check_override(scn: Scenario, flag: str, key: str, value: Any) -> Any:
-    """A command-line override of the scene field ``key``, checked and
-    converted by its table entry; a bound failure keeps the flag's wording."""
-    field = _field_at(_KINDS[scn.kind].fields, [key])
-    errors: list[str] = []
-    checked = _read_field(errors, {key: value}, flag, field, {"materials": material_table()})
-    if errors and field.type == NUMBER and math.isfinite(value):
-        errors = [f"{flag}: must be {'positive' if field.lo_open else 'non-negative'}, got {value:g}"]
-    if errors:
-        raise ScenarioError(errors)
-    return checked
+def edit_scenario(scn: Scenario, changes: Mapping[str, Any]) -> Scenario:
+    """``scn`` with each dotted field path in ``changes`` set to its value,
+    judged by the same rules as a scene file."""
+    data = scenario_to_dict(scn)
+    for path, value in changes.items():
+        data = _set(data, path, value)
+    return parse_scenario(data)
+
+
+def _set(data: dict, path: str, value: Any) -> dict:
+    """``data`` with the dotted ``path`` set to ``value``; only the mappings
+    on the path are copied, since parsing never mutates its input."""
+    *parents, leaf = path.split(".")
+    data = node = dict(data)
+    for part in parents:
+        if not isinstance(node.get(part), dict):
+            raise ScenarioError([f"{path}: no such field"])
+        node[part] = dict(node[part])
+        node = node[part]
+    if leaf not in node:
+        raise ScenarioError([f"{path}: no such field"])
+    node[leaf] = value
+    return data
 
 
 def save_scenario(scn: Scenario, path: str | Path) -> None:
@@ -564,7 +573,8 @@ def run_single_grasp(scn: SingleGraspScenario, seed: int | None = None) -> dict:
     contacts = resolve_contacts(
         scn.theta, scn.obj, scn.config, material, scn.mu, scn.torque_scale
     )
-    out: dict[str, Any] = {
+    closure = closure_summary(contacts, scn.obj, scn.config)
+    return {
         "theta": scn.theta,
         "opening": opening(scn.theta, scn.config),
         "object_width": grasp_width(scn.obj),
@@ -588,19 +598,11 @@ def run_single_grasp(scn: SingleGraspScenario, seed: int | None = None) -> dict:
             }
             for rec in contacts.records
         ],
+        "force_closure": closure.force_closure,
+        "closure_margin": closure.margin,
+        "form_closure": closure.form_closure,
+        "wrap_coverage": closure.wrap_angle,
     }
-    if len(contacts) >= 2:
-        closure = closure_summary(contacts, scn.obj, scn.config)
-        out["force_closure"] = closure.force_closure
-        out["closure_margin"] = closure.margin
-        out["form_closure"] = closure.form_closure
-        out["wrap_coverage"] = closure.wrap_angle
-    else:
-        out["force_closure"] = False
-        out["closure_margin"] = 0.0
-        out["form_closure"] = None
-        out["wrap_coverage"] = None
-    return out
 
 
 def run_pullout(scn: PulloutScenario, seed: int | None = None) -> dict:
@@ -720,39 +722,25 @@ def run_sweep(
     input order; outputs are flattened to scalar columns.
     """
     base = scenario_to_dict(scn)
-    parts = axis.split(".")
-    cast = int if _axis_field(scn, base, axis).type == INTEGER else float
+    cast = int if _axis_field(scn, axis).type == INTEGER else float
     for value in values:
         if cast is int and not float(value).is_integer():
             raise ScenarioError([f"{axis}: expected an integer, got {value:g}"])
     rows: list[dict] = []
     for value in map(cast, values):
-        # copy only the mappings on the axis path: parsing never mutates its input
-        data = node = dict(base)
-        for part in parts[:-1]:
-            node[part] = dict(node[part])
-            node = node[part]
-        node[parts[-1]] = value
-        variant = parse_scenario(data, source=f"<sweep {axis}={value:g}>")
-        outputs = run_scenario(variant, seed=seed)
+        outputs = run_scenario(parse_scenario(_set(base, axis, value)), seed=seed)
         row: dict[str, Any] = {axis: value}
         _flatten("", outputs, row)
         rows.append(row)
     return rows
 
 
-def _axis_field(scn: Scenario, data: dict, axis: str) -> Field:
-    """Table entry of a dotted sweep axis, checked against the written scene."""
-    parts = axis.split(".")
-    node: Any = data
-    for i, part in enumerate(parts[:-1]):
-        if not isinstance(node, dict) or part not in node:
-            raise ScenarioError([f"{axis}: no such field (stuck at {'.'.join(parts[: i + 1])})"])
-        node = node[part]
-    if not isinstance(node, dict) or parts[-1] not in node:
+def _axis_field(scn: Scenario, axis: str) -> Field:
+    """Table entry of a dotted sweep axis."""
+    field = _field_at(_ROOT + _KINDS[scn.kind].fields, axis.split("."))
+    if field is None:
         raise ScenarioError([f"{axis}: no such field"])
-    field = _field_at(_KINDS[scn.kind].fields, parts)
-    if field is None or field.type not in (NUMBER, INTEGER):
+    if field.type not in (NUMBER, INTEGER):
         raise ScenarioError([f"{axis}: not a numeric field"])
     return field
 

@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+from ._finite import require_finite
+
 
 class ShapeKind(str, Enum):
     SPHERE = "sphere"
@@ -50,6 +52,9 @@ class Pose:
     yaw: float = 0.0          # deg
     stack_level: int = 0
 
+    def __post_init__(self):
+        require_finite(self)
+
 
 @dataclass(frozen=True)
 class ObjectShape:
@@ -69,6 +74,7 @@ class ObjectShape:
             raise ValueError(
                 f"{self.kind.value} needs dims {names}, got {len(self.dims)} values"
             )
+        require_finite(self)
         for label, value in zip(names, self.dims):
             if value <= 0.0:
                 raise ValueError(f"{self.kind.value} {label} must be positive, got {value:g}")

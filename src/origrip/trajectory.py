@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from ._finite import require_finite
+
 
 class Action(Enum):
     DESCEND = "descend"
@@ -91,6 +93,7 @@ class CycleSpec:
     release_dwell: float = 2.0
 
     def __post_init__(self):
+        require_finite(self)
         for label in ("approach_height", "descend_speed", "ascend_speed", "travel_speed"):
             if getattr(self, label) <= 0.0:
                 raise ValueError(f"{label} must be positive, got {getattr(self, label):g}")

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ._finite import require_finite
+
 
 class AngleRangeError(ValueError):
     """Servo angle outside the guide range."""
@@ -51,6 +53,7 @@ class TransmissionLaw:
     theta_max: float = 90.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.slope <= 0.0:
             raise ValueError(f"slope must be positive, got {self.slope:g}")
         if not self.theta_min < self.theta_max:
@@ -81,6 +84,7 @@ class GripperConfig:
     curvature_threshold: float = 1.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.finger_count not in (2, 4):
             raise ValueError(f"finger_count must be 2 or 4, got {self.finger_count}")
         r_closed = self.law.r0 - self.law.slope * self.law.theta_max

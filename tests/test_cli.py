@@ -135,6 +135,39 @@ def test_grasp_rejects_negative_mu(capsys):
     assert "--mu" in err
 
 
+SOFT_SCENE = """\
+kind: single_grasp
+material: soft
+materials:
+  soft: {plateau_force: 0.8, plateau_torque: 8.0}
+theta: 45.0
+object: {shape: sphere, size: [50.0]}
+"""
+
+
+def test_material_override_names_a_scene_material(capsys, tmp_path):
+    scene = tmp_path / "soft.yaml"
+    scene.write_text(SOFT_SCENE)
+    code, as_loaded, _ = run_json(capsys, ["grasp", "--scene", str(scene)])
+    assert code == EXIT_OK
+    code, overridden, err = run_json(capsys, ["grasp", "--scene", str(scene), "--material", "soft"])
+    assert code == EXIT_OK, err
+    assert overridden == as_loaded
+    code, _, err = run_json(capsys, ["grasp", "--scene", str(scene), "--material", "hard"])
+    assert code == EXIT_INVALID
+    assert "--material: unknown material 'hard'; known: " in err and "soft" in err
+
+
+def test_overrides_follow_the_scene_file_rules(capsys):
+    code, record, err = run_json(capsys, ["grasp", "--scene", ENVELOPING, "--theta", "95"])
+    assert code == EXIT_INVALID
+    assert record is None
+    assert "--theta: must be <= 90, got 95" in err
+    code, _, err = run_json(capsys, ["grasp", "--scene", ENVELOPING, "--theta", "-1", "--mu", "-0.5"])
+    assert code == EXIT_INVALID
+    assert "--theta: must be >= 0, got -1" in err and "--mu: must be >= 0, got -0.5" in err
+
+
 def test_grasp_rejects_wrong_scene_kind(capsys):
     code, _, err = run_json(capsys, ["grasp", "--scene", STACKED])
     assert code == EXIT_INVALID

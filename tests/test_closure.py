@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from origrip import (
+    ClosureResult,
     ContactSet,
     GraspMode,
     GripperConfig,
@@ -173,6 +174,12 @@ def test_closure_summary_single_contact():
     summary = closure_summary(lone, P_PROBE)
     assert not summary.force_closure
     assert summary.margin == 0.0
+
+
+def test_closure_summary_without_contacts():
+    empty = resolve_contacts(0.0, V_PROBE, material=TPU95A, mu=MU_STAR)  # jaws wider than the probe
+    assert len(empty) == 0 and empty.grasp_mode is GraspMode.V_ENVELOPING
+    assert closure_summary(empty, V_PROBE) == ClosureResult(False, None, 0.0, None)
 
 
 def test_arc_union_oracle_self_check():

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from origrip import (
     ContactMode,
     GraspMode,
+    CycleSpec,
     GripperConfig,
+    MaterialModel,
     Pose,
     SIL950,
     TPU95A,
@@ -317,3 +319,30 @@ def test_capacity_monotone_in_mu(mu1, mu2):
     cap_lo = pullout_capacity(resolve_contacts(60.0, V_PROBE, material=TPU95A, mu=lo))
     cap_hi = pullout_capacity(resolve_contacts(60.0, V_PROBE, material=TPU95A, mu=hi))
     assert cap_lo <= cap_hi + 1e-12
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: resolve_contacts(60.0, V_PROBE, mu=math.nan), "mu must be finite", id="contacts-mu-nan"),
+        pytest.param(lambda: resolve_contacts(60.0, V_PROBE, mu=math.inf), "mu must be finite", id="contacts-mu-inf"),
+        pytest.param(lambda: pullout_trace(60.0, V_PROBE, mu=math.nan), "mu must be finite", id="trace-mu-nan"),
+        pytest.param(lambda: sphere(math.nan), "dims must be finite", id="sphere-nan"),
+        pytest.param(lambda: cuboid(60.0, math.inf, 80.0), "dims must be finite", id="cuboid-inf"),
+        pytest.param(lambda: sphere(50.0, mass=math.inf), "mass must be finite", id="mass-inf"),
+        pytest.param(lambda: sphere(50.0, pose=Pose(z=math.nan)), "z must be finite", id="pose-z-nan"),
+        pytest.param(lambda: GripperConfig(module_height=math.inf), "module_height must be finite", id="config-inf"),
+        pytest.param(lambda: GripperConfig(module_levels=(20.0, math.nan)), "module_levels must be finite",
+                     id="levels-nan"),
+        pytest.param(lambda: TransmissionLaw(r0=math.nan), "r0 must be finite", id="law-nan"),
+        pytest.param(lambda: MaterialModel("m", math.inf, 0.05, 9.5, 0.05), "plateau_force must be finite",
+                     id="material-inf"),
+        pytest.param(lambda: MaterialModel("m", 1.0, 0.05, 9.5, 0.05, overload_stiffness=math.nan),
+                     "overload_stiffness must be finite", id="overload-nan"),
+        pytest.param(lambda: CycleSpec(travel_speed=math.inf), "travel_speed must be finite", id="cycle-inf"),
+        pytest.param(lambda: CycleSpec(pick=(0.0, math.nan)), "pick must be finite", id="site-nan"),
+    ],
+)
+def test_non_finite_api_input_is_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

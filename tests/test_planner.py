@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -14,14 +14,19 @@ from origrip import (
     TPU95A,
     cube,
     cuboid,
+    curved_block,
+    cylinder,
     equator_z,
     hold_window,
     holds_at,
     make_stacked_scene,
     plan_stacked,
+    pullout_capacity,
+    resolve_contacts,
     simulate_plan,
     sphere,
 )
+from origrip.planner import _strain_interval
 
 CFG2 = GripperConfig(finger_count=2)
 CFG4 = GripperConfig(finger_count=4)
@@ -232,3 +237,36 @@ def test_feasible_plans_survive_simulation(top_width):
     )
     plan = plan_stacked(scene)
     assert timeline(scene, plan) == [(True, True), (True, False), (False, False)]
+
+
+SHAPES = {
+    "sphere": lambda size, aspect, pose: sphere(size, pose=pose),
+    "cube": lambda size, aspect, pose: cube(size, pose=pose),
+    "cuboid": lambda size, aspect, pose: cuboid(size, size * aspect, size / aspect, pose=pose),
+    "cylinder": lambda size, aspect, pose: cylinder(size, size / aspect, pose=pose),
+    "curved_block": lambda size, aspect, pose: curved_block(size / (2.0 * aspect), size, pose=pose),
+}
+
+
+@given(
+    st.sampled_from(sorted(SHAPES)),
+    st.floats(min_value=20.0, max_value=90.0),
+    st.floats(min_value=0.5, max_value=1.0),
+    st.floats(min_value=0.0, max_value=90.0),
+    st.sampled_from((CFG2, CFG4)),
+    st.sampled_from((TPU95A, SIL950)),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=12),
+)
+@settings(max_examples=80)
+def test_capacity_never_falls_as_the_gripper_closes(shape, size, aspect, yaw, config, material, mu, steps):
+    """hold_window bisects for the lower window edge, which is only sound if
+    capacity is non-decreasing in theta inside the strain band."""
+    obj = SHAPES[shape](size, aspect, Pose(yaw=yaw))
+    lo, hi = _strain_interval(obj, config, material)
+    lo, hi = max(lo, config.law.theta_min), min(hi, config.law.theta_max)
+    assume(lo < hi)
+    thetas = sorted(lo + step * (hi - lo) for step in steps)
+    caps = [pullout_capacity(resolve_contacts(t, obj, config, material, mu)) for t in thetas]
+    for (t0, c0), (t1, c1) in zip(zip(thetas, caps), zip(thetas[1:], caps[1:])):
+        assert c1 >= c0 * (1.0 - 1e-12), f"capacity falls from {c0} N at {t0} deg to {c1} N at {t1} deg"

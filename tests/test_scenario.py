@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from origrip.scenario import (
     ScenarioError,
     SingleGraspScenario,
     StackedScenario,
+    edit_scenario,
     load_scenario,
     make_result_record,
     material_table,
@@ -328,6 +330,20 @@ def test_sweep_axis_validation():
         run_sweep(scn, "wrong.path.here", [1.0])
     with pytest.raises(ScenarioError, match="not a numeric field"):
         run_sweep(scn, "material", [1.0])
+    with pytest.raises(ScenarioError, match="materials.sil950.plateau_force: no such field"):
+        run_sweep(scn, "materials.sil950.plateau_force", [1.0])  # a material the scene does not use
+
+
+def test_edit_scenario_judges_changes_as_a_scene_file():
+    scn = load_scenario(demo_scene_path("grasp_parallel"))
+    edited = edit_scenario(scn, {"theta": 40.0, "object.mass": 0.2})
+    assert edited == replace(scn, theta=40.0, obj=replace(scn.obj, mass=0.2))
+    assert scn.theta == 30.0  # the input is left alone
+    with pytest.raises(ScenarioError) as excinfo:
+        edit_scenario(scn, {"theta": 95.0, "mu": float("nan")})
+    assert excinfo.value.errors == ["mu: must be finite, got nan", "theta: must be <= 90, got 95"]
+    with pytest.raises(ScenarioError, match="object.colour: no such field"):
+        edit_scenario(scn, {"object.colour": "red"})
 
 
 def test_sweep_reaches_default_valued_fields():

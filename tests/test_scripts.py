@@ -39,6 +39,8 @@ def test_calibrate_friction_fits_the_bench_target():
         (["--target", "0.5", "--theta", "45"], "below the frictionless wrap resistance"),
         (["--theta", "0"], "probe makes no contact"),
         (["--theta", "200"], "outside guide range"),
+        (["--target", "nan"], "target must be finite, got nan"),
+        (["--target", "inf"], "target must be finite, got inf"),
     ],
 )
 def test_calibrate_friction_rejects_unfittable_input(args, message):
@@ -48,3 +50,36 @@ def test_calibrate_friction_rejects_unfittable_input(args, message):
     assert "Traceback" not in proc.stderr
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("calibrate_friction.py: error: ") and message in last
+
+
+def test_hold_windows_prints_one_row_per_size():
+    proc = run_script("hold_windows.py", "--sizes", "40:50:5")
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()
+    assert rows[0].split() == ["size", "window", "lo", "window", "hi", "limiting"]
+    assert [row.split()[0] for row in rows[1:]] == ["40.0", "45.0", "50.0"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--sizes", "40:70:0"], "--sizes: need finite numbers with 0 < lo <= hi and step > 0"),  # looped forever
+        (["--sizes", "40:70:-5"], "step > 0"),
+        (["--sizes", "70:40:5"], "lo <= hi"),
+        (["--sizes", "40:inf:5"], "finite"),
+        (["--sizes", "0:10:5"], "0 < lo"),
+        (["--sizes", "abc"], "--sizes: expected lo:hi:step, got 'abc'"),
+        (["--sizes", "40:70"], "expected lo:hi:step"),
+        (["--sizes", "40:1e9:1e-3"], "more than 1000 sizes"),
+        (["--mass", "nan"], "--mass: must be finite and non-negative, got nan"),
+        (["--mu", "-0.5"], "--mu: must be finite and non-negative, got -0.5"),
+        (["--material", "adamantium"], "--material: unknown material 'adamantium'"),
+    ],
+)
+def test_hold_windows_rejects_bad_input(args, message):
+    proc = run_script("hold_windows.py", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("hold_windows.py: error: ") and message in last
