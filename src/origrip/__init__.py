@@ -28,7 +28,9 @@ from .mechanics import (
     bending_contact_force,
     bending_state,
     bending_torque,
+    bending_torques,
     compression_force,
+    compression_forces,
     compression_state,
     effective_strain,
     perturbed,

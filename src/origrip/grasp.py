@@ -25,6 +25,10 @@ over the contact set.  Pull-out traces re-resolve the contacts while the
 gripper rises: faces slide toward or past the narrowing sections and then
 off the top of the object, which reproduces flat plateaus with discrete
 drops for parallel grasps and a smoothly varying curve for enveloping ones.
+A trace is one array pass over the lift grid per module level
+(``_trace_forces``); ``resolve_contacts`` keeps the scalar per-contact code
+(``_level_contacts``), which is cheaper for a single pose and is the
+reference the trace is tested against, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .mechanics import (
     MaterialModel,
     bending_contact_force,
     bending_state,
+    compression_forces,
     compression_state,
     effective_strain,
 )
@@ -51,12 +56,13 @@ from .shapes import (
     horizontal_radius,
     local_width,
     vertical_profile_radius,
+    width_along,
     z_span,
 )
 from .transmission import GripperConfig, finger_bearings, opening
 
 _MAX_INCLINATION = 89.9  # deg; keeps sin/cos well-conditioned at deep hooks
-_MAX_LIFT_POINTS = 100_000  # a pull-out trace point costs tens of microseconds
+_MAX_LIFT_POINTS = 100_000  # a pull-out trace point costs a few microseconds
 
 
 class GraspMode(Enum):
@@ -159,6 +165,11 @@ def _hook_angle(obj: ObjectShape, z_contact: float) -> float:
     return min(_MAX_INCLINATION, math.degrees(math.asin(min(1.0, depth / r_v))))
 
 
+def _check_mu(mu: float) -> None:
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and non-negative, got {mu:g}")
+
+
 def _level_contacts(
     theta: float,
     obj: ObjectShape,
@@ -169,8 +180,7 @@ def _level_contacts(
     torque_scale: float,
 ) -> list[ContactRecord]:
     """Contact records with the gripper raised by ``lift`` mm."""
-    if not 0.0 <= mu < math.inf:
-        raise ValueError(f"mu must be finite and non-negative, got {mu:g}")
+    _check_mu(mu)
     aperture = opening(theta, config)
     mode = grasp_mode(obj, config)
     span_lo, span_hi = z_span(obj)
@@ -513,6 +523,10 @@ def pullout_trace(
     lifts = np.asarray(lift_grid, dtype=float)
     if lifts.size == 0:
         raise ValueError("lift_grid is empty")
+    if lifts.ndim != 1:
+        raise ValueError(f"lift_grid must be one-dimensional, got shape {lifts.shape}")
+    if not np.isfinite(lifts).all():
+        raise ValueError(f"lift_grid must be finite, got {lifts[~np.isfinite(lifts)][0]:g}")
 
     span_lo, span_hi = z_span(probe)
     half_face = config.module_height / 2.0
@@ -523,11 +537,7 @@ def pullout_trace(
                 f"module level at {level_z:g} mm"
             )
 
-    forces = np.empty_like(lifts)
-    for i, lift in enumerate(lifts):
-        records = _level_contacts(theta, probe, config, material, mu, float(lift), torque_scale)
-        forces[i] = pullout_capacity(records)
-
+    forces = _trace_forces(theta, probe, config, material, mu, lifts, torque_scale)
     top = config.module_levels[-1]
     bottom = config.module_levels[0]
     return PulloutTrace(
@@ -538,6 +548,94 @@ def pullout_trace(
         t3=max(0.0, span_hi - (top - half_face)),
         t4=max(0.0, span_hi - (bottom - half_face)),
     )
+
+
+_asin = np.frompyfunc(math.asin, 1, 1)
+
+
+def _asin_deg(x: np.ndarray) -> np.ndarray:
+    """``math.degrees(math.asin(x))`` per entry.  Not ``np.arcsin``: it rounds
+    some inputs differently from ``math.asin``, and traces must match the
+    scalar contact code bit for bit."""
+    return np.degrees(_asin(x).astype(float))
+
+
+def _trace_forces(
+    theta: float,
+    probe: ObjectShape,
+    config: GripperConfig,
+    material: MaterialModel,
+    mu: float,
+    lifts: np.ndarray,
+    torque_scale: float,
+) -> np.ndarray:
+    """``pullout_capacity(_level_contacts(..., lift, ...))`` at every lift, in
+    one array pass per module level.
+
+    Each step repeats the scalar code's operations in the same order, so
+    the forces are bit-identical to it: capacity terms are added contact by
+    contact (level-major, finger-minor) rather than with ``np.sum``.
+    """
+    _check_mu(mu)
+    aperture = opening(theta, config)
+    enveloping = grasp_mode(probe, config) is GraspMode.V_ENVELOPING
+    span_lo, span_hi = z_span(probe)
+    z_eq = equator_z(probe)
+    r_v = vertical_profile_radius(probe)
+    half_face = config.module_height / 2.0
+    half_span = config.panel_span / 2.0
+    equator_widths = [width_along(probe, bearing) for bearing in finger_bearings(config)]
+    total = np.zeros(lifts.shape)
+
+    for level_z in config.module_levels:
+        overlap_lo = np.maximum(level_z - half_face + lifts, span_lo)
+        overlap_hi = np.minimum(level_z + half_face + lifts, span_hi)
+        at = np.flatnonzero(overlap_hi > overlap_lo)
+        if at.size == 0:
+            continue
+        overlap_lo, overlap_hi = overlap_lo[at], overlap_hi[at]
+        engagement = (overlap_hi - overlap_lo) / config.module_height
+        # inside the object's span, so local_width's span test always passes
+        z_contact = np.minimum(np.maximum(z_eq, overlap_lo), overlap_hi)
+
+        if r_v is None:  # prism: no narrowing, no hook
+            widths = [np.full(at.size, width) for width in equator_widths]
+            incl = np.zeros(at.size)
+        else:
+            dz = z_contact - z_eq
+            vanished = np.abs(dz) > r_v
+            dz[vanished] = 0.0
+            sagitta = r_v - np.sqrt(r_v * r_v - dz * dz)
+            widths = []
+            for width in equator_widths:
+                width = np.maximum(0.0, width - 2.0 * sagitta)
+                width[vanished] = 0.0
+                widths.append(width)
+            depth = z_eq - z_contact
+            hooked = depth > 0.0
+            incl = np.zeros(at.size)
+            incl[hooked] = np.minimum(_MAX_INCLINATION, _asin_deg(np.minimum(1.0, depth[hooked] / r_v)))
+        rad = np.radians(incl)
+        cos_incl, sin_incl = np.cos(rad), np.sin(rad)
+
+        for width in widths:
+            pen = (width - aperture) / 2.0
+            hit = np.flatnonzero(pen > 0.0)
+            if hit.size == 0:
+                continue
+            pen = pen[hit]
+            if enveloping:  # _wrap_geometry's bend angle
+                r_h = widths[0][hit] / 2.0  # horizontal_radius: finger 0 is at bearing 0
+                sunk = np.minimum(pen, r_h)
+                s_patch = np.sqrt(np.maximum(0.0, 2.0 * r_h * sunk - sunk * sunk))
+                bend = _asin_deg(np.minimum(1.0, np.minimum(s_patch, half_span) / r_h)) / 2.0
+                force = bending_contact_force(bend, config.bend_lever_arm, material, torque_scale)
+            else:
+                force = compression_forces(pen / config.rest_depth, material)
+            force = engagement[hit] * force
+            term = mu * force * cos_incl[hit] + force * sin_incl[hit]
+            total[at[hit]] = total[at[hit]] + term
+    return total
 
 
 # --------------------------------------------------------------------------

@@ -141,6 +141,19 @@ def compression_force(strain: float, material: MaterialModel) -> float:
     )
 
 
+def compression_forces(strains: np.ndarray, material: MaterialModel) -> np.ndarray:
+    """``compression_force`` over an array of strains, bit for bit."""
+    strains = np.asarray(strains, dtype=float)
+    _require_non_negative(strains, "strain")
+    ramp = material.plateau_force * strains / material.strain_lo
+    overload = material.plateau_force + material.overload_stiffness * (strains - material.strain_hi)
+    return np.where(
+        strains < material.strain_lo,
+        ramp,
+        np.where(strains <= material.strain_hi, material.plateau_force, overload),
+    )
+
+
 def compression_state(strain: float, material: MaterialModel) -> CompressionState:
     """Force plus the overcompression flag (strain beyond full depth)."""
     return CompressionState(
@@ -160,6 +173,21 @@ def bending_torque(angle: float, material: MaterialModel) -> float:
     return material.plateau_torque
 
 
+def bending_torques(angles: np.ndarray, material: MaterialModel) -> np.ndarray:
+    """``bending_torque`` over an array of angles, bit for bit."""
+    angles = np.asarray(angles, dtype=float)
+    _require_non_negative(angles, "bend angle")
+    ramp = material.plateau_torque * angles / material.angle_lo
+    return np.where(angles < material.angle_lo, ramp, material.plateau_torque)
+
+
+def _require_non_negative(values: np.ndarray, name: str) -> None:
+    """The scalar curves' sign check, naming the first negative entry."""
+    negative = values[values < 0.0]
+    if negative.size:
+        raise ValueError(f"{name} must be non-negative, got {negative[0]:g}")
+
+
 def bending_state(angle: float, material: MaterialModel) -> BendingState:
     return BendingState(
         torque=bending_torque(angle, material),
@@ -168,20 +196,23 @@ def bending_state(angle: float, material: MaterialModel) -> BendingState:
 
 
 def bending_contact_force(
-    angle: float,
+    angle: float | np.ndarray,
     lever_arm: float,
     material: MaterialModel,
     torque_scale: float = 1.0,
-) -> float:
+) -> float | np.ndarray:
     """Contact force (N) of a wrapped panel: fold torque over its lever arm.
 
     ``torque_scale`` converts the material torque numbers to N*mm
-    (1.0 when they are already N*mm).
+    (1.0 when they are already N*mm).  An array of angles gives an array of
+    forces.
     """
     if lever_arm <= 0.0:
         raise ValueError(f"lever_arm must be positive, got {lever_arm:g}")
     if torque_scale <= 0.0:
         raise ValueError(f"torque_scale must be positive, got {torque_scale:g}")
+    if isinstance(angle, np.ndarray):
+        return bending_torques(angle, material) * torque_scale / lever_arm
     return bending_torque(angle, material) * torque_scale / lever_arm
 
 
@@ -212,8 +243,7 @@ def sample_compression_curve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(strain, force) arrays for plotting or export."""
     strains = np.linspace(0.0, strain_max, samples)
-    forces = np.array([compression_force(float(s), material) for s in strains])
-    return strains, forces
+    return strains, compression_forces(strains, material)
 
 
 def sample_bending_curve(
@@ -221,5 +251,4 @@ def sample_bending_curve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(angle, torque) arrays for plotting or export."""
     angles = np.linspace(0.0, angle_max, samples)
-    torques = np.array([bending_torque(float(a), material) for a in angles])
-    return angles, torques
+    return angles, bending_torques(angles, material)

@@ -32,6 +32,7 @@ import io
 import json
 import math
 import os
+from collections import ChainMap
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -89,6 +90,7 @@ class SingleGraspScenario:
     torque_scale: float
     theta: float
     obj: ObjectShape
+    materials: tuple[MaterialModel, ...] = ()   # the scene's own, and the one in use
 
     kind = "single_grasp"
 
@@ -103,6 +105,7 @@ class PulloutScenario:
     theta: float
     probe: ObjectShape
     lift_step: float
+    materials: tuple[MaterialModel, ...] = ()   # the scene's own, and the one in use
 
     kind = "pullout"
 
@@ -112,6 +115,7 @@ class StackedScenario:
     name: str
     scene: StackedScene
     clearance: float
+    materials: tuple[MaterialModel, ...] = ()   # the scene's own, and the one in use
 
     kind = "stacked"
 
@@ -143,8 +147,9 @@ class Field:
     A missing optional key reads as ``default``; None leaves it to the
     dataclass the section builds.  ``lo``/``hi`` bound a number and every
     item of a number list.  ``attr`` is where the writer finds the value on
-    the built object: a dotted attribute path (the key by default), or one
-    path per item for a number list kept as separate attributes.  ``bind``
+    the built object: a dotted attribute path (the key by default), one
+    path per item for a number list kept as separate attributes, or for
+    named sections the paths of all entries and of the one in use.  ``bind``
     gives bounds that depend on fields read earlier in the same section;
     ``convert`` maps a checked value to what the section is built from and
     raises ValueError when it cannot.
@@ -189,8 +194,9 @@ def _write(fields: tuple[Field, ...], obj: Any) -> dict:
         value = attrgetter(*attr)(obj) if isinstance(attr, tuple) else attrgetter(attr)(obj)
         if field.type == SECTION:
             value = _write(field.section.fields, value)
-        elif field.type == SECTIONS:  # a scene writes back the one material it uses
-            value = {value.name: _write(field.section.fields, value)}
+        elif field.type == SECTIONS:  # the scene's own materials and the one it uses
+            entries, used = value
+            value = {m.name: _write(field.section.fields, m) for m in (*entries, used)}
         elif field.type == NUMBERS:
             value = list(value)
         out[field.key] = value
@@ -218,6 +224,13 @@ def _pick_material(name: str, values: dict) -> MaterialModel:
     if name not in table:
         raise ValueError(f"unknown material {name!r}; known: {', '.join(sorted(table))}")
     return table[name]
+
+
+def _carried_materials(values: dict) -> tuple[MaterialModel, ...]:
+    """The scene's own materials plus the one in use, which a scene file
+    written back defines; the rest of the lookup table stays out."""
+    own = values["materials"].maps[0]
+    return tuple({**own, values["material"].name: values["material"]}.values())
 
 
 def _object_section(default_name: str, with_z: bool) -> Section:
@@ -292,8 +305,8 @@ def _mech_fields(src: str) -> tuple[Field, ...]:
     is the attribute prefix under which the scenario keeps them."""
     return (
         Field("gripper", SECTION, section=_GRIPPER, attr=src + "config"),
-        Field("materials", SECTIONS, section=_MATERIAL, attr=src + "material",
-              convert=lambda entries, values: {**material_table(), **entries}),
+        Field("materials", SECTIONS, section=_MATERIAL, attr=("materials", src + "material"),
+              convert=lambda entries, values: ChainMap(entries, material_table())),
         Field("material", TEXT, required=True, attr=src + "material.name", convert=_pick_material),
         Field("mu", default=0.5, lo=0.0, attr=src + "mu"),
         Field("torque_scale", default=1.0, lo=0.0, lo_open=True, attr=src + "torque_scale"),
@@ -311,7 +324,7 @@ def _grasp_kind(cls: type, obj_attr: str, default_name: str, *extra: Field) -> S
         _mech_fields("") + (_THETA, *extra, obj),
         lambda v: cls(
             v["name"], v["gripper"], v["material"], v["mu"], v["torque_scale"], v["theta"], v["object"],
-            *(v[f.key] for f in extra),
+            *(v[f.key] for f in extra), _carried_materials(v),
         ),
         _ROOT_KEYS,
     )
@@ -337,6 +350,7 @@ _KINDS: dict[str, Section] = {
                 v["safety"], v["torque_scale"],
             ),
             v["clearance"],
+            _carried_materials(v),
         ),
         _ROOT_KEYS,
     ),
@@ -386,7 +400,7 @@ def _read_section(
         value = _read_field(errors, data, prefix + field.key, field, values)
         if value is _FAILED or value is None:
             continue
-        if isinstance(field.attr, tuple):
+        if isinstance(field.attr, tuple) and field.type == NUMBERS:
             values.update(zip(field.attr, value))
         else:
             values[field.key] = value
@@ -523,7 +537,9 @@ def scenario_to_dict(scn: Scenario) -> dict:
     """Plain mapping that parses back to an equivalent scenario.
 
     Every table field is written, including those that hold their default,
-    so any numeric field can be a sweep axis.
+    so any numeric field can be a sweep axis.  ``materials`` holds the
+    scene's own materials and the one in use; the rest of the built-in and
+    ``ORIGRIP_MATERIALS`` table is left out.
     """
     if not isinstance(scn, (SingleGraspScenario, PulloutScenario, StackedScenario, PickPlaceScenario)):
         raise TypeError(f"not a scenario: {type(scn).__name__}")
@@ -770,8 +786,9 @@ def _fmt(value: Any) -> Any:
 
 
 def write_json(data: Any, stream: io.TextIOBase) -> None:
-    json.dump(data, stream, indent=2, sort_keys=True)
-    stream.write("\n")
+    """Strict JSON: a NaN or infinite number raises ValueError before
+    anything is written."""
+    stream.write(json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_csv(data: Any, stream: io.TextIOBase) -> None:

@@ -158,6 +158,36 @@ def test_material_override_names_a_scene_material(capsys, tmp_path):
     assert "--material: unknown material 'hard'; known: " in err and "soft" in err
 
 
+TWO_MATERIAL_SCENE = """\
+kind: single_grasp
+material: hard
+materials:
+  soft: {plateau_force: 0.8, plateau_torque: 8.0}
+  hard: {plateau_force: 6.0, plateau_torque: 50.0}
+theta: 60.0
+object: {shape: sphere, size: [50.0]}
+"""
+
+
+def test_overrides_keep_the_scene_materials_not_in_use(capsys, tmp_path):
+    scene = tmp_path / "two_materials.yaml"
+    scene.write_text(TWO_MATERIAL_SCENE)
+    code, hard, err = run_json(capsys, ["grasp", "--scene", str(scene)])
+    assert code == EXIT_OK, err
+    code, soft, err = run_json(capsys, ["grasp", "--scene", str(scene), "--material", "soft"])
+    assert code == EXIT_OK, err
+    # bending contacts: capacity scales with the plateau torque
+    ratio = soft["outputs"]["pullout_capacity"] / hard["outputs"]["pullout_capacity"]
+    assert ratio == pytest.approx(8.0 / 50.0)
+    code, rows, err = run_json(
+        capsys,
+        ["sweep", "--scene", str(scene), "--axis", "materials.soft.plateau_force", "--values", "1,2"],
+    )
+    assert code == EXIT_OK, err
+    assert [row["materials.soft.plateau_force"] for row in rows["outputs"]] == [1.0, 2.0]
+    assert rows["outputs"][0]["pullout_capacity"] == hard["outputs"]["pullout_capacity"]
+
+
 def test_overrides_follow_the_scene_file_rules(capsys):
     code, record, err = run_json(capsys, ["grasp", "--scene", ENVELOPING, "--theta", "95"])
     assert code == EXIT_INVALID

@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from origrip import (
+    AngleRangeError,
     ContactMode,
     GraspMode,
     CycleSpec,
     GripperConfig,
     MaterialModel,
+    ObjectShape,
     Pose,
     SIL950,
+    ShapeKind,
     TPU95A,
     TransmissionLaw,
     calibrate_friction,
@@ -30,6 +33,7 @@ from origrip import (
     sphere,
     squeeze_force,
 )
+from origrip.grasp import _level_contacts
 
 # Barrel-shaped reference probe: covers both module levels, curls the faces.
 V_PROBE = curved_block(45.5, 67.0, 80.0)
@@ -327,6 +331,10 @@ def test_capacity_monotone_in_mu(mu1, mu2):
         pytest.param(lambda: resolve_contacts(60.0, V_PROBE, mu=math.nan), "mu must be finite", id="contacts-mu-nan"),
         pytest.param(lambda: resolve_contacts(60.0, V_PROBE, mu=math.inf), "mu must be finite", id="contacts-mu-inf"),
         pytest.param(lambda: pullout_trace(60.0, V_PROBE, mu=math.nan), "mu must be finite", id="trace-mu-nan"),
+        pytest.param(lambda: pullout_trace(45.0, sphere(76.0), lift_grid=[0.0, math.nan]),
+                     "lift_grid must be finite, got nan", id="trace-lift-nan"),
+        pytest.param(lambda: pullout_trace(45.0, sphere(76.0), lift_grid=[-math.inf, 0.0]),
+                     "lift_grid must be finite, got -inf", id="trace-lift-inf"),
         pytest.param(lambda: sphere(math.nan), "dims must be finite", id="sphere-nan"),
         pytest.param(lambda: cuboid(60.0, math.inf, 80.0), "dims must be finite", id="cuboid-inf"),
         pytest.param(lambda: sphere(50.0, mass=math.inf), "mass must be finite", id="mass-inf"),
@@ -346,3 +354,84 @@ def test_capacity_monotone_in_mu(mu1, mu2):
 def test_non_finite_api_input_is_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+# --------------------------------------------------------------------------
+# the batched trace against the scalar contact code
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def _trace_probes(draw):
+    """Any shape whose span covers both default module levels (20 and 60 mm)."""
+    z = draw(st.floats(-30.0, 19.0))
+    height = draw(st.floats(61.0 - z, 140.0))
+    width = draw(st.floats(25.0, 110.0))
+    kind = draw(st.sampled_from(list(ShapeKind)))
+    dims = {
+        ShapeKind.SPHERE: (height,),
+        ShapeKind.CUBE: (height,),
+        ShapeKind.CUBOID: (width, draw(st.floats(25.0, 110.0)), height),
+        ShapeKind.CYLINDER: (width, height),
+        ShapeKind.CURVED_BLOCK: (draw(st.floats(max(width, height) / 2.0, 150.0)), width, height),
+    }[kind]
+    return ObjectShape(kind, dims, pose=Pose(z=z, yaw=draw(st.floats(-180.0, 180.0))))
+
+
+@given(
+    probe=_trace_probes(),
+    fingers=st.sampled_from((2, 4)),
+    curvature_threshold=st.floats(0.2, 2.0),
+    material=st.sampled_from((TPU95A, SIL950)),
+    mu=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+    theta=st.floats(0.0, 90.0),
+    torque_scale=st.floats(0.1, 5.0),
+    # negative lifts, lifts past the top of the object, any order
+    grid=st.lists(st.floats(-100.0, 300.0), min_size=1, max_size=60),
+)
+@settings(max_examples=300, deadline=None)
+def test_trace_equals_scalar_contacts_at_every_lift(
+    probe, fingers, curvature_threshold, material, mu, theta, torque_scale, grid
+):
+    config = GripperConfig(finger_count=fingers, curvature_threshold=curvature_threshold)
+    trace = pullout_trace(theta, probe, config, material, mu, grid, torque_scale)
+    expected = [
+        pullout_capacity(_level_contacts(theta, probe, config, material, mu, lift, torque_scale))
+        for lift in grid
+    ]
+    assert np.array_equal(trace.forces, expected)
+
+
+def test_trace_equals_scalar_contacts_on_the_default_grids():
+    for probe in (V_PROBE, P_PROBE, sphere(76.0, pose=Pose(z=-5.0)), cylinder(50.0, 90.0)):
+        for theta in (60.0, 75.0, 90.0):
+            trace = pullout_trace(theta, probe, material=SIL950, mu=0.4)
+            expected = [
+                pullout_capacity(_level_contacts(theta, probe, GripperConfig(), SIL950, 0.4, lift, 1.0))
+                for lift in trace.lifts
+            ]
+            assert np.array_equal(trace.forces, expected)
+            assert trace.forces[0] > 0.0
+
+
+def test_trace_and_contacts_reject_the_same_input():
+    cases = [
+        ({"theta": 60.0, "torque_scale": 0.0}, ValueError, "torque_scale must be positive, got 0"),
+        ({"theta": 95.0}, AngleRangeError, "servo angle 95 deg outside guide range"),
+        ({"theta": 60.0, "mu": -0.1}, ValueError, "mu must be finite and non-negative"),
+    ]
+    for kwargs, error, message in cases:
+        with pytest.raises(error, match=message):
+            pullout_trace(probe=V_PROBE, material=TPU95A, **kwargs)
+        with pytest.raises(error, match=message):
+            resolve_contacts(obj=V_PROBE, material=TPU95A, **kwargs)
+    # the torque scale is only read by bending contacts
+    assert pullout_trace(60.0, P_PROBE, torque_scale=0.0).forces[0] > 0.0
+    assert len(resolve_contacts(60.0, P_PROBE, torque_scale=0.0)) == 4
+
+
+def test_trace_rejects_a_grid_that_is_not_a_list():
+    with pytest.raises(ValueError, match="lift_grid must be one-dimensional"):
+        pullout_trace(60.0, V_PROBE, lift_grid=[[0.0, 1.0]])
+    with pytest.raises(ValueError, match="lift_grid must be one-dimensional"):
+        pullout_trace(60.0, V_PROBE, lift_grid=5.0)

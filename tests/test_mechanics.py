@@ -11,7 +11,9 @@ from origrip import (
     bending_contact_force,
     bending_state,
     bending_torque,
+    bending_torques,
     compression_force,
+    compression_forces,
     compression_state,
     effective_strain,
     perturbed,
@@ -186,3 +188,33 @@ def test_sample_bending_curve():
     assert angles[-1] == pytest.approx(25.0)
     expected = np.array([bending_torque(float(a), TPU95A) for a in angles])
     assert np.array_equal(torques, expected)
+
+
+@given(st.lists(st.floats(0.0, 2.0), max_size=50), st.sampled_from(MATERIALS))
+def test_array_curves_equal_the_scalar_curves(strains, material):
+    # strains past the overload knee, angles past the overfold limit
+    assert np.array_equal(
+        compression_forces(np.array(strains), material), [compression_force(s, material) for s in strains]
+    )
+    angles = 40.0 * np.array(strains)
+    assert np.array_equal(bending_torques(angles, material), [bending_torque(a, material) for a in angles])
+    assert np.array_equal(
+        bending_contact_force(angles, 15.0, material, 2.0),
+        [bending_contact_force(a, 15.0, material, 2.0) for a in angles],
+    )
+
+
+def test_array_curves_reject_negative_input():
+    with pytest.raises(ValueError, match="strain must be non-negative, got -0.1"):
+        compression_forces(np.array([0.2, -0.1, -0.3]), SIL950)
+    with pytest.raises(ValueError, match="bend angle must be non-negative, got -1"):
+        bending_torques(np.array([-1.0]), SIL950)
+    with pytest.raises(ValueError, match="torque_scale must be positive"):
+        bending_contact_force(np.array([1.0]), 15.0, SIL950, 0.0)
+
+
+def test_sampled_curves_reject_a_negative_range():
+    with pytest.raises(ValueError, match="strain must be non-negative, got -0.000833333"):
+        sample_compression_curve(SIL950, strain_max=-0.1)
+    with pytest.raises(ValueError, match="bend angle must be non-negative, got -0.25"):
+        sample_bending_curve(SIL950, angle_max=-30.0)

@@ -404,6 +404,36 @@ def test_write_json_is_sorted_and_newline_terminated():
     assert text == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 2.0\n}\n'
 
 
+def test_write_json_rejects_non_finite_numbers():
+    buf = io.StringIO()
+    with pytest.raises(ValueError):
+        write_json({"x": float("nan")}, buf)
+    with pytest.raises(ValueError):
+        write_json({"x": [1.0, float("inf")]}, buf)
+    assert buf.getvalue() == ""  # nothing half-written
+
+
+def test_written_scene_keeps_its_own_materials_only():
+    data = {
+        "kind": "single_grasp",
+        "material": "hard",
+        "materials": {
+            "soft": {"plateau_force": 0.8, "plateau_torque": 8.0},
+            "hard": {"plateau_force": 6.0, "plateau_torque": 50.0},
+        },
+        "theta": 60.0,
+        "object": {"shape": "sphere", "size": [50.0]},
+    }
+    scn = parse_scenario(data)
+    written = scenario_to_dict(scn)
+    assert sorted(written["materials"]) == ["hard", "soft"]
+    assert parse_scenario(written) == scn
+    assert edit_scenario(scn, {"material": "soft"}).material.plateau_force == 0.8
+    # a built-in material in use is written back; the rest of the table is not
+    builtin = load_scenario(demo_scene_path("grasp_parallel"))
+    assert list(scenario_to_dict(builtin)["materials"]) == [builtin.material.name]
+
+
 def test_write_csv_trace():
     data = {"outputs": {"trace": {"lift": [0.0, 0.5], "force": [3.0, 2.5]}}}
     buf = io.StringIO()
