@@ -18,6 +18,7 @@ arguments.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -51,6 +52,8 @@ from .transmission import (
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INVALID = 2
+
+_MAX_SWEEP_POINTS = 10_000  # each point is a whole scene run
 
 
 def _add_output_args(parser: argparse.ArgumentParser) -> None:
@@ -125,25 +128,24 @@ def _emit(data, args) -> None:
 
 
 def _parse_values(spec: str) -> list[float]:
+    usage = f"--values: expected 'a,b,c' or finite 'lo:hi:step' with step > 0, got {spec!r}"
     try:
-        if ":" in spec:
-            parts = [float(p) for p in spec.split(":")]
-            if len(parts) != 3:
-                raise ValueError
-            lo, hi, step = parts
-            if step <= 0 or hi < lo:
-                raise ValueError
-            values = []
-            v = lo
-            while v <= hi + 1e-9:
-                values.append(round(v, 12))
-                v += step
-            return values
-        return [float(p) for p in spec.split(",") if p.strip() != ""]
+        if ":" not in spec:
+            return [float(p) for p in spec.split(",") if p.strip() != ""]
+        lo, hi, step = map(float, spec.split(":"))
     except ValueError:
-        raise ScenarioError(
-            [f"--values: expected 'a,b,c' or 'lo:hi:step' with step > 0, got {spec!r}"]
-        ) from None
+        raise ScenarioError([usage]) from None
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
+        raise ScenarioError([usage])
+    points = (hi + 1e-9 - lo) / step + 1.0
+    if points > _MAX_SWEEP_POINTS:
+        raise ScenarioError([f"--values: {spec!r} spans {points:.3g} points, more than {_MAX_SWEEP_POINTS}"])
+    values = []
+    v = lo
+    while v <= hi + 1e-9 and len(values) < points:  # the count also stops a step too small to move v
+        values.append(round(v, 12))
+        v += step
+    return values
 
 
 def _load_kind(args, expected: str) -> tuple[Scenario, str]:

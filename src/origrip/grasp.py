@@ -25,10 +25,13 @@ over the contact set.  Pull-out traces re-resolve the contacts while the
 gripper rises: faces slide toward or past the narrowing sections and then
 off the top of the object, which reproduces flat plateaus with discrete
 drops for parallel grasps and a smoothly varying curve for enveloping ones.
-A trace is one array pass over the lift grid per module level
-(``_trace_forces``); ``resolve_contacts`` keeps the scalar per-contact code
-(``_level_contacts``), which is cheaper for a single pose and is the
-reference the trace is tested against, bit for bit.
+One model serves both: ``_contact_geometry`` places every module face on
+the object over (level, finger, lift) independently of the servo angle, and
+``_contact_loads`` turns that geometry into penetrations and forces at one
+aperture.  A trace runs both over its lift grid; ``resolve_contacts`` runs
+the loads on the lift-0 geometry, which is cached per (object, gripper), so
+sweeps and hold windows that revisit an object at many angles place its
+faces once.
 """
 
 from __future__ import annotations
@@ -36,25 +39,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .mechanics import (
-    MaterialModel,
-    bending_contact_force,
-    bending_state,
-    compression_forces,
-    compression_state,
-    effective_strain,
-)
+from .mechanics import MaterialModel, bending_contact_force, compression_forces
 from .shapes import (
     ObjectShape,
     bounding_radius,
     equator_z,
     horizontal_radius,
-    local_width,
     vertical_profile_radius,
     width_along,
     z_span,
@@ -145,24 +141,19 @@ def grasp_mode(obj: ObjectShape, config: GripperConfig | None = None) -> GraspMo
     return GraspMode.PARALLEL
 
 
-def _wrap_geometry(penetration: float, r_h: float, half_span: float) -> tuple[float, float]:
-    """(bend angle, patch edge angle) in deg for a wrapped contact."""
-    pen = min(penetration, r_h)  # cannot sink past the section center
-    s_patch = math.sqrt(max(0.0, 2.0 * r_h * pen - pen * pen))
-    s_eff = min(s_patch, half_span)
-    edge = math.degrees(math.asin(min(1.0, s_eff / r_h)))
-    return edge / 2.0, edge
+def _wrap_edge(penetration: np.ndarray, r_h: np.ndarray | float, half_span: float) -> np.ndarray:
+    """Patch edge angle (deg) of wrapped contacts; the panel bends by half of it."""
+    sunk = np.minimum(penetration, r_h)  # cannot sink past the section center
+    s_patch = np.sqrt(np.maximum(0.0, 2.0 * r_h * sunk - sunk * sunk))
+    return _asin_deg(np.minimum(1.0, np.minimum(s_patch, half_span) / r_h))
 
 
-def _hook_angle(obj: ObjectShape, z_contact: float) -> float:
-    """Downward tilt (deg) of the contact normal below the widest section."""
-    r_v = vertical_profile_radius(obj)
-    if r_v is None:
-        return 0.0
-    depth = equator_z(obj) - z_contact
-    if depth <= 0.0:
-        return 0.0
-    return min(_MAX_INCLINATION, math.degrees(math.asin(min(1.0, depth / r_v))))
+def _asin_deg(x: np.ndarray) -> np.ndarray:
+    """``math.degrees(math.asin(v))`` for each v of the 1-D array ``x``.  Not
+    ``np.arcsin``: it rounds about one input in twelve differently from
+    ``math.asin``, and contact angles stay bit-identical to the scalar
+    reference in ``tests/oracles.py``."""
+    return np.degrees(np.fromiter(map(math.asin, x.tolist()), float, x.size))
 
 
 def _check_mu(mu: float) -> None:
@@ -170,82 +161,103 @@ def _check_mu(mu: float) -> None:
         raise ValueError(f"mu must be finite and non-negative, got {mu:g}")
 
 
-def _level_contacts(
-    theta: float,
-    obj: ObjectShape,
+class _Geometry(NamedTuple):
+    """Where each module face meets the object, over (level, finger, lift).
+
+    None of it depends on the servo angle.  ``width`` is the object's local
+    width along the finger's bearing, -inf where the face misses the
+    object, so no aperture makes such a face press.
+    """
+
+    mode: GraspMode
+    width: np.ndarray                # mm
+    engagement: np.ndarray           # fraction of the face on the object
+    inclination: np.ndarray          # deg, out-of-plane tilt of the normal
+    r_h: np.ndarray | None           # cross-section radius, mm; enveloping only
+
+
+def _contact_geometry(obj: ObjectShape, config: GripperConfig, lifts: np.ndarray) -> _Geometry:
+    """Contact geometry with the gripper raised by each of ``lifts`` mm."""
+    span_lo, span_hi = z_span(obj)
+    z_eq = equator_z(obj)
+    half_face = config.module_height / 2.0
+    levels = np.array(config.module_levels)[:, None, None]
+    overlap_lo = np.maximum(levels - half_face + lifts, span_lo)
+    overlap_hi = np.minimum(levels + half_face + lifts, span_hi)
+    on = overlap_hi > overlap_lo
+    engagement = (overlap_hi - overlap_lo) / config.module_height
+    # The face presses hardest at the widest covered section.
+    z_contact = np.minimum(np.maximum(z_eq, overlap_lo), overlap_hi)
+
+    # local_width along bearing 0 (for r_h) and along each finger
+    width = np.array([width_along(obj, bearing) for bearing in (0.0, *finger_bearings(config))])[:, None]
+    inclination = np.zeros(z_contact.shape)
+    r_v = vertical_profile_radius(obj)
+    if r_v is not None:  # a barrel narrows by one sagitta per side away from its equator
+        dz = z_contact - z_eq
+        on &= np.abs(dz) <= r_v
+        sagitta = r_v - np.sqrt(r_v * r_v - np.where(on, dz * dz, 0.0))
+        width = np.maximum(0.0, width - 2.0 * sagitta)
+        # Below the widest section the normal tilts down, hooking under it.
+        depth = z_eq - z_contact
+        hooked = depth > 0.0
+        inclination[hooked] = np.minimum(_MAX_INCLINATION, _asin_deg(np.minimum(1.0, depth[hooked] / r_v)))
+    width = np.where(on, width, -np.inf)
+
+    fingers = width.shape[1] - 1
+    mode = grasp_mode(obj, config)
+    # horizontal_radius at the contact height
+    r_h = np.repeat(width[:, :1] / 2.0, fingers, axis=1) if mode is GraspMode.V_ENVELOPING else None
+    engagement, inclination = (np.repeat(a, fingers, axis=1) for a in (engagement, inclination))
+    return _Geometry(mode, width[:, 1:], engagement, inclination, r_h)
+
+
+@lru_cache(maxsize=256)  # sweeps and hold windows resolve one object at many angles
+def _resting_geometry(obj: ObjectShape, config: GripperConfig) -> tuple[_Geometry, tuple[tuple, ...]]:
+    """``_contact_geometry`` at lift 0, shared read-only between calls, and
+    the angle-free fields of each face's contact record: (finger, level,
+    normal, position, inclination, engagement), in (level, finger) order."""
+    geometry = _contact_geometry(obj, config, np.zeros(1))
+    for array in geometry[1:]:  # every field after the mode
+        if array is not None:
+            array.flags.writeable = False
+    outward = [(math.cos(rad), math.sin(rad)) for rad in map(math.radians, finger_bearings(config))]
+    entries = []
+    for (level, finger, _), width, incl, engagement in zip(
+        np.ndindex(geometry.width.shape),
+        geometry.width.ravel().tolist(),
+        geometry.inclination.ravel().tolist(),
+        geometry.engagement.ravel().tolist(),
+    ):
+        cos, sin = outward[finger]
+        position = (width / 2.0 * cos, width / 2.0 * sin)
+        entries.append((finger, level, (-cos, -sin), position, incl, engagement))
+    return geometry, tuple(entries)
+
+
+def _contact_loads(
+    geometry: _Geometry,
+    aperture: float,
     config: GripperConfig,
     material: MaterialModel,
-    mu: float,
-    lift: float,
     torque_scale: float,
-) -> list[ContactRecord]:
-    """Contact records with the gripper raised by ``lift`` mm."""
-    _check_mu(mu)
-    aperture = opening(theta, config)
-    mode = grasp_mode(obj, config)
-    span_lo, span_hi = z_span(obj)
-    half_face = config.module_height / 2.0
-    half_span = config.panel_span / 2.0
-    records: list[ContactRecord] = []
-
-    for level, level_z in enumerate(config.module_levels):
-        face_lo = level_z - half_face + lift
-        face_hi = level_z + half_face + lift
-        overlap_lo = max(face_lo, span_lo)
-        overlap_hi = min(face_hi, span_hi)
-        if overlap_hi <= overlap_lo:
-            continue
-        engagement = (overlap_hi - overlap_lo) / config.module_height
-        # The face presses hardest at the widest covered section.
-        z_contact = min(max(equator_z(obj), overlap_lo), overlap_hi)
-
-        for finger, bearing in enumerate(finger_bearings(config)):
-            width = local_width(obj, bearing, z_contact)
-            pen = (width - aperture) / 2.0
-            if pen <= 0.0:
-                continue
-
-            incl = _hook_angle(obj, z_contact)
-            if mode is GraspMode.V_ENVELOPING:
-                r_h = horizontal_radius(obj, z_contact)
-                bend, _ = _wrap_geometry(pen, r_h, half_span)
-                state = bending_state(bend, material)
-                force = engagement * bending_contact_force(
-                    bend, config.bend_lever_arm, material, torque_scale
-                )
-                overfolded = state.overfolded
-                overcompressed = False
-                contact_mode = ContactMode.BENDING
-                bend_angle: float | None = bend
-            else:
-                strain = effective_strain(pen, config.rest_depth)
-                state = compression_state(strain, material)
-                force = engagement * state.force
-                overcompressed = state.overcompressed
-                overfolded = False
-                contact_mode = ContactMode.COMPRESSION
-                bend_angle = None
-
-            rad = math.radians(bearing)
-            outward = (math.cos(rad), math.sin(rad))
-            records.append(
-                ContactRecord(
-                    finger_index=finger,
-                    level=level,
-                    mode=contact_mode,
-                    penetration=pen,
-                    bend_angle=bend_angle,
-                    normal_force=force,
-                    normal=(-outward[0], -outward[1]),
-                    position=(width / 2.0 * outward[0], width / 2.0 * outward[1]),
-                    inclination=incl,
-                    mu=mu,
-                    engagement=engagement,
-                    overcompressed=overcompressed,
-                    overfolded=overfolded,
-                )
-            )
-    return records
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+    """Contact loads at one aperture: the (level, finger, lift) mask of faces
+    that press, then per pressing face, in that order, the penetration (mm),
+    the bend angle (deg, None unless enveloping), the normal force (N) and
+    whether the module is overcompressed (overfolded when enveloping)."""
+    pen = (geometry.width - aperture) / 2.0
+    hit = pen > 0.0
+    pen = pen[hit]
+    engagement = geometry.engagement[hit]
+    if geometry.mode is not GraspMode.V_ENVELOPING:
+        strain = pen / config.rest_depth
+        return hit, pen, None, engagement * compression_forces(strain, material), strain > 1.0
+    bend = _wrap_edge(pen, geometry.r_h[hit], config.panel_span / 2.0) / 2.0
+    force = engagement  # no face wraps, so the torque scale goes unjudged, as in the scalar model
+    if pen.size:
+        force = engagement * bending_contact_force(bend, config.bend_lever_arm, material, torque_scale)
+    return hit, pen, bend, force, bend > material.angle_hi
 
 
 def resolve_contacts(
@@ -261,10 +273,40 @@ def resolve_contacts(
 
     config = config or GripperConfig()
     material = material or TPU95A
-    records = _level_contacts(theta, obj, config, material, mu, 0.0, torque_scale)
+    geometry, entries = _resting_geometry(obj, config)
+    _check_mu(mu)
+    hit, pens, bends, forces, overloads = _contact_loads(
+        geometry, opening(theta, config), config, material, torque_scale
+    )
+    enveloping = geometry.mode is GraspMode.V_ENVELOPING
+    mode = ContactMode.BENDING if enveloping else ContactMode.COMPRESSION
+    records = [
+        ContactRecord(
+            finger_index=finger,
+            level=level,
+            mode=mode,
+            penetration=pen,
+            bend_angle=bend,
+            normal_force=force,
+            normal=normal,
+            position=position,
+            inclination=incl,
+            mu=mu,
+            engagement=engagement,
+            overcompressed=overloaded and not enveloping,
+            overfolded=overloaded and enveloping,
+        )
+        for (finger, level, normal, position, incl, engagement), pen, bend, force, overloaded in zip(
+            map(entries.__getitem__, np.flatnonzero(hit).tolist()),
+            pens.tolist(),
+            bends.tolist() if enveloping else [None] * pens.size,
+            forces.tolist(),
+            overloads.tolist(),
+        )
+    ]
     return ContactSet(
         records=tuple(records),
-        grasp_mode=grasp_mode(obj, config),
+        grasp_mode=geometry.mode,
         theta=theta,
         char_radius=bounding_radius(obj),
     )
@@ -346,19 +388,17 @@ def is_form_closure(
     config = config or GripperConfig()
     if contacts.grasp_mode is not GraspMode.V_ENVELOPING:
         raise ValueError("form closure is defined only for enveloping grasps")
-    half_span = config.panel_span / 2.0
     bearings = finger_bearings(config)
-    intervals: list[tuple[float, float]] = []
-    for rec in contacts.records:
-        if rec.mode is not ContactMode.BENDING:
-            continue
-        z = equator_z(obj)  # coverage assessed on the widest section
-        r_h = horizontal_radius(obj, z)
-        if r_h is None:
-            continue
-        _, edge = _wrap_geometry(rec.penetration, r_h, half_span)
-        center = bearings[rec.finger_index]
-        intervals.append((center - edge, center + edge))
+    wrapped = [rec for rec in contacts.records if rec.mode is ContactMode.BENDING]
+    r_h = horizontal_radius(obj, equator_z(obj))  # coverage assessed on the widest section
+    edges = []
+    if r_h is not None:
+        penetration = np.array([rec.penetration for rec in wrapped], dtype=float)
+        edges = _wrap_edge(penetration, r_h, config.panel_span / 2.0).tolist()
+    intervals = [
+        (bearings[rec.finger_index] - edge, bearings[rec.finger_index] + edge)
+        for rec, edge in zip(wrapped, edges)
+    ]
     coverage = _circular_union_deg(intervals)
     threshold = 180.0 + 2.0 * slip_margin
     return coverage >= threshold, coverage
@@ -537,7 +577,16 @@ def pullout_trace(
                 f"module level at {level_z:g} mm"
             )
 
-    forces = _trace_forces(theta, probe, config, material, mu, lifts, torque_scale)
+    geometry = _contact_geometry(probe, config, lifts)
+    _check_mu(mu)
+    hit, _, _, force, _ = _contact_loads(geometry, opening(theta, config), config, material, torque_scale)
+    rad = np.radians(geometry.inclination[hit])
+    terms = np.zeros(hit.shape)
+    terms[hit] = mu * force * np.cos(rad) + force * np.sin(rad)
+    # pullout_capacity's sum: contact by contact, level-major then finger-minor
+    forces = np.zeros(lifts.shape)
+    for term in terms.reshape(-1, lifts.size):
+        forces += term
     top = config.module_levels[-1]
     bottom = config.module_levels[0]
     return PulloutTrace(
@@ -548,94 +597,6 @@ def pullout_trace(
         t3=max(0.0, span_hi - (top - half_face)),
         t4=max(0.0, span_hi - (bottom - half_face)),
     )
-
-
-_asin = np.frompyfunc(math.asin, 1, 1)
-
-
-def _asin_deg(x: np.ndarray) -> np.ndarray:
-    """``math.degrees(math.asin(x))`` per entry.  Not ``np.arcsin``: it rounds
-    some inputs differently from ``math.asin``, and traces must match the
-    scalar contact code bit for bit."""
-    return np.degrees(_asin(x).astype(float))
-
-
-def _trace_forces(
-    theta: float,
-    probe: ObjectShape,
-    config: GripperConfig,
-    material: MaterialModel,
-    mu: float,
-    lifts: np.ndarray,
-    torque_scale: float,
-) -> np.ndarray:
-    """``pullout_capacity(_level_contacts(..., lift, ...))`` at every lift, in
-    one array pass per module level.
-
-    Each step repeats the scalar code's operations in the same order, so
-    the forces are bit-identical to it: capacity terms are added contact by
-    contact (level-major, finger-minor) rather than with ``np.sum``.
-    """
-    _check_mu(mu)
-    aperture = opening(theta, config)
-    enveloping = grasp_mode(probe, config) is GraspMode.V_ENVELOPING
-    span_lo, span_hi = z_span(probe)
-    z_eq = equator_z(probe)
-    r_v = vertical_profile_radius(probe)
-    half_face = config.module_height / 2.0
-    half_span = config.panel_span / 2.0
-    equator_widths = [width_along(probe, bearing) for bearing in finger_bearings(config)]
-    total = np.zeros(lifts.shape)
-
-    for level_z in config.module_levels:
-        overlap_lo = np.maximum(level_z - half_face + lifts, span_lo)
-        overlap_hi = np.minimum(level_z + half_face + lifts, span_hi)
-        at = np.flatnonzero(overlap_hi > overlap_lo)
-        if at.size == 0:
-            continue
-        overlap_lo, overlap_hi = overlap_lo[at], overlap_hi[at]
-        engagement = (overlap_hi - overlap_lo) / config.module_height
-        # inside the object's span, so local_width's span test always passes
-        z_contact = np.minimum(np.maximum(z_eq, overlap_lo), overlap_hi)
-
-        if r_v is None:  # prism: no narrowing, no hook
-            widths = [np.full(at.size, width) for width in equator_widths]
-            incl = np.zeros(at.size)
-        else:
-            dz = z_contact - z_eq
-            vanished = np.abs(dz) > r_v
-            dz[vanished] = 0.0
-            sagitta = r_v - np.sqrt(r_v * r_v - dz * dz)
-            widths = []
-            for width in equator_widths:
-                width = np.maximum(0.0, width - 2.0 * sagitta)
-                width[vanished] = 0.0
-                widths.append(width)
-            depth = z_eq - z_contact
-            hooked = depth > 0.0
-            incl = np.zeros(at.size)
-            incl[hooked] = np.minimum(_MAX_INCLINATION, _asin_deg(np.minimum(1.0, depth[hooked] / r_v)))
-        rad = np.radians(incl)
-        cos_incl, sin_incl = np.cos(rad), np.sin(rad)
-
-        for width in widths:
-            pen = (width - aperture) / 2.0
-            hit = np.flatnonzero(pen > 0.0)
-            if hit.size == 0:
-                continue
-            pen = pen[hit]
-            if enveloping:  # _wrap_geometry's bend angle
-                r_h = widths[0][hit] / 2.0  # horizontal_radius: finger 0 is at bearing 0
-                sunk = np.minimum(pen, r_h)
-                s_patch = np.sqrt(np.maximum(0.0, 2.0 * r_h * sunk - sunk * sunk))
-                bend = _asin_deg(np.minimum(1.0, np.minimum(s_patch, half_span) / r_h)) / 2.0
-                force = bending_contact_force(bend, config.bend_lever_arm, material, torque_scale)
-            else:
-                force = compression_forces(pen / config.rest_depth, material)
-            force = engagement[hit] * force
-            term = mu * force * cos_incl[hit] + force * sin_incl[hit]
-            total[at[hit]] = total[at[hit]] + term
-    return total
 
 
 # --------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from typing import Any, Union
 
 import yaml
 
+from ._finite import MAX_LENGTH, MIN_LENGTH, MIN_SPEED
 from ._version import __version__
 from .grasp import (
     closure_summary,
@@ -241,19 +242,20 @@ def _object_section(default_name: str, with_z: bool) -> Section:
 
     fields = (
         Field("shape", TEXT, required=True, choices=tuple(_SHAPE_SIZES), attr="kind.value"),
-        Field("size", NUMBERS, required=True, lo=0.0, lo_open=True, attr="dims",
+        Field("size", NUMBERS, required=True, lo=0.0, lo_open=True, hi=MAX_LENGTH, attr="dims",
               bind=lambda v: {"lengths": _SHAPE_SIZES[v["shape"]]}),
         Field("mass", lo=0.0),
         Field("name", TEXT),
         Field("yaw", attr="pose.yaw"),
     )
-    return Section(fields + ((Field("z", attr="pose.z"),) if with_z else ()), build)
+    z = Field("z", lo=-MAX_LENGTH, hi=MAX_LENGTH, attr="pose.z")
+    return Section(fields + ((z,) if with_z else ()), build)
 
 
 _LAW = Section(
     (
-        Field("r0", lo=0.0, lo_open=True),
-        Field("slope", lo=0.0, lo_open=True),
+        Field("r0", lo=0.0, lo_open=True, hi=MAX_LENGTH),
+        Field("slope", lo=0.0, lo_open=True, hi=MAX_LENGTH),
         Field("theta_min"),
         Field("theta_max"),
     ),
@@ -264,12 +266,13 @@ _GRIPPER = Section(
     (
         Field("law", SECTION, section=_LAW),
         Field("finger_count", INTEGER, choices=(2, 4)),
+        Field("module_offset", lo=0.0, lo_open=True, hi=MAX_LENGTH),
         *(
-            Field(key, lo=0.0, lo_open=True)
-            for key in ("module_offset", "module_height", "rest_depth", "panel_span",
-                        "bend_lever_arm", "curvature_threshold")
+            Field(key, lo=MIN_LENGTH, hi=MAX_LENGTH)
+            for key in ("module_height", "rest_depth", "panel_span", "bend_lever_arm")
         ),
-        Field("module_levels", NUMBERS, lengths=(1, 2, 3, 4), lo=0.0, lo_open=True),
+        Field("curvature_threshold", lo=0.0, lo_open=True),
+        Field("module_levels", NUMBERS, lengths=(1, 2, 3, 4), lo=0.0, lo_open=True, hi=MAX_LENGTH),
     ),
     lambda v: GripperConfig(**v),
 )
@@ -289,11 +292,12 @@ _MATERIAL = Section(
 
 _CYCLE = Section(
     (
-        *(Field(key, NUMBERS, lengths=(2,)) for key in ("pick", "place_bottom", "place_top")),
         *(
-            Field(key, lo=0.0, lo_open=True)
-            for key in ("approach_height", "descend_speed", "ascend_speed", "travel_speed")
+            Field(key, NUMBERS, lengths=(2,), lo=-MAX_LENGTH, hi=MAX_LENGTH)
+            for key in ("pick", "place_bottom", "place_top")
         ),
+        Field("approach_height", lo=0.0, lo_open=True, hi=MAX_LENGTH),
+        *(Field(key, lo=MIN_SPEED) for key in ("descend_speed", "ascend_speed", "travel_speed")),
         *(Field(key, lo=0.0) for key in ("grasp_dwell", "release_dwell")),
     ),
     lambda v: CycleSpec(**v),
@@ -333,11 +337,12 @@ def _grasp_kind(cls: type, obj_attr: str, default_name: str, *extra: Field) -> S
 _KINDS: dict[str, Section] = {
     "single_grasp": _grasp_kind(SingleGraspScenario, "obj", "object"),
     "pullout": _grasp_kind(
-        PulloutScenario, "probe", "probe", Field("lift_step", default=0.5, lo=0.0, lo_open=True)
+        PulloutScenario, "probe", "probe",
+        Field("lift_step", default=0.5, lo=0.0, lo_open=True, hi=MAX_LENGTH),
     ),
     "stacked": Section(
         _mech_fields("scene.") + (
-            Field("clearance", default=0.0, lo=0.0),
+            Field("clearance", default=0.0, lo=0.0, hi=MAX_LENGTH),
             Field("safety", default=1.2, lo=1.0, attr="scene.safety"),
             Field("top", SECTION, required=True, section=_object_section("top", False), attr="scene.top"),
             Field("bottom", SECTION, required=True, section=_object_section("bottom", False),

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ._finite import require_finite
+from ._finite import MAX_LENGTH, require_finite
 
 
 class ShapeKind(str, Enum):
@@ -67,6 +67,7 @@ class ObjectShape:
 
     def __post_init__(self):
         names = _DIM_NAMES[self.kind]
+        object.__setattr__(self, "dims", tuple(self.dims))  # a list would leave it mutable and unhashable
         if self.kind is ShapeKind.CURVED_BLOCK and len(self.dims) == 2:
             # vertical extent defaults to the equator width
             object.__setattr__(self, "dims", (*self.dims, self.dims[1]))
@@ -76,8 +77,8 @@ class ObjectShape:
             )
         require_finite(self)
         for label, value in zip(names, self.dims):
-            if value <= 0.0:
-                raise ValueError(f"{self.kind.value} {label} must be positive, got {value:g}")
+            if not 0.0 < value <= MAX_LENGTH:
+                raise ValueError(f"{self.kind.value} {label} must lie in (0, {MAX_LENGTH:g}], got {value:g}")
         if self.mass < 0.0:
             raise ValueError(f"mass must be non-negative, got {self.mass:g}")
         if self.kind is ShapeKind.CURVED_BLOCK:

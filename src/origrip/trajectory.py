@@ -94,9 +94,8 @@ class CycleSpec:
 
     def __post_init__(self):
         require_finite(self)
-        for label in ("approach_height", "descend_speed", "ascend_speed", "travel_speed"):
-            if getattr(self, label) <= 0.0:
-                raise ValueError(f"{label} must be positive, got {getattr(self, label):g}")
+        if self.approach_height <= 0.0:
+            raise ValueError(f"approach_height must be positive, got {self.approach_height:g}")
         for label in ("grasp_dwell", "release_dwell"):
             if getattr(self, label) < 0.0:
                 raise ValueError(f"{label} must be non-negative, got {getattr(self, label):g}")

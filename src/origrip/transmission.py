@@ -84,6 +84,7 @@ class GripperConfig:
     curvature_threshold: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "module_levels", tuple(self.module_levels))
         require_finite(self)
         if self.finger_count not in (2, 4):
             raise ValueError(f"finger_count must be 2 or 4, got {self.finger_count}")
@@ -95,9 +96,6 @@ class GripperConfig:
             )
         if list(self.module_levels) != sorted(self.module_levels):
             raise ValueError("module_levels must be ascending")
-        for name in ("module_height", "rest_depth", "panel_span", "bend_lever_arm"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
         if self.curvature_threshold <= 0.0:
             raise ValueError("curvature_threshold must be positive")
 

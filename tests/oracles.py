@@ -3,7 +3,8 @@
 Everything here is deliberately brute force and shares no code with the
 implementations under test: closure is judged by direction sampling instead
 of a convex hull, widths by projecting polygon vertices, arc unions by a dense
-angular grid, and hold windows by sweeping the hold predicate directly.
+angular grid, hold windows by sweeping the hold predicate directly, and
+contacts by a scalar loop over module levels and fingers.
 """
 
 from __future__ import annotations
@@ -12,7 +13,29 @@ import math
 
 import numpy as np
 
-from origrip import SIL950, TPU95A, GripperConfig, cube, holds_at, make_stacked_scene, sphere
+from origrip import (
+    SIL950,
+    TPU95A,
+    ContactMode,
+    ContactRecord,
+    GraspMode,
+    GripperConfig,
+    bending_contact_force,
+    bending_state,
+    compression_state,
+    cube,
+    effective_strain,
+    equator_z,
+    finger_bearings,
+    grasp_mode,
+    holds_at,
+    make_stacked_scene,
+    opening,
+    sphere,
+    width_along,
+    z_span,
+)
+from origrip.shapes import vertical_profile_radius
 
 
 def sphere_directions(n: int = 360) -> np.ndarray:
@@ -167,3 +190,116 @@ def swept_hold_window(
     lo_i, hi_i = idx[0], idx[-1]
     assert all(flags[lo_i : hi_i + 1]), "holdable set is not contiguous on the sweep grid"
     return float(thetas[lo_i]), float(thetas[hi_i])
+
+
+# --------------------------------------------------------------------------
+# contacts, one scalar record at a time
+# --------------------------------------------------------------------------
+
+_MAX_INCLINATION = 89.9  # deg, as in the package
+
+
+def scalar_local_width(obj, bearing: float, z: float) -> float:
+    """Cross-section width along ``bearing`` at height ``z``: the equator
+    width less one profile sagitta per side, 0 outside the object."""
+    lo, hi = z_span(obj)
+    if not lo <= z <= hi:
+        return 0.0
+    r_v = vertical_profile_radius(obj)
+    if r_v is None:
+        return width_along(obj, bearing)
+    dz = z - equator_z(obj)
+    if abs(dz) > r_v:
+        return 0.0
+    sagitta = r_v - math.sqrt(r_v * r_v - dz * dz)
+    return max(0.0, width_along(obj, bearing) - 2.0 * sagitta)
+
+
+def _hook_angle(obj, z_contact: float) -> float:
+    """Downward tilt (deg) of the contact normal below the widest section."""
+    r_v = vertical_profile_radius(obj)
+    if r_v is None:
+        return 0.0
+    depth = equator_z(obj) - z_contact
+    if depth <= 0.0:
+        return 0.0
+    return min(_MAX_INCLINATION, math.degrees(math.asin(min(1.0, depth / r_v))))
+
+
+def wrap_bend_angle(penetration: float, r_h: float, half_span: float) -> float:
+    """Panel bend angle (deg): half the edge angle of the wrapped patch."""
+    pen = min(penetration, r_h)  # cannot sink past the section center
+    s_patch = math.sqrt(max(0.0, 2.0 * r_h * pen - pen * pen))
+    s_eff = min(s_patch, half_span)
+    return math.degrees(math.asin(min(1.0, s_eff / r_h))) / 2.0
+
+
+def level_contacts(theta, obj, config, material, mu, lift, torque_scale) -> list:
+    """Contact records with the gripper raised by ``lift`` mm, built one
+    module level and one finger at a time."""
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and non-negative, got {mu:g}")
+    aperture = opening(theta, config)
+    mode = grasp_mode(obj, config)
+    span_lo, span_hi = z_span(obj)
+    half_face = config.module_height / 2.0
+    half_span = config.panel_span / 2.0
+    records = []
+
+    for level, level_z in enumerate(config.module_levels):
+        face_lo = level_z - half_face + lift
+        face_hi = level_z + half_face + lift
+        overlap_lo = max(face_lo, span_lo)
+        overlap_hi = min(face_hi, span_hi)
+        if overlap_hi <= overlap_lo:
+            continue
+        engagement = (overlap_hi - overlap_lo) / config.module_height
+        z_contact = min(max(equator_z(obj), overlap_lo), overlap_hi)
+
+        for finger, bearing in enumerate(finger_bearings(config)):
+            width = scalar_local_width(obj, bearing, z_contact)
+            pen = (width - aperture) / 2.0
+            if pen <= 0.0:
+                continue
+
+            incl = _hook_angle(obj, z_contact)
+            if mode is GraspMode.V_ENVELOPING:
+                r_h = scalar_local_width(obj, 0.0, z_contact) / 2.0
+                bend = wrap_bend_angle(pen, r_h, half_span)
+                state = bending_state(bend, material)
+                force = engagement * bending_contact_force(
+                    bend, config.bend_lever_arm, material, torque_scale
+                )
+                overfolded = state.overfolded
+                overcompressed = False
+                contact_mode = ContactMode.BENDING
+                bend_angle = bend
+            else:
+                strain = effective_strain(pen, config.rest_depth)
+                state = compression_state(strain, material)
+                force = engagement * state.force
+                overcompressed = state.overcompressed
+                overfolded = False
+                contact_mode = ContactMode.COMPRESSION
+                bend_angle = None
+
+            rad = math.radians(bearing)
+            outward = (math.cos(rad), math.sin(rad))
+            records.append(
+                ContactRecord(
+                    finger_index=finger,
+                    level=level,
+                    mode=contact_mode,
+                    penetration=pen,
+                    bend_angle=bend_angle,
+                    normal_force=force,
+                    normal=(-outward[0], -outward[1]),
+                    position=(width / 2.0 * outward[0], width / 2.0 * outward[1]),
+                    inclination=incl,
+                    mu=mu,
+                    engagement=engagement,
+                    overcompressed=overcompressed,
+                    overfolded=overfolded,
+                )
+            )
+    return records

@@ -227,13 +227,15 @@ def test_pullout_short_probe_is_invalid(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "size, extra",
+    "size, extra, message",
     [
-        ("[1.0e+9]", []),  # a huge probe at the default step
-        ("[100.0]", ["--grid", "1e-6"]),  # a tiny step
+        # a huge probe at the default step: the length bound stops it first
+        ("[1.0e+9]", [], "object.size[0]: must be <= 10000, got 1e+09"),
+        ("[100.0]", ["--grid", "1e-6"], "lift_step: lift grid of"),  # a tiny step
     ],
+    ids=["[1.0e+9]-extra0", "[100.0]-extra1"],
 )
-def test_pullout_oversized_lift_grid_is_invalid(capsys, tmp_path, size, extra):
+def test_pullout_oversized_lift_grid_is_invalid(capsys, tmp_path, size, extra, message):
     scene = tmp_path / "long_grid.yaml"
     scene.write_text(
         f"kind: pullout\nmaterial: tpu95a\ntheta: 30.0\nobject:\n  shape: cube\n  size: {size}\n"
@@ -241,7 +243,7 @@ def test_pullout_oversized_lift_grid_is_invalid(capsys, tmp_path, size, extra):
     code, record, err = run_json(capsys, ["pullout", "--scene", str(scene), *extra])
     assert code == EXIT_INVALID
     assert record is None
-    assert err.startswith("origrip: ") and "lift_step: lift grid of" in err
+    assert err.startswith("origrip: ") and message in err
     assert "Traceback" not in err
 
 
@@ -250,7 +252,7 @@ def _scene_with(tmp_path, scene, dotted, literal):
     *parents, leaf = dotted.split(".")
     node = data
     for key in parents:
-        node = node[key]
+        node = node.setdefault(key, {})
     node[leaf] = "@VALUE@"
     path = tmp_path / "scene.yaml"
     path.write_text(yaml.safe_dump(data).replace("'@VALUE@'", literal))
@@ -286,6 +288,31 @@ def test_non_finite_numbers_are_invalid(capsys, tmp_path, command, scene, where,
     assert code == EXIT_INVALID
     assert record is None
     assert err.startswith("origrip:") and expected in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, scene, where, value, message",
+    [
+        pytest.param("grasp", PARALLEL, "object.size", "[63, 1.0e+300, 100]",
+                     "object.size[1]: must be <= 10000, got 1e+300", id="grasp-size"),
+        pytest.param("pullout", PULLOUT, "object.size", "[1.0e+300, 67, 80]",
+                     "object.size[0]: must be <= 10000, got 1e+300", id="pullout-size"),
+        pytest.param("compare", PICKPLACE, "cycle.descend_speed", "1.0e-307",
+                     "cycle.descend_speed: must be >= 0.001, got 1e-307", id="compare-speed"),
+        # a vanishing module depth or lever arm made the contact forces infinite
+        pytest.param("grasp", PARALLEL, "gripper.rest_depth", "1.0e-307",
+                     "gripper.rest_depth: must be >= 0.001, got 1e-307", id="grasp-rest-depth"),
+        pytest.param("pullout", PULLOUT, "gripper.bend_lever_arm", "1.0e-307",
+                     "gripper.bend_lever_arm: must be >= 0.001, got 1e-307", id="pullout-lever-arm"),
+    ],
+)
+def test_lengths_and_speeds_outside_physical_bounds_are_invalid(capsys, tmp_path, command, scene, where, value,
+                                                                message):
+    code, record, err = run_json(capsys, [command, "--scene", _scene_with(tmp_path, scene, where, value)])
+    assert code == EXIT_INVALID
+    assert record is None
+    assert err.startswith("origrip:") and message in err
     assert "Traceback" not in err
 
 
@@ -356,6 +383,22 @@ def test_sweep_bad_values(capsys):
         )
         assert code == EXIT_INVALID, bad
         assert "--values" in err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("0:inf:1", "expected 'a,b,c' or finite 'lo:hi:step'"),
+        ("1e20:2e20:1", "'1e20:2e20:1' spans 1e+20 points, more than 10000"),  # 1 never moves 1e20
+        ("0:90:1e-6", "'0:90:1e-6' spans 9e+07 points, more than 10000"),
+    ],
+    ids=["endless", "step-too-small-to-move", "too-many-points"],
+)
+def test_sweep_ranges_without_end_are_invalid(capsys, spec, message):
+    code, record, err = run_json(capsys, ["sweep", "--scene", ENVELOPING, "--axis", "theta", "--values", spec])
+    assert code == EXIT_INVALID
+    assert record is None
+    assert err.startswith("origrip:") and f"--values: {message}" in err
 
 
 def test_sweep_bad_axis(capsys):

@@ -1,4 +1,5 @@
-"""Byte-level golden outputs: the demo suite plus one CLI sweep per scene kind.
+"""Byte-level golden outputs: the demo suite, one CLI sweep per scene kind,
+and ``grasp`` records of four-finger scenes written from the dicts below.
 
 The manifest ``golden_manifest.json`` maps each output file to the sha256
 of its bytes.  Refactors must leave every hash unchanged; a deliberate
@@ -19,6 +20,7 @@ from pathlib import Path
 
 from origrip.cli import EXIT_OK, main
 from origrip.demo import demo_scene_path, run_demo_suite
+from origrip.scenario import make_result_record, parse_scenario, run_scenario, write_json
 
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
 
@@ -31,6 +33,28 @@ SWEEPS = {
         "cycle.travel_speed",
         "10,12.696841112682696,50",
     ),
+}
+
+# four-finger grasps: no bundled scene pins contact records off bearing 0
+GRASPS = {
+    "grasp_sphere_four_fingers.json": {
+        "kind": "single_grasp",
+        "name": "sphere_four_fingers",
+        "gripper": {"finger_count": 4, "module_levels": [15.0, 35.0]},
+        "material": "tpu95a",
+        "mu": 0.3,
+        "theta": 45.0,
+        "object": {"shape": "sphere", "size": [60.0], "mass": 0.05},
+    },
+    "grasp_yawed_cuboid_four_fingers.json": {
+        "kind": "single_grasp",
+        "name": "yawed_cuboid_four_fingers",
+        "gripper": {"finger_count": 4},
+        "material": "sil950",
+        "mu": 0.4,
+        "theta": 40.0,
+        "object": {"shape": "cuboid", "size": [50.0, 40.0, 80.0], "yaw": 30.0, "mass": 0.05},
+    },
 }
 
 
@@ -46,13 +70,19 @@ def golden_hashes(out_dir: Path) -> dict[str, str]:
         if main(argv) != EXIT_OK:
             raise AssertionError(f"sweep {filename} did not exit 0")
         paths[filename] = path
+    for filename, scene in GRASPS.items():
+        scn = parse_scenario(scene)
+        path = out_dir / filename
+        with path.open("w") as fh:
+            write_json(make_result_record("grasp", scn, run_scenario(scn)), fh)
+        paths[filename] = path
     return {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
 
 
 def test_outputs_match_golden_manifest(tmp_path):
     expected = json.loads(MANIFEST.read_text())
     actual = golden_hashes(tmp_path)
-    assert len(actual) == 16
+    assert len(actual) == 18
     mismatched = sorted(name for name in expected if actual.get(name) != expected[name])
     assert sorted(actual) == sorted(expected)
     assert mismatched == []

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from origrip import (
@@ -33,7 +34,8 @@ from origrip import (
     sphere,
     squeeze_force,
 )
-from origrip.grasp import _level_contacts
+from oracles import level_contacts
+from origrip.grasp import _resting_geometry
 
 # Barrel-shaped reference probe: covers both module levels, curls the faces.
 V_PROBE = curved_block(45.5, 67.0, 80.0)
@@ -356,6 +358,104 @@ def test_non_finite_api_input_is_rejected(build, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: cuboid(63.0, 1e300, 100.0), r"cuboid depth must lie in \(0, 10000\], got 1e\+300",
+                     id="size"),
+        pytest.param(lambda: sphere(50.0, pose=Pose(z=-2e4)), r"z must lie in \[-10000, 10000\]", id="pose-z"),
+        pytest.param(lambda: GripperConfig(module_levels=(20.0, 1e5)), "module_levels must lie in", id="levels"),
+        pytest.param(lambda: GripperConfig(bend_lever_arm=1e-307), r"bend_lever_arm must lie in \[0.001, 10000\]",
+                     id="lever-arm"),
+        pytest.param(lambda: TransmissionLaw(r0=1e300), "r0 must lie in", id="law-r0"),
+        pytest.param(lambda: CycleSpec(descend_speed=1e-307), r"descend_speed must lie in \[0.001, inf\]",
+                     id="cycle-speed"),
+        pytest.param(lambda: CycleSpec(place_top=(1e300, 0.0)), "place_top must lie in", id="cycle-site"),
+    ],
+)
+def test_out_of_bounds_api_input_is_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+# --------------------------------------------------------------------------
+# the contact model against the scalar oracle
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def _placed_objects(draw):
+    """Any shape at any yaw and base height, from well inside to well outside the jaws."""
+    kind = draw(st.sampled_from(list(ShapeKind)))
+    width, depth, height = (draw(st.floats(20.0, 140.0)) for _ in range(3))
+    dims = {
+        ShapeKind.SPHERE: (width,),
+        ShapeKind.CUBE: (width,),
+        ShapeKind.CUBOID: (width, depth, height),
+        ShapeKind.CYLINDER: (width, height),
+        ShapeKind.CURVED_BLOCK: (draw(st.floats(max(width, height) / 2.0, 150.0)), width, height),
+    }[kind]
+    pose = Pose(z=draw(st.floats(-60.0, 60.0)), yaw=draw(st.floats(-180.0, 180.0)))
+    return ObjectShape(kind, dims, pose=pose)
+
+
+@given(
+    obj=_placed_objects(),
+    levels=st.lists(st.floats(0.5, 120.0), min_size=1, max_size=4).map(sorted),
+    fingers=st.sampled_from((2, 4)),
+    curvature_threshold=st.floats(0.2, 2.0),
+    material=st.sampled_from((TPU95A, SIL950)),
+    mu=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+    theta=st.floats(0.0, 90.0),
+    torque_scale=st.floats(0.1, 5.0),
+)
+@settings(max_examples=400, derandomize=True, deadline=None)
+# the upper face ends exactly at the top of the cube, which it must not touch
+@example(cube(50.0), [20.0, 60.0], 2, 1.0, TPU95A, 0.5, 60.0, 1.0)
+def test_contacts_equal_the_scalar_oracle(obj, levels, fingers, curvature_threshold, material, mu, theta,
+                                          torque_scale):
+    config = GripperConfig(finger_count=fingers, module_levels=tuple(levels),
+                           curvature_threshold=curvature_threshold)
+    contacts = resolve_contacts(theta, obj, config, material, mu, torque_scale)
+    assert contacts.records == tuple(level_contacts(theta, obj, config, material, mu, 0.0, torque_scale))
+
+
+def test_contact_geometry_is_shared_by_equal_objects_only():
+    config = GripperConfig(finger_count=4)
+    for make in (lambda **kw: cuboid(63.0, 45.4, 100.0, **kw), lambda **kw: sphere(62.0, **kw)):
+        first, twin = make(pose=Pose(z=-5.0, yaw=20.0)), make(pose=Pose(z=-5.0, yaw=20.0))
+        assert twin is not first
+        assert resolve_contacts(60.0, twin, config).records == resolve_contacts(60.0, first, config).records
+        assert _resting_geometry(twin, config) is _resting_geometry(first, config)
+        yawed = dataclasses.replace(first, pose=Pose(z=-5.0, yaw=35.0))
+        raised = dataclasses.replace(first, pose=Pose(z=15.0, yaw=20.0))
+        for other in (yawed, raised) if first.kind is ShapeKind.CUBOID else (raised,):
+            assert _resting_geometry(other, config) is not _resting_geometry(first, config)
+            records = resolve_contacts(60.0, other, config).records
+            assert records == tuple(level_contacts(60.0, other, config, TPU95A, 0.5, 0.0, 1.0))
+            assert records != resolve_contacts(60.0, first, config).records
+
+        geometry, _ = _resting_geometry(first, config)
+        arrays = [geometry.width, geometry.engagement, geometry.inclination]
+        arrays += [] if geometry.r_h is None else [geometry.r_h]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+
+def test_list_dimensions_give_hashable_objects():
+    obj = ObjectShape(ShapeKind.SPHERE, [60.0])
+    config = GripperConfig(finger_count=4, module_levels=[15.0, 35.0])
+    assert isinstance(obj.dims, tuple) and isinstance(config.module_levels, tuple)
+    assert hash(obj) == hash(sphere(60.0)) and hash(config) == hash(GripperConfig(4, module_levels=(15.0, 35.0)))
+    same_obj, same_config = sphere(60.0), GripperConfig(finger_count=4, module_levels=(15.0, 35.0))
+    assert resolve_contacts(45.0, obj, config) == resolve_contacts(45.0, same_obj, same_config)
+    trace = pullout_trace(45.0, obj, config, lift_grid=[0.0, 10.0, 20.0])
+    same_trace = pullout_trace(45.0, same_obj, same_config, lift_grid=[0.0, 10.0, 20.0])
+    assert np.array_equal(trace.forces, same_trace.forces)
+
+
 # --------------------------------------------------------------------------
 # the batched trace against the scalar contact code
 # --------------------------------------------------------------------------
@@ -396,7 +496,7 @@ def test_trace_equals_scalar_contacts_at_every_lift(
     config = GripperConfig(finger_count=fingers, curvature_threshold=curvature_threshold)
     trace = pullout_trace(theta, probe, config, material, mu, grid, torque_scale)
     expected = [
-        pullout_capacity(_level_contacts(theta, probe, config, material, mu, lift, torque_scale))
+        pullout_capacity(level_contacts(theta, probe, config, material, mu, lift, torque_scale))
         for lift in grid
     ]
     assert np.array_equal(trace.forces, expected)
@@ -407,7 +507,7 @@ def test_trace_equals_scalar_contacts_on_the_default_grids():
         for theta in (60.0, 75.0, 90.0):
             trace = pullout_trace(theta, probe, material=SIL950, mu=0.4)
             expected = [
-                pullout_capacity(_level_contacts(theta, probe, GripperConfig(), SIL950, 0.4, lift, 1.0))
+                pullout_capacity(level_contacts(theta, probe, GripperConfig(), SIL950, 0.4, lift, 1.0))
                 for lift in trace.lifts
             ]
             assert np.array_equal(trace.forces, expected)
