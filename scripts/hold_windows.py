@@ -13,14 +13,15 @@ Usage:
 import argparse
 import math
 
-from origrip import GripperConfig, ObjectShape, Pose, ShapeKind, hold_window, material_table
+from origrip import GripperConfig, ObjectShape, Pose, ShapeKind, field_problem, hold_window, material_table
+from origrip.transmission import FINGER_COUNTS
 
 MAX_ROWS = 1000
 
 
 def size_range(spec: str) -> tuple[float, float, float]:
-    """``lo:hi:step`` as finite numbers with 0 < lo <= hi, step > 0 and at
-    most MAX_ROWS sizes."""
+    """``lo:hi:step`` as finite numbers with 0 < lo <= hi, step > 0, at
+    most MAX_ROWS sizes and no size above the scene bound."""
     try:
         lo, hi, step = (float(p) for p in spec.split(":"))
     except ValueError:
@@ -29,6 +30,8 @@ def size_range(spec: str) -> tuple[float, float, float]:
         raise ValueError(f"need finite numbers with 0 < lo <= hi and step > 0, got {spec!r}")
     if (hi - lo) / step >= MAX_ROWS:
         raise ValueError(f"{spec!r} gives more than {MAX_ROWS} sizes")
+    if (why := field_problem("size", hi)) is not None:
+        raise ValueError(f"largest size {why}")
     return lo, hi, step
 
 
@@ -37,7 +40,7 @@ def main() -> None:
     parser.add_argument("--shape", choices=("sphere", "cube"), default="sphere")
     parser.add_argument("--sizes", default="40:70:5", help="lo:hi:step in mm")
     parser.add_argument("--material", default="sil950")
-    parser.add_argument("--fingers", type=int, choices=(2, 4), default=4)
+    parser.add_argument("--fingers", type=int, choices=FINGER_COUNTS, default=4)
     parser.add_argument("--mass", type=float, default=0.05, help="kg")
     parser.add_argument("--mu", type=float, default=0.5)
     args = parser.parse_args()
@@ -47,8 +50,8 @@ def main() -> None:
     except ValueError as exc:
         parser.error(f"--sizes: {exc}")
     for flag, value in (("--mass", args.mass), ("--mu", args.mu)):
-        if not 0.0 <= value < math.inf:
-            parser.error(f"{flag}: must be finite and non-negative, got {value:g}")
+        if (why := field_problem(flag[2:], value)) is not None:
+            parser.error(f"{flag}: {why}")
     table = material_table()
     if args.material not in table:
         parser.error(f"--material: unknown material {args.material!r}; known: {', '.join(sorted(table))}")

@@ -7,6 +7,7 @@ pick-and-place cycle accounting.
 from types import ModuleType as _ModuleType
 
 from ._version import __version__
+from ._finite import RANGES, field_problem
 from .transmission import (
     AngleRangeError,
     GripperConfig,

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .demo import list_demo_scenes
-from .mechanics import perturbed, sample_bending_curve, sample_compression_curve
+from .mechanics import sample_bending_curve, sample_compression_curve
 from .planner import PlanError
 from .scenario import (
     Scenario,
@@ -36,6 +36,7 @@ from .scenario import (
     run_scenario,
     run_sweep,
     scenario_digest,
+    seeded_material,
     write_csv,
     write_json,
 )
@@ -183,8 +184,7 @@ def _run_material_curve(args) -> int:
     if args.samples < 2:
         raise ScenarioError([f"--samples: need at least 2, got {args.samples}"])
     material = table[args.material]
-    if args.seed is not None:
-        material = perturbed(material, args.seed)
+    material = seeded_material(material, args.seed)
     if args.mode == "compression":
         strains, forces = sample_compression_curve(material, samples=args.samples)
         rows = [{"strain": float(s), "force": float(f)} for s, f in zip(strains, forces)]

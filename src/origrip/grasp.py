@@ -45,6 +45,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
+from ._finite import field_problem, require
 from .mechanics import MaterialModel, bending_contact_force, compression_forces
 from .shapes import (
     ObjectShape,
@@ -154,11 +155,6 @@ def _asin_deg(x: np.ndarray) -> np.ndarray:
     ``math.asin``, and contact angles stay bit-identical to the scalar
     reference in ``tests/oracles.py``."""
     return np.degrees(np.fromiter(map(math.asin, x.tolist()), float, x.size))
-
-
-def _check_mu(mu: float) -> None:
-    if not 0.0 <= mu < math.inf:
-        raise ValueError(f"mu must be finite and non-negative, got {mu:g}")
 
 
 class _Geometry(NamedTuple):
@@ -274,7 +270,7 @@ def resolve_contacts(
     config = config or GripperConfig()
     material = material or TPU95A
     geometry, entries = _resting_geometry(obj, config)
-    _check_mu(mu)
+    require("mu", mu)
     hit, pens, bends, forces, overloads = _contact_loads(
         geometry, opening(theta, config), config, material, torque_scale
     )
@@ -490,8 +486,7 @@ def lift_check(
     """Does the grasp carry the object's weight with the given safety factor?"""
     if gravity <= 0.0:
         raise ValueError(f"gravity must be positive, got {gravity:g}")
-    if safety < 1.0:
-        raise ValueError(f"safety factor must be >= 1, got {safety:g}")
+    require("safety", safety)
     capacity = pullout_capacity(contacts)
     weight = obj.mass * gravity
     return LiftResult(
@@ -530,8 +525,7 @@ def default_lift_grid(
 ) -> np.ndarray:
     """Grid from 0 to just past full disengagement, at most ``_MAX_LIFT_POINTS`` points."""
     config = config or GripperConfig()
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step:g}")
+    require("lift_step", step)
     _, span_hi = z_span(probe)
     lift_max = span_hi - (config.module_levels[0] - config.module_height / 2.0) + 2.0 * step
     points = (lift_max + step) / step
@@ -578,7 +572,7 @@ def pullout_trace(
             )
 
     geometry = _contact_geometry(probe, config, lifts)
-    _check_mu(mu)
+    require("mu", mu)
     hit, _, _, force, _ = _contact_loads(geometry, opening(theta, config), config, material, torque_scale)
     rad = np.radians(geometry.inclination[hit])
     terms = np.zeros(hit.shape)
@@ -630,10 +624,12 @@ def calibrate_friction(
     intercept = pullout_capacity(side)  # at mu = 0 only the hooking term is left
     if slope <= 0.0:
         raise ValueError("degenerate probe contact: no friction-bearing normal force")
-    mu = (target_side_force - intercept) / slope
-    if mu < 0.0:
+    if target_side_force < intercept:
         raise ValueError(
             f"target {target_side_force:g} N is below the frictionless wrap "
             f"resistance {intercept:g} N; no non-negative mu fits"
         )
+    mu = (target_side_force - intercept) / slope
+    if (why := field_problem("mu", mu)) is not None:
+        raise ValueError(f"target {target_side_force:g} N needs a friction coefficient out of range: mu {why}")
     return mu

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._finite import require_finite
+from ._finite import require, require_finite
 
 # --------------------------------------------------------------------------
 # material description
@@ -49,23 +49,13 @@ class MaterialModel:
 
     def __post_init__(self):
         require_finite(self)
-        if self.plateau_force <= 0.0 or self.plateau_torque <= 0.0:
-            raise ValueError("plateau levels must be positive")
-        if not 0.0 <= self.force_band <= 0.2:
-            raise ValueError(f"force_band must lie in [0, 0.2], got {self.force_band:g}")
-        if not 0.0 <= self.torque_band <= 0.2:
-            raise ValueError(f"torque_band must lie in [0, 0.2], got {self.torque_band:g}")
-        if not 0.0 < self.strain_lo < self.strain_hi:
+        if not self.strain_lo < self.strain_hi:
             raise ValueError("need 0 < strain_lo < strain_hi")
-        if not 0.0 < self.angle_lo < self.angle_hi:
+        if not self.angle_lo < self.angle_hi:
             raise ValueError("need 0 < angle_lo < angle_hi")
-        if self.overload_stiffness is None:
-            # default: ten times the average loading-ramp slope
-            object.__setattr__(
-                self, "overload_stiffness", 10.0 * self.plateau_force / self.strain_lo
-            )
-        elif self.overload_stiffness < 0.0:
-            raise ValueError("overload_stiffness must be non-negative")
+        if self.overload_stiffness is None:  # ten times the average loading-ramp slope
+            object.__setattr__(self, "overload_stiffness", 10.0 * self.plateau_force / self.strain_lo)
+            require("overload_stiffness", self.overload_stiffness)
 
     @property
     def force_plateau_bounds(self) -> tuple[float, float]:
@@ -121,8 +111,7 @@ class BendingState:
 
 def effective_strain(penetration: float, rest_depth: float) -> float:
     """Penetration normalized by the undeformed module depth."""
-    if rest_depth <= 0.0:
-        raise ValueError(f"rest_depth must be positive, got {rest_depth:g}")
+    require("rest_depth", rest_depth)
     if penetration < 0.0:
         raise ValueError(f"penetration must be non-negative, got {penetration:g}")
     return penetration / rest_depth
@@ -207,10 +196,8 @@ def bending_contact_force(
     (1.0 when they are already N*mm).  An array of angles gives an array of
     forces.
     """
-    if lever_arm <= 0.0:
-        raise ValueError(f"lever_arm must be positive, got {lever_arm:g}")
-    if torque_scale <= 0.0:
-        raise ValueError(f"torque_scale must be positive, got {torque_scale:g}")
+    require("bend_lever_arm", lever_arm)
+    require("torque_scale", torque_scale)
     if isinstance(angle, np.ndarray):
         return bending_torques(angle, material) * torque_scale / lever_arm
     return bending_torque(angle, material) * torque_scale / lever_arm

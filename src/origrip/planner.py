@@ -27,6 +27,7 @@ import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 
+from ._finite import require
 from .grasp import lift_check, resolve_contacts
 from .mechanics import SIL950, MaterialModel
 from .shapes import ObjectShape, equator_z, grasp_width, stack_on
@@ -183,8 +184,7 @@ def make_stacked_scene(
 ) -> StackedScene:
     """Rest ``top`` on ``bottom`` and center the pair across the module
     heights so each object's widest section faces its own module level."""
-    if clearance < 0.0:
-        raise ValueError(f"clearance must be non-negative, got {clearance:g}")
+    require("clearance", clearance)
     config = config or GripperConfig()
     material = material or SIL950
     placed_top = stack_on(top, bottom, clearance)

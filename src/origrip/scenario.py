@@ -17,11 +17,12 @@ Scenes are YAML mappings with a ``kind`` discriminator:
 
 The loader validates strictly: unknown keys and non-finite numbers are
 rejected and all problems are reported in one pass with dotted field paths.
-One field table per scene section (key, type, bounds, default) drives
-reading, writing back, sweep axes and command-line overrides.  Materials
-are looked up by name in the built-in table, optionally extended by the
-YAML file named in the ``ORIGRIP_MATERIALS`` environment variable and by a
-scene-level ``materials`` section (scene entries win).
+One field table per scene section (key, type, default) drives reading,
+writing back, sweep axes and command-line overrides; a number's range is
+the one ``_finite.RANGES`` gives its key.  Materials are looked up by name
+in the built-in table, optionally extended by the YAML file named in the
+``ORIGRIP_MATERIALS`` environment variable and by a scene-level
+``materials`` section (scene entries win).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Any, Union
 
 import yaml
 
-from ._finite import MAX_LENGTH, MIN_LENGTH, MIN_SPEED
+from ._finite import Range, field_problem
 from ._version import __version__
 from .grasp import (
     closure_summary,
@@ -53,19 +54,11 @@ from .grasp import (
 )
 from .mechanics import BUILTIN_MATERIALS, MaterialModel, perturbed
 from .planner import PlanError, StackedScene, make_stacked_scene, plan_stacked, simulate_plan
-from .shapes import ObjectShape, Pose, ShapeKind, grasp_width
+from .shapes import DIM_COUNTS, ObjectShape, Pose, ShapeKind, grasp_width
 from .trajectory import CycleSpec, compare_cycles
-from .transmission import GripperConfig, TransmissionLaw, opening
+from .transmission import FINGER_COUNTS, GripperConfig, TransmissionLaw, opening
 
 MATERIALS_ENV_VAR = "ORIGRIP_MATERIALS"
-
-_SHAPE_SIZES = {
-    "sphere": (1,),
-    "cube": (1,),
-    "cuboid": (3,),
-    "cylinder": (2,),
-    "curved_block": (2, 3),
-}
 
 
 class ScenarioError(ValueError):
@@ -143,26 +136,24 @@ NUMBER, INTEGER, TEXT, NUMBERS, SECTION, SECTIONS = (
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """One key of a scene section: its type, bounds and default.
+    """One key of a scene section: its type and default.
 
     A missing optional key reads as ``default``; None leaves it to the
-    dataclass the section builds.  ``lo``/``hi`` bound a number and every
-    item of a number list.  ``attr`` is where the writer finds the value on
-    the built object: a dotted attribute path (the key by default), one
-    path per item for a number list kept as separate attributes, or for
-    named sections the paths of all entries and of the one in use.  ``bind``
-    gives bounds that depend on fields read earlier in the same section;
-    ``convert`` maps a checked value to what the section is built from and
-    raises ValueError when it cannot.
+    dataclass the section builds.  A number, and every item of a number
+    list, must lie in the range ``_finite.RANGES`` gives for the key.
+    ``attr`` is where the writer finds the value on the built object: a
+    dotted attribute path (the key by default), one path per item for a
+    number list kept as separate attributes, or for named sections the
+    paths of all entries and of the one in use.  ``bind`` gives list lengths
+    that depend on fields read earlier in the same section; ``convert`` maps
+    a checked value to what the section is built from and raises ValueError
+    when it cannot.
     """
 
     key: str
     type: str = NUMBER
     required: bool = False
     default: Any = None
-    lo: float | None = None
-    lo_open: bool = False
-    hi: float | None = None
     choices: tuple | None = None
     lengths: tuple[int, ...] = ()
     section: Section | None = None
@@ -212,12 +203,14 @@ def _bounded(field: Field, **bounds: Any) -> Field:
     return replace(field, **bounds)
 
 
-def _theta_in_law(values: dict) -> dict:
-    """The law's angle range; none to judge against when the gripper failed."""
-    if "gripper" not in values:
-        return {}
-    law = values["gripper"].law
-    return {"lo": law.theta_min, "hi": law.theta_max}
+def _theta_in_law(theta: float, values: dict) -> float:
+    """``theta`` inside the law's angle range; none to judge against when
+    the gripper failed."""
+    if "gripper" in values:
+        law = values["gripper"].law
+        if (why := Range(law.theta_min, law.theta_max).problem(theta)) is not None:
+            raise ValueError(why)
+    return theta
 
 
 def _pick_material(name: str, values: dict) -> MaterialModel:
@@ -241,64 +234,48 @@ def _object_section(default_name: str, with_z: bool) -> Section:
         return ObjectShape(ShapeKind(v.pop("shape")), v.pop("size"), name=name, pose=pose, **v)
 
     fields = (
-        Field("shape", TEXT, required=True, choices=tuple(_SHAPE_SIZES), attr="kind.value"),
-        Field("size", NUMBERS, required=True, lo=0.0, lo_open=True, hi=MAX_LENGTH, attr="dims",
-              bind=lambda v: {"lengths": _SHAPE_SIZES[v["shape"]]}),
-        Field("mass", lo=0.0),
+        Field("shape", TEXT, required=True, choices=tuple(kind.value for kind in ShapeKind), attr="kind.value"),
+        Field("size", NUMBERS, required=True, attr="dims",
+              bind=lambda v: {"lengths": DIM_COUNTS[ShapeKind(v["shape"])]}),
+        Field("mass"),
         Field("name", TEXT),
         Field("yaw", attr="pose.yaw"),
     )
-    z = Field("z", lo=-MAX_LENGTH, hi=MAX_LENGTH, attr="pose.z")
+    z = Field("z", attr="pose.z")
     return Section(fields + ((z,) if with_z else ()), build)
 
 
-_LAW = Section(
-    (
-        Field("r0", lo=0.0, lo_open=True, hi=MAX_LENGTH),
-        Field("slope", lo=0.0, lo_open=True, hi=MAX_LENGTH),
-        Field("theta_min"),
-        Field("theta_max"),
-    ),
-    lambda v: TransmissionLaw(**v),
-)
+_LAW = Section(tuple(map(Field, ("r0", "slope", "theta_min", "theta_max"))), lambda v: TransmissionLaw(**v))
 
 _GRIPPER = Section(
     (
         Field("law", SECTION, section=_LAW),
-        Field("finger_count", INTEGER, choices=(2, 4)),
-        Field("module_offset", lo=0.0, lo_open=True, hi=MAX_LENGTH),
-        *(
-            Field(key, lo=MIN_LENGTH, hi=MAX_LENGTH)
-            for key in ("module_height", "rest_depth", "panel_span", "bend_lever_arm")
-        ),
-        Field("curvature_threshold", lo=0.0, lo_open=True),
-        Field("module_levels", NUMBERS, lengths=(1, 2, 3, 4), lo=0.0, lo_open=True, hi=MAX_LENGTH),
+        Field("finger_count", INTEGER, choices=FINGER_COUNTS),
+        *(Field(key) for key in ("module_offset", "module_height", "rest_depth", "panel_span", "bend_lever_arm")),
+        Field("curvature_threshold"),
+        Field("module_levels", NUMBERS, lengths=(1, 2, 3, 4)),
     ),
     lambda v: GripperConfig(**v),
 )
 
 _MATERIAL = Section(
     (
-        Field("plateau_force", required=True, lo=0.0, lo_open=True),
-        Field("force_band", default=0.05, lo=0.0, hi=0.2),
-        Field("plateau_torque", required=True, lo=0.0, lo_open=True),
-        Field("torque_band", default=0.05, lo=0.0, hi=0.2),
-        Field("strain_range", NUMBERS, lengths=(2,), lo=0.0, lo_open=True, attr=("strain_lo", "strain_hi")),
-        Field("angle_range", NUMBERS, lengths=(2,), lo=0.0, lo_open=True, attr=("angle_lo", "angle_hi")),
-        Field("overload_stiffness", lo=0.0, lo_open=True),
+        Field("plateau_force", required=True),
+        Field("force_band", default=0.05),
+        Field("plateau_torque", required=True),
+        Field("torque_band", default=0.05),
+        Field("strain_range", NUMBERS, lengths=(2,), attr=("strain_lo", "strain_hi")),
+        Field("angle_range", NUMBERS, lengths=(2,), attr=("angle_lo", "angle_hi")),
+        Field("overload_stiffness"),
     ),
     lambda v: MaterialModel(**v),
 )
 
 _CYCLE = Section(
     (
-        *(
-            Field(key, NUMBERS, lengths=(2,), lo=-MAX_LENGTH, hi=MAX_LENGTH)
-            for key in ("pick", "place_bottom", "place_top")
-        ),
-        Field("approach_height", lo=0.0, lo_open=True, hi=MAX_LENGTH),
-        *(Field(key, lo=MIN_SPEED) for key in ("descend_speed", "ascend_speed", "travel_speed")),
-        *(Field(key, lo=0.0) for key in ("grasp_dwell", "release_dwell")),
+        *(Field(key, NUMBERS, lengths=(2,)) for key in ("pick", "place_bottom", "place_top")),
+        *(Field(key) for key in ("approach_height", "descend_speed", "ascend_speed", "travel_speed")),
+        *(Field(key) for key in ("grasp_dwell", "release_dwell")),
     ),
     lambda v: CycleSpec(**v),
 )
@@ -312,12 +289,12 @@ def _mech_fields(src: str) -> tuple[Field, ...]:
         Field("materials", SECTIONS, section=_MATERIAL, attr=("materials", src + "material"),
               convert=lambda entries, values: ChainMap(entries, material_table())),
         Field("material", TEXT, required=True, attr=src + "material.name", convert=_pick_material),
-        Field("mu", default=0.5, lo=0.0, attr=src + "mu"),
-        Field("torque_scale", default=1.0, lo=0.0, lo_open=True, attr=src + "torque_scale"),
+        Field("mu", default=0.5, attr=src + "mu"),
+        Field("torque_scale", default=1.0, attr=src + "torque_scale"),
     )
 
 
-_THETA = Field("theta", required=True, bind=_theta_in_law)
+_THETA = Field("theta", required=True, convert=_theta_in_law)
 _ROOT_KEYS = ("kind", "name")
 
 
@@ -338,12 +315,12 @@ _KINDS: dict[str, Section] = {
     "single_grasp": _grasp_kind(SingleGraspScenario, "obj", "object"),
     "pullout": _grasp_kind(
         PulloutScenario, "probe", "probe",
-        Field("lift_step", default=0.5, lo=0.0, lo_open=True, hi=MAX_LENGTH),
+        Field("lift_step", default=0.5),
     ),
     "stacked": Section(
         _mech_fields("scene.") + (
-            Field("clearance", default=0.0, lo=0.0, hi=MAX_LENGTH),
-            Field("safety", default=1.2, lo=1.0, attr="scene.safety"),
+            Field("clearance", default=0.0),
+            Field("safety", default=1.2, attr="scene.safety"),
             Field("top", SECTION, required=True, section=_object_section("top", False), attr="scene.top"),
             Field("bottom", SECTION, required=True, section=_object_section("bottom", False),
                   attr="scene.bottom"),
@@ -461,18 +438,17 @@ def _read_field(errors: list[str], data: Mapping, where: str, field: Field, valu
 
 def _number(errors: list[str], raw: Any, where: str, field: Field, index: int | None = None) -> Any:
     """``raw`` (item ``index`` of a list) as a finite float inside the
-    field's bounds, or _FAILED."""
+    key's range, or _FAILED."""
     if raw.__class__ is not float and (isinstance(raw, bool) or not isinstance(raw, (int, float))):
-        problem = f"expected a number, got {type(raw).__name__}"
-    elif not math.isfinite(value := float(raw)):
-        problem = f"must be finite, got {value:g}"
-    elif field.lo is not None and (value <= field.lo if field.lo_open else value < field.lo):
-        problem = f"must be {'>' if field.lo_open else '>='} {field.lo:g}, got {value:g}"
-    elif field.hi is not None and value > field.hi:
-        problem = f"must be <= {field.hi:g}, got {value:g}"
+        why = f"expected a number, got {type(raw).__name__}"
     else:
-        return value
-    return _fail(errors, where if index is None else f"{where}[{index}]", problem)
+        try:
+            value = float(raw)
+        except OverflowError:  # an integer past the float range reads as infinite
+            value = math.inf if raw > 0 else -math.inf
+        if (why := field_problem(field.key, value)) is None:
+            return value
+    return _fail(errors, where if index is None else f"{where}[{index}]", why)
 
 
 def _read_named(errors: list[str], data: Any, path: str, section: Section) -> Any:
@@ -585,12 +561,18 @@ def save_scenario(scn: Scenario, path: str | Path) -> None:
 # --------------------------------------------------------------------------
 
 
-def _maybe_perturbed(material: MaterialModel, seed: int | None) -> MaterialModel:
-    return material if seed is None else perturbed(material, seed)
+def seeded_material(material: MaterialModel, seed: int | None) -> MaterialModel:
+    """``material`` with its plateaus drawn by ``seed``, unchanged without one."""
+    if seed is None:
+        return material
+    try:
+        return perturbed(material, seed)
+    except ValueError as exc:  # a plateau near its bound drawn past it
+        raise ScenarioError([f"--seed: material {material.name!r} drawn with seed {seed}: {exc}"]) from None
 
 
 def run_single_grasp(scn: SingleGraspScenario, seed: int | None = None) -> dict:
-    material = _maybe_perturbed(scn.material, seed)
+    material = seeded_material(scn.material, seed)
     contacts = resolve_contacts(
         scn.theta, scn.obj, scn.config, material, scn.mu, scn.torque_scale
     )
@@ -629,7 +611,7 @@ def run_single_grasp(scn: SingleGraspScenario, seed: int | None = None) -> dict:
 def run_pullout(scn: PulloutScenario, seed: int | None = None) -> dict:
     from .grasp import default_lift_grid
 
-    material = _maybe_perturbed(scn.material, seed)
+    material = seeded_material(scn.material, seed)
     try:
         grid = default_lift_grid(scn.probe, scn.config, step=scn.lift_step)
     except ValueError as exc:  # a tiny step or a huge probe
@@ -654,7 +636,7 @@ def run_pullout(scn: PulloutScenario, seed: int | None = None) -> dict:
 
 
 def run_stacked(scn: StackedScenario, seed: int | None = None) -> dict:
-    scene = replace(scn.scene, material=_maybe_perturbed(scn.scene.material, seed))
+    scene = replace(scn.scene, material=seeded_material(scn.scene.material, seed))
     plan = plan_stacked(scene)
     stages = simulate_plan(scene, plan)
     return {

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ._finite import MAX_LENGTH, require_finite
+from ._finite import require_finite
 
 
 class ShapeKind(str, Enum):
@@ -39,6 +39,12 @@ _DIM_NAMES = {
     ShapeKind.CUBOID: ("width", "depth", "height"),
     ShapeKind.CYLINDER: ("diameter", "height"),
     ShapeKind.CURVED_BLOCK: ("radius", "width", "height"),
+}
+
+# how many dims each kind accepts: all, or for a curved_block all but its height
+DIM_COUNTS = {
+    kind: (len(names) - 1, len(names)) if kind is ShapeKind.CURVED_BLOCK else (len(names),)
+    for kind, names in _DIM_NAMES.items()
 }
 
 
@@ -67,20 +73,12 @@ class ObjectShape:
 
     def __post_init__(self):
         names = _DIM_NAMES[self.kind]
-        object.__setattr__(self, "dims", tuple(self.dims))  # a list would leave it mutable and unhashable
-        if self.kind is ShapeKind.CURVED_BLOCK and len(self.dims) == 2:
-            # vertical extent defaults to the equator width
-            object.__setattr__(self, "dims", (*self.dims, self.dims[1]))
-        if len(self.dims) != len(names):
-            raise ValueError(
-                f"{self.kind.value} needs dims {names}, got {len(self.dims)} values"
-            )
+        dims = tuple(self.dims)  # a list would leave it mutable and unhashable
+        if len(dims) not in DIM_COUNTS[self.kind]:
+            raise ValueError(f"{self.kind.value} needs dims {names}, got {len(dims)} values")
+        # a curved_block's vertical extent defaults to its equator width
+        object.__setattr__(self, "dims", dims if len(dims) == len(names) else (*dims, dims[1]))
         require_finite(self)
-        for label, value in zip(names, self.dims):
-            if not 0.0 < value <= MAX_LENGTH:
-                raise ValueError(f"{self.kind.value} {label} must lie in (0, {MAX_LENGTH:g}], got {value:g}")
-        if self.mass < 0.0:
-            raise ValueError(f"mass must be non-negative, got {self.mass:g}")
         if self.kind is ShapeKind.CURVED_BLOCK:
             radius, width, height = self.dims
             if width > 2.0 * radius:

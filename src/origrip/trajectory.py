@@ -94,11 +94,6 @@ class CycleSpec:
 
     def __post_init__(self):
         require_finite(self)
-        if self.approach_height <= 0.0:
-            raise ValueError(f"approach_height must be positive, got {self.approach_height:g}")
-        for label in ("grasp_dwell", "release_dwell"):
-            if getattr(self, label) < 0.0:
-                raise ValueError(f"{label} must be non-negative, got {getattr(self, label):g}")
 
     def site_distance(self, a: tuple[float, float], b: tuple[float, float]) -> float:
         return math.hypot(b[0] - a[0], b[1] - a[1])

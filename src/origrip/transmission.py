@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 from ._finite import require_finite
 
+FINGER_COUNTS = (2, 4)  # fingers a transmission disk drives
+
 
 class AngleRangeError(ValueError):
     """Servo angle outside the guide range."""
@@ -54,8 +56,6 @@ class TransmissionLaw:
 
     def __post_init__(self):
         require_finite(self)
-        if self.slope <= 0.0:
-            raise ValueError(f"slope must be positive, got {self.slope:g}")
         if not self.theta_min < self.theta_max:
             raise ValueError(
                 f"need theta_min < theta_max, got [{self.theta_min:g}, {self.theta_max:g}]"
@@ -86,8 +86,8 @@ class GripperConfig:
     def __post_init__(self):
         object.__setattr__(self, "module_levels", tuple(self.module_levels))
         require_finite(self)
-        if self.finger_count not in (2, 4):
-            raise ValueError(f"finger_count must be 2 or 4, got {self.finger_count}")
+        if self.finger_count not in FINGER_COUNTS:
+            raise ValueError(f"finger_count must be {' or '.join(map(str, FINGER_COUNTS))}, got {self.finger_count}")
         r_closed = self.law.r0 - self.law.slope * self.law.theta_max
         if not self.module_offset < r_closed:
             raise ValueError(
@@ -96,8 +96,6 @@ class GripperConfig:
             )
         if list(self.module_levels) != sorted(self.module_levels):
             raise ValueError("module_levels must be ascending")
-        if self.curvature_threshold <= 0.0:
-            raise ValueError("curvature_threshold must be positive")
 
 
 def finger_radius(theta: float, law: TransmissionLaw | None = None) -> float:

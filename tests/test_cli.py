@@ -316,6 +316,59 @@ def test_lengths_and_speeds_outside_physical_bounds_are_invalid(capsys, tmp_path
     assert "Traceback" not in err
 
 
+PULLOUT_PARALLEL = str(demo_scene_path("pullout_parallel"))
+HEAVY_MATERIAL = "{heavy: {plateau_force: 1.0e+300, plateau_torque: 1.0e+300, overload_stiffness: 1.0e+308}}"
+STIFF_MATERIAL = "{tpu95a: {plateau_force: 4.75, plateau_torque: 39.0, overload_stiffness: 1.0e+308}}"
+
+
+@pytest.mark.parametrize(
+    "command, scene, changes, message",
+    [
+        # each of these ended in a JSON overflow or a LinAlgError traceback
+        pytest.param("compare", PICKPLACE, {"cycle.grasp_dwell": "1.7e+308"},
+                     "cycle.grasp_dwell: must be <= 3600, got 1.7e+308", id="compare-dwell"),
+        pytest.param("grasp", PARALLEL, {"materials": HEAVY_MATERIAL, "material": "heavy", "theta": "80"},
+                     "materials.heavy.plateau_force: must be <= 10000, got 1e+300", id="grasp-material"),
+        pytest.param("grasp", PARALLEL, {"materials": STIFF_MATERIAL, "theta": "80"},
+                     "materials.tpu95a.overload_stiffness: must be <= 1e+07, got 1e+308", id="grasp-overload"),
+        pytest.param("grasp", PARALLEL, {"mu": "1.0e+308"}, "mu: must be <= 10, got 1e+308", id="grasp-mu"),
+        pytest.param("pullout", PULLOUT_PARALLEL, {"mu": "1.0e+308"}, "mu: must be <= 10, got 1e+308",
+                     id="pullout-mu"),
+        pytest.param("grasp", ENVELOPING, {"torque_scale": "1.0e+308"},
+                     "torque_scale: must be <= 1e+06, got 1e+308", id="grasp-torque-scale"),
+        pytest.param("pullout", PULLOUT, {"torque_scale": "1.0e+308"},
+                     "torque_scale: must be <= 1e+06, got 1e+308", id="pullout-torque-scale"),
+        # an integer past the float range ended in an OverflowError traceback
+        pytest.param("grasp", PARALLEL, {"mu": "1" + "0" * 400}, "mu: must be finite, got inf",
+                     id="grasp-huge-integer"),
+        pytest.param("compare", PICKPLACE, {"cycle.pick": "[0, -1" + "0" * 400 + "]"},
+                     "cycle.pick[1]: must be finite, got -inf", id="compare-huge-integer"),
+    ],
+)
+def test_forces_friction_and_dwells_above_physical_bounds_are_invalid(capsys, tmp_path, command, scene, changes,
+                                                                      message):
+    for where, literal in changes.items():
+        scene = _scene_with(tmp_path, scene, where, literal)
+    code, record, err = run_json(capsys, [command, "--scene", scene])
+    assert code == EXIT_INVALID
+    assert record is None
+    assert err.startswith("origrip:") and message in err
+    assert "Traceback" not in err
+
+
+def test_a_seeded_plateau_drawn_past_its_bound_is_invalid(capsys, tmp_path):
+    scene = tmp_path / "heavy.yaml"
+    scene.write_text(
+        "kind: single_grasp\nmaterial: big\ntheta: 30.0\nobject: {shape: cuboid, size: [63.0, 45.4, 100.0]}\n"
+        "materials:\n  big: {plateau_force: 9999.0, force_band: 0.2, plateau_torque: 39.0}\n"
+    )
+    code, record, err = run_json(capsys, ["grasp", "--scene", str(scene), "--seed", "1"])
+    assert code == EXIT_INVALID
+    assert record is None
+    assert "--seed: material 'big' drawn with seed 1: plateau_force must be <= 10000, got 10046.3" in err
+    assert run_json(capsys, ["grasp", "--scene", str(scene), "--seed", "2"])[0] == EXIT_OK
+
+
 def test_multi_command(capsys):
     code, record, _ = run_json(capsys, ["multi", "--scene", STACKED])
     assert code == EXIT_OK

@@ -209,7 +209,7 @@ def test_array_curves_reject_negative_input():
         compression_forces(np.array([0.2, -0.1, -0.3]), SIL950)
     with pytest.raises(ValueError, match="bend angle must be non-negative, got -1"):
         bending_torques(np.array([-1.0]), SIL950)
-    with pytest.raises(ValueError, match="torque_scale must be positive"):
+    with pytest.raises(ValueError, match="torque_scale must be > 0, got 0"):
         bending_contact_force(np.array([1.0]), 15.0, SIL950, 0.0)
 
 

@@ -41,6 +41,7 @@ def test_calibrate_friction_fits_the_bench_target():
         (["--theta", "200"], "outside guide range"),
         (["--target", "nan"], "target must be finite, got nan"),
         (["--target", "inf"], "target must be finite, got inf"),
+        (["--target", "100"], "needs a friction coefficient out of range: mu must be <= 10, got 19.3575"),
     ],
 )
 def test_calibrate_friction_rejects_unfittable_input(args, message):
@@ -71,9 +72,11 @@ def test_hold_windows_prints_one_row_per_size():
         (["--sizes", "abc"], "--sizes: expected lo:hi:step, got 'abc'"),
         (["--sizes", "40:70"], "expected lo:hi:step"),
         (["--sizes", "40:1e9:1e-3"], "more than 1000 sizes"),
-        (["--mass", "nan"], "--mass: must be finite and non-negative, got nan"),
-        (["--mu", "-0.5"], "--mu: must be finite and non-negative, got -0.5"),
+        (["--mass", "nan"], "--mass: must be finite, got nan"),
+        (["--mu", "-0.5"], "--mu: must be >= 0, got -0.5"),
         (["--material", "adamantium"], "--material: unknown material 'adamantium'"),
+        (["--mu", "1e308"], "--mu: must be <= 10, got 1e+308"),  # the scene bound on mu
+        (["--sizes", "9000:20000:1000"], "--sizes: largest size must be <= 10000, got 20000"),  # a traceback
     ],
 )
 def test_hold_windows_rejects_bad_input(args, message):
