@@ -18,9 +18,10 @@ arguments.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
-from pathlib import Path
+from functools import cache
 
 from ._version import __version__
 from .demo import list_demo_scenes
@@ -55,6 +56,7 @@ EXIT_INFEASIBLE = 1
 EXIT_INVALID = 2
 
 _MAX_SWEEP_POINTS = 10_000  # each point is a whole scene run
+_MAX_SAMPLES = 100_000  # as many as the points of a pull-out lift grid
 
 
 def _add_output_args(parser: argparse.ArgumentParser) -> None:
@@ -70,7 +72,13 @@ def _add_scene_args(parser: argparse.ArgumentParser) -> None:
     _add_output_args(parser)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    ``parse_args`` leaves a parser as it was, so one serves every ``main``
+    call; callers must not add to it.
+    """
     parser = argparse.ArgumentParser(
         prog="origrip",
         description="constant-force origami gripper: grasp mechanics and planning",
@@ -119,13 +127,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _OutputError(Exception):
+    """The ``--out`` file cannot be written."""
+
+
 def _emit(data, args) -> None:
+    """Render ``data`` whole, then write it; a render that fails (a NaN for
+    JSON) leaves an existing ``--out`` file as it was."""
+    rendered = io.StringIO()
+    (write_json if args.format == "json" else write_csv)(data, rendered)
     if args.out == "-":
-        writer = write_json if args.format == "json" else write_csv
-        writer(data, sys.stdout)
+        sys.stdout.write(rendered.getvalue())
         return
-    with Path(args.out).open("w") as fh:
-        (write_json if args.format == "json" else write_csv)(data, fh)
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(rendered.getvalue())
+    except OSError as exc:
+        raise _OutputError(f"--out: cannot write {args.out!r}: {exc.strerror or exc}") from None
 
 
 def _parse_values(spec: str) -> list[float]:
@@ -183,6 +201,8 @@ def _run_material_curve(args) -> int:
         )
     if args.samples < 2:
         raise ScenarioError([f"--samples: need at least 2, got {args.samples}"])
+    if args.samples > _MAX_SAMPLES:
+        raise ScenarioError([f"--samples: {args.samples} samples, more than {_MAX_SAMPLES}"])
     material = table[args.material]
     material = seeded_material(material, args.seed)
     if args.mode == "compression":
@@ -292,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             return EXIT_OK
         parser.error(f"unknown command {args.command!r}")
-    except (ScenarioError, AngleRangeError, OpeningRangeError) as exc:
+    except (ScenarioError, AngleRangeError, OpeningRangeError, _OutputError) as exc:
         print(f"origrip: {exc}", file=sys.stderr)
         return EXIT_INVALID
     return EXIT_OK

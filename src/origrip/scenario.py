@@ -37,6 +37,7 @@ from collections import ChainMap
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Union
@@ -498,10 +499,22 @@ def parse_scenario(data: Any, source: str = "<dict>") -> Scenario:
     return scn
 
 
+def _load_yaml(text: str) -> Any:
+    """``yaml.safe_load(text)``, parsed by libyaml when it is installed.
+
+    A text libyaml refuses is parsed again by the Python loader, whose
+    verdict (and error message, with its source snippet) stands.
+    """
+    try:
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError:
+        return yaml.safe_load(text)
+
+
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = _load_yaml(path.read_text())
     except OSError as exc:
         raise ScenarioError([f"{path}: cannot read file: {exc}"]) from exc
     except yaml.YAMLError as exc:
@@ -772,10 +785,52 @@ def _fmt(value: Any) -> Any:
     return value
 
 
+def _finite_repr(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+def _json_text(data: Any, indent: str) -> str:
+    """``json.dumps(data, indent=2, sort_keys=True, allow_nan=False)`` for a
+    value nested at ``indent``, without json's pure-Python encoder.
+
+    Plain dicts with ``str`` keys, lists, tuples and scalars are written
+    here; any other value is left to ``json.dumps``.
+    """
+    kind = type(data)
+    if kind is str:
+        return encode_basestring_ascii(data)
+    if kind is float:
+        return _finite_repr(data)
+    if kind is int:
+        return int.__repr__(data)
+    if kind is bool:
+        return "true" if data else "false"
+    if data is None:
+        return "null"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if (kind is list or kind is tuple) and data:
+        if {*map(type, data)} == {float}:
+            if not all(map(math.isfinite, data)):  # raise for the first NaN or infinity
+                _finite_repr(next(v for v in data if not math.isfinite(v)))
+            body = sep.join(map(float.__repr__, data))
+        else:
+            body = sep.join([_json_text(item, inner) for item in data])
+        return f"[\n{inner}{body}\n{indent}]"
+    if kind is dict and data and all(type(key) is str for key in data):
+        body = sep.join([f"{encode_basestring_ascii(key)}: {_json_text(data[key], inner)}"
+                         for key in sorted(data)])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+    return text.replace("\n", "\n" + indent) if indent else text
+
+
 def write_json(data: Any, stream: io.TextIOBase) -> None:
-    """Strict JSON: a NaN or infinite number raises ValueError before
-    anything is written."""
-    stream.write(json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    """Strict JSON (two-space indent, sorted keys): a NaN or infinite number
+    raises ValueError before anything is written."""
+    stream.write(_json_text(data, "") + "\n")
 
 
 def write_csv(data: Any, stream: io.TextIOBase) -> None:
@@ -815,7 +870,7 @@ def material_table() -> dict[str, MaterialModel]:
     env_path = os.environ.get(MATERIALS_ENV_VAR)
     if env_path:
         try:
-            raw = yaml.safe_load(Path(env_path).read_text())
+            raw = _load_yaml(Path(env_path).read_text())
         except (OSError, yaml.YAMLError) as exc:
             message = f"cannot read {MATERIALS_ENV_VAR} file {env_path!r}: {exc}"
             raise ScenarioError([f"materials: {message}"]) from exc

@@ -1,9 +1,11 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 import yaml
 
+from origrip import cli
 from origrip.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
 from origrip.demo import demo_scene_path
 from origrip.scenario import scenario_digest
@@ -95,6 +97,19 @@ def test_material_curve_needs_two_samples(capsys):
     code, _, err = run_json(capsys, ["material-curve", "--material", "tpu95a", "--samples", "1"])
     assert code == EXIT_INVALID
     assert "--samples" in err
+
+
+@pytest.mark.parametrize("mode", ["compression", "bending"])
+def test_material_curve_samples_are_capped_before_sampling(capsys, monkeypatch, mode):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled past the cap")
+
+    monkeypatch.setattr(cli, "sample_compression_curve", refuse)
+    monkeypatch.setattr(cli, "sample_bending_curve", refuse)
+    argv = ["material-curve", "--material", "tpu95a", "--mode", mode, "--samples", "100001"]
+    code, record, err = run_json(capsys, argv)
+    assert code == EXIT_INVALID and record is None
+    assert "--samples: 100001 samples, more than 100000" in err
 
 
 def test_material_curve_seeded_spread(capsys):
@@ -469,6 +484,64 @@ def test_output_to_file(capsys, tmp_path):
     assert capsys.readouterr().out == ""
     record = json.loads(out_file.read_text())
     assert record["outputs"]["pullout_capacity"] == pytest.approx(3.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("target", ["missing/result.json", "."])
+def test_unwritable_output_is_invalid(capsys, tmp_path, target):
+    out = str(tmp_path / target)
+    code, record, err = run_json(capsys, ["kinematics", "--theta", "30", "--out", out])
+    assert code == EXIT_INVALID and record is None
+    assert err.startswith(f"origrip: --out: cannot write {out!r}: ")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("fmt, data, error", [
+    ("json", {"outputs": {"trace": [0.5, float("nan")]}}, ValueError),
+    ("csv", "not a table", TypeError),
+])
+def test_output_file_is_written_only_once_rendered(tmp_path, fmt, data, error):
+    out_file = tmp_path / "result.out"
+    out_file.write_text("previous result\n")
+    with pytest.raises(error):
+        cli._emit(data, argparse.Namespace(out=str(out_file), format=fmt))
+    assert out_file.read_text() == "previous result\n"
+
+
+def call(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_the_cached_parser_answers_every_call_as_a_fresh_one(capsys):
+    sequence = [
+        ["grasp", "--theta", "30"],  # usage error: no --scene
+        ["--version"],
+        ["grasp", "--scene", ENVELOPING, "--theta", "30"],
+        ["grasp", "--scene", ENVELOPING],
+    ]
+    fresh = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        fresh.append(call(capsys, argv))
+    parser = cli.build_parser()
+    assert [call(capsys, argv) for argv in sequence] == fresh
+    assert cli.build_parser() is parser
+    assert [code for code, _, _ in fresh] == [2, 0, EXIT_OK, EXIT_OK]
+    assert "the following arguments are required: --scene" in fresh[0][2]
+    assert json.loads(fresh[2][1])["outputs"] != json.loads(fresh[3][1])["outputs"]
+
+
+def test_malformed_yaml_is_reported_with_its_source_line(capsys, tmp_path):
+    scene = tmp_path / "bad.yaml"
+    scene.write_text("kind: single_grasp\ntheta: [1, 2\nmaterial: tpu95a\n")
+    code, record, err = run_json(capsys, ["grasp", "--scene", str(scene)])
+    assert code == EXIT_INVALID and record is None
+    assert "not valid YAML: while parsing a flow sequence" in err
+    assert "\n    theta: [1, 2\n           ^\n" in err
 
 
 def test_scenes_listing(capsys):

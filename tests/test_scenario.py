@@ -1,9 +1,14 @@
 import hashlib
 import io
 import json
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from origrip.demo import (
     demo_scene_path,
@@ -12,6 +17,7 @@ from origrip.demo import (
 )
 from origrip.scenario import (
     MATERIALS_ENV_VAR,
+    _load_yaml,
     PickPlaceScenario,
     PulloutScenario,
     ScenarioError,
@@ -411,6 +417,101 @@ def test_write_json_rejects_non_finite_numbers():
     with pytest.raises(ValueError):
         write_json({"x": [1.0, float("inf")]}, buf)
     assert buf.getvalue() == ""  # nothing half-written
+
+
+def reference_json(data):
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan")])
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7, 1.7976931348623157e308]),
+)
+SCALARS = st.one_of(
+    FLOATS,
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    FLOATS.map(np.float64),  # a float subclass: left to json.dumps
+)
+JSON_TREES = st.recursive(
+    st.one_of(SCALARS, st.lists(FLOATS, max_size=20), st.lists(st.one_of(FLOATS, st.booleans()), max_size=8)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(), children, max_size=5),
+        st.dictionaries(st.integers(), children, max_size=3),  # non-str keys: left to json.dumps
+        st.lists(st.dictionaries(st.text(max_size=3), children, max_size=3), max_size=3),
+    ),
+    max_leaves=30,
+)
+# a tree with a NaN or infinity somewhere under it
+POISONED = st.recursive(
+    st.one_of(NON_FINITE, st.tuples(st.lists(FLOATS), NON_FINITE, st.lists(FLOATS)).map(lambda t: [*t[0], t[1], *t[2]])),
+    lambda children: st.one_of(
+        st.tuples(st.lists(JSON_TREES, max_size=3), children, st.lists(JSON_TREES, max_size=3))
+        .map(lambda t: [*t[0], t[1], *t[2]]),
+        st.tuples(st.dictionaries(st.text(), JSON_TREES, max_size=3), st.text(), children)
+        .map(lambda t: {**t[0], t[1]: t[2]}),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(JSON_TREES)
+@example({"é✓": [-0.0, 5e-324, 1e16, True, 10**30], "a": [], "b": {}, "c": ({"d": [{}]},)})
+def test_write_json_matches_the_json_module_byte_for_byte(data):
+    buf = io.StringIO()
+    write_json(data, buf)
+    assert buf.getvalue() == reference_json(data)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(POISONED)
+def test_write_json_refuses_non_finite_numbers_at_any_depth(data):
+    with pytest.raises(ValueError) as expected:
+        reference_json(data)
+    buf = io.StringIO()
+    with pytest.raises(ValueError) as refused:
+        write_json(data, buf)
+    assert str(refused.value) == str(expected.value)
+    assert buf.getvalue() == ""
+
+
+def yaml_outcome(load, text):
+    try:
+        value = load(text)
+    except yaml.YAMLError as exc:
+        return type(exc), str(exc)
+    return type(value), repr(value)  # repr: a loaded NaN equals no other
+
+
+YAML_TEXTS = {
+    **{name: demo_scene_path(name).read_text() for name in DEMO_NAMES},
+    "nan": "x: .nan\n", "1e3": "x: 1e3\n", "hex": "x: 0x1F\n", "underscore": "x: 1_000\n", "yes": "x: yes\n",
+    "tilde": "x: ~\n", "date": "x: 2024-01-02\n", "duplicate": "x: 1\nx: 2\n", "alias": "a: &p {b: 1}\nc: *p\n",
+    "control": "x: a\x07b\n", "surrogate": 'x: "\\ud800"\n', "malformed": "x: [1, 2\ny: 3\n", "empty": "",
+}
+
+
+@pytest.mark.parametrize("libyaml", [True, False])
+@pytest.mark.parametrize("text", YAML_TEXTS.values(), ids=YAML_TEXTS.keys())
+def test_yaml_loaders_agree(monkeypatch, text, libyaml):
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert yaml_outcome(_load_yaml, text) == yaml_outcome(yaml.safe_load, text)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="libyaml not installed")
+def test_valid_yaml_is_read_by_libyaml(monkeypatch):
+    text = demo_scene_path("grasp_parallel").read_text()
+    expected = yaml.safe_load(text)
+    monkeypatch.setattr(yaml, "safe_load", None)
+    assert _load_yaml(text) == expected
 
 
 def test_written_scene_keeps_its_own_materials_only():
