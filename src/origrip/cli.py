@@ -148,9 +148,13 @@ def _emit(data, args) -> None:
 
 def _parse_values(spec: str) -> list[float]:
     usage = f"--values: expected 'a,b,c' or finite 'lo:hi:step' with step > 0, got {spec!r}"
+    if ":" not in spec:
+        parts = [p for p in spec.split(",") if p.strip() != ""]
+        if len(parts) > _MAX_SWEEP_POINTS:
+            raise ScenarioError([f"--values: a list of {len(parts)} points, more than {_MAX_SWEEP_POINTS}"])
     try:
         if ":" not in spec:
-            return [float(p) for p in spec.split(",") if p.strip() != ""]
+            return [float(p) for p in parts]
         lo, hi, step = map(float, spec.split(":"))
     except ValueError:
         raise ScenarioError([usage]) from None

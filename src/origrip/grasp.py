@@ -32,6 +32,17 @@ aperture.  A trace runs both over its lift grid; ``resolve_contacts`` runs
 the loads on the lift-0 geometry, which is cached per (object, gripper), so
 sweeps and hold windows that revisit an object at many angles place its
 faces once.
+
+Closure
+-------
+Each contact adds the two edges of its friction cone as planar wrenches
+(fx, fy, torque over the bounding radius).  The grasp is force closed when
+the origin lies strictly inside their convex hull, with the distance to the
+nearest hull facet as its margin (Ferrari and Canny's epsilon quality).
+The facets come from numpy alone: a facet is a plane through three
+primitives with every primitive on one side of it (``_hull_margin``).
+Enveloping grasps are also judged for form closure by the angular coverage
+of their wrap patches.
 """
 
 from __future__ import annotations
@@ -40,10 +51,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from itertools import combinations, islice
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from ._finite import field_problem, require
 from .mechanics import MaterialModel, bending_contact_force, compression_forces
@@ -317,29 +328,129 @@ def contact_wrench_primitives(contacts: ContactSet) -> np.ndarray:
     """Friction-cone edge wrenches, one row per primitive: (fx, fy, tau).
 
     Each contact contributes the two planar cone edges at +-atan(mu) about
-    its normal (the edges coincide when mu = 0).  Torque is taken about the
-    object centroid and normalized by the bounding-circle radius so all
-    three wrench coordinates share a force scale.
+    its normal (the edges coincide when mu = 0), in that order.  Torque is
+    taken about the object centroid and normalized by the bounding-circle
+    radius so all three wrench coordinates share a force scale.
     """
     if len(contacts) == 0:
         raise ValueError("contact set is empty")
-    rows = []
-    r_char = contacts.char_radius
-    for rec in contacts.records:
-        n = np.array(rec.normal)
-        t = np.array([-n[1], n[0]])
-        p = np.array(rec.position)
-        for sign in (1.0, -1.0):
-            f = rec.normal_force * (n + sign * rec.mu * t)
-            tau = (p[0] * f[1] - p[1] * f[0]) / r_char
-            rows.append([f[0], f[1], tau])
-    return np.array(rows)
+    fields = [(*rec.normal, *rec.position, rec.normal_force, rec.mu) for rec in contacts.records]
+    nx, ny, px, py, force, mu = np.repeat(np.array(fields).T, 2, axis=1)
+    mu *= np.tile((1.0, -1.0), len(fields))  # f = force * (n + sign * mu * t), t = (-ny, nx)
+    fx = force * (nx + mu * -ny)
+    fy = force * (ny + mu * nx)
+    return np.column_stack((fx, fy, (px * fy - py * fx) / contacts.char_radius))
 
 
 @dataclass(frozen=True)
 class ForceClosure:
     closed: bool
     margin: float
+
+
+_RANK_RTOL = 1e-9  # singular values below this, relative to the largest component, count as 0
+_PLANE_TOL = 2.0**-40  # a point this far past a plane (in a set scaled to at most 1) counts as on it
+_ALL_TRIPLES = 16  # sets up to this size try every triple of points at once
+_CACHED_TRIPLES = 4096  # index arrays of up to this many triples are kept (sets of up to 30 points)
+_SIDE_ENTRIES = 1 << 22  # bounds the (points x triples) side matrix of one step, 32 MB
+# a larger set starts from its extreme points along these 14 directions (each column, both signs)
+_SEED_DIRECTIONS = np.array(
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]], dtype=float
+).T
+# the components of pj - pi, pk - pi, pj - pi, pk - pi in the order n = (pj - pi) x (pk - pi) reads them
+_CROSS_ORDER = np.array([[1, 2, 0], [2, 0, 1], [2, 0, 1], [1, 2, 0]])[:, :, None]
+
+
+def _gathers(triples: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For (T, 3) indices i < j < k into row-major (x, y, z) points: flat
+    indices whose differences ``u[heads] - u[tails]`` are the four edge
+    vectors that the cross product multiplies, then i and ``arange(T)``."""
+    i, j, k = triples.T
+    heads = 3 * np.stack((j, k, j, k))[:, None, :] + _CROSS_ORDER
+    tails = 3 * i + _CROSS_ORDER
+    return heads.ravel(), tails.ravel(), i, np.arange(i.size)
+
+
+@lru_cache(maxsize=None)  # at most 31 entries of at most 0.8 MB each
+def _small_triples(m: int) -> tuple[np.ndarray, ...]:
+    return _gathers(np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3))
+
+
+def _triple_blocks(m: int, size: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """``_gathers`` of every triple of ``m`` points, at most ``size`` triples at a time."""
+    if math.comb(m, 3) <= min(size, _CACHED_TRIPLES):
+        yield _small_triples(m)
+        return
+    triples = combinations(range(m), 3)
+    while block := list(islice(triples, size)):
+        yield _gathers(np.array(block, dtype=np.intp))
+
+
+def _scan(points: np.ndarray, m: int) -> tuple[float, np.ndarray]:
+    """Facets of the convex hull of ``points[:m]``, from its point triples,
+    set against every point: the smallest signed distance from the origin to
+    a facet plane, and the rows past ``m`` that lie farthest outside each
+    facet they lie outside of.
+
+    A triple's plane is a facet when no point of the first ``m`` lies
+    ``_PLANE_TOL`` or more past one of its sides; its outward normal then
+    points to that side, and a plane of a flat subset points both ways.
+    """
+    u = points[:m].ravel()
+    nearest, outside = math.inf, []
+    for heads, tails, i, columns in _triple_blocks(m, max(1, _SIDE_ENTRIES // len(points))):
+        edges = (u[heads] - u[tails]).reshape(4, 3, -1)
+        normals = edges[0] * edges[1] - edges[2] * edges[3]  # (pj - pi) x (pk - pi)
+        side = points @ normals
+        offset = side[i, columns]
+        inner = side[:m]
+        norm = np.sqrt(np.einsum("ij,ij->j", normals, normals))
+        slack = _PLANE_TOL * norm
+        ahead = inner.max(axis=0) - offset < slack  # all on the -n side: n points out
+        behind = offset - inner.min(axis=0) < slack  # all on the +n side: -n points out
+        # strict tests: the zero normal of a repeated point is neither, and its distance inf
+        reach = np.minimum(np.where(ahead, offset, np.inf), np.where(behind, -offset, np.inf))
+        nearest = min(nearest, float((reach / norm).min(initial=math.inf)))  # no triple: no facet
+        if m < len(points):
+            outer = side[m:]
+            past = ahead & (outer.max(axis=0) - offset >= slack)
+            below = behind & (offset - outer.min(axis=0) >= slack)
+            outside += [m + outer.argmax(axis=0)[past], m + outer.argmin(axis=0)[below]]
+    return nearest, np.unique(np.concatenate(outside)) if outside else np.array([], dtype=np.intp)
+
+
+def _hull_margin(points: np.ndarray, scale: float) -> float:
+    """Signed distance from the origin to the nearest facet plane of the
+    convex hull of ``points`` (n x 3, rank 3, largest component ``scale``):
+    positive iff the origin lies strictly inside.
+
+    Sets up to ``_ALL_TRIPLES`` points take their facets from every point
+    triple.  A larger set grows a subset, starting from its extreme points:
+    each step adds, per facet of the subset's hull, the point farthest
+    outside it, until no point is outside, when the subset's facets are the
+    hull's.  A point less than ``_PLANE_TOL`` outside a plane counts as on
+    it, so the distance can come out short by that much, relative to
+    ``scale``.  Rounding adds a few units of ``scale``'s last digit, and
+    more on facets whose three points nearly line up: on needle-shaped
+    hulls up to about 3e-13 of ``scale``.
+    """
+    exponent = math.frexp(scale)[1]
+    points = np.ldexp(points, -exponent)  # exact: the largest component now lies in [0.5, 1)
+    n = len(points)
+    if n <= _ALL_TRIPLES:
+        return math.ldexp(_scan(points, n)[0], exponent)
+    extent = points @ _SEED_DIRECTIONS
+    member = np.zeros(n, dtype=bool)
+    member[extent.argmax(axis=0)] = member[extent.argmin(axis=0)] = True
+    while True:
+        order = np.concatenate((np.flatnonzero(member), np.flatnonzero(~member)))
+        nearest, outside = _scan(points[order], np.count_nonzero(member))
+        if nearest == math.inf and not member.all():  # collinear extreme points span no plane yet
+            member[:] = True
+        elif outside.size == 0:
+            return math.ldexp(nearest, exponent)
+        else:
+            member[order[outside]] = True
 
 
 def is_force_closure(primitives: np.ndarray) -> ForceClosure:
@@ -351,18 +462,18 @@ def is_force_closure(primitives: np.ndarray) -> ForceClosure:
     closed.  Sets of rank below 3 are flat and never closed; the rank
     tolerance is relative to the largest component, so the verdict is
     scale-free and rounding noise cannot pass a flat set off as a thin hull.
+    The hull comes from enumerating point triples (see ``_hull_margin``),
+    whose cost grows with the cube of the hull's vertex count: it suits the
+    few dozen primitives of a contact set.
     """
     primitives = np.asarray(primitives, dtype=float)
     if primitives.ndim != 2 or primitives.shape[1] != 3 or primitives.shape[0] < 2:
         raise ValueError("need at least two wrench primitives of dimension 3")
-    if np.linalg.matrix_rank(primitives, tol=1e-9 * np.abs(primitives).max()) < 3:
+    scale = float(np.abs(primitives).max())
+    singular = np.linalg.svd(primitives, compute_uv=False)
+    if np.count_nonzero(singular > _RANK_RTOL * scale) < 3:  # matrix_rank's test
         return ForceClosure(False, 0.0)
-    try:
-        hull = ConvexHull(primitives)
-    except QhullError:
-        return ForceClosure(False, 0.0)
-    # facet equations are a.x + d <= 0 inside; distance from origin = -d
-    margin = float(-np.max(hull.equations[:, -1]))
+    margin = _hull_margin(primitives, scale)
     if margin <= 0.0:
         return ForceClosure(False, 0.0)
     return ForceClosure(True, margin)

@@ -3,8 +3,9 @@
 Everything here is deliberately brute force and shares no code with the
 implementations under test: closure is judged by direction sampling instead
 of a convex hull, widths by projecting polygon vertices, arc unions by a dense
-angular grid, hold windows by sweeping the hold predicate directly, and
-contacts by a scalar loop over module levels and fingers.
+angular grid, hold windows by sweeping the hold predicate directly, contacts
+by a scalar loop over module levels and fingers, and wrench primitives by a
+scalar loop over contacts and cone edges.
 """
 
 from __future__ import annotations
@@ -114,6 +115,24 @@ def random_contact_primitives(rng: np.random.Generator, n_contacts: int) -> np.n
         for sign in (1.0, -1.0):
             f = fn * (n + sign * mu * t)
             rows.append([f[0], f[1], (p[0] * f[1] - p[1] * f[0]) / r_char])
+    return np.array(rows)
+
+
+def wrench_primitives(contacts) -> np.ndarray:
+    """Friction-cone edge wrenches built one contact and one cone edge at a
+    time: rows (fx, fy, tau), the +mu edge before the -mu edge."""
+    if len(contacts) == 0:
+        raise ValueError("contact set is empty")
+    rows = []
+    r_char = contacts.char_radius
+    for rec in contacts.records:
+        n = np.array(rec.normal)
+        t = np.array([-n[1], n[0]])
+        p = np.array(rec.position)
+        for sign in (1.0, -1.0):
+            f = rec.normal_force * (n + sign * rec.mu * t)
+            tau = (p[0] * f[1] - p[1] * f[0]) / r_char
+            rows.append([f[0], f[1], tau])
     return np.array(rows)
 
 

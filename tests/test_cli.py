@@ -469,6 +469,17 @@ def test_sweep_ranges_without_end_are_invalid(capsys, spec, message):
     assert err.startswith("origrip:") and f"--values: {message}" in err
 
 
+def test_sweep_value_lists_are_capped_like_ranges(capsys):
+    scene = demo_scene_path("pickplace_comparison")
+    argv = ["sweep", "--scene", str(scene), "--axis", "cycle.travel_speed", "--values"]
+    code, record, err = run_json(capsys, argv + [",".join(["12"] * 10_001)])
+    assert code == EXIT_INVALID
+    assert record is None
+    assert err.startswith("origrip:") and "--values: a list of 10001 points, more than 10000" in err
+    code, record, _ = run_json(capsys, argv + [",".join(["12"] * 3)])
+    assert code == EXIT_OK and len(record["outputs"]) == 3
+
+
 def test_sweep_bad_axis(capsys):
     code, _, err = run_json(
         capsys, ["sweep", "--scene", ENVELOPING, "--axis", "object.flavor", "--values", "1,2"]

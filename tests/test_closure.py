@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import oracles
 from origrip import (
     ClosureResult,
+    ContactMode,
+    ContactRecord,
     ContactSet,
     GraspMode,
     GripperConfig,
@@ -20,6 +22,8 @@ from origrip import (
     is_force_closure,
     is_form_closure,
     resolve_contacts,
+    sphere,
+    z_span,
 )
 
 V_PROBE = curved_block(45.5, 67.0, 80.0)
@@ -89,7 +93,7 @@ def test_force_closure_input_validation():
         is_force_closure(np.zeros((4, 2)))
 
 
-def test_lp_agrees_with_direction_sampling():
+def test_closure_agrees_with_direction_sampling():
     rng = np.random.default_rng(7)
     checked = 0
     while checked < 40:
@@ -98,6 +102,139 @@ def test_lp_agrees_with_direction_sampling():
             continue
         checked += 1
         assert is_force_closure(prims).closed == oracles.positive_span_closed(prims)
+
+
+def test_margin_lies_within_the_sampling_bracket():
+    # the support minimum over the fine direction grid lies in
+    # [margin, margin + lip * covering radius], which pins the margin itself
+    rng = np.random.default_rng(17)
+    checked = 0
+    while checked < 60:
+        prims = oracles.random_contact_primitives(rng, int(rng.integers(2, 17)))
+        result = is_force_closure(prims)
+        if not (result.closed and oracles.sampling_decisive(prims)):
+            continue
+        checked += 1
+        lip = float(np.linalg.norm(prims, axis=1).max())
+        sampled = float((prims @ oracles._FINE_DIRECTIONS.T).max(axis=0).min())
+        assert sampled - lip * 0.013 <= result.margin <= sampled
+
+
+def _needles(rng: np.random.Generator, count: int) -> list[np.ndarray]:
+    """Thin spindles along the diagonal, tips at (1, 1, 1) and (-1, -1, -1):
+    every seed direction of the hull search picks a tip, so the search
+    starts from a segment, which spans no plane."""
+    sets = []
+    for n in rng.integers(17, 40, count):
+        along = rng.uniform(-0.9, 0.9, (n - 2, 1)) + rng.normal(0.0, 1e-3, (n - 2, 3))
+        sets.append(np.vstack(([1.0, 1.0, 1.0], [-1.0, -1.0, -1.0], along)))
+    return sets
+
+
+def test_needle_whose_extreme_points_are_its_tips():
+    for prims in _needles(np.random.default_rng(5), 5):
+        result = is_force_closure(prims)
+        assert result.closed
+        lip = float(np.linalg.norm(prims, axis=1).max())
+        sampled = float((prims @ oracles._FINE_DIRECTIONS.T).max(axis=0).min())
+        assert sampled - lip * 0.013 <= result.margin <= sampled
+
+
+def _qhull_closure(spatial, prims: np.ndarray) -> tuple[bool, float]:
+    """Verdict and margin from Qhull's facet equations, behind the same rank guard."""
+    if np.linalg.matrix_rank(prims, tol=1e-9 * np.abs(prims).max()) < 3:
+        return False, 0.0
+    try:
+        hull = spatial.ConvexHull(prims)
+    except spatial.QhullError:
+        return False, 0.0
+    margin = float(-np.max(hull.equations[:, -1]))  # a.x + d <= 0 inside, |a| = 1
+    return (True, margin) if margin > 0.0 else (False, 0.0)
+
+
+def _four_by_four_grasps() -> list[np.ndarray]:
+    sets = []
+    for obj in (sphere(60.0), V_PROBE):
+        lo, hi = z_span(obj)
+        config = GripperConfig(finger_count=4, module_levels=tuple(np.linspace(lo + 8.0, hi - 8.0, 4)))
+        for theta in (30.0, 45.0, 60.0, 75.0):
+            for mu in (0.0, 0.3, MU_STAR):
+                contacts = resolve_contacts(theta, obj, config, TPU95A, mu=mu)
+                if len(contacts) >= 2:
+                    sets.append(contact_wrench_primitives(contacts))
+    assert max(len(prims) for prims in sets) == 32
+    return sets
+
+
+def test_closure_matches_qhull():
+    spatial = pytest.importorskip("scipy.spatial")
+    rng = np.random.default_rng(23)
+    base = [oracles.random_contact_primitives(rng, n) for n in range(2, 17) for _ in range(20)]
+    flat = [np.column_stack((p[:, :2], rng.normal(0.0, 1e-13, len(p)))) for p in base[::4]]
+    families = {
+        "oracle": base,
+        "doubled": [np.repeat(p, 2, axis=0) for p in base[::2]],
+        "x1e12": [p * 1e12 for p in base[::3]],
+        "x1e-12": [p * 1e-12 for p in base[::3]],
+        "half copy on a ray": [np.vstack((p, 0.5 * p[:1])) for p in base[::2]],
+        "torque noise": flat + [p + rng.normal(0.0, 1e-13, p.shape) for p in base[::4]],
+        "4 fingers x 4 levels": _four_by_four_grasps(),
+        "needle": _needles(rng, 20),
+    }
+    for family, sets in families.items():
+        closed = 0
+        for prims in sets:
+            result = is_force_closure(prims)
+            expected, margin = _qhull_closure(spatial, prims)
+            assert result.closed == expected, family
+            # where the margin is tiny against the set's size, both round at a few
+            # ulps of its largest component; a needle's nearly collinear facet
+            # points round at more
+            rounding = (1e-12 if family == "needle" else 4.0 * np.finfo(float).eps) * np.abs(prims).max()
+            assert abs(result.margin - margin) <= max(1e-12 * margin, rounding), family
+            closed += expected
+        assert 0 < closed or family == "torque noise", family
+
+
+@st.composite
+def contact_sets(draw) -> ContactSet:
+    records = []
+    for _ in range(draw(st.integers(1, 16))):
+        bearing = draw(st.floats(0.0, 2.0 * math.pi))
+        reach = draw(st.floats(0.5, 100.0))
+        outward = (math.cos(bearing), math.sin(bearing))
+        records.append(
+            ContactRecord(
+                finger_index=0,
+                level=0,
+                mode=ContactMode.COMPRESSION,
+                penetration=1.0,
+                bend_angle=None,
+                normal_force=draw(st.floats(0.0, 50.0)),
+                normal=(-outward[0], -outward[1]),
+                position=(reach * outward[0], reach * outward[1]),
+                inclination=0.0,
+                mu=draw(st.just(0.0) | st.floats(0.0, 2.0)),
+                engagement=1.0,
+                overcompressed=False,
+                overfolded=False,
+            )
+        )
+    return ContactSet(tuple(records), GraspMode.PARALLEL, 30.0, draw(st.floats(1.0, 100.0)))
+
+
+@given(contact_sets())
+@settings(max_examples=200, derandomize=True)
+def test_wrench_primitives_equal_the_scalar_oracle(contacts):
+    assert np.array_equal(contact_wrench_primitives(contacts), oracles.wrench_primitives(contacts))
+
+
+def test_wrench_primitives_of_resolved_contacts_equal_the_scalar_oracle():
+    for mu in (0.0, MU_STAR):
+        contacts = resolve_contacts(60.0, V_PROBE, material=TPU95A, mu=mu)
+        lone = ContactSet(contacts.records[:1], contacts.grasp_mode, 60.0, contacts.char_radius)
+        for subset in (contacts, lone):
+            assert np.array_equal(contact_wrench_primitives(subset), oracles.wrench_primitives(subset))
 
 
 @given(st.floats(min_value=1e-12, max_value=1e12))

@@ -2,18 +2,24 @@
 and ``grasp`` records of four-finger scenes written from the dicts below.
 
 The manifest ``golden_manifest.json`` maps each output file to the sha256
-of its bytes.  Refactors must leave every hash unchanged; a deliberate
-output change regenerates the manifest with
+of its bytes.  Refactors must leave every hash unchanged.  A deliberate
+output change first shows what moved, value by value, then regenerates the
+manifest, and says why in CHANGES.md:
 
+    PYTHONPATH=src python tests/test_golden.py --dump OLD    # before the change
+    PYTHONPATH=src python tests/test_golden.py --dump NEW    # after it
+    PYTHONPATH=src python tests/test_golden.py --diff OLD NEW
     PYTHONPATH=src python tests/test_golden.py --write
 
-and says why in CHANGES.md.  The demo suite never serialises a scene, so
-the sweeps (which round-trip the scene through ``scenario_to_dict`` for
-every point) are what pin the serialise direction.
+The demo suite never serialises a scene, so the sweeps (which round-trip
+the scene through ``scenario_to_dict`` for every point) are what pin the
+serialise direction.
 """
 
+import csv
 import hashlib
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -58,7 +64,8 @@ GRASPS = {
 }
 
 
-def golden_hashes(out_dir: Path) -> dict[str, str]:
+def write_golden(out_dir: Path) -> dict[str, Path]:
+    """Write every golden output under ``out_dir``; map manifest names to paths."""
     demo_dir = out_dir / "demo"
     manifest = run_demo_suite(demo_dir)
     files = sorted(name for names in manifest.values() for name in names) + ["index.json"]
@@ -76,7 +83,58 @@ def golden_hashes(out_dir: Path) -> dict[str, str]:
         with path.open("w") as fh:
             write_json(make_result_record("grasp", scn, run_scenario(scn)), fh)
         paths[filename] = path
+    return paths
+
+
+def golden_hashes(out_dir: Path) -> dict[str, str]:
+    paths = write_golden(out_dir)
     return {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+
+
+def leaves(path: Path) -> dict[str, object]:
+    """Every scalar of a JSON or CSV output, keyed by where it sits."""
+    if path.suffix == ".csv":
+        with path.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        return {f"[{n}].{key}": value for n, row in enumerate(rows) for key, value in row.items()}
+    found = {}
+
+    def walk(value, where):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(item, f"{where}.{key}")
+        elif isinstance(value, list):
+            for n, item in enumerate(value):
+                walk(item, f"{where}[{n}]")
+        else:
+            found[where] = value
+
+    walk(json.loads(path.read_text()), "")
+    return found
+
+
+def leaf_diff(old_dir: Path, new_dir: Path) -> list[str]:
+    """One line per output value that differs between two dumps."""
+    lines = []
+    names = sorted({p.relative_to(d).as_posix() for d in (old_dir, new_dir) for p in d.rglob("*.*")})
+    for name in names:
+        if not (old_dir / name).exists() or not (new_dir / name).exists():
+            lines.append(f"{name}: only in {old_dir if (old_dir / name).exists() else new_dir}")
+            continue
+        old, new = leaves(old_dir / name), leaves(new_dir / name)
+        for key in sorted(old.keys() | new.keys()):
+            a, b = old.get(key), new.get(key)
+            if a == b:
+                continue
+            change = ""
+            try:
+                x, y = float(a), float(b)
+            except (TypeError, ValueError):
+                x = y = math.nan
+            if 0.0 < max(abs(x), abs(y)) < math.inf:
+                change = f" (relative change {abs(y - x) / max(abs(x), abs(y)):.3g})"
+            lines.append(f"{name}: {key}: {a!r} -> {b!r}{change}")
+    return lines
 
 
 def test_outputs_match_golden_manifest(tmp_path):
@@ -89,9 +147,16 @@ def test_outputs_match_golden_manifest(tmp_path):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
+    args = sys.argv[1:]
+    if args == ["--write"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            hashes = golden_hashes(Path(tmp))
+        MANIFEST.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {len(hashes)} hashes to {MANIFEST}")
+    elif len(args) == 2 and args[0] == "--dump":
+        print(f"wrote {len(write_golden(Path(args[1])))} golden outputs under {args[1]}")
+    elif len(args) == 3 and args[0] == "--diff":
+        diff = leaf_diff(Path(args[1]), Path(args[2]))
+        print("\n".join(diff) or "no value differs")
+    else:
         sys.exit(__doc__)
-    with tempfile.TemporaryDirectory() as tmp:
-        hashes = golden_hashes(Path(tmp))
-    MANIFEST.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(hashes)} hashes to {MANIFEST}")
