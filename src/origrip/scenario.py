@@ -35,6 +35,7 @@ import math
 import os
 from collections import ChainMap
 from collections.abc import Callable, Mapping, Sequence
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -148,7 +149,8 @@ class Field:
     paths of all entries and of the one in use.  ``bind`` gives list lengths
     that depend on fields read earlier in the same section; ``convert`` maps
     a checked value to what the section is built from and raises ValueError
-    when it cannot.
+    when it cannot; on a section field it may not read ``values``, since a
+    sweep reuses the finished value of an unchanged mapping.
     """
 
     key: str
@@ -197,6 +199,13 @@ def _write(fields: tuple[Field, ...], obj: Any) -> dict:
 
 
 _FAILED = object()  # a field or section that did not read cleanly
+
+# Set by run_sweep for the length of one sweep, in its own context, and read
+# by parse_scenario: (field, id(mapping)) -> (mapping, finished value) of each
+# section field that read cleanly.  The entry keeps the mapping alive, so its
+# id is not reused while the memo lives.  The field is part of the key: one
+# mapping can sit under two fields (a YAML anchor under top and bottom).
+_SWEEP_MEMO: ContextVar[dict | None] = ContextVar("_SWEEP_MEMO", default=None)
 
 
 @lru_cache(maxsize=32)  # scenes mostly share a few laws and shapes
@@ -362,9 +371,13 @@ def _fail(errors: list[str], path: str, message: str) -> object:
 
 
 def _read_section(
-    errors: list[str], data: Any, path: str, section: Section, values: dict | None = None
+    errors: list[str], data: Any, path: str, section: Section, values: dict | None = None,
+    memo: dict | None = None,
 ) -> Any:
-    """Build ``section`` from mapping ``data``, or report why not and return _FAILED."""
+    """Build ``section`` from mapping ``data``, or report why not and return _FAILED.
+
+    A section field whose mapping ``memo`` holds is not read again.
+    """
     if not isinstance(data, Mapping):
         return _fail(errors, path, f"expected a mapping, got {type(data).__name__}")
     prefix = f"{path}." if path else ""
@@ -380,7 +393,7 @@ def _read_section(
                 field = _bounded(field, **field.bind(values))
             except KeyError:  # bounded by an earlier field that failed
                 return _FAILED
-        value = _read_field(errors, data, prefix + field.key, field, values)
+        value = _read_field(errors, data, prefix + field.key, field, values, memo)
         if value is _FAILED or value is None:
             continue
         if isinstance(field.attr, tuple) and field.type == NUMBERS:
@@ -395,7 +408,9 @@ def _read_section(
         return _fail(errors, path, str(exc))
 
 
-def _read_field(errors: list[str], data: Mapping, where: str, field: Field, values: dict) -> Any:
+def _read_field(
+    errors: list[str], data: Mapping, where: str, field: Field, values: dict, memo: dict | None = None
+) -> Any:
     """The field's checked value, its default when missing, or _FAILED."""
     raw = data.get(field.key, _FAILED)
     if raw is None or raw is _FAILED:
@@ -403,11 +418,15 @@ def _read_field(errors: list[str], data: Mapping, where: str, field: Field, valu
             raw = {}  # an absent or empty optional section takes its defaults
         elif raw is _FAILED:
             return _fail(errors, where, "required field is missing") if field.required else field.default
+    cached = memo is not None and field.section is not None
+    if cached and (field, id(raw)) in memo:
+        return memo[field, id(raw)][1]
+    clean = len(errors)
     kind = field.type
     if kind == NUMBER:
         value = _number(errors, raw, where, field)
     elif kind == SECTION:
-        value = _read_section(errors, raw, where, field.section)
+        value = _read_section(errors, raw, where, field.section, memo=memo)
     elif kind == SECTIONS:
         value = _read_named(errors, raw, where, field.section)
     elif kind == NUMBERS and not isinstance(raw, (list, tuple)):
@@ -426,15 +445,18 @@ def _read_field(errors: list[str], data: Mapping, where: str, field: Field, valu
         value = _fail(errors, where, f"must be one of {list(field.choices)}, got {raw!r}")
     else:
         value = raw
-    if value is _FAILED or field.convert is None:
-        return value
-    try:
-        return field.convert(value, values)
-    except ScenarioError as exc:
-        errors.extend(exc.errors)
-    except ValueError as exc:
-        _fail(errors, where, str(exc))
-    return _FAILED
+    if value is not _FAILED and field.convert is not None:
+        try:
+            value = field.convert(value, values)
+        except ScenarioError as exc:
+            errors.extend(exc.errors)
+            value = _FAILED
+        except ValueError as exc:
+            value = _fail(errors, where, str(exc))
+    # named sections drop an entry that failed and keep the rest: not clean
+    if cached and value is not _FAILED and len(errors) == clean:
+        memo[field, id(raw)] = raw, value
+    return value
 
 
 def _number(errors: list[str], raw: Any, where: str, field: Field, index: int | None = None) -> Any:
@@ -493,7 +515,7 @@ def parse_scenario(data: Any, source: str = "<dict>") -> Scenario:
     name = _read_field(errors, data, "name", _NAME, {})
     if not isinstance(name, str) or not name:
         name = Path(source).stem if source not in ("<dict>", "") else "scenario"
-    scn = _read_section(errors, data, "", _KINDS[kind], {"name": name})
+    scn = _read_section(errors, data, "", _KINDS[kind], {"name": name}, _SWEEP_MEMO.get())
     if errors:
         raise ScenarioError(errors)
     return scn
@@ -735,7 +757,9 @@ def run_sweep(
 
     ``axis`` is a dotted path into the scene mapping (for example ``theta``,
     ``mu``, ``object.mass``, or ``cycle.travel_speed``).  Rows keep the
-    input order; outputs are flattened to scalar columns.
+    input order; outputs are flattened to scalar columns.  Each point
+    re-reads only the mappings on the axis path; every other section is
+    the object the first point built.
     """
     base = scenario_to_dict(scn)
     cast = int if _axis_field(scn, axis).type == INTEGER else float
@@ -743,11 +767,15 @@ def run_sweep(
         if cast is int and not float(value).is_integer():
             raise ScenarioError([f"{axis}: expected an integer, got {value:g}"])
     rows: list[dict] = []
-    for value in map(cast, values):
-        outputs = run_scenario(parse_scenario(_set(base, axis, value)), seed=seed)
-        row: dict[str, Any] = {axis: value}
-        _flatten("", outputs, row)
-        rows.append(row)
+    token = _SWEEP_MEMO.set({})
+    try:
+        for value in map(cast, values):
+            outputs = run_scenario(parse_scenario(_set(base, axis, value)), seed=seed)
+            row: dict[str, Any] = {axis: value}
+            _flatten("", outputs, row)
+            rows.append(row)
+    finally:
+        _SWEEP_MEMO.reset(token)
     return rows
 
 

@@ -4,12 +4,14 @@ Everything here is deliberately brute force and shares no code with the
 implementations under test: closure is judged by direction sampling instead
 of a convex hull, widths by projecting polygon vertices, arc unions by a dense
 angular grid, hold windows by sweeping the hold predicate directly, contacts
-by a scalar loop over module levels and fingers, and wrench primitives by a
-scalar loop over contacts and cone edges.
+by a scalar loop over module levels and fingers, wrench primitives by a
+scalar loop over contacts and cone edges, and sweeps by parsing a deep copy
+of the written scene at every point.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -21,6 +23,7 @@ from origrip import (
     ContactRecord,
     GraspMode,
     GripperConfig,
+    ScenarioError,
     bending_contact_force,
     bending_state,
     compression_state,
@@ -32,6 +35,9 @@ from origrip import (
     holds_at,
     make_stacked_scene,
     opening,
+    parse_scenario,
+    run_scenario,
+    scenario_to_dict,
     sphere,
     width_along,
     z_span,
@@ -322,3 +328,35 @@ def level_contacts(theta, obj, config, material, mu, lift, torque_scale) -> list
                 )
             )
     return records
+
+
+def _flat_row(value, prefix: str, row: dict) -> None:
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _flat_row(item, f"{prefix}.{key}" if prefix else str(key), row)
+    elif prefix and (value is None or isinstance(value, (bool, int, float, str))):
+        row[prefix] = value
+
+
+def sweep_rows(scn, axis: str, values, seed=None) -> list[dict]:
+    """Rows of a sweep of the numeric field at dotted ``axis``: every point
+    parses its own deep copy of the written scene and runs it."""
+    base = scenario_to_dict(scn)
+    *parents, leaf = axis.split(".")
+    node = base
+    for part in parents:
+        node = node[part]
+    cast = int if type(node[leaf]) is int else float
+    for value in values:
+        if cast is int and not float(value).is_integer():
+            raise ScenarioError([f"{axis}: expected an integer, got {value:g}"])
+    rows = []
+    for value in map(cast, values):
+        data = node = copy.deepcopy(base)
+        for part in parents:
+            node = node[part]
+        node[leaf] = value
+        row = {axis: value}
+        _flat_row(run_scenario(parse_scenario(data), seed=seed), "", row)
+        rows.append(row)
+    return rows

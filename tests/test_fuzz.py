@@ -1,0 +1,150 @@
+"""The front end never crashes, whatever numbers it is handed.
+
+1. Bundled scenes with one to four numeric leaves replaced by edge values
+   either fail as ``ScenarioError`` or ``PlanError``, or give finite output
+   that ``write_json`` accepts.
+2. ``cli.main`` with generated argv exits 0, 1 or 2, never prints a
+   traceback, and writes nothing to stdout when it exits 2.
+"""
+
+import io
+import math
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from origrip import RANGES, PlanError, ScenarioError, list_demo_scenes, load_scenario, make_result_record
+from origrip import parse_scenario, run_scenario, scenario_to_dict, write_json
+from origrip.cli import main
+from origrip.demo import demo_scene_path
+
+EDGES = [
+    0.0, -0.0, -1.0, 5e-324, 1e-300, 1e-3, 0.5, 1.0, 2, 3, 45.0, 90.0, 91.0, 1e4, 1e6, 1e7,
+    1e300, -1e300, 1.7976931348623157e308, 10**400, math.inf, -math.inf, math.nan,
+]
+SCENES = list_demo_scenes()
+
+
+@cache
+def _written(name):
+    return scenario_to_dict(load_scenario(demo_scene_path(name)))
+
+
+def _leaves(data, where=()):
+    """Where the numbers of a written scene sit: keys and list indices."""
+    items = data.items() if isinstance(data, dict) else enumerate(data)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, where + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield where + (key,)
+
+
+def _edge_values(data, where):
+    """The common edges, values near the leaf's own, and the bounds of its
+    range and the floats just outside them."""
+    key = next(part for part in reversed(where) if isinstance(part, str))
+    current = data
+    for part in where:
+        current = current[part]
+    values = EDGES + [current * 0.9, current * 1.2 + 1.0]
+    if key in RANGES:
+        bounds = RANGES[key]
+        for bound, outward in ((bounds.lo, -math.inf), (bounds.hi, math.inf)):
+            if math.isfinite(bound):
+                values += [bound, math.nextafter(bound, outward)]
+    return values
+
+
+@st.composite
+def mutated_scenes(draw):
+    data = _written(draw(st.sampled_from(SCENES)))
+    leaves = sorted(_leaves(data), key=repr)
+    changes = draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=4, unique=True))
+    for where in changes:
+        value = draw(st.sampled_from(_edge_values(data, where)))
+        data = _replaced(data, where, value)
+    return data
+
+
+def _replaced(data, where, value):
+    """``data`` with the leaf at ``where`` set to ``value``, copying only the
+    containers on the way."""
+    head, *rest = where
+    copy = dict(data) if isinstance(data, dict) else list(data)
+    copy[head] = _replaced(data[head], rest, value) if rest else value
+    return copy
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(mutated_scenes(), st.sampled_from([None, 0, 7]))
+def test_mutated_scenes_fail_cleanly_or_give_finite_output(data, seed):
+    try:
+        scn = parse_scenario(data)
+        outputs = run_scenario(scn, seed=seed)
+    except (ScenarioError, PlanError):
+        return
+    write_json(make_result_record(scn.kind, scn, outputs, seed=seed), io.StringIO())
+
+
+NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1e-300", "0.5", "2", "45", "90", "95", "1e300", "abc", ""]
+FINE = ["0.3", "1", "30", "45", "60"]  # values most fields accept
+KINDS = {"grasp": "single_grasp", "pullout": "pullout", "multi": "stacked", "compare": "pickplace"}
+FLAGS = {
+    "--theta": NUMBERS + FINE,
+    "--mu": NUMBERS + FINE,
+    "--grid": NUMBERS + FINE,
+    "--seed": ["0", "7", "-1", "x", "99999999999999999999"],
+    "--format": ["json", "csv", "xml"],
+}
+OWN_FLAGS = {"grasp": ("--theta", "--mu"), "pullout": ("--theta", "--mu", "--grid")}
+AXES = sorted({".".join(map(str, where)) for name in SCENES for where in _leaves(_written(name))
+               if all(isinstance(part, str) for part in where)})
+VALUE_SPECS = st.one_of(
+    st.lists(st.sampled_from(FINE), min_size=1, max_size=4).map(",".join),
+    st.lists(st.sampled_from(NUMBERS + FINE), min_size=1, max_size=4).map(",".join),
+    st.sampled_from(["30:60:15", "0:1:0.25", "1:0:1", "0:1:0", "nan:1:1", "0:1e300:1", "a:b:c", ","]),
+)
+RARELY = st.sampled_from([False, False, False, True])
+
+
+@st.composite
+def argvs(draw):
+    """Mostly command lines a user might type: a scene of the command's kind,
+    the command's own flags and the scene's own axes; now and then any of them."""
+    command = draw(st.sampled_from([*KINDS, "sweep"]))
+    kind = KINDS.get(command)
+    own_scenes = [name for name in SCENES if kind in (None, _written(name)["kind"])]
+    scene = draw(st.sampled_from(SCENES if draw(RARELY) else own_scenes))
+    argv = [command, "--scene", str(demo_scene_path(scene))]
+    if command == "sweep":
+        own_axes = [axis for axis in AXES if axis.split(".")[0] in _written(scene)]
+        argv += ["--axis", draw(st.sampled_from(AXES if draw(RARELY) else own_axes)),
+                 "--values", draw(VALUE_SPECS)]
+    flags = ("--seed", "--format", *OWN_FLAGS.get(command, ()))
+    for flag, values in FLAGS.items():
+        if draw(st.booleans()) and (flag in flags or draw(RARELY)):
+            argv += [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the command line
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argvs())
+def test_generated_command_lines_exit_cleanly(argv):
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    if code == 2:
+        assert out == "", (argv, out)

@@ -39,6 +39,13 @@ SWEEPS = {
         "cycle.travel_speed",
         "10,12.696841112682696,50",
     ),
+    "sweep_grasp_parallel_object_yaw.json": ("grasp_parallel", "object.yaw", "0,20,40"),
+    "sweep_grasp_parallel_gripper_law_r0.json": ("grasp_parallel", "gripper.law.r0", "48,51,54"),
+    "sweep_pullout_enveloping_plateau_torque.json": (
+        "pullout_enveloping",
+        "materials.tpu95a.plateau_torque",
+        "20,39,60",
+    ),
 }
 
 # four-finger grasps: no bundled scene pins contact records off bearing 0
@@ -140,7 +147,7 @@ def leaf_diff(old_dir: Path, new_dir: Path) -> list[str]:
 def test_outputs_match_golden_manifest(tmp_path):
     expected = json.loads(MANIFEST.read_text())
     actual = golden_hashes(tmp_path)
-    assert len(actual) == 18
+    assert len(actual) == 21
     mismatched = sorted(name for name in expected if actual.get(name) != expected[name])
     assert sorted(actual) == sorted(expected)
     assert mismatched == []
