@@ -36,7 +36,6 @@ from .scenario import (
     material_table,
     run_scenario,
     run_sweep,
-    scenario_digest,
     seeded_material,
     write_csv,
     write_json,
@@ -172,12 +171,12 @@ def _parse_values(spec: str) -> list[float]:
 
 
 def _load_kind(args, expected: str) -> tuple[Scenario, str]:
-    scn = load_scenario(args.scene)
+    scn, digest = load_scenario(args.scene, with_digest=True)
     if scn.kind != expected:
         raise ScenarioError(
             [f"{args.scene}: scene kind is {scn.kind!r} but this command needs {expected!r}"]
         )
-    return scn, scenario_digest(args.scene)
+    return scn, digest
 
 
 def _run_kinematics(args) -> int:
@@ -262,7 +261,7 @@ def _run_scene_command(args, command: str, expected_kind: str) -> int:
 
 
 def _run_sweep(args) -> int:
-    scn = load_scenario(args.scene)
+    scn, digest = load_scenario(args.scene, with_digest=True)
     values = _parse_values(args.values)
     if not values:
         raise ScenarioError(["--values: empty value list"])
@@ -276,7 +275,7 @@ def _run_sweep(args) -> int:
         "command": "sweep",
         "scenario": scn.name,
         "axis": args.axis,
-        "digest": scenario_digest(args.scene),
+        "digest": digest,
         "outputs": rows,
     }
     if args.seed is not None:

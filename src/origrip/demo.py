@@ -19,7 +19,6 @@ from .scenario import (
     load_scenario,
     make_result_record,
     run_scenario,
-    scenario_digest,
     write_csv,
     write_json,
 )
@@ -52,11 +51,9 @@ def run_demo_suite(out_dir: str | Path, seed: int | None = None) -> dict[str, li
     manifest: dict[str, list[str]] = {}
     for name in list_demo_scenes():
         path = demo_scene_path(name)
-        scn = load_scenario(path)
+        scn, digest = load_scenario(path, with_digest=True)
         outputs = run_scenario(scn, seed=seed)
-        record = make_result_record(
-            command=scn.kind, scn=scn, outputs=outputs, digest=scenario_digest(path), seed=seed
-        )
+        record = make_result_record(command=scn.kind, scn=scn, outputs=outputs, digest=digest, seed=seed)
         files = []
         json_path = out_dir / f"{name}.json"
         with json_path.open("w") as fh:

@@ -56,7 +56,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ._finite import field_problem, require
+from ._finite import field_problem, require, sweep_memoized
 from .mechanics import MaterialModel, bending_contact_force, compression_forces
 from .shapes import (
     ObjectShape,
@@ -465,10 +465,21 @@ def is_force_closure(primitives: np.ndarray) -> ForceClosure:
     The hull comes from enumerating point triples (see ``_hull_margin``),
     whose cost grows with the cube of the hull's vertex count: it suits the
     few dozen primitives of a contact set.
+
+    Within a sweep (``scenario.run_sweep``), the result is kept in the
+    sweep-scoped memo ``_finite.SWEEP_MEMO`` under the exact shape and bytes
+    of the primitives, and an equal set is decided once.  Inside the
+    modules' constant-force plateau every point of a theta sweep presses
+    with the same forces at the same contacts, so most points repeat an
+    earlier set.
     """
     primitives = np.asarray(primitives, dtype=float)
     if primitives.ndim != 2 or primitives.shape[1] != 3 or primitives.shape[0] < 2:
         raise ValueError("need at least two wrench primitives of dimension 3")
+    return sweep_memoized(("closure", primitives.shape, primitives.tobytes()), _force_closure, primitives)
+
+
+def _force_closure(primitives: np.ndarray) -> ForceClosure:
     scale = float(np.abs(primitives).max())
     singular = np.linalg.svd(primitives, compute_uv=False)
     if np.count_nonzero(singular > _RANK_RTOL * scale) < 3:  # matrix_rank's test

@@ -35,7 +35,6 @@ import math
 import os
 from collections import ChainMap
 from collections.abc import Callable, Mapping, Sequence
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -45,7 +44,7 @@ from typing import Any, Union
 
 import yaml
 
-from ._finite import Range, field_problem
+from ._finite import SWEEP_MEMO, Range, field_problem, sweep_memoized
 from ._version import __version__
 from .grasp import (
     closure_summary,
@@ -200,12 +199,11 @@ def _write(fields: tuple[Field, ...], obj: Any) -> dict:
 
 _FAILED = object()  # a field or section that did not read cleanly
 
-# Set by run_sweep for the length of one sweep, in its own context, and read
-# by parse_scenario: (field, id(mapping)) -> (mapping, finished value) of each
-# section field that read cleanly.  The entry keeps the mapping alive, so its
-# id is not reused while the memo lives.  The field is part of the key: one
-# mapping can sit under two fields (a YAML anchor under top and bottom).
-_SWEEP_MEMO: ContextVar[dict | None] = ContextVar("_SWEEP_MEMO", default=None)
+# Under a sweep, parse_scenario keeps in SWEEP_MEMO (field, id(mapping)) ->
+# (mapping, finished value) for each section field that read cleanly.  The
+# entry keeps the mapping alive, so its id is not reused while the memo
+# lives.  The field is part of the key: one mapping can sit under two fields
+# (a YAML anchor under top and bottom).
 
 
 @lru_cache(maxsize=32)  # scenes mostly share a few laws and shapes
@@ -228,6 +226,13 @@ def _pick_material(name: str, values: dict) -> MaterialModel:
     if name not in table:
         raise ValueError(f"unknown material {name!r}; known: {', '.join(sorted(table))}")
     return table[name]
+
+
+def _lookup_table(entries: dict, values: dict) -> ChainMap:
+    """The scene's own materials over the built-in and ``ORIGRIP_MATERIALS``
+    table; a sweep reads that file once."""
+    key = ("materials", os.environ.get(MATERIALS_ENV_VAR))
+    return ChainMap(entries, sweep_memoized(key, material_table))
 
 
 def _carried_materials(values: dict) -> tuple[MaterialModel, ...]:
@@ -297,7 +302,7 @@ def _mech_fields(src: str) -> tuple[Field, ...]:
     return (
         Field("gripper", SECTION, section=_GRIPPER, attr=src + "config"),
         Field("materials", SECTIONS, section=_MATERIAL, attr=("materials", src + "material"),
-              convert=lambda entries, values: ChainMap(entries, material_table())),
+              convert=_lookup_table),
         Field("material", TEXT, required=True, attr=src + "material.name", convert=_pick_material),
         Field("mu", default=0.5, attr=src + "mu"),
         Field("torque_scale", default=1.0, attr=src + "torque_scale"),
@@ -515,7 +520,7 @@ def parse_scenario(data: Any, source: str = "<dict>") -> Scenario:
     name = _read_field(errors, data, "name", _NAME, {})
     if not isinstance(name, str) or not name:
         name = Path(source).stem if source not in ("<dict>", "") else "scenario"
-    scn = _read_section(errors, data, "", _KINDS[kind], {"name": name}, _SWEEP_MEMO.get())
+    scn = _read_section(errors, data, "", _KINDS[kind], {"name": name}, SWEEP_MEMO.get())
     if errors:
         raise ScenarioError(errors)
     return scn
@@ -533,20 +538,43 @@ def _load_yaml(text: str) -> Any:
         return yaml.safe_load(text)
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def _read_yaml(path: Path) -> tuple[Any, bytes]:
+    """The YAML data in the UTF-8 file at ``path``, and the bytes read.
+
+    Line ends read as ``Path.read_text`` reads them.  Raises OSError,
+    UnicodeDecodeError or yaml.YAMLError.
+    """
+    raw = path.read_bytes()
+    return _load_yaml(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")), raw
+
+
+def load_scenario(path: str | Path, *, with_digest: bool = False) -> Scenario | tuple[Scenario, str]:
+    """The scenario in the scene file at ``path``.
+
+    ``with_digest`` returns it paired with the ``scenario_digest`` of the
+    bytes it was parsed from, so a command that records the digest reads
+    the file once.
+    """
     path = Path(path)
     try:
-        raw = _load_yaml(path.read_text())
+        data, raw = _read_yaml(path)
     except OSError as exc:
         raise ScenarioError([f"{path}: cannot read file: {exc}"]) from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError([f"{path}: not UTF-8 text: {exc}"]) from exc
     except yaml.YAMLError as exc:
         raise ScenarioError([f"{path}: not valid YAML: {exc}"]) from exc
-    return parse_scenario(raw, source=str(path))
+    scn = parse_scenario(data, source=str(path))
+    return (scn, _digest(raw)) if with_digest else scn
 
 
 def scenario_digest(path: str | Path) -> str:
     """Stable identity of a scene file (sha256 of its bytes)."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return _digest(Path(path).read_bytes())
+
+
+def _digest(raw: bytes) -> str:
+    return hashlib.sha256(raw).hexdigest()
 
 
 def scenario_to_dict(scn: Scenario) -> dict:
@@ -767,7 +795,7 @@ def run_sweep(
         if cast is int and not float(value).is_integer():
             raise ScenarioError([f"{axis}: expected an integer, got {value:g}"])
     rows: list[dict] = []
-    token = _SWEEP_MEMO.set({})
+    token = SWEEP_MEMO.set({})
     try:
         for value in map(cast, values):
             outputs = run_scenario(parse_scenario(_set(base, axis, value)), seed=seed)
@@ -775,7 +803,7 @@ def run_sweep(
             _flatten("", outputs, row)
             rows.append(row)
     finally:
-        _SWEEP_MEMO.reset(token)
+        SWEEP_MEMO.reset(token)
     return rows
 
 
@@ -898,8 +926,8 @@ def material_table() -> dict[str, MaterialModel]:
     env_path = os.environ.get(MATERIALS_ENV_VAR)
     if env_path:
         try:
-            raw = _load_yaml(Path(env_path).read_text())
-        except (OSError, yaml.YAMLError) as exc:
+            raw = _read_yaml(Path(env_path))[0]
+        except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
             message = f"cannot read {MATERIALS_ENV_VAR} file {env_path!r}: {exc}"
             raise ScenarioError([f"materials: {message}"]) from exc
         errors: list[str] = []

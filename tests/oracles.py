@@ -2,17 +2,20 @@
 
 Everything here is deliberately brute force and shares no code with the
 implementations under test: closure is judged by direction sampling instead
-of a convex hull, widths by projecting polygon vertices, arc unions by a dense
-angular grid, hold windows by sweeping the hold predicate directly, contacts
-by a scalar loop over module levels and fingers, wrench primitives by a
-scalar loop over contacts and cone edges, and sweeps by parsing a deep copy
-of the written scene at every point.
+of a convex hull, or from every point triple in exact arithmetic, widths by
+projecting polygon vertices, arc unions by a dense angular grid, hold
+windows by sweeping the hold predicate directly, contacts by a scalar loop
+over module levels and fingers, wrench primitives by a scalar loop over
+contacts and cone edges, and sweeps by parsing a deep copy of the written
+scene at every point.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -98,6 +101,45 @@ def sampling_decisive(primitives: np.ndarray) -> bool:
     certainly_closed = sampled_margin > _FINE_RESOLUTION * lip
     certainly_open = sampled_margin <= -_COARSE_RESOLUTION * lip
     return certainly_closed or certainly_open
+
+
+def exact_hull_closure(primitives: np.ndarray) -> tuple[bool, float]:
+    """Force-closure verdict and margin of wrench primitives from every
+    point triple, in exact arithmetic.
+
+    Each float is scaled by one power of two to an integer, exactly.  The set
+    is closed when its rows span three dimensions and the origin lies
+    strictly inside every facet plane: a plane through three rows with no row
+    on its far side.  The margin is the smallest distance from the origin to
+    a facet plane, exact up to the final square root and rounding to float.
+    """
+    exact = [[Fraction(float(v)) for v in row] for row in primitives]
+    unit = math.lcm(*(v.denominator for row in exact for v in row))
+    points = [tuple(int(v * unit) for v in row) for row in exact]
+
+    def cross(a, b):
+        return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+    if not any(dot(cross(a, b), c) for a, b, c in combinations(points, 3)):
+        return False, 0.0  # linear rank below 3
+    nearest = None
+    for a, b, c in combinations(points, 3):
+        normal = cross(tuple(q - p for p, q in zip(a, b)), tuple(q - p for p, q in zip(a, c)))
+        if normal == (0, 0, 0):
+            continue
+        offset = dot(normal, a)
+        sides = [dot(normal, p) - offset for p in points]
+        # the origin's distance inside the facet, times |normal|, for each outward orientation
+        for reach, facet in ((offset, max(sides) <= 0), (-offset, min(sides) >= 0)):
+            if facet and reach <= 0:
+                return False, 0.0
+            if facet:
+                squared = Fraction(reach * reach, dot(normal, normal) * unit * unit)
+                nearest = squared if nearest is None else min(nearest, squared)
+    return True, math.sqrt(nearest)
 
 
 def random_contact_primitives(rng: np.random.Generator, n_contacts: int) -> np.ndarray:

@@ -8,7 +8,7 @@ import yaml
 from origrip import cli
 from origrip.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
 from origrip.demo import demo_scene_path
-from origrip.scenario import scenario_digest
+from origrip.scenario import MATERIALS_ENV_VAR, scenario_digest
 
 ENVELOPING = str(demo_scene_path("grasp_enveloping"))
 PARALLEL = str(demo_scene_path("grasp_parallel"))
@@ -553,6 +553,28 @@ def test_malformed_yaml_is_reported_with_its_source_line(capsys, tmp_path):
     assert code == EXIT_INVALID and record is None
     assert "not valid YAML: while parsing a flow sequence" in err
     assert "\n    theta: [1, 2\n           ^\n" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grasp"],
+        ["sweep", "--axis", "theta", "--values", "30,40"],
+        ["multi"],
+        ["material-curve", "--material", "tpu95a"],
+    ],
+    ids=["grasp", "sweep", "multi", "materials_file"],
+)
+def test_files_that_are_not_utf8_are_invalid(capsys, monkeypatch, tmp_path, argv):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"\xff\xfe\x00k")
+    if argv[0] == "material-curve":
+        monkeypatch.setenv(MATERIALS_ENV_VAR, str(bad))
+    else:
+        argv = [argv[0], "--scene", str(bad), *argv[1:]]
+    code, record, err = run_json(capsys, argv)
+    assert code == EXIT_INVALID and record is None
+    assert str(bad) in err and "'utf-8' codec can't decode byte 0xff in position 0" in err
 
 
 def test_scenes_listing(capsys):

@@ -25,6 +25,7 @@ from origrip import (
     sphere,
     z_span,
 )
+from origrip.grasp import _PLANE_TOL
 
 V_PROBE = curved_block(45.5, 67.0, 80.0)
 P_PROBE = cuboid(63.0, 45.4, 100.0)
@@ -120,12 +121,12 @@ def test_margin_lies_within_the_sampling_bracket():
         assert sampled - lip * 0.013 <= result.margin <= sampled
 
 
-def _needles(rng: np.random.Generator, count: int) -> list[np.ndarray]:
+def _needles(rng: np.random.Generator, count: int, sizes: tuple[int, int] = (17, 40)) -> list[np.ndarray]:
     """Thin spindles along the diagonal, tips at (1, 1, 1) and (-1, -1, -1):
     every seed direction of the hull search picks a tip, so the search
     starts from a segment, which spans no plane."""
     sets = []
-    for n in rng.integers(17, 40, count):
+    for n in rng.integers(*sizes, count):
         along = rng.uniform(-0.9, 0.9, (n - 2, 1)) + rng.normal(0.0, 1e-3, (n - 2, 3))
         sets.append(np.vstack(([1.0, 1.0, 1.0], [-1.0, -1.0, -1.0], along)))
     return sets
@@ -194,6 +195,51 @@ def test_closure_matches_qhull():
             assert abs(result.margin - margin) <= max(1e-12 * margin, rounding), family
             closed += expected
         assert 0 < closed or family == "torque noise", family
+
+
+def _small_grasps() -> list[np.ndarray]:
+    """Resolved grasps of up to 8 contacts: 2 fingers x 4 levels and 4 x 2,
+    whose symmetric contacts put many primitives on one facet plane."""
+    sets = []
+    for obj in (sphere(60.0), V_PROBE, P_PROBE):
+        lo, hi = z_span(obj)
+        for fingers, levels in ((2, 4), (4, 2)):
+            config = GripperConfig(finger_count=fingers, module_levels=tuple(np.linspace(lo + 8.0, hi - 8.0, levels)))
+            for theta in (30.0, 45.0, 60.0, 75.0):
+                for mu in (0.0, 0.3, MU_STAR):
+                    contacts = resolve_contacts(theta, obj, config, TPU95A, mu=mu)
+                    if len(contacts) >= 2:
+                        sets.append(contact_wrench_primitives(contacts))
+    return sets
+
+
+def test_closure_matches_the_exact_triple_oracle():
+    # needs no scipy: every set here is small enough for exact arithmetic over all triples
+    rng = np.random.default_rng(29)
+    base = [oracles.random_contact_primitives(rng, n) for n in range(2, 9) for _ in range(30)]
+    families = {
+        "oracle": base,
+        "doubled": [np.repeat(p, 2, axis=0) for p in base if len(p) <= 8],
+        "x1e12": [p * 1e12 for p in base[::5]],
+        "x1e-12": [p * 1e-12 for p in base[::5]],
+        "half copy on a ray": [np.vstack((p, 0.5 * p[:1])) for p in base[::3]],
+        "no torque": [np.column_stack((p[:, :2], np.zeros(len(p)))) for p in base[::7]],
+        "resolved grasps": _small_grasps(),
+        "needle": _needles(rng, 30, (6, 17)),
+    }
+    for family, sets in families.items():
+        closed = 0
+        for prims in sets:
+            result = is_force_closure(prims)
+            expected, margin = oracles.exact_hull_closure(prims)
+            assert result.closed == expected, family
+            # _hull_margin: short by at most _PLANE_TOL of the largest component, plus a few
+            # units of its last digit from rounding, and up to about 3e-13 of it on needles
+            scale = float(np.abs(prims).max())
+            rounding = 3e-13 * scale if family == "needle" else 4.0 * np.spacing(scale)
+            assert -(_PLANE_TOL * scale + rounding) <= result.margin - margin <= rounding, family
+            closed += expected
+        assert 0 < closed or family == "no torque", family
 
 
 @st.composite

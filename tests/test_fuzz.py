@@ -5,12 +5,18 @@
    that ``write_json`` accepts.
 2. ``cli.main`` with generated argv exits 0, 1 or 2, never prints a
    traceback, and writes nothing to stdout when it exits 2.
+3. So does ``cli.main`` on bundled scene and materials files mangled byte
+   by byte: bytes that are not UTF-8, NUL bytes, a byte order mark, a cut.
 """
 
 import io
 import math
+import os
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
+from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +25,7 @@ from origrip import RANGES, PlanError, ScenarioError, list_demo_scenes, load_sce
 from origrip import parse_scenario, run_scenario, scenario_to_dict, write_json
 from origrip.cli import main
 from origrip.demo import demo_scene_path
+from origrip.scenario import MATERIALS_ENV_VAR
 
 EDGES = [
     0.0, -0.0, -1.0, 5e-324, 1e-300, 1e-3, 0.5, 1.0, 2, 3, 45.0, 90.0, 91.0, 1e4, 1e6, 1e7,
@@ -148,3 +155,54 @@ def test_generated_command_lines_exit_cleanly(argv):
     assert "Traceback" not in err, (argv, err)
     if code == 2:
         assert out == "", (argv, out)
+
+
+MATERIALS = b"foam: {plateau_force: 2.0, plateau_torque: 20.0}\n"
+NOT_UTF8 = [b"\x80", b"\xc3", b"\xff", b"\xfe\xff", b"\xc0\xaf", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+MARKS = [b"\xef\xbb\xbf", b"\xff\xfe", b"\xfe\xff", b"\x00", b"\x00\x00"]
+COMMANDS = {kind: command for command, kind in KINDS.items()}
+
+
+@st.composite
+def mangled(draw, raw):
+    """``raw`` with bytes that are not UTF-8, a NUL or a byte order mark put
+    in, a byte replaced, or its end cut off."""
+    at = draw(st.integers(0, len(raw)))
+    how = draw(st.sampled_from(["insert", "replace", "cut"]))
+    if how == "cut":
+        return raw[:at]
+    bad = draw(st.sampled_from(NOT_UTF8 + MARKS) | st.binary(min_size=1, max_size=3))
+    return raw[:at] + bad + raw[at + (how == "replace"):]
+
+
+@st.composite
+def mangled_runs(draw):
+    """An argv naming a mangled scene file, or a bundled scene run with a
+    mangled ``ORIGRIP_MATERIALS`` file, and that file's bytes."""
+    name = draw(st.sampled_from(SCENES))
+    kind = _written(name)["kind"]
+    if draw(st.booleans()):
+        command = draw(st.sampled_from(["material-curve", COMMANDS[kind]]))
+        return command, str(demo_scene_path(name)), draw(mangled(MATERIALS))
+    command = draw(st.sampled_from([COMMANDS[kind], "sweep"]))
+    return command, None, draw(mangled(demo_scene_path(name).read_bytes()))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(mangled_runs())
+def test_mangled_files_exit_cleanly(run):
+    command, scene, raw = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "mangled.yaml")
+        path.write_bytes(raw)
+        env = {} if scene is None else {MATERIALS_ENV_VAR: str(path)}
+        argv = [command, "--material", "tpu95a"] if command == "material-curve" else [
+            command, "--scene", scene or str(path)]
+        if command == "sweep":
+            argv += ["--axis", "mu", "--values", "0.3,0.6"]
+        with mock.patch.dict(os.environ, env):
+            code, out, err = _run(argv)
+    assert code in (0, 1, 2), (argv, raw, code, err)
+    assert "Traceback" not in err, (argv, raw, err)
+    if code == 2:
+        assert out == "", (argv, raw, out)

@@ -1,7 +1,8 @@
-"""Sweeps against the per-point oracle, and what a sweep parses once.
+"""Sweeps against the per-point oracle, and what a sweep parses and decides once.
 
 A sweep point re-reads only the mappings on the axis path and reuses the
-finished value of every other section.  The oracle
+finished value of every other section, the materials table and the
+closure verdict of every wrench set an earlier point decided.  The oracle
 ``oracles.sweep_rows`` parses a deep copy of the whole scene at every
 point, so any value or message the reuse changes shows up here.
 """
@@ -10,6 +11,7 @@ import math
 from contextlib import contextmanager
 from functools import cache
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -17,7 +19,8 @@ from hypothesis import strategies as st
 
 import oracles
 from origrip import RANGES, PlanError, ScenarioError, list_demo_scenes, load_scenario, parse_scenario, run_sweep
-from origrip import scenario
+from origrip import grasp, run_scenario, scenario
+from origrip._finite import SWEEP_MEMO
 from origrip.demo import demo_scene_path
 from origrip.scenario import MATERIALS_ENV_VAR, scenario_to_dict
 
@@ -110,11 +113,11 @@ def test_sweeps_match_the_per_point_oracle(name, data):
 
 @contextmanager
 def _sweep_memo():
-    token = scenario._SWEEP_MEMO.set({})
+    token = SWEEP_MEMO.set({})
     try:
         yield
     finally:
-        scenario._SWEEP_MEMO.reset(token)
+        SWEEP_MEMO.reset(token)
 
 
 def _parsed(data):
@@ -147,7 +150,7 @@ def test_a_section_that_failed_is_read_again_under_a_sweep_memo(data):
     with _sweep_memo():
         assert _parsed(data) == fresh
         assert _parsed(data) == fresh  # the sections that read cleanly are now in the memo
-    assert scenario._SWEEP_MEMO.get() is None
+    assert SWEEP_MEMO.get() is None
 
 
 def test_a_shared_mapping_builds_top_and_bottom_under_their_own_names():
@@ -161,7 +164,8 @@ def test_a_shared_mapping_builds_top_and_bottom_under_their_own_names():
             assert (scn, written) == fresh
 
 
-def test_a_sweep_reads_the_materials_file_once(monkeypatch, tmp_path):
+@pytest.mark.parametrize("axis, start", [("theta", 30.0), ("materials.tpu95a.plateau_torque", 20.0)])
+def test_a_sweep_reads_the_materials_file_once(monkeypatch, tmp_path, axis, start):
     env_file = tmp_path / "materials.yaml"
     env_file.write_text("foam: {plateau_force: 2.0, plateau_torque: 20.0}\n")
     monkeypatch.setenv(MATERIALS_ENV_VAR, str(env_file))
@@ -169,7 +173,7 @@ def test_a_sweep_reads_the_materials_file_once(monkeypatch, tmp_path):
     calls = []
     table = scenario.material_table
     monkeypatch.setattr(scenario, "material_table", lambda: calls.append(1) or table())
-    rows = run_sweep(scn, "theta", [30.0 + n for n in range(20)])
+    rows = run_sweep(scn, axis, [start + n for n in range(20)])
     assert len(rows) == 20
     assert len(calls) == 1
 
@@ -187,4 +191,59 @@ def test_a_theta_sweep_resolves_one_object_and_gripper(monkeypatch):
     assert len(seen) == 4
     obj, config = seen[0]
     assert all(o is obj and c is config for o, c in seen)
-    assert scenario._SWEEP_MEMO.get() is None
+    assert SWEEP_MEMO.get() is None
+
+
+def _closure_key(primitives):
+    primitives = np.asarray(primitives, dtype=float)
+    return primitives.shape, primitives.tobytes()
+
+
+def _record_closure(monkeypatch):
+    """Keys of the primitive sets handed to ``is_force_closure`` and to the
+    hull routine behind it, in call order."""
+    decided, hulled = [], []
+    decide, hull = grasp.is_force_closure, grasp._hull_margin
+    monkeypatch.setattr(grasp, "is_force_closure", lambda p: decided.append(_closure_key(p)) or decide(p))
+    monkeypatch.setattr(grasp, "_hull_margin", lambda p, scale: hulled.append(_closure_key(p)) or hull(p, scale))
+    return decided, hulled
+
+
+def test_a_plateau_sweep_builds_the_hull_once_per_primitive_set(monkeypatch):
+    # inside the force plateau every theta presses with the same forces at the same contacts
+    scn = load_scenario(demo_scene_path("grasp_enveloping"))
+    decided, hulled = _record_closure(monkeypatch)
+    rows = run_sweep(scn, "theta", [30.0 + 2.0 * n for n in range(16)])
+    assert all(row["force_closure"] for row in rows)
+    assert len(set(hulled)) == len(hulled) == len(set(decided)) < len(decided) == 16
+
+
+def test_a_one_shot_run_after_a_sweep_decides_closure_again(monkeypatch):
+    scn = load_scenario(demo_scene_path("grasp_enveloping"))
+    decided, hulled = _record_closure(monkeypatch)
+    swept = run_sweep(scn, "theta", [scn.theta, scn.theta])
+    assert len(decided) == 2 and len(hulled) == 1
+    outputs = run_scenario(scn)
+    assert len(decided) == 3 and len(hulled) == 2
+    assert (outputs["force_closure"], outputs["closure_margin"]) == (
+        swept[0]["force_closure"], swept[0]["closure_margin"]
+    )
+
+
+@pytest.mark.parametrize(
+    "name, axis, values, error",
+    [
+        ("grasp_enveloping", "theta", [45.0, 200.0], ScenarioError),
+        ("stacked_spheres", "top.mass", [0.1, 50.0], PlanError),
+    ],
+    ids=["invalid", "infeasible"],
+)
+def test_the_memo_ends_with_a_sweep_that_stops_partway(monkeypatch, name, axis, values, error):
+    scn = load_scenario(demo_scene_path(name))
+    memos = []
+    parse = scenario.parse_scenario
+    monkeypatch.setattr(scenario, "parse_scenario", lambda data: memos.append(SWEEP_MEMO.get()) or parse(data))
+    with pytest.raises(error):
+        run_sweep(scn, axis, values)
+    assert len(memos) == 2 and memos[0] is memos[1] and memos[0]  # the first point filled it
+    assert SWEEP_MEMO.get() is None
