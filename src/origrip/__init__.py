@@ -28,12 +28,9 @@ from .mechanics import (
     MaterialModel,
     bending_contact_force,
     bending_state,
-    bending_torque,
     bending_torques,
-    compression_force,
     compression_forces,
     compression_state,
-    effective_strain,
     perturbed,
     sample_bending_curve,
     sample_compression_curve,

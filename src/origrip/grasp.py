@@ -57,12 +57,13 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from ._finite import field_problem, require, sweep_memoized
-from .mechanics import MaterialModel, bending_contact_force, compression_forces
+from .mechanics import TPU95A, MaterialModel, bending_contact_force, compression_forces
 from .shapes import (
     ObjectShape,
     bounding_radius,
+    equator_radius,
     equator_z,
-    horizontal_radius,
+    narrowed_widths,
     vertical_profile_radius,
     width_along,
     z_span,
@@ -145,7 +146,7 @@ class LiftResult:
 def grasp_mode(obj: ObjectShape, config: GripperConfig | None = None) -> GraspMode:
     """Parallel for flat faces, enveloping for tightly curved ones."""
     config = config or GripperConfig()
-    r_h = horizontal_radius(obj, equator_z(obj))
+    r_h = equator_radius(obj)
     if r_h is None:
         return GraspMode.PARALLEL
     if r_h <= config.curvature_threshold * config.panel_span:
@@ -200,11 +201,9 @@ def _contact_geometry(obj: ObjectShape, config: GripperConfig, lifts: np.ndarray
     width = np.array([width_along(obj, bearing) for bearing in (0.0, *finger_bearings(config))])[:, None]
     inclination = np.zeros(z_contact.shape)
     r_v = vertical_profile_radius(obj)
-    if r_v is not None:  # a barrel narrows by one sagitta per side away from its equator
-        dz = z_contact - z_eq
-        on &= np.abs(dz) <= r_v
-        sagitta = r_v - np.sqrt(r_v * r_v - np.where(on, dz * dz, 0.0))
-        width = np.maximum(0.0, width - 2.0 * sagitta)
+    if r_v is not None:  # a barrel narrows away from its equator
+        width, within = narrowed_widths(width, z_contact - z_eq, r_v)
+        on &= within
         # Below the widest section the normal tilts down, hooking under it.
         depth = z_eq - z_contact
         hooked = depth > 0.0
@@ -213,7 +212,7 @@ def _contact_geometry(obj: ObjectShape, config: GripperConfig, lifts: np.ndarray
 
     fingers = width.shape[1] - 1
     mode = grasp_mode(obj, config)
-    # horizontal_radius at the contact height
+    # the cross-section radius at the contact height, from the width along bearing 0
     r_h = np.repeat(width[:, :1] / 2.0, fingers, axis=1) if mode is GraspMode.V_ENVELOPING else None
     engagement, inclination = (np.repeat(a, fingers, axis=1) for a in (engagement, inclination))
     return _Geometry(mode, width[:, 1:], engagement, inclination, r_h)
@@ -276,8 +275,6 @@ def resolve_contacts(
     torque_scale: float = 1.0,
 ) -> ContactSet:
     """All module contacts on an object centered in the workspace."""
-    from .mechanics import TPU95A
-
     config = config or GripperConfig()
     material = material or TPU95A
     geometry, entries = _resting_geometry(obj, config)
@@ -508,7 +505,7 @@ def is_form_closure(
         raise ValueError("form closure is defined only for enveloping grasps")
     bearings = finger_bearings(config)
     wrapped = [rec for rec in contacts.records if rec.mode is ContactMode.BENDING]
-    r_h = horizontal_radius(obj, equator_z(obj))  # coverage assessed on the widest section
+    r_h = equator_radius(obj)  # coverage assessed on the widest section
     edges = []
     if r_h is not None:
         penetration = np.array([rec.penetration for rec in wrapped], dtype=float)
@@ -670,10 +667,15 @@ def pullout_trace(
     The probe must cover both module faces at lift 0 so every stage
     transition appears in the trace.
     """
-    from .mechanics import TPU95A
-
     config = config or GripperConfig()
     material = material or TPU95A
+    span_lo, span_hi = z_span(probe)
+    for level_z in config.module_levels:
+        if not span_lo <= level_z <= span_hi:
+            raise ValueError(
+                f"probe span [{span_lo:g}, {span_hi:g}] mm does not cover the "
+                f"module level at {level_z:g} mm"
+            )
     if lift_grid is None:
         lift_grid = default_lift_grid(probe, config)
     lifts = np.asarray(lift_grid, dtype=float)
@@ -683,15 +685,6 @@ def pullout_trace(
         raise ValueError(f"lift_grid must be one-dimensional, got shape {lifts.shape}")
     if not np.isfinite(lifts).all():
         raise ValueError(f"lift_grid must be finite, got {lifts[~np.isfinite(lifts)][0]:g}")
-
-    span_lo, span_hi = z_span(probe)
-    half_face = config.module_height / 2.0
-    for level_z in config.module_levels:
-        if not span_lo <= level_z <= span_hi:
-            raise ValueError(
-                f"probe span [{span_lo:g}, {span_hi:g}] mm does not cover the "
-                f"module level at {level_z:g} mm"
-            )
 
     geometry = _contact_geometry(probe, config, lifts)
     require("mu", mu)
@@ -705,6 +698,7 @@ def pullout_trace(
         forces += term
     top = config.module_levels[-1]
     bottom = config.module_levels[0]
+    half_face = config.module_height / 2.0
     return PulloutTrace(
         lifts=lifts,
         forces=forces,

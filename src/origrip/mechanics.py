@@ -109,29 +109,9 @@ class BendingState:
     overfolded: bool
 
 
-def effective_strain(penetration: float, rest_depth: float) -> float:
-    """Penetration normalized by the undeformed module depth."""
-    require("rest_depth", rest_depth)
-    if penetration < 0.0:
-        raise ValueError(f"penetration must be non-negative, got {penetration:g}")
-    return penetration / rest_depth
-
-
-def compression_force(strain: float, material: MaterialModel) -> float:
-    """Axial module force (N) at a given effective strain."""
-    if strain < 0.0:
-        raise ValueError(f"strain must be non-negative, got {strain:g}")
-    if strain < material.strain_lo:
-        return material.plateau_force * strain / material.strain_lo
-    if strain <= material.strain_hi:
-        return material.plateau_force
-    return material.plateau_force + material.overload_stiffness * (
-        strain - material.strain_hi
-    )
-
-
-def compression_forces(strains: np.ndarray, material: MaterialModel) -> np.ndarray:
-    """``compression_force`` over an array of strains, bit for bit."""
+def compression_forces(strains: np.ndarray | float, material: MaterialModel) -> np.ndarray:
+    """Axial module force (N) at each effective strain, the face penetration
+    over the undeformed module depth."""
     strains = np.asarray(strains, dtype=float)
     _require_non_negative(strains, "strain")
     ramp = material.plateau_force * strains / material.strain_lo
@@ -143,27 +123,18 @@ def compression_forces(strains: np.ndarray, material: MaterialModel) -> np.ndarr
     )
 
 
+# no caller in the package; public because perfbench/tracing.py wraps it by name
 def compression_state(strain: float, material: MaterialModel) -> CompressionState:
     """Force plus the overcompression flag (strain beyond full depth)."""
     return CompressionState(
-        force=compression_force(strain, material),
+        force=float(compression_forces(strain, material)),
         overcompressed=strain > 1.0,
     )
 
 
-def bending_torque(angle: float, material: MaterialModel) -> float:
-    """Fold torque (configured torque units) at a panel bend angle in deg."""
-    if angle < 0.0:
-        raise ValueError(f"bend angle must be non-negative, got {angle:g}")
-    if angle < material.angle_lo:
-        return material.plateau_torque * angle / material.angle_lo
-    # The fold holds its plateau beyond the working range; overfold is a
-    # flag, not a force change.
-    return material.plateau_torque
-
-
-def bending_torques(angles: np.ndarray, material: MaterialModel) -> np.ndarray:
-    """``bending_torque`` over an array of angles, bit for bit."""
+def bending_torques(angles: np.ndarray | float, material: MaterialModel) -> np.ndarray:
+    """Fold torque (configured torque units) at each panel bend angle in deg.
+    Past the working range the fold holds its plateau: overfold is a flag."""
     angles = np.asarray(angles, dtype=float)
     _require_non_negative(angles, "bend angle")
     ramp = material.plateau_torque * angles / material.angle_lo
@@ -171,15 +142,16 @@ def bending_torques(angles: np.ndarray, material: MaterialModel) -> np.ndarray:
 
 
 def _require_non_negative(values: np.ndarray, name: str) -> None:
-    """The scalar curves' sign check, naming the first negative entry."""
+    """The curves' sign check, naming the first negative entry."""
     negative = values[values < 0.0]
     if negative.size:
         raise ValueError(f"{name} must be non-negative, got {negative[0]:g}")
 
 
+# no caller in the package; public because perfbench/tracing.py wraps it by name
 def bending_state(angle: float, material: MaterialModel) -> BendingState:
     return BendingState(
-        torque=bending_torque(angle, material),
+        torque=float(bending_torques(angle, material)),
         overfolded=angle > material.angle_hi,
     )
 
@@ -198,9 +170,7 @@ def bending_contact_force(
     """
     require("bend_lever_arm", lever_arm)
     require("torque_scale", torque_scale)
-    if isinstance(angle, np.ndarray):
-        return bending_torques(angle, material) * torque_scale / lever_arm
-    return bending_torque(angle, material) * torque_scale / lever_arm
+    return bending_torques(angle, material) * torque_scale / lever_arm
 
 
 # --------------------------------------------------------------------------

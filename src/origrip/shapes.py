@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from ._finite import require_finite
 
 
@@ -183,23 +185,28 @@ def local_width(obj: ObjectShape, bearing_deg: float, z: float) -> float:
     r_v = vertical_profile_radius(obj)
     if r_v is None:
         return width_along(obj, bearing_deg)
-    dz = z - equator_z(obj)
-    if abs(dz) > r_v:
-        return 0.0
-    sagitta = r_v - math.sqrt(r_v * r_v - dz * dz)
-    return max(0.0, width_along(obj, bearing_deg) - 2.0 * sagitta)
+    width, within = narrowed_widths(width_along(obj, bearing_deg), z - equator_z(obj), r_v)
+    return float(width) if within else 0.0
 
 
-def horizontal_radius(obj: ObjectShape, z: float) -> float | None:
-    """Curvature radius of the contacted surface in the grasp plane.
+def narrowed_widths(widths: np.ndarray | float, dz: np.ndarray | float, r_v: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-section widths of a barrel ``dz`` mm off its equator: each
+    equator width of ``widths`` less one sagitta of the vertical profile
+    radius ``r_v`` per side, at least 0, and the mask of ``|dz| <= r_v``,
+    where the section exists.  The two arguments broadcast."""
+    within = np.abs(dz) <= r_v
+    sagitta = r_v - np.sqrt(r_v * r_v - np.where(within, dz * dz, 0.0))
+    return np.maximum(0.0, widths - 2.0 * sagitta), within
 
-    None means flat faces (cube/cuboid); curved kinds return the local
-    cross-section radius at height ``z``.
+
+def equator_radius(obj: ObjectShape) -> float | None:
+    """Curvature radius of the widest cross-section in the grasp plane, mm.
+
+    None means flat faces (cube/cuboid).
     """
     if obj.kind in (ShapeKind.CUBE, ShapeKind.CUBOID):
         return None
-    w = local_width(obj, 0.0, z)
-    return w / 2.0 if w > 0.0 else None
+    return width_along(obj, 0.0) / 2.0
 
 
 def bounding_radius(obj: ObjectShape) -> float:

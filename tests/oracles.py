@@ -5,9 +5,9 @@ implementations under test: closure is judged by direction sampling instead
 of a convex hull, or from every point triple in exact arithmetic, widths by
 projecting polygon vertices, arc unions by a dense angular grid, hold
 windows by sweeping the hold predicate directly, contacts by a scalar loop
-over module levels and fingers, wrench primitives by a scalar loop over
-contacts and cone edges, and sweeps by parsing a deep copy of the written
-scene at every point.
+over module levels and fingers with scalar module curves, wrench primitives
+by a scalar loop over contacts and cone edges, and sweeps by parsing a deep
+copy of the written scene at every point.
 """
 
 from __future__ import annotations
@@ -27,11 +27,7 @@ from origrip import (
     GraspMode,
     GripperConfig,
     ScenarioError,
-    bending_contact_force,
-    bending_state,
-    compression_state,
     cube,
-    effective_strain,
     equator_z,
     finger_bearings,
     grasp_mode,
@@ -266,6 +262,28 @@ def swept_hold_window(
 _MAX_INCLINATION = 89.9  # deg, as in the package
 
 
+def scalar_compression_force(strain: float, material) -> float:
+    """Axial module force (N) at one effective strain: a ramp to the
+    plateau, the plateau, then the stiffening overload branch."""
+    if strain < 0.0:
+        raise ValueError(f"strain must be non-negative, got {strain:g}")
+    if strain < material.strain_lo:
+        return material.plateau_force * strain / material.strain_lo
+    if strain <= material.strain_hi:
+        return material.plateau_force
+    return material.plateau_force + material.overload_stiffness * (strain - material.strain_hi)
+
+
+def scalar_bending_torque(angle: float, material) -> float:
+    """Fold torque at one bend angle (deg): a ramp to the plateau, which
+    holds past the working range."""
+    if angle < 0.0:
+        raise ValueError(f"bend angle must be non-negative, got {angle:g}")
+    if angle < material.angle_lo:
+        return material.plateau_torque * angle / material.angle_lo
+    return material.plateau_torque
+
+
 def scalar_local_width(obj, bearing: float, z: float) -> float:
     """Cross-section width along ``bearing`` at height ``z``: the equator
     width less one profile sagitta per side, 0 outside the object."""
@@ -333,19 +351,16 @@ def level_contacts(theta, obj, config, material, mu, lift, torque_scale) -> list
             if mode is GraspMode.V_ENVELOPING:
                 r_h = scalar_local_width(obj, 0.0, z_contact) / 2.0
                 bend = wrap_bend_angle(pen, r_h, half_span)
-                state = bending_state(bend, material)
-                force = engagement * bending_contact_force(
-                    bend, config.bend_lever_arm, material, torque_scale
-                )
-                overfolded = state.overfolded
+                torque = scalar_bending_torque(bend, material)
+                force = engagement * (torque * torque_scale / config.bend_lever_arm)
+                overfolded = bend > material.angle_hi
                 overcompressed = False
                 contact_mode = ContactMode.BENDING
                 bend_angle = bend
             else:
-                strain = effective_strain(pen, config.rest_depth)
-                state = compression_state(strain, material)
-                force = engagement * state.force
-                overcompressed = state.overcompressed
+                strain = pen / config.rest_depth
+                force = engagement * scalar_compression_force(strain, material)
+                overcompressed = strain > 1.0
                 overfolded = False
                 contact_mode = ContactMode.COMPRESSION
                 bend_angle = None

@@ -241,6 +241,20 @@ def test_pullout_short_probe_is_invalid(capsys, tmp_path):
     assert "origrip:" in err and "object: probe span [0, 40] mm does not cover" in err
 
 
+
+def test_pullout_probe_below_the_modules_names_the_uncovered_level(capsys, tmp_path):
+    # wholly below the bottom face, so the default lift grid is empty
+    scene = tmp_path / "low_probe.yaml"
+    scene.write_text(
+        "kind: pullout\nmaterial: tpu95a\ntheta: 30.0\n"
+        "object:\n  shape: curved_block\n  size: [45.5, 67.0, 10.0]\n  z: -100\n"
+    )
+    code, record, err = run_json(capsys, ["pullout", "--scene", str(scene)])
+    assert code == EXIT_INVALID
+    assert record is None
+    assert "object: probe span [-100, -90] mm does not cover the module level at 20 mm" in err
+    assert "lift_grid" not in err
+
 @pytest.mark.parametrize(
     "size, extra, message",
     [

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from origrip import (
     BUILTIN_MATERIALS,
     SIL950,
@@ -10,12 +11,9 @@ from origrip import (
     MaterialModel,
     bending_contact_force,
     bending_state,
-    bending_torque,
     bending_torques,
-    compression_force,
     compression_forces,
     compression_state,
-    effective_strain,
     perturbed,
     sample_bending_curve,
     sample_compression_curve,
@@ -47,19 +45,19 @@ def test_default_overload_stiffness():
 
 def test_compression_plateau_exactly_flat():
     for m in MATERIALS:
-        for strain in np.linspace(m.strain_lo, m.strain_hi, 100):
-            assert compression_force(float(strain), m) == m.plateau_force
+        strains = np.linspace(m.strain_lo, m.strain_hi, 100)
+        assert (compression_forces(strains, m) == m.plateau_force).all()
+        assert all(compression_state(float(strain), m).force == m.plateau_force for strain in strains)
 
 
 def test_compression_ramp():
-    assert compression_force(0.0, TPU95A) == 0.0
-    assert compression_force(0.05, TPU95A) == pytest.approx(2.375)
-    assert compression_force(0.02, SIL950) == pytest.approx(0.2)
+    assert compression_forces(np.array([0.0, 0.05]), TPU95A) == pytest.approx([0.0, 2.375])
+    assert compression_forces(np.array([0.02]), SIL950) == pytest.approx([0.2])
 
 
 def test_compression_overload_branch():
-    assert compression_force(0.6, TPU95A) == pytest.approx(4.75 + 475.0 * 0.1, rel=1e-12)
-    assert compression_force(0.55, SIL950) == pytest.approx(1.0 + 100.0 * 0.05, rel=1e-12)
+    assert compression_forces(np.array([0.6]), TPU95A) == pytest.approx([4.75 + 475.0 * 0.1], rel=1e-12)
+    assert compression_forces(np.array([0.55]), SIL950) == pytest.approx([1.0 + 100.0 * 0.05], rel=1e-12)
 
 
 def test_overcompression_flag():
@@ -70,13 +68,13 @@ def test_overcompression_flag():
 
 
 def test_bending_ramp_and_plateau():
-    assert bending_torque(0.0, TPU95A) == 0.0
-    assert bending_torque(2.5, TPU95A) == pytest.approx(19.5)
-    for angle in np.linspace(5.0, 25.0, 50):
-        assert bending_torque(float(angle), TPU95A) == 39.0
-        assert bending_torque(float(angle), SIL950) == 9.5
+    assert bending_torques(np.array([0.0, 2.5]), TPU95A) == pytest.approx([0.0, 19.5])
+    angles = np.linspace(5.0, 25.0, 50)
+    assert (bending_torques(angles, TPU95A) == 39.0).all()
+    assert (bending_torques(angles, SIL950) == 9.5).all()
+    assert all(bending_state(float(angle), SIL950).torque == 9.5 for angle in angles)
     # the fold holds its plateau past the working range
-    assert bending_torque(30.0, TPU95A) == 39.0
+    assert bending_torques(np.array([30.0]), TPU95A) == [39.0]
 
 
 def test_overfold_flag():
@@ -95,19 +93,13 @@ def test_bending_contact_force():
         bending_contact_force(10.0, 15.0, TPU95A, torque_scale=0.0)
 
 
-def test_effective_strain():
-    assert effective_strain(3.0, 15.0) == pytest.approx(0.2)
-    with pytest.raises(ValueError):
-        effective_strain(-1.0, 15.0)
-    with pytest.raises(ValueError):
-        effective_strain(1.0, 0.0)
-
-
 def test_negative_inputs_rejected():
-    with pytest.raises(ValueError):
-        compression_force(-0.1, TPU95A)
-    with pytest.raises(ValueError):
-        bending_torque(-1.0, TPU95A)
+    with pytest.raises(ValueError, match="strain must be non-negative, got -0.1"):
+        compression_state(-0.1, TPU95A)
+    with pytest.raises(ValueError, match="bend angle must be non-negative, got -1"):
+        bending_state(-1.0, TPU95A)
+    with pytest.raises(ValueError, match="bend angle must be non-negative, got -1"):
+        bending_contact_force(-1.0, 15.0, TPU95A)
 
 
 def test_material_validation():
@@ -131,11 +123,11 @@ def test_curve_continuity_at_breakpoints():
     eps = 1e-6
     for m in MATERIALS:
         for break_at in (m.strain_lo, m.strain_hi):
-            jump = abs(compression_force(break_at + eps, m) - compression_force(break_at - eps, m))
-            assert jump <= 1e-3
+            below, above = compression_forces(np.array([break_at - eps, break_at + eps]), m)
+            assert abs(above - below) <= 1e-3
         for break_at in (m.angle_lo, m.angle_hi):
-            jump = abs(bending_torque(break_at + eps, m) - bending_torque(break_at - eps, m))
-            assert jump <= 1e-3
+            below, above = bending_torques(np.array([break_at - eps, break_at + eps]), m)
+            assert abs(above - below) <= 1e-3
 
 
 @given(
@@ -144,8 +136,8 @@ def test_curve_continuity_at_breakpoints():
     st.floats(min_value=0.0, max_value=1.2),
 )
 def test_compression_monotone_nondecreasing(material, s1, s2):
-    lo, hi = sorted((s1, s2))
-    assert compression_force(lo, material) <= compression_force(hi, material) + 1e-12
+    lo, hi = compression_forces(np.sort([s1, s2]), material)
+    assert lo <= hi + 1e-12
 
 
 @given(
@@ -154,8 +146,8 @@ def test_compression_monotone_nondecreasing(material, s1, s2):
     st.floats(min_value=0.0, max_value=40.0),
 )
 def test_bending_monotone_nondecreasing(material, a1, a2):
-    lo, hi = sorted((a1, a2))
-    assert bending_torque(lo, material) <= bending_torque(hi, material) + 1e-12
+    lo, hi = bending_torques(np.sort([a1, a2]), material)
+    assert lo <= hi + 1e-12
 
 
 def test_perturbed_stays_in_band_and_is_deterministic():
@@ -178,7 +170,7 @@ def test_sample_compression_curve():
     strains, forces = sample_compression_curve(SIL950)
     assert len(strains) == len(forces) == 121
     assert strains[0] == 0.0 and strains[-1] == pytest.approx(0.6)
-    expected = np.array([compression_force(float(s), SIL950) for s in strains])
+    expected = np.array([oracles.scalar_compression_force(float(s), SIL950) for s in strains])
     assert np.array_equal(forces, expected)
 
 
@@ -186,22 +178,23 @@ def test_sample_bending_curve():
     angles, torques = sample_bending_curve(TPU95A, angle_max=25.0, samples=11)
     assert len(angles) == 11
     assert angles[-1] == pytest.approx(25.0)
-    expected = np.array([bending_torque(float(a), TPU95A) for a in angles])
+    expected = np.array([oracles.scalar_bending_torque(float(a), TPU95A) for a in angles])
     assert np.array_equal(torques, expected)
 
 
 @given(st.lists(st.floats(0.0, 2.0), max_size=50), st.sampled_from(MATERIALS))
 def test_array_curves_equal_the_scalar_curves(strains, material):
     # strains past the overload knee, angles past the overfold limit
-    assert np.array_equal(
-        compression_forces(np.array(strains), material), [compression_force(s, material) for s in strains]
-    )
+    forces = [oracles.scalar_compression_force(s, material) for s in strains]
+    assert np.array_equal(compression_forces(np.array(strains), material), forces)
+    assert [compression_state(s, material).force for s in strains] == forces
     angles = 40.0 * np.array(strains)
-    assert np.array_equal(bending_torques(angles, material), [bending_torque(a, material) for a in angles])
-    assert np.array_equal(
-        bending_contact_force(angles, 15.0, material, 2.0),
-        [bending_contact_force(a, 15.0, material, 2.0) for a in angles],
-    )
+    torques = [oracles.scalar_bending_torque(a, material) for a in angles.tolist()]
+    assert np.array_equal(bending_torques(angles, material), torques)
+    assert [bending_state(a, material).torque for a in angles.tolist()] == torques
+    contact_forces = [torque * 2.0 / 15.0 for torque in torques]
+    assert np.array_equal(bending_contact_force(angles, 15.0, material, 2.0), contact_forces)
+    assert [bending_contact_force(a, 15.0, material, 2.0) for a in angles.tolist()] == contact_forces
 
 
 def test_array_curves_reject_negative_input():

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -36,3 +38,19 @@ def test_all_names_resolve_and_none_is_a_module():
     for name in origrip.__all__:
         assert not isinstance(getattr(origrip, name), types.ModuleType), name
     assert "is_force_closure" in origrip.__all__ and "__version__" in origrip.__all__
+
+
+def test_every_function_the_benchmark_tracer_wraps_exists():
+    # perfbench/tracing.py looks these names up with getattr and no default,
+    # so a rename here breaks `perfbench/run.py --trace 1`; the file is only read
+    tree = ast.parse((SRC.parent / "perfbench" / "tracing.py").read_text())
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("SPANNED", "COUNTED")
+    }
+    named = [(module, func) for module, funcs in tables["SPANNED"].values() for func in funcs]
+    named += list(tables["COUNTED"].values())
+    assert len(named) > len(tables["SPANNED"])
+    for module, func in named:
+        assert callable(getattr(importlib.import_module(f"origrip.{module}"), func, None)), f"{module}.{func}"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -23,7 +23,7 @@ from origrip import (
     width_along,
     z_span,
 )
-from origrip.shapes import horizontal_radius, vertical_extent, vertical_profile_radius
+from origrip.shapes import equator_radius, vertical_extent, vertical_profile_radius
 
 
 def test_constructors():
@@ -120,13 +120,40 @@ def test_local_width_prism_constant():
     assert local_width(box, 0.0, 100.1) == 0.0
 
 
-def test_horizontal_radius():
-    assert horizontal_radius(cube(52.0), 26.0) is None
-    assert horizontal_radius(cuboid(63.0, 45.4, 100.0), 50.0) is None
-    assert horizontal_radius(sphere(60.0), 30.0) == 30.0
-    assert horizontal_radius(sphere(60.0), 48.0) == pytest.approx(24.0)
-    assert horizontal_radius(cylinder(40.0, 70.0), 35.0) == 20.0
-    assert horizontal_radius(curved_block(45.5, 67.0, 80.0), 40.0) == 33.5
+def test_equator_radius():
+    assert equator_radius(cube(52.0)) is None
+    assert equator_radius(cuboid(63.0, 45.4, 100.0)) is None
+    assert equator_radius(sphere(60.0)) == 30.0
+    assert equator_radius(sphere(60.0, pose=Pose(z=-12.5))) == 30.0
+    assert equator_radius(cylinder(40.0, 70.0)) == 20.0
+    assert equator_radius(curved_block(45.5, 67.0, 80.0)) == 33.5
+
+
+@st.composite
+def _objects(draw):
+    kind = draw(st.sampled_from(list(ShapeKind)))
+    width, depth, height = (draw(st.floats(1.0, 200.0)) for _ in range(3))
+    dims = {
+        ShapeKind.SPHERE: (width,),
+        ShapeKind.CUBE: (width,),
+        ShapeKind.CUBOID: (width, depth, height),
+        ShapeKind.CYLINDER: (width, height),
+        ShapeKind.CURVED_BLOCK: (draw(st.floats(max(width, height) / 2.0, 300.0)), width, height),
+    }[kind]
+    return ObjectShape(kind, dims, pose=Pose(z=draw(st.floats(-100.0, 100.0)), yaw=draw(st.floats(-180.0, 180.0))))
+
+
+@given(obj=_objects(), bearing=st.floats(-180.0, 180.0), height=st.floats(-0.1, 1.1))
+@settings(max_examples=300, derandomize=True)
+def test_widths_equal_the_scalar_oracle(obj, bearing, height):
+    radius = equator_radius(obj)
+    if obj.kind in (ShapeKind.CUBE, ShapeKind.CUBOID):
+        assert radius is None
+    else:
+        assert radius == oracles.scalar_local_width(obj, 0.0, equator_z(obj)) / 2.0
+    lo, hi = z_span(obj)
+    z = lo + height * (hi - lo)  # a tenth of the extent past either end
+    assert local_width(obj, bearing, z) == oracles.scalar_local_width(obj, bearing, z)
 
 
 def test_bounding_radius():
