@@ -76,6 +76,8 @@ RANGES: dict[str, Range] = {
     "mu": Range(0.0, MAX_MU),
     "torque_scale": Range(0.0, MAX_TORQUE_SCALE, lo_open=True),
     "safety": Range(1.0),
+    "gravity": Range(0.0, lo_open=True),
+    "slip_margin": Range(0.0, 90.0),  # deg; form closure asks for 180 + 2 * margin of the 360 a wrap can cover
 }
 
 

@@ -27,11 +27,15 @@ off the top of the object, which reproduces flat plateaus with discrete
 drops for parallel grasps and a smoothly varying curve for enveloping ones.
 One model serves both: ``_contact_geometry`` places every module face on
 the object over (level, finger, lift) independently of the servo angle, and
-``_contact_loads`` turns that geometry into penetrations and forces at one
-aperture.  A trace runs both over its lift grid; ``resolve_contacts`` runs
-the loads on the lift-0 geometry, which is cached per (object, gripper), so
-sweeps and hold windows that revisit an object at many angles place its
-faces once.
+``_contact_loads`` turns that geometry into penetrations and forces.  The
+third axis is lift for a trace, which runs both over its lift grid at one
+aperture.  ``_resolve_sweep`` runs the loads on the lift-0 geometry, cached
+per (object, gripper), with the apertures of a list of servo angles on that
+axis instead, so a theta sweep resolves every point in one pass; a one-shot
+grasp and ``resolve_contacts``, which hold windows call at many angles, are
+its one-point case.  A ``ContactSet`` holds its contacts as columns, and
+sums over contacts add them one at a time in (level, finger) order, as the
+scalar model does.
 
 Closure
 -------
@@ -50,8 +54,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from itertools import combinations, islice
+from functools import cached_property, lru_cache, reduce
+from itertools import combinations, islice, repeat
+from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -106,20 +111,128 @@ class ContactRecord:
     overfolded: bool
 
 
-@dataclass(frozen=True)
+_CONTACT_MODES = {GraspMode.PARALLEL: ContactMode.COMPRESSION, GraspMode.V_ENVELOPING: ContactMode.BENDING}
+
+# the per-contact columns of a ContactSet, in field order
+_COLUMNS = (
+    "finger_index", "level", "penetration", "bend_angle", "normal_force", "normal", "position",
+    "inclination", "incl_cos", "incl_sin", "mu", "engagement", "overcompressed", "overfolded",
+)
+_COLUMN_SET = frozenset(_COLUMNS)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class ContactSet:
-    records: tuple[ContactRecord, ...]
+    """The contacts of one grasp, held as columns with one entry per contact
+    (rows for ``normal`` and ``position``), in (level, finger) order when
+    resolved.  A contact's mode follows the grasp: compression in a parallel
+    grasp, bending in an enveloping one, which alone has ``bend_angle``.
+    ``records`` gives the same contacts one record each, built on first
+    use, so the columns, which subsets share, are never written.  Equality
+    compares the grasp fields and the records.
+    """
+
     grasp_mode: GraspMode
     theta: float
     char_radius: float               # torque normalization length, mm
+    finger_index: np.ndarray
+    level: np.ndarray
+    penetration: np.ndarray          # mm
+    bend_angle: np.ndarray | None    # deg; None unless enveloping
+    normal_force: np.ndarray         # N
+    normal: np.ndarray               # (n, 2) unit in-plane directions, into the object
+    position: np.ndarray             # (n, 2) contact points in the grasp plane, mm
+    inclination: np.ndarray          # deg
+    incl_cos: np.ndarray             # math.cos and math.sin of each inclination
+    incl_sin: np.ndarray
+    mu: np.ndarray
+    engagement: np.ndarray
+    overcompressed: np.ndarray
+    overfolded: np.ndarray
+
+    def __init__(self, grasp_mode: GraspMode, theta: float, char_radius: float, **columns: np.ndarray | None):
+        # one dict update in place of a frozen dataclass's setattr per field: hold windows build one set per angle
+        if columns.keys() != _COLUMN_SET:
+            raise TypeError(f"ContactSet needs the columns {', '.join(_COLUMNS)}")
+        self.__dict__.update(grasp_mode=grasp_mode, theta=theta, char_radius=char_radius, **columns)
+
+    @classmethod
+    def from_records(
+        cls, records: Iterable[ContactRecord], grasp_mode: GraspMode, theta: float, char_radius: float
+    ) -> "ContactSet":
+        """The set of the given records, whose modes and bend angles must be
+        those of ``grasp_mode``."""
+        records = tuple(records)
+        enveloping = grasp_mode is GraspMode.V_ENVELOPING
+        mode = _CONTACT_MODES[grasp_mode]
+        for rec in records:
+            if rec.mode is not mode or (rec.bend_angle is None) == enveloping:
+                raise ValueError(
+                    f"a {grasp_mode.value} grasp has {mode.value} contacts, "
+                    f"with a bend angle {'each' if enveloping else 'on none'}"
+                )
+
+        def column(name: str, dtype: type = float) -> np.ndarray:
+            return np.array([getattr(rec, name) for rec in records], dtype=dtype)
+
+        incl = [math.radians(rec.inclination) for rec in records]
+        return cls(
+            grasp_mode, theta, char_radius,
+            finger_index=column("finger_index", np.intp),
+            level=column("level", np.intp),
+            penetration=column("penetration"),
+            bend_angle=column("bend_angle") if enveloping else None,
+            normal_force=column("normal_force"),
+            normal=np.array([rec.normal for rec in records], dtype=float).reshape(-1, 2),
+            position=np.array([rec.position for rec in records], dtype=float).reshape(-1, 2),
+            inclination=column("inclination"),
+            incl_cos=np.array(list(map(math.cos, incl))),
+            incl_sin=np.array(list(map(math.sin, incl))),
+            mu=column("mu"),
+            engagement=column("engagement"),
+            overcompressed=column("overcompressed", bool),
+            overfolded=column("overfolded", bool),
+        )
+
+    @property
+    def contact_mode(self) -> ContactMode:
+        """The mode of every contact."""
+        return _CONTACT_MODES[self.grasp_mode]
+
+    @cached_property
+    def records(self) -> tuple[ContactRecord, ...]:
+        return tuple(map(
+            ContactRecord,
+            self.finger_index.tolist(), self.level.tolist(), repeat(self.contact_mode, len(self)),
+            self.penetration.tolist(),
+            repeat(None, len(self)) if self.bend_angle is None else self.bend_angle.tolist(),
+            self.normal_force.tolist(),
+            zip(*self.normal.T.tolist()), zip(*self.position.T.tolist()), self.inclination.tolist(),
+            self.mu.tolist(), self.engagement.tolist(), self.overcompressed.tolist(), self.overfolded.tolist(),
+        ))
+
+    def _key(self) -> tuple:
+        return self.grasp_mode, self.theta, self.char_radius, self.records
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.normal_force)
+
+    def _take(self, keep: np.ndarray | slice, theta: float) -> "ContactSet":
+        """The contacts ``keep`` selects, at ``theta``."""
+        columns = {name: None if (column := getattr(self, name)) is None else column[keep] for name in _COLUMNS}
+        return ContactSet(self.grasp_mode, theta, self.char_radius, **columns)
 
     def finger(self, index: int) -> "ContactSet":
-        """Sub-set of the records belonging to one finger."""
-        kept = tuple(r for r in self.records if r.finger_index == index)
-        return ContactSet(kept, self.grasp_mode, self.theta, self.char_radius)
+        """Sub-set of the contacts belonging to one finger."""
+        return self._take(self.finger_index == index, self.theta)
 
 
 @dataclass(frozen=True)
@@ -218,52 +331,142 @@ def _contact_geometry(obj: ObjectShape, config: GripperConfig, lifts: np.ndarray
     return _Geometry(mode, width[:, 1:], engagement, inclination, r_h)
 
 
+class _Faces(NamedTuple):
+    """The angle-free columns of each module face's contact, one row per
+    face in (level, finger) order, packed so that one gather picks the
+    faces that press: ``ids`` holds finger and level, ``values`` the
+    normal and the position (mm; (0, 0) where the face misses the object)
+    in the grasp plane, the inclination (deg), its ``math.cos`` and
+    ``math.sin``, and the engaged fraction of the face."""
+
+    ids: np.ndarray
+    values: np.ndarray
+
+
 @lru_cache(maxsize=256)  # sweeps and hold windows resolve one object at many angles
-def _resting_geometry(obj: ObjectShape, config: GripperConfig) -> tuple[_Geometry, tuple[tuple, ...]]:
-    """``_contact_geometry`` at lift 0, shared read-only between calls, and
-    the angle-free fields of each face's contact record: (finger, level,
-    normal, position, inclination, engagement), in (level, finger) order."""
+def _resting_geometry(obj: ObjectShape, config: GripperConfig) -> tuple[_Geometry, _Faces, float]:
+    """``_contact_geometry`` at lift 0 and its face columns, shared read-only
+    between calls, and the object's bounding radius."""
     geometry = _contact_geometry(obj, config, np.zeros(1))
-    for array in geometry[1:]:  # every field after the mode
+    levels, fingers, _ = geometry.width.shape
+    level, finger = (a.ravel() for a in np.indices((levels, fingers)))
+    outward = np.array([(math.cos(rad), math.sin(rad)) for rad in map(math.radians, finger_bearings(config))])
+    outward = outward[finger]
+    width = geometry.width.ravel()
+    half_width = np.where(width > -np.inf, width / 2.0, 0.0)[:, None]
+    inclination = geometry.inclination.ravel()
+    incl = [math.radians(x) for x in inclination.tolist()]
+    faces = _Faces(
+        np.column_stack((finger, level)),
+        np.column_stack((
+            -outward, half_width * outward, inclination, list(map(math.cos, incl)), list(map(math.sin, incl)),
+            geometry.engagement.ravel(),
+        )),
+    )
+    for array in (*geometry[1:], *faces):  # every geometry field after the mode
         if array is not None:
             array.flags.writeable = False
-    outward = [(math.cos(rad), math.sin(rad)) for rad in map(math.radians, finger_bearings(config))]
-    entries = []
-    for (level, finger, _), width, incl, engagement in zip(
-        np.ndindex(geometry.width.shape),
-        geometry.width.ravel().tolist(),
-        geometry.inclination.ravel().tolist(),
-        geometry.engagement.ravel().tolist(),
-    ):
-        cos, sin = outward[finger]
-        position = (width / 2.0 * cos, width / 2.0 * sin)
-        entries.append((finger, level, (-cos, -sin), position, incl, engagement))
-    return geometry, tuple(entries)
+    return geometry, faces, bounding_radius(obj)
 
 
 def _contact_loads(
     geometry: _Geometry,
-    aperture: float,
+    aperture: float | np.ndarray,
     config: GripperConfig,
     material: MaterialModel,
     torque_scale: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
-    """Contact loads at one aperture: the (level, finger, lift) mask of faces
-    that press, then per pressing face, in that order, the penetration (mm),
-    the bend angle (deg, None unless enveloping), the normal force (N) and
-    whether the module is overcompressed (overfolded when enveloping)."""
+    """Contact loads at an aperture, or at each of a 1-D array of them
+    against the one lift of ``geometry``: the (level, finger, lift or
+    aperture) mask of faces that press, then per pressing face, in that
+    order, the penetration (mm), the bend angle (deg, None unless
+    enveloping), the normal force (N) and whether the module is
+    overcompressed (overfolded when enveloping)."""
     pen = (geometry.width - aperture) / 2.0
     hit = pen > 0.0
     pen = pen[hit]
-    engagement = geometry.engagement[hit]
-    if geometry.mode is not GraspMode.V_ENVELOPING:
+    enveloping = geometry.mode is GraspMode.V_ENVELOPING
+    if not pen.size:  # empty columns: no curve, and no torque scale, is judged, as in the scalar model
+        return hit, pen, pen if enveloping else None, pen, hit[hit]
+    engagement = _pressing(geometry.engagement, hit)
+    if not enveloping:
         strain = pen / config.rest_depth
         return hit, pen, None, engagement * compression_forces(strain, material), strain > 1.0
-    bend = _wrap_edge(pen, geometry.r_h[hit], config.panel_span / 2.0) / 2.0
-    force = engagement  # no face wraps, so the torque scale goes unjudged, as in the scalar model
-    if pen.size:
-        force = engagement * bending_contact_force(bend, config.bend_lever_arm, material, torque_scale)
+    bend = _wrap_edge(pen, _pressing(geometry.r_h, hit), config.panel_span / 2.0) / 2.0
+    force = engagement * bending_contact_force(bend, config.bend_lever_arm, material, torque_scale)
     return hit, pen, bend, force, bend > material.angle_hi
+
+
+def _pressing(values: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """The entries of geometry ``values`` where ``hit``, over all of its apertures."""
+    return values[hit] if values.shape == hit.shape else np.broadcast_to(values, hit.shape)[hit]
+
+
+@dataclass(frozen=True, eq=False)
+class _ContactSweep:
+    """The contacts of one object and gripper at each of several servo
+    angles, resolved in one pass of the contact model.
+
+    ``contacts`` lays the points' contact sets end to end, point by point:
+    point ``p`` holds its entries ``bounds[p]:bounds[p + 1]``.  Its
+    ``theta`` is NaN unless the sweep has one point.  The per-point sums
+    equal those of ``squeeze_force`` and ``pullout_capacity`` on each
+    point's set, bit for bit.
+    """
+
+    thetas: tuple[float, ...]
+    openings: tuple[float, ...]      # jaw opening at each theta, mm
+    contacts: ContactSet
+    point: np.ndarray                # the point of each contact
+
+    def __len__(self) -> int:
+        return len(self.thetas)
+
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        """Where each point's contacts start, and where the last one's end."""
+        return np.searchsorted(self.point, np.arange(len(self) + 1))
+
+    def totals(self) -> tuple[list[int], list, list, list[float]]:
+        """Per point: the contact count, ``squeeze_force`` of all fingers and
+        of finger 0 (0, an int, where nothing presses) and ``pullout_capacity``,
+        from one zero-padded pass, contact by contact."""
+        c = self.contacts
+        side = c.finger_index == 0
+        squeeze = c.normal_force * c.incl_cos
+        counts = (self.bounds[1:] - self.bounds[:-1]).tolist()
+        padded = np.zeros((max(counts), 3, len(self)))
+        padded[np.arange(len(c)) - self.bounds[self.point], :, self.point] = np.column_stack(
+            (squeeze, np.where(side, squeeze, 0.0), _capacity_term(c.mu, c.normal_force, c.incl_cos, c.incl_sin))
+        )
+        squeezes, sides, capacities = _contact_sums(padded).tolist()
+        pressing = np.bincount(self.point[side], minlength=len(self)).tolist()
+        return (
+            counts,
+            [total if n else 0 for n, total in zip(counts, squeezes)],
+            [total if n else 0 for n, total in zip(pressing, sides)],
+            capacities,
+        )
+
+    def closures(
+        self, obj: ObjectShape, config: GripperConfig | None = None, slip_margin: float = 15.0
+    ) -> list[ClosureResult]:
+        """``closure_summary`` at each point."""
+        return _closures(self.contacts, self.bounds.tolist(), obj, config, slip_margin)
+
+
+def _resolve_sweep(
+    thetas: Sequence[float],
+    obj: ObjectShape,
+    config: GripperConfig | None = None,
+    material: MaterialModel | None = None,
+    mu: float = 0.5,
+    torque_scale: float = 1.0,
+) -> _ContactSweep:
+    """``resolve_contacts`` at each of ``thetas``, from one pass of the
+    contact model: the lift-0 geometry is broadcast over the apertures."""
+    thetas = tuple(thetas)
+    return _ContactSweep(thetas, *_resolve(thetas, obj, config, material, mu, torque_scale))
 
 
 def resolve_contacts(
@@ -275,45 +478,53 @@ def resolve_contacts(
     torque_scale: float = 1.0,
 ) -> ContactSet:
     """All module contacts on an object centered in the workspace."""
+    return _resolve((theta,), obj, config, material, mu, torque_scale)[1]
+
+
+def _resolve(
+    thetas: tuple[float, ...],
+    obj: ObjectShape,
+    config: GripperConfig | None,
+    material: MaterialModel | None,
+    mu: float,
+    torque_scale: float,
+) -> tuple[tuple[float, ...], ContactSet, np.ndarray]:
+    """The openings, the contacts of every theta in theta order, and the
+    theta index of each contact."""
     config = config or GripperConfig()
     material = material or TPU95A
-    geometry, entries = _resting_geometry(obj, config)
+    geometry, faces, char_radius = _resting_geometry(obj, config)
     require("mu", mu)
-    hit, pens, bends, forces, overloads = _contact_loads(
-        geometry, opening(theta, config), config, material, torque_scale
-    )
+    openings = tuple(opening(theta, config) for theta in thetas)
+    hit, pens, bends, forces, overloads = _contact_loads(geometry, np.array(openings), config, material, torque_scale)
+    face, point = hit.reshape(len(faces.ids), len(thetas)).nonzero()
+    if len(thetas) > 1:  # the loads follow the (face, point) mask; the set runs point by point
+        order = np.argsort(point, kind="stable")
+        face, point, pens, forces, overloads = face[order], point[order], pens[order], forces[order], overloads[order]
+        bends = None if bends is None else bends[order]
+    ids, values = faces.ids.take(face, axis=0), faces.values.take(face, axis=0)
     enveloping = geometry.mode is GraspMode.V_ENVELOPING
-    mode = ContactMode.BENDING if enveloping else ContactMode.COMPRESSION
-    records = [
-        ContactRecord(
-            finger_index=finger,
-            level=level,
-            mode=mode,
-            penetration=pen,
-            bend_angle=bend,
-            normal_force=force,
-            normal=normal,
-            position=position,
-            inclination=incl,
-            mu=mu,
-            engagement=engagement,
-            overcompressed=overloaded and not enveloping,
-            overfolded=overloaded and enveloping,
-        )
-        for (finger, level, normal, position, incl, engagement), pen, bend, force, overloaded in zip(
-            map(entries.__getitem__, np.flatnonzero(hit).tolist()),
-            pens.tolist(),
-            bends.tolist() if enveloping else [None] * pens.size,
-            forces.tolist(),
-            overloads.tolist(),
-        )
-    ]
-    return ContactSet(
-        records=tuple(records),
-        grasp_mode=geometry.mode,
-        theta=theta,
-        char_radius=bounding_radius(obj),
+    unloaded = np.zeros(len(face), dtype=bool)
+    mus = np.empty(len(face))
+    mus.fill(mu)
+    contacts = ContactSet(
+        geometry.mode, thetas[0] if len(thetas) == 1 else math.nan, char_radius,
+        finger_index=ids[:, 0],
+        level=ids[:, 1],
+        penetration=pens,
+        bend_angle=bends,
+        normal_force=forces,
+        normal=values[:, 0:2],
+        position=values[:, 2:4],
+        inclination=values[:, 4],
+        incl_cos=values[:, 5],
+        incl_sin=values[:, 6],
+        mu=mus,
+        engagement=values[:, 7],
+        overcompressed=unloaded if enveloping else overloads,
+        overfolded=overloads if enveloping else unloaded,
     )
+    return openings, contacts, point
 
 
 # --------------------------------------------------------------------------
@@ -331,12 +542,19 @@ def contact_wrench_primitives(contacts: ContactSet) -> np.ndarray:
     """
     if len(contacts) == 0:
         raise ValueError("contact set is empty")
-    fields = [(*rec.normal, *rec.position, rec.normal_force, rec.mu) for rec in contacts.records]
-    nx, ny, px, py, force, mu = np.repeat(np.array(fields).T, 2, axis=1)
-    mu *= np.tile((1.0, -1.0), len(fields))  # f = force * (n + sign * mu * t), t = (-ny, nx)
+    return _primitives(contacts)
+
+
+def _primitives(contacts: ContactSet) -> np.ndarray:
+    """``contact_wrench_primitives``, also of an empty set: two rows per contact, in contact order."""
+    c = contacts
+    table = np.empty((6, len(c)))
+    table[0:2], table[2:4], table[4], table[5] = c.normal.T, c.position.T, c.normal_force, c.mu
+    nx, ny, px, py, force, mu = np.repeat(table, 2, axis=1)
+    mu[1::2] *= -1.0  # f = force * (n + sign * mu * t), t = (-ny, nx)
     fx = force * (nx + mu * -ny)
     fy = force * (ny + mu * nx)
-    return np.column_stack((fx, fy, (px * fy - py * fx) / contacts.char_radius))
+    return np.column_stack((fx, fy, (px * fy - py * fx) / c.char_radius))
 
 
 @dataclass(frozen=True)
@@ -468,7 +686,7 @@ def is_force_closure(primitives: np.ndarray) -> ForceClosure:
     of the primitives, and an equal set is decided once.  Inside the
     modules' constant-force plateau every point of a theta sweep presses
     with the same forces at the same contacts, so most points repeat an
-    earlier set.
+    earlier set.  A primitive that is not finite raises ValueError.
     """
     primitives = np.asarray(primitives, dtype=float)
     if primitives.ndim != 2 or primitives.shape[1] != 3 or primitives.shape[0] < 2:
@@ -477,6 +695,8 @@ def is_force_closure(primitives: np.ndarray) -> ForceClosure:
 
 
 def _force_closure(primitives: np.ndarray) -> ForceClosure:
+    if not np.isfinite(primitives).all():
+        raise ValueError("wrench primitives must be finite")
     scale = float(np.abs(primitives).max())
     singular = np.linalg.svd(primitives, compute_uv=False)
     if np.count_nonzero(singular > _RANK_RTOL * scale) < 3:  # matrix_rank's test
@@ -497,26 +717,30 @@ def is_form_closure(
 
     Accumulates the angular sectors of the cross-section covered by wrap
     patches; the grasp is form closed when coverage reaches
-    180 deg + 2 * slip_margin.  Parallel grasps have no wrap and are a
-    domain error.
+    180 deg + 2 * slip_margin, with ``slip_margin`` from 0 to 90 deg.
+    Parallel grasps have no wrap and are a domain error.
     """
     config = config or GripperConfig()
+    require("slip_margin", slip_margin)
     if contacts.grasp_mode is not GraspMode.V_ENVELOPING:
         raise ValueError("form closure is defined only for enveloping grasps")
+    coverage = _coverage(contacts.finger_index.tolist(), _wrap_edges(contacts, obj, config), config)
+    return coverage >= 180.0 + 2.0 * slip_margin, coverage
+
+
+def _wrap_edges(contacts: ContactSet, obj: ObjectShape, config: GripperConfig) -> list[float]:
+    """Patch edge angle (deg) of each wrapped contact on the object's widest
+    section, where coverage is assessed; none without one."""
+    r_h = equator_radius(obj)
+    return [] if r_h is None else _wrap_edge(contacts.penetration, r_h, config.panel_span / 2.0).tolist()
+
+
+def _coverage(fingers: Sequence[int], edges: Sequence[float], config: GripperConfig) -> float:
+    """Angular measure (deg) of the wrap patches of the contacts at ``fingers``."""
     bearings = finger_bearings(config)
-    wrapped = [rec for rec in contacts.records if rec.mode is ContactMode.BENDING]
-    r_h = equator_radius(obj)  # coverage assessed on the widest section
-    edges = []
-    if r_h is not None:
-        penetration = np.array([rec.penetration for rec in wrapped], dtype=float)
-        edges = _wrap_edge(penetration, r_h, config.panel_span / 2.0).tolist()
-    intervals = [
-        (bearings[rec.finger_index] - edge, bearings[rec.finger_index] + edge)
-        for rec, edge in zip(wrapped, edges)
-    ]
-    coverage = _circular_union_deg(intervals)
-    threshold = 180.0 + 2.0 * slip_margin
-    return coverage >= threshold, coverage
+    return _circular_union_deg(
+        [(bearings[finger] - edge, bearings[finger] + edge) for finger, edge in zip(fingers, edges)]
+    )
 
 
 def _circular_union_deg(intervals: Iterable[tuple[float, float]]) -> float:
@@ -558,13 +782,32 @@ def closure_summary(
 ) -> ClosureResult:
     """Force closure always; form closure only where it applies.  Fewer than
     two contacts close nothing, and form closure is then not judged."""
-    if len(contacts) < 2:
-        return ClosureResult(False, None, 0.0, None)
-    fc = is_force_closure(contact_wrench_primitives(contacts))
-    if contacts.grasp_mode is GraspMode.V_ENVELOPING:
-        form, wrap = is_form_closure(contacts, obj, config, slip_margin)
-        return ClosureResult(fc.closed, form, fc.margin, wrap)
-    return ClosureResult(fc.closed, None, fc.margin, None)
+    return _closures(contacts, [0, len(contacts)], obj, config, slip_margin)[0]
+
+
+def _closures(
+    contacts: ContactSet, bounds: list[int], obj: ObjectShape, config: GripperConfig | None, slip_margin: float
+) -> list[ClosureResult]:
+    """``closure_summary`` of each run ``contacts[bounds[p]:bounds[p + 1]]``,
+    from one pass over the whole set for the primitives and the wrap edges."""
+    config = config or GripperConfig()
+    require("slip_margin", slip_margin)
+    primitives = _primitives(contacts)
+    enveloping = contacts.grasp_mode is GraspMode.V_ENVELOPING
+    if enveloping:
+        fingers, edges = contacts.finger_index.tolist(), _wrap_edges(contacts, obj, config)
+    results = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi - lo < 2:
+            results.append(ClosureResult(False, None, 0.0, None))
+            continue
+        fc = is_force_closure(primitives[2 * lo:2 * hi])
+        if enveloping:
+            wrap = _coverage(fingers[lo:hi], edges[lo:hi], config)
+            results.append(ClosureResult(fc.closed, wrap >= 180.0 + 2.0 * slip_margin, fc.margin, wrap))
+        else:
+            results.append(ClosureResult(fc.closed, None, fc.margin, None))
+    return results
 
 
 # --------------------------------------------------------------------------
@@ -574,26 +817,49 @@ def closure_summary(
 
 def pullout_capacity(contacts: ContactSet | Sequence[ContactRecord]) -> float:
     """Maximum vertical extraction resistance of a contact set, N."""
-    records = contacts.records if isinstance(contacts, ContactSet) else tuple(contacts)
-    total = 0.0
-    for rec in records:
-        incl = math.radians(rec.inclination)
-        total += rec.mu * rec.normal_force * math.cos(incl) + rec.normal_force * math.sin(incl)
+    if isinstance(contacts, ContactSet):
+        columns = contacts.mu, contacts.normal_force, contacts.incl_cos, contacts.incl_sin
+        return _total(map(_capacity_term, *(column.tolist() for column in columns)))
+    return _total(map(_record_capacity, contacts))
+
+
+def _record_capacity(rec: ContactRecord) -> float:
+    incl = math.radians(rec.inclination)
+    return _capacity_term(rec.mu, rec.normal_force, math.cos(incl), math.sin(incl))
+
+
+def _capacity_term(mu, force, incl_cos, incl_sin):
+    """A contact's share of the pull-out capacity, N, for floats or arrays of them."""
+    return mu * force * incl_cos + force * incl_sin
+
+
+def _contact_sums(terms: np.ndarray) -> np.ndarray:
+    """The sum of each column of ``terms``, added one row (one contact slot)
+    at a time, in order: the scalar model's contact-by-contact sum.  Rows of
+    zeros pad columns with fewer contacts, since x + 0.0 is x."""
+    total = np.zeros(terms.shape[1:])
+    for row in terms:
+        total += row
     return total
 
 
+def _total(terms: Iterable[float]) -> float:
+    """The terms of one contact set added one at a time, in order, as
+    ``_contact_sums`` adds each column."""
+    return reduce(add, terms, 0.0)
+
+
 def squeeze_force(contacts: ContactSet, finger_index: int | None = None) -> float:
-    """Sum of in-plane normal force components, optionally for one finger.
+    """Sum of in-plane normal force components, optionally for one finger;
+    0 (an int) when no contact presses.
 
     This is what a probe sensor reads while being squeezed: the horizontal
     push of one side's modules.
     """
-    records = (
-        contacts.records
-        if finger_index is None
-        else contacts.finger(finger_index).records
-    )
-    return sum(r.normal_force * math.cos(math.radians(r.inclination)) for r in records)
+    terms = contacts.normal_force * contacts.incl_cos
+    if finger_index is not None:
+        terms = terms[contacts.finger_index == finger_index]
+    return _total(terms.tolist()) if len(terms) else 0
 
 
 def lift_check(
@@ -603,8 +869,7 @@ def lift_check(
     safety: float = 1.0,
 ) -> LiftResult:
     """Does the grasp carry the object's weight with the given safety factor?"""
-    if gravity <= 0.0:
-        raise ValueError(f"gravity must be positive, got {gravity:g}")
+    require("gravity", gravity)
     require("safety", safety)
     capacity = pullout_capacity(contacts)
     weight = obj.mass * gravity
@@ -693,9 +958,7 @@ def pullout_trace(
     terms = np.zeros(hit.shape)
     terms[hit] = mu * force * np.cos(rad) + force * np.sin(rad)
     # pullout_capacity's sum: contact by contact, level-major then finger-minor
-    forces = np.zeros(lifts.shape)
-    for term in terms.reshape(-1, lifts.size):
-        forces += term
+    forces = _contact_sums(terms.reshape(-1, lifts.size))
     top = config.module_levels[-1]
     bottom = config.module_levels[0]
     half_face = config.module_height / 2.0

@@ -46,13 +46,7 @@ import yaml
 
 from ._finite import SWEEP_MEMO, Range, field_problem, sweep_memoized
 from ._version import __version__
-from .grasp import (
-    closure_summary,
-    pullout_capacity,
-    pullout_trace,
-    resolve_contacts,
-    squeeze_force,
-)
+from .grasp import ContactSet, _resolve_sweep, pullout_trace
 from .mechanics import BUILTIN_MATERIALS, MaterialModel, perturbed
 from .planner import PlanError, StackedScene, make_stacked_scene, plan_stacked, simulate_plan
 from .shapes import DIM_COUNTS, ObjectShape, Pose, ShapeKind, grasp_width
@@ -635,40 +629,69 @@ def seeded_material(material: MaterialModel, seed: int | None) -> MaterialModel:
 
 
 def run_single_grasp(scn: SingleGraspScenario, seed: int | None = None) -> dict:
-    material = seeded_material(scn.material, seed)
-    contacts = resolve_contacts(
-        scn.theta, scn.obj, scn.config, material, scn.mu, scn.torque_scale
-    )
-    closure = closure_summary(contacts, scn.obj, scn.config)
-    return {
-        "theta": scn.theta,
-        "opening": opening(scn.theta, scn.config),
-        "object_width": grasp_width(scn.obj),
-        "grasp_mode": contacts.grasp_mode.value,
-        "contact_count": len(contacts),
-        "squeeze_force": squeeze_force(contacts),
-        "side_squeeze_force": squeeze_force(contacts, finger_index=0),
-        "pullout_capacity": pullout_capacity(contacts),
-        "contacts": [
-            {
-                "finger": rec.finger_index,
-                "level": rec.level,
-                "mode": rec.mode.value,
-                "penetration": rec.penetration,
-                "bend_angle": rec.bend_angle,
-                "normal_force": rec.normal_force,
-                "inclination": rec.inclination,
-                "engagement": rec.engagement,
-                "overcompressed": rec.overcompressed,
-                "overfolded": rec.overfolded,
-            }
-            for rec in contacts.records
-        ],
-        "force_closure": closure.force_closure,
-        "closure_margin": closure.margin,
-        "form_closure": closure.form_closure,
-        "wrap_coverage": closure.wrap_angle,
-    }
+    (outputs,), contacts = _grasp_points(scn, (scn.theta,), seeded_material(scn.material, seed))
+    outputs["contacts"] = _contact_table(contacts)
+    return outputs
+
+
+def _grasp_points(
+    scn: SingleGraspScenario, thetas: Sequence[float], material: MaterialModel
+) -> tuple[list[dict], ContactSet]:
+    """``run_single_grasp``'s outputs at each of ``thetas``, but the contact
+    table, from one pass of the contact model, and every point's contacts
+    laid end to end."""
+    sweep = _resolve_sweep(thetas, scn.obj, scn.config, material, scn.mu, scn.torque_scale)
+    width = grasp_width(scn.obj)
+    mode = sweep.contacts.grasp_mode.value
+    points = [
+        {
+            "theta": theta,
+            "opening": aperture,
+            "object_width": width,
+            "grasp_mode": mode,
+            "contact_count": count,
+            "squeeze_force": squeeze,
+            "side_squeeze_force": side,
+            "pullout_capacity": capacity,
+            "force_closure": closure.force_closure,
+            "closure_margin": closure.margin,
+            "form_closure": closure.form_closure,
+            "wrap_coverage": closure.wrap_angle,
+        }
+        for theta, aperture, count, squeeze, side, capacity, closure in zip(
+            sweep.thetas, sweep.openings, *sweep.totals(), sweep.closures(scn.obj, scn.config)
+        )
+    ]
+    return points, sweep.contacts
+
+
+def _contact_table(contacts: ContactSet) -> list[dict]:
+    mode = contacts.contact_mode.value
+    return [
+        {
+            "finger": finger,
+            "level": level,
+            "mode": mode,
+            "penetration": penetration,
+            "bend_angle": bend,
+            "normal_force": force,
+            "inclination": inclination,
+            "engagement": engagement,
+            "overcompressed": overcompressed,
+            "overfolded": overfolded,
+        }
+        for finger, level, penetration, bend, force, inclination, engagement, overcompressed, overfolded in zip(
+            contacts.finger_index.tolist(),
+            contacts.level.tolist(),
+            contacts.penetration.tolist(),
+            [None] * len(contacts) if contacts.bend_angle is None else contacts.bend_angle.tolist(),
+            contacts.normal_force.tolist(),
+            contacts.inclination.tolist(),
+            contacts.engagement.tolist(),
+            contacts.overcompressed.tolist(),
+            contacts.overfolded.tolist(),
+        )
+    ]
 
 
 def run_pullout(scn: PulloutScenario, seed: int | None = None) -> dict:
@@ -787,24 +810,43 @@ def run_sweep(
     ``mu``, ``object.mass``, or ``cycle.travel_speed``).  Rows keep the
     input order; outputs are flattened to scalar columns.  Each point
     re-reads only the mappings on the axis path; every other section is
-    the object the first point built.
+    the object the first point built.  A ``theta`` sweep of a single grasp
+    runs every point in one pass of the contact model.
     """
     base = scenario_to_dict(scn)
     cast = int if _axis_field(scn, axis).type == INTEGER else float
+    values = list(values)
     for value in values:
         if cast is int and not float(value).is_integer():
             raise ScenarioError([f"{axis}: expected an integer, got {value:g}"])
     rows: list[dict] = []
     token = SWEEP_MEMO.set({})
     try:
-        for value in map(cast, values):
-            outputs = run_scenario(parse_scenario(_set(base, axis, value)), seed=seed)
-            row: dict[str, Any] = {axis: value}
-            _flatten("", outputs, row)
-            rows.append(row)
+        if axis == _THETA.key and scn.kind == "single_grasp" and values:
+            rows = _theta_rows(base, list(map(float, values)), seed)
+        else:
+            for value in map(cast, values):
+                outputs = run_scenario(parse_scenario(_set(base, axis, value)), seed=seed)
+                row: dict[str, Any] = {axis: value}
+                _flatten("", outputs, row)
+                rows.append(row)
     finally:
         SWEEP_MEMO.reset(token)
     return rows
+
+
+def _theta_rows(base: dict, thetas: list[float], seed: int | None) -> list[dict]:
+    """Rows of a theta sweep of a single grasp, failing where the per-point
+    loop would: the first point parses in full, the rest check only theta."""
+    first = parse_scenario(_set(base, _THETA.key, thetas[0]))
+    material = seeded_material(first.material, seed)
+    errors: list[str] = []
+    for theta in thetas[1:]:
+        _read_field(errors, {_THETA.key: theta}, _THETA.key, _THETA, {"gripper": first.config})
+        if errors:
+            raise ScenarioError(errors)
+    points, _ = _grasp_points(first, thetas, material)
+    return [{_THETA.key: theta, **outputs} for theta, outputs in zip(thetas, points)]  # outputs are flat
 
 
 def _axis_field(scn: Scenario, axis: str) -> Field:

@@ -6,8 +6,9 @@ of a convex hull, or from every point triple in exact arithmetic, widths by
 projecting polygon vertices, arc unions by a dense angular grid, hold
 windows by sweeping the hold predicate directly, contacts by a scalar loop
 over module levels and fingers with scalar module curves, wrench primitives
-by a scalar loop over contacts and cone edges, and sweeps by parsing a deep
-copy of the written scene at every point.
+by a scalar loop over contacts and cone edges, force and capacity sums by
+a scalar loop over records, and sweeps by parsing a deep copy of the
+written scene at every point.
 """
 
 from __future__ import annotations
@@ -178,6 +179,24 @@ def wrench_primitives(contacts) -> np.ndarray:
             tau = (p[0] * f[1] - p[1] * f[0]) / r_char
             rows.append([f[0], f[1], tau])
     return np.array(rows)
+
+
+def scalar_squeeze_force(records, finger_index=None):
+    """In-plane normal force summed one record at a time: 0 (an int) without any."""
+    total = 0
+    for rec in records:
+        if finger_index is None or rec.finger_index == finger_index:
+            total += rec.normal_force * math.cos(math.radians(rec.inclination))
+    return total
+
+
+def scalar_pullout_capacity(records) -> float:
+    """Extraction resistance summed one record at a time."""
+    total = 0.0
+    for rec in records:
+        incl = math.radians(rec.inclination)
+        total += rec.mu * rec.normal_force * math.cos(incl) + rec.normal_force * math.sin(incl)
+    return total
 
 
 def arc_union_measure(intervals: list[tuple[float, float]], resolution: float = 0.05) -> float:

@@ -25,6 +25,7 @@ from origrip import (
     sphere,
     z_span,
 )
+from origrip._finite import SWEEP_MEMO
 from origrip.grasp import _PLANE_TOL
 
 V_PROBE = curved_block(45.5, 67.0, 80.0)
@@ -266,7 +267,7 @@ def contact_sets(draw) -> ContactSet:
                 overfolded=False,
             )
         )
-    return ContactSet(tuple(records), GraspMode.PARALLEL, 30.0, draw(st.floats(1.0, 100.0)))
+    return ContactSet.from_records(records, GraspMode.PARALLEL, 30.0, draw(st.floats(1.0, 100.0)))
 
 
 @given(contact_sets())
@@ -278,7 +279,7 @@ def test_wrench_primitives_equal_the_scalar_oracle(contacts):
 def test_wrench_primitives_of_resolved_contacts_equal_the_scalar_oracle():
     for mu in (0.0, MU_STAR):
         contacts = resolve_contacts(60.0, V_PROBE, material=TPU95A, mu=mu)
-        lone = ContactSet(contacts.records[:1], contacts.grasp_mode, 60.0, contacts.char_radius)
+        lone = ContactSet.from_records(contacts.records[:1], contacts.grasp_mode, 60.0, contacts.char_radius)
         for subset in (contacts, lone):
             assert np.array_equal(contact_wrench_primitives(subset), oracles.wrench_primitives(subset))
 
@@ -353,7 +354,7 @@ def test_closure_summary_parallel():
 
 def test_closure_summary_single_contact():
     contacts = resolve_contacts(30.0, P_PROBE, material=TPU95A, mu=0.5)
-    lone = ContactSet(contacts.records[:1], GraspMode.PARALLEL, 30.0, contacts.char_radius)
+    lone = ContactSet.from_records(contacts.records[:1], GraspMode.PARALLEL, 30.0, contacts.char_radius)
     summary = closure_summary(lone, P_PROBE)
     assert not summary.force_closure
     assert summary.margin == 0.0
@@ -370,3 +371,30 @@ def test_arc_union_oracle_self_check():
     assert oracles.arc_union_measure([(0.0, 90.0), (45.0, 135.0)]) == pytest.approx(135.0, abs=0.1)
     assert oracles.arc_union_measure([(350.0, 370.0)]) == pytest.approx(20.0, abs=0.1)
     assert oracles.arc_union_measure([(0.0, 400.0)]) == 360.0
+
+
+def test_slip_margin_must_lie_from_0_to_90_degrees():
+    config = GripperConfig(finger_count=4)
+    contacts = resolve_contacts(60.0, V_PROBE, config, TPU95A, mu=MU_STAR)
+    # coverage caps at 360 = 180 + 2 * 90; below -90 even no wrap at all would count as form closed
+    assert is_form_closure(contacts, V_PROBE, config, slip_margin=90.0) == (True, 360.0)
+    assert is_form_closure(contacts, V_PROBE, config, slip_margin=0.0)[0]
+    for margin in (math.nan, math.inf, -200.0, -1e-9, 90.5):
+        for judge in (is_form_closure, closure_summary):
+            with pytest.raises(ValueError, match="^slip_margin must be"):
+                judge(contacts, V_PROBE, config, slip_margin=margin)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_force_closure_rejects_primitives_that_are_not_finite(bad):
+    prims = contact_wrench_primitives(resolve_contacts(60.0, V_PROBE, material=TPU95A, mu=MU_STAR))
+    prims[3, 1] = bad
+    with pytest.raises(ValueError, match="wrench primitives must be finite"):
+        is_force_closure(prims)
+    token = SWEEP_MEMO.set({})
+    try:  # a set that raised is not kept: deciding it again raises again
+        for _ in range(2):
+            with pytest.raises(ValueError, match="wrench primitives must be finite"):
+                is_force_closure(prims)
+    finally:
+        SWEEP_MEMO.reset(token)

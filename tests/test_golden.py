@@ -1,5 +1,6 @@
-"""Byte-level golden outputs: the demo suite, one CLI sweep per scene kind,
-and ``grasp`` records of four-finger scenes written from the dicts below.
+"""Byte-level golden outputs: the demo suite, one CLI sweep per scene kind
+and a few more, and ``grasp`` records of four-finger scenes written from
+the dicts below.
 
 The manifest ``golden_manifest.json`` maps each output file to the sha256
 of its bytes.  Refactors must leave every hash unchanged.  A deliberate
@@ -30,24 +31,6 @@ from origrip.scenario import make_result_record, parse_scenario, run_scenario, w
 
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
 
-SWEEPS = {
-    "sweep_grasp_enveloping_theta.json": ("grasp_enveloping", "theta", "30:60:10"),
-    "sweep_pullout_parallel_lift_step.json": ("pullout_parallel", "lift_step", "0.5,1,2.5"),
-    "sweep_stacked_spheres_mu.json": ("stacked_spheres", "mu", "0.5,0.65,0.8"),
-    "sweep_pickplace_comparison_travel_speed.json": (
-        "pickplace_comparison",
-        "cycle.travel_speed",
-        "10,12.696841112682696,50",
-    ),
-    "sweep_grasp_parallel_object_yaw.json": ("grasp_parallel", "object.yaw", "0,20,40"),
-    "sweep_grasp_parallel_gripper_law_r0.json": ("grasp_parallel", "gripper.law.r0", "48,51,54"),
-    "sweep_pullout_enveloping_plateau_torque.json": (
-        "pullout_enveloping",
-        "materials.tpu95a.plateau_torque",
-        "20,39,60",
-    ),
-}
-
 # four-finger grasps: no bundled scene pins contact records off bearing 0
 GRASPS = {
     "grasp_sphere_four_fingers.json": {
@@ -70,6 +53,27 @@ GRASPS = {
     },
 }
 
+SWEEPS = {
+    "sweep_grasp_enveloping_theta.json": ("grasp_enveloping", "theta", "30:60:10"),
+    "sweep_pullout_parallel_lift_step.json": ("pullout_parallel", "lift_step", "0.5,1,2.5"),
+    "sweep_stacked_spheres_mu.json": ("stacked_spheres", "mu", "0.5,0.65,0.8"),
+    "sweep_pickplace_comparison_travel_speed.json": (
+        "pickplace_comparison",
+        "cycle.travel_speed",
+        "10,12.696841112682696,50",
+    ),
+    "sweep_grasp_parallel_object_yaw.json": ("grasp_parallel", "object.yaw", "0,20,40"),
+    "sweep_grasp_parallel_gripper_law_r0.json": ("grasp_parallel", "gripper.law.r0", "48,51,54"),
+    "sweep_pullout_enveloping_plateau_torque.json": (
+        "pullout_enveloping",
+        "materials.tpu95a.plateau_torque",
+        "20,39,60",
+    ),
+    # both theta sweeps cross first touch: rows of no contact, the force ramp and the plateau
+    "sweep_grasp_parallel_theta.json": ("grasp_parallel", "theta", "10:40:2.5"),
+    "sweep_sphere_four_fingers_theta.json": (GRASPS["grasp_sphere_four_fingers.json"], "theta", "25:70:2.5"),
+}
+
 
 def write_golden(out_dir: Path) -> dict[str, Path]:
     """Write every golden output under ``out_dir``; map manifest names to paths."""
@@ -77,13 +81,18 @@ def write_golden(out_dir: Path) -> dict[str, Path]:
     manifest = run_demo_suite(demo_dir)
     files = sorted(name for names in manifest.values() for name in names) + ["index.json"]
     paths = {f"demo/{name}": demo_dir / name for name in files}
-    for filename, (scene, axis, values) in SWEEPS.items():
-        path = out_dir / filename
-        argv = ["sweep", "--scene", str(demo_scene_path(scene)), "--axis", axis,
-                "--values", values, "--out", str(path)]
-        if main(argv) != EXIT_OK:
-            raise AssertionError(f"sweep {filename} did not exit 0")
-        paths[filename] = path
+    with tempfile.TemporaryDirectory() as scene_dir:
+        for filename, (scene, axis, values) in SWEEPS.items():
+            if isinstance(scene, dict):  # a scene of its own, written as JSON (which is YAML)
+                scene_path = Path(scene_dir, filename)
+                scene_path.write_text(json.dumps(scene, sort_keys=True) + "\n")
+            else:
+                scene_path = demo_scene_path(scene)
+            path = out_dir / filename
+            argv = ["sweep", "--scene", str(scene_path), "--axis", axis, "--values", values, "--out", str(path)]
+            if main(argv) != EXIT_OK:
+                raise AssertionError(f"sweep {filename} did not exit 0")
+            paths[filename] = path
     for filename, scene in GRASPS.items():
         scn = parse_scenario(scene)
         path = out_dir / filename
@@ -147,7 +156,7 @@ def leaf_diff(old_dir: Path, new_dir: Path) -> list[str]:
 def test_outputs_match_golden_manifest(tmp_path):
     expected = json.loads(MANIFEST.read_text())
     actual = golden_hashes(tmp_path)
-    assert len(actual) == 21
+    assert len(actual) == 23
     mismatched = sorted(name for name in expected if actual.get(name) != expected[name])
     assert sorted(actual) == sorted(expected)
     assert mismatched == []

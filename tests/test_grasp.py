@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from origrip import (
     AngleRangeError,
     ContactMode,
+    ContactSet,
     GraspMode,
     CycleSpec,
     GripperConfig,
@@ -34,8 +36,10 @@ from origrip import (
     sphere,
     squeeze_force,
 )
+import oracles
 from oracles import level_contacts
-from origrip.grasp import _resting_geometry
+from origrip import grasp
+from origrip.grasp import ForceClosure, _resolve_sweep, _resting_geometry
 
 # Barrel-shaped reference probe: covers both module levels, curls the faces.
 V_PROBE = curved_block(45.5, 67.0, 80.0)
@@ -151,6 +155,15 @@ def test_capacity_formula():
     assert pullout_capacity(list(contacts.records)) == pullout_capacity(contacts)
 
 
+def test_capacity_of_records_sums_any_mix_of_modes():
+    # a record list is summed as it stands, whatever its modes and bend angles
+    bending = resolve_contacts(60.0, V_PROBE, material=TPU95A, mu=0.3).records
+    compression = resolve_contacts(60.0, P_PROBE, material=TPU95A, mu=0.3).records
+    mixed = [compression[0], bending[0], dataclasses.replace(bending[1], bend_angle=None), *compression[1:]]
+    assert pullout_capacity(mixed) == oracles.scalar_pullout_capacity(mixed)
+    assert pullout_capacity([]) == 0.0
+
+
 def test_capacity_linear_in_mu():
     base = resolve_contacts(60.0, V_PROBE, material=TPU95A, mu=0.0)
     slope = sum(r.normal_force * math.cos(math.radians(r.inclination)) for r in base.records)
@@ -209,8 +222,9 @@ def test_lift_check():
     assert result.holds == (result.capacity >= result.weight)
     heavy = sphere(60.0, mass=50.0, pose=Pose(z=10.0))
     assert not lift_check(resolve_contacts(60.0, heavy, material=SIL950, mu=0.5), heavy).holds
-    with pytest.raises(ValueError):
-        lift_check(contacts, ball, gravity=0.0)
+    for gravity in (math.nan, math.inf, -math.inf, 0.0, -1.0):  # no weight of nan or inf N
+        with pytest.raises(ValueError, match="^gravity must be"):
+            lift_check(contacts, ball, gravity=gravity)
     with pytest.raises(ValueError):
         lift_check(contacts, ball, safety=0.5)
 
@@ -421,6 +435,57 @@ def test_contacts_equal_the_scalar_oracle(obj, levels, fingers, curvature_thresh
     assert contacts.records == tuple(level_contacts(theta, obj, config, material, mu, 0.0, torque_scale))
 
 
+@given(
+    obj=_placed_objects(),
+    levels=st.lists(st.floats(0.5, 120.0), min_size=1, max_size=4).map(sorted),
+    fingers=st.sampled_from((2, 4)),
+    curvature_threshold=st.floats(0.2, 2.0),
+    material=st.sampled_from((TPU95A, SIL950)),
+    mu=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+    thetas=st.lists(st.floats(0.0, 90.0), min_size=1, max_size=6),
+)
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_a_contact_sweep_equals_the_scalar_oracle_at_each_angle(obj, levels, fingers, curvature_threshold,
+                                                                 material, mu, thetas):
+    config = GripperConfig(finger_count=fingers, module_levels=tuple(levels),
+                           curvature_threshold=curvature_threshold)
+    sweep = _resolve_sweep(thetas, obj, config, material, mu)
+    decided = []
+    with mock.patch.object(grasp, "is_force_closure", lambda p: decided.append(p.tobytes()) or ForceClosure(False, 0.0)):
+        sweep.closures(obj, config)
+    expected_decided = []
+    contacts, bounds, totals = sweep.contacts, sweep.bounds.tolist(), list(zip(*sweep.totals()))
+    for p, theta in enumerate(thetas):
+        records = tuple(level_contacts(theta, obj, config, material, mu, 0.0, 1.0))
+        assert contacts.records[bounds[p]:bounds[p + 1]] == records
+        assert sweep.openings[p] == opening(theta, config)
+        expected = (len(records), oracles.scalar_squeeze_force(records), oracles.scalar_squeeze_force(records, 0),
+                    oracles.scalar_pullout_capacity(records))
+        assert [(type(v), v) for v in totals[p]] == [(type(v), v) for v in expected]
+        if len(records) >= 2:
+            point = ContactSet.from_records(records, contacts.grasp_mode, theta, contacts.char_radius)
+            expected_decided.append(oracles.wrench_primitives(point).tobytes())
+    assert decided == expected_decided
+
+
+def test_contact_sets_are_columns_with_records_on_demand():
+    contacts = resolve_contacts(60.0, V_PROBE, GripperConfig(finger_count=4), TPU95A, mu=0.3)
+    records = contacts.records
+    assert records is contacts.records  # built once
+    rebuilt = ContactSet.from_records(records, contacts.grasp_mode, contacts.theta, contacts.char_radius)
+    assert rebuilt == contacts and hash(rebuilt) == hash(contacts)
+    assert rebuilt != dataclasses.replace(contacts, theta=61.0)
+    assert contacts.finger(1).records == tuple(r for r in records if r.finger_index == 1)
+    assert len(contacts.finger(5)) == 0 and contacts.finger(5).records == ()
+    # a contact's mode and bend angle follow the grasp mode
+    for mode in GraspMode:
+        if mode is not contacts.grasp_mode:
+            with pytest.raises(ValueError, match="contacts"):
+                ContactSet.from_records(records, mode, 60.0, contacts.char_radius)
+    with pytest.raises(ValueError, match="bend angle"):
+        ContactSet.from_records([dataclasses.replace(records[0], bend_angle=None)], contacts.grasp_mode, 60.0, 1.0)
+
+
 def test_contact_geometry_is_shared_by_equal_objects_only():
     config = GripperConfig(finger_count=4)
     for make in (lambda **kw: cuboid(63.0, 45.4, 100.0, **kw), lambda **kw: sphere(62.0, **kw)):
@@ -436,8 +501,8 @@ def test_contact_geometry_is_shared_by_equal_objects_only():
             assert records == tuple(level_contacts(60.0, other, config, TPU95A, 0.5, 0.0, 1.0))
             assert records != resolve_contacts(60.0, first, config).records
 
-        geometry, _ = _resting_geometry(first, config)
-        arrays = [geometry.width, geometry.engagement, geometry.inclination]
+        geometry, faces, _ = _resting_geometry(first, config)
+        arrays = [geometry.width, geometry.engagement, geometry.inclination, *faces]
         arrays += [] if geometry.r_h is None else [geometry.r_h]
         for array in arrays:
             assert not array.flags.writeable

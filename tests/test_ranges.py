@@ -21,6 +21,7 @@ from origrip import (
     Pose,
     ScenarioError,
     default_lift_grid,
+    closure_summary,
     edit_scenario,
     lift_check,
     list_demo_scenes,
@@ -57,6 +58,14 @@ def _safety(s, v):
     scene = s.scene
     contacts = resolve_contacts(60.0, scene.top, scene.config, scene.material, scene.mu, scene.torque_scale)
     return lift_check(contacts, scene.top, safety=v)
+
+
+def _enveloping(call):
+    """API call on the enveloping scene's contacts, for a key no scene fills."""
+    def api(s, v):
+        scn = _scene("grasp_enveloping")
+        return call(_contacts(scn), scn.obj, scn.config, v)
+    return api
 
 
 def _pair(v):
@@ -101,6 +110,8 @@ CASES = {
     "lift_step": ("pullout_enveloping", "lift_step", None, lambda s, v: default_lift_grid(s.probe, s.config, v)),
     "clearance": ("stacked_spheres", "clearance", None, _stacked),
     "safety": ("stacked_spheres", "safety", None, _safety),
+    "gravity": (None, None, None, _enveloping(lambda c, obj, config, v: lift_check(c, obj, gravity=v))),
+    "slip_margin": (None, None, None, _enveloping(lambda c, obj, config, v: closure_summary(c, obj, config, v))),
     **{key: ("pickplace_comparison", f"cycle.{key}", ALL, _replace("spec", key, _pair))
        for key in ("pick", "place_bottom", "place_top")},
     **{

@@ -2,9 +2,11 @@
 
 A sweep point re-reads only the mappings on the axis path and reuses the
 finished value of every other section, the materials table and the
-closure verdict of every wrench set an earlier point decided.  The oracle
-``oracles.sweep_rows`` parses a deep copy of the whole scene at every
-point, so any value or message the reuse changes shows up here.
+closure verdict of every wrench set an earlier point decided; a theta
+sweep of a single grasp resolves every point in one pass of the contact
+model.  The oracle ``oracles.sweep_rows`` parses a deep copy of the whole
+scene at every point, so any value, message or error order the reuse
+changes shows up here.
 """
 
 import math
@@ -23,6 +25,8 @@ from origrip import grasp, run_scenario, scenario
 from origrip._finite import SWEEP_MEMO
 from origrip.demo import demo_scene_path
 from origrip.scenario import MATERIALS_ENV_VAR, scenario_to_dict
+from origrip.shapes import width_along
+from origrip.transmission import FINGER_COUNTS, finger_bearings, opening, theta_for_opening
 
 # top and bottom are one YAML mapping, which builds differently under each key
 SHARED_ANCHOR = """\
@@ -180,17 +184,17 @@ def test_a_sweep_reads_the_materials_file_once(monkeypatch, tmp_path, axis, star
 
 def test_a_theta_sweep_resolves_one_object_and_gripper(monkeypatch):
     seen = []
-    resolve = scenario.resolve_contacts
+    resolve = scenario._resolve_sweep
 
-    def recording(theta, obj, config, *args):
-        seen.append((obj, config))
-        return resolve(theta, obj, config, *args)
+    def recording(thetas, obj, config, *args):
+        seen.append((tuple(thetas), obj, config))
+        return resolve(thetas, obj, config, *args)
 
-    monkeypatch.setattr(scenario, "resolve_contacts", recording)
-    run_sweep(load_scenario(demo_scene_path("grasp_enveloping")), "theta", [30.0, 40.0, 50.0, 60.0])
-    assert len(seen) == 4
-    obj, config = seen[0]
-    assert all(o is obj and c is config for o, c in seen)
+    monkeypatch.setattr(scenario, "_resolve_sweep", recording)
+    scn = load_scenario(demo_scene_path("grasp_enveloping"))
+    run_sweep(scn, "theta", [30.0, 40.0, 50.0, 60.0])
+    # every point in one pass of the contact model, on the object and gripper the first point built
+    assert seen == [((30.0, 40.0, 50.0, 60.0), scn.obj, scn.config)]
     assert SWEEP_MEMO.get() is None
 
 
@@ -231,19 +235,137 @@ def test_a_one_shot_run_after_a_sweep_decides_closure_again(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, axis, values, error",
+    "name, axis, values, error, parses",
     [
-        ("grasp_enveloping", "theta", [45.0, 200.0], ScenarioError),
-        ("stacked_spheres", "top.mass", [0.1, 50.0], PlanError),
+        # the first theta parses in full and the second is checked alone, as a theta field
+        ("grasp_enveloping", "theta", [45.0, 200.0], ScenarioError, 1),
+        ("stacked_spheres", "top.mass", [0.1, 50.0], PlanError, 2),
     ],
     ids=["invalid", "infeasible"],
 )
-def test_the_memo_ends_with_a_sweep_that_stops_partway(monkeypatch, name, axis, values, error):
+def test_the_memo_ends_with_a_sweep_that_stops_partway(monkeypatch, name, axis, values, error, parses):
     scn = load_scenario(demo_scene_path(name))
+    expected = _outcome(oracles.sweep_rows, scn, axis, values, None)
     memos = []
     parse = scenario.parse_scenario
     monkeypatch.setattr(scenario, "parse_scenario", lambda data: memos.append(SWEEP_MEMO.get()) or parse(data))
     with pytest.raises(error):
         run_sweep(scn, axis, values)
-    assert len(memos) == 2 and memos[0] is memos[1] and memos[0]  # the first point filled it
+    assert len(memos) == parses and all(memo is memos[0] for memo in memos) and memos[0]  # the first point filled it
     assert SWEEP_MEMO.get() is None
+    assert _outcome(run_sweep, scn, axis, values) == expected
+
+
+# theta sweeps of single grasps run every point in one pass of the contact model
+
+_STIFF = {"stiff": {"plateau_force": 1e4, "force_band": 0.2, "plateau_torque": 20.0}}
+
+
+@st.composite
+def _grasp_scenes(draw):
+    """Single-grasp scenes whose objects the jaws reach over part of the angle range."""
+    shape = draw(st.sampled_from(("sphere", "cube", "cuboid", "cylinder", "curved_block")))
+    width = draw(st.floats(30.0, 76.0))
+    height = draw(st.floats(20.0, 120.0))
+    size = {
+        "sphere": [width],
+        "cube": [width],
+        "cuboid": [width, draw(st.floats(30.0, 76.0)), height],
+        "cylinder": [width, height],
+        "curved_block": [draw(st.floats(max(width, height) / 2.0 + 1.0, 2.0 * max(width, height))), width, height],
+    }[shape]
+    scene = {
+        "kind": "single_grasp",
+        "material": draw(st.sampled_from(("tpu95a", "sil950", "stiff"))),
+        "materials": _STIFF,
+        "mu": draw(st.just(0.0) | st.floats(0.0, 1.5)),
+        "theta": 45.0,
+        "gripper": {
+            "finger_count": draw(st.sampled_from(FINGER_COUNTS)),
+            "module_levels": sorted(draw(st.lists(st.floats(5.0, 100.0), min_size=1, max_size=3))),
+            "curvature_threshold": draw(st.floats(0.2, 2.0)),
+        },
+        "object": {
+            "shape": shape,
+            "size": size,
+            "z": draw(st.floats(-20.0, 20.0)),
+            "yaw": draw(st.floats(0.0, 90.0)),
+        },
+    }
+    return parse_scenario(scene)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    scn=_grasp_scenes(),
+    values=st.lists(st.floats(0.0, 90.0) | st.floats(45.0, 90.0), min_size=1, max_size=8),
+    bad=st.none() | st.none() | st.tuples(st.integers(0, 8), st.sampled_from([-1.0, 91.0, math.nan, math.inf])),
+    seed=st.sampled_from([None, 1, 2, 3]),
+)
+def test_theta_sweeps_of_random_grasps_match_the_per_point_oracle(scn, values, bad, seed):
+    if bad is not None:  # one theta outside the law, anywhere in the list
+        values.insert(bad[0], bad[1])
+    expected = _outcome(oracles.sweep_rows, scn, "theta", values, seed)
+    assert _outcome(run_sweep, scn, "theta", values, seed) == expected
+
+
+def _one_contact_theta(scn):
+    """A theta at which only one face presses: the yawless cuboid is wider
+    along the finger at 180 deg than along the one at 0 deg by one ulp."""
+    widths = [width_along(scn.obj, bearing) for bearing in finger_bearings(scn.config)]
+    assert widths[2] > widths[0]
+    theta = theta_for_opening(widths[0], scn.config)
+    while not widths[0] <= opening(theta, scn.config) < widths[2]:
+        theta = math.nextafter(theta, math.inf if opening(theta, scn.config) > widths[0] else -math.inf)
+    return theta
+
+
+def test_theta_sweeps_cover_points_of_one_contact_and_of_none_on_finger_0():
+    scn = parse_scenario({
+        "kind": "single_grasp", "material": "tpu95a", "theta": 45.0,
+        "gripper": {"finger_count": 4, "module_levels": [20.0]},
+        "object": {"shape": "cuboid", "size": [50.0, 40.0, 80.0]},
+    })
+    # no contact, one (finger 2 alone), fingers 0 and 2, all four
+    values = [10.0, _one_contact_theta(scn), 60.0, 70.0]
+    rows = run_sweep(scn, "theta", values)
+    assert [row["contact_count"] for row in rows] == [0, 1, 2, 4]
+    assert [row["side_squeeze_force"] for row in rows][:2] == [0, 0]
+    assert type(rows[1]["side_squeeze_force"]) is int and rows[1]["squeeze_force"] > 0.0
+    assert rows == oracles.sweep_rows(scn, "theta", values)
+    across = parse_scenario({**scenario_to_dict(scn), "object": {"shape": "cuboid", "size": [40.0, 50.0, 80.0]}})
+    rows = run_sweep(across, "theta", [60.0, 70.0])  # fingers 1 and 3 press first
+    assert [(row["contact_count"], row["side_squeeze_force"]) for row in rows][0] == (2, 0)
+    assert rows == oracles.sweep_rows(across, "theta", [60.0, 70.0])
+
+
+@pytest.mark.parametrize("values", [np.linspace(30.0, 60.0, 7).tolist(), [0.0], []], ids=["range", "zero", "empty"])
+def test_a_theta_sweep_takes_any_iterable_of_angles(values):
+    scn = load_scenario(demo_scene_path("grasp_parallel"))
+    expected = oracles.sweep_rows(scn, "theta", values)
+    for given_values in (np.array(values), iter(values)):
+        rows = run_sweep(scn, "theta", given_values)
+        assert [list(row.items()) for row in rows] == [list(row.items()) for row in expected]
+        assert all(type(row["theta"]) is float for row in rows)
+
+
+@pytest.mark.parametrize(
+    "values, seed, message",
+    [
+        ([45.0, 50.0, 55.0, 200.0], None, "theta: must be <= 90, got 200"),
+        ([45.0, math.nan, 55.0], None, "theta: must be finite, got nan"),
+        # the seed draws the material at the first point, before a later theta is judged
+        ([45.0, 50.0, 55.0, 200.0], 1, "--seed: material 'stiff' drawn with seed 1"),
+        ([200.0, 50.0], 1, "theta: must be <= 90, got 200"),
+        ([45.0, 50.0, 55.0, 200.0], 2, "theta: must be <= 90, got 200"),
+    ],
+    ids=["bad_later_theta", "nan_theta", "seed_before_bad_theta", "bad_first_theta_before_seed", "good_seed"],
+)
+def test_a_theta_sweep_fails_where_the_per_point_loop_fails(values, seed, message):
+    scn = parse_scenario({
+        "kind": "single_grasp", "material": "stiff", "materials": _STIFF, "theta": 45.0,
+        "object": {"shape": "cuboid", "size": [60.0, 50.0, 80.0]},
+    })
+    outcome = _outcome(run_sweep, scn, "theta", values, seed)
+    assert outcome == _outcome(oracles.sweep_rows, scn, "theta", values, seed)
+    assert outcome[0] == "invalid" and outcome[1][0].startswith(message)
