@@ -29,13 +29,15 @@ One model serves both: ``_contact_geometry`` places every module face on
 the object over (level, finger, lift) independently of the servo angle, and
 ``_contact_loads`` turns that geometry into penetrations and forces.  The
 third axis is lift for a trace, which runs both over its lift grid at one
-aperture.  ``_resolve_sweep`` runs the loads on the lift-0 geometry, cached
-per (object, gripper), with the apertures of a list of servo angles on that
-axis instead, so a theta sweep resolves every point in one pass; a one-shot
-grasp and ``resolve_contacts``, which hold windows call at many angles, are
-its one-point case.  A ``ContactSet`` holds its contacts as columns, and
-sums over contacts add them one at a time in (level, finger) order, as the
-scalar model does.
+aperture.  ``_resolve`` runs the loads on the lift-0 geometry, cached per
+(object, gripper), with the apertures of a list of servo angles on that
+axis instead, so a theta sweep resolves every point in one pass into one
+contact set and the bounds of each point's run in it; a one-shot grasp and
+``resolve_contacts``, which hold windows call at many angles, are its
+one-point case.  Per-point facts are functions of (contacts, bounds):
+``_point_totals`` for the sums, ``_closures`` for the verdicts.  A
+``ContactSet`` holds its contacts as columns, and sums over contacts add
+them one at a time in (level, finger) order, as the scalar model does.
 
 Closure
 -------
@@ -402,73 +404,6 @@ def _pressing(values: np.ndarray, hit: np.ndarray) -> np.ndarray:
     return values[hit] if values.shape == hit.shape else np.broadcast_to(values, hit.shape)[hit]
 
 
-@dataclass(frozen=True, eq=False)
-class _ContactSweep:
-    """The contacts of one object and gripper at each of several servo
-    angles, resolved in one pass of the contact model.
-
-    ``contacts`` lays the points' contact sets end to end, point by point:
-    point ``p`` holds its entries ``bounds[p]:bounds[p + 1]``.  Its
-    ``theta`` is NaN unless the sweep has one point.  The per-point sums
-    equal those of ``squeeze_force`` and ``pullout_capacity`` on each
-    point's set, bit for bit.
-    """
-
-    thetas: tuple[float, ...]
-    openings: tuple[float, ...]      # jaw opening at each theta, mm
-    contacts: ContactSet
-    point: np.ndarray                # the point of each contact
-
-    def __len__(self) -> int:
-        return len(self.thetas)
-
-    @cached_property
-    def bounds(self) -> np.ndarray:
-        """Where each point's contacts start, and where the last one's end."""
-        return np.searchsorted(self.point, np.arange(len(self) + 1))
-
-    def totals(self) -> tuple[list[int], list, list, list[float]]:
-        """Per point: the contact count, ``squeeze_force`` of all fingers and
-        of finger 0 (0, an int, where nothing presses) and ``pullout_capacity``,
-        from one zero-padded pass, contact by contact."""
-        c = self.contacts
-        side = c.finger_index == 0
-        squeeze = c.normal_force * c.incl_cos
-        counts = (self.bounds[1:] - self.bounds[:-1]).tolist()
-        padded = np.zeros((max(counts), 3, len(self)))
-        padded[np.arange(len(c)) - self.bounds[self.point], :, self.point] = np.column_stack(
-            (squeeze, np.where(side, squeeze, 0.0), _capacity_term(c.mu, c.normal_force, c.incl_cos, c.incl_sin))
-        )
-        squeezes, sides, capacities = _contact_sums(padded).tolist()
-        pressing = np.bincount(self.point[side], minlength=len(self)).tolist()
-        return (
-            counts,
-            [total if n else 0 for n, total in zip(counts, squeezes)],
-            [total if n else 0 for n, total in zip(pressing, sides)],
-            capacities,
-        )
-
-    def closures(
-        self, obj: ObjectShape, config: GripperConfig | None = None, slip_margin: float = 15.0
-    ) -> list[ClosureResult]:
-        """``closure_summary`` at each point."""
-        return _closures(self.contacts, self.bounds.tolist(), obj, config, slip_margin)
-
-
-def _resolve_sweep(
-    thetas: Sequence[float],
-    obj: ObjectShape,
-    config: GripperConfig | None = None,
-    material: MaterialModel | None = None,
-    mu: float = 0.5,
-    torque_scale: float = 1.0,
-) -> _ContactSweep:
-    """``resolve_contacts`` at each of ``thetas``, from one pass of the
-    contact model: the lift-0 geometry is broadcast over the apertures."""
-    thetas = tuple(thetas)
-    return _ContactSweep(thetas, *_resolve(thetas, obj, config, material, mu, torque_scale))
-
-
 def resolve_contacts(
     theta: float,
     obj: ObjectShape,
@@ -482,15 +417,18 @@ def resolve_contacts(
 
 
 def _resolve(
-    thetas: tuple[float, ...],
+    thetas: Sequence[float],
     obj: ObjectShape,
     config: GripperConfig | None,
     material: MaterialModel | None,
     mu: float,
     torque_scale: float,
-) -> tuple[tuple[float, ...], ContactSet, np.ndarray]:
-    """The openings, the contacts of every theta in theta order, and the
-    theta index of each contact."""
+) -> tuple[tuple[float, ...], ContactSet, list[int]]:
+    """The openings at ``thetas`` and their contacts, from one pass of the
+    contact model: the lift-0 geometry is broadcast over the apertures.
+    The contacts run point by point, point ``p`` holding the entries
+    ``bounds[p]:bounds[p + 1]``; their ``theta`` is NaN unless there is
+    one point."""
     config = config or GripperConfig()
     material = material or TPU95A
     geometry, faces, char_radius = _resting_geometry(obj, config)
@@ -502,6 +440,9 @@ def _resolve(
         order = np.argsort(point, kind="stable")
         face, point, pens, forces, overloads = face[order], point[order], pens[order], forces[order], overloads[order]
         bends = None if bends is None else bends[order]
+        bounds = np.searchsorted(point, np.arange(len(thetas) + 1)).tolist()
+    else:
+        bounds = [0, len(face)]
     ids, values = faces.ids.take(face, axis=0), faces.values.take(face, axis=0)
     enveloping = geometry.mode is GraspMode.V_ENVELOPING
     unloaded = np.zeros(len(face), dtype=bool)
@@ -524,7 +465,7 @@ def _resolve(
         overcompressed=unloaded if enveloping else overloads,
         overfolded=overloads if enveloping else unloaded,
     )
-    return openings, contacts, point
+    return openings, contacts, bounds
 
 
 # --------------------------------------------------------------------------
@@ -786,7 +727,7 @@ def closure_summary(
 
 
 def _closures(
-    contacts: ContactSet, bounds: list[int], obj: ObjectShape, config: GripperConfig | None, slip_margin: float
+    contacts: ContactSet, bounds: list[int], obj: ObjectShape, config: GripperConfig | None, slip_margin: float = 15.0
 ) -> list[ClosureResult]:
     """``closure_summary`` of each run ``contacts[bounds[p]:bounds[p + 1]]``,
     from one pass over the whole set for the primitives and the wrap edges."""
@@ -860,6 +801,34 @@ def squeeze_force(contacts: ContactSet, finger_index: int | None = None) -> floa
     if finger_index is not None:
         terms = terms[contacts.finger_index == finger_index]
     return _total(terms.tolist()) if len(terms) else 0
+
+
+def _point_totals(contacts: ContactSet, bounds: list[int]) -> tuple[list[int], list, list, list[float]]:
+    """Per run ``contacts[bounds[p]:bounds[p + 1]]``: the contact count,
+    ``squeeze_force`` of all fingers and of finger 0 (0, an int, where
+    nothing presses) and ``pullout_capacity``, from one zero-padded pass,
+    contact by contact."""
+    # One padded pass costs about as much for twenty runs as for one, and
+    # several times a plain fold over one set: a sweep takes the pass, and
+    # squeeze_force and pullout_capacity, which see one set, keep the fold.
+    c = contacts
+    side = c.finger_index == 0
+    squeeze = c.normal_force * c.incl_cos
+    bounds = np.asarray(bounds)
+    counts = (bounds[1:] - bounds[:-1]).tolist()
+    point = np.repeat(np.arange(len(counts)), counts)
+    padded = np.zeros((max(counts), 3, len(counts)))
+    padded[np.arange(len(c)) - bounds[point], :, point] = np.column_stack(
+        (squeeze, np.where(side, squeeze, 0.0), _capacity_term(c.mu, c.normal_force, c.incl_cos, c.incl_sin))
+    )
+    squeezes, sides, capacities = _contact_sums(padded).tolist()
+    pressing = np.bincount(point[side], minlength=len(counts)).tolist()
+    return (
+        counts,
+        [total if n else 0 for n, total in zip(counts, squeezes)],
+        [total if n else 0 for n, total in zip(pressing, sides)],
+        capacities,
+    )
 
 
 def lift_check(
@@ -956,7 +925,7 @@ def pullout_trace(
     hit, _, _, force, _ = _contact_loads(geometry, opening(theta, config), config, material, torque_scale)
     rad = np.radians(geometry.inclination[hit])
     terms = np.zeros(hit.shape)
-    terms[hit] = mu * force * np.cos(rad) + force * np.sin(rad)
+    terms[hit] = _capacity_term(mu, force, np.cos(rad), np.sin(rad))
     # pullout_capacity's sum: contact by contact, level-major then finger-minor
     forces = _contact_sums(terms.reshape(-1, lifts.size))
     top = config.module_levels[-1]

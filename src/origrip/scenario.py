@@ -46,7 +46,7 @@ import yaml
 
 from ._finite import SWEEP_MEMO, Range, field_problem, sweep_memoized
 from ._version import __version__
-from .grasp import ContactSet, _resolve_sweep, pullout_trace
+from .grasp import ContactSet, _closures, _point_totals, _resolve, default_lift_grid, pullout_trace
 from .mechanics import BUILTIN_MATERIALS, MaterialModel, perturbed
 from .planner import PlanError, StackedScene, make_stacked_scene, plan_stacked, simulate_plan
 from .shapes import DIM_COUNTS, ObjectShape, Pose, ShapeKind, grasp_width
@@ -640,9 +640,9 @@ def _grasp_points(
     """``run_single_grasp``'s outputs at each of ``thetas``, but the contact
     table, from one pass of the contact model, and every point's contacts
     laid end to end."""
-    sweep = _resolve_sweep(thetas, scn.obj, scn.config, material, scn.mu, scn.torque_scale)
+    openings, contacts, bounds = _resolve(thetas, scn.obj, scn.config, material, scn.mu, scn.torque_scale)
     width = grasp_width(scn.obj)
-    mode = sweep.contacts.grasp_mode.value
+    mode = contacts.grasp_mode.value
     points = [
         {
             "theta": theta,
@@ -659,44 +659,31 @@ def _grasp_points(
             "wrap_coverage": closure.wrap_angle,
         }
         for theta, aperture, count, squeeze, side, capacity, closure in zip(
-            sweep.thetas, sweep.openings, *sweep.totals(), sweep.closures(scn.obj, scn.config)
+            thetas, openings, *_point_totals(contacts, bounds), _closures(contacts, bounds, scn.obj, scn.config)
         )
     ]
-    return points, sweep.contacts
+    return points, contacts
 
 
 def _contact_table(contacts: ContactSet) -> list[dict]:
-    mode = contacts.contact_mode.value
     return [
         {
-            "finger": finger,
-            "level": level,
-            "mode": mode,
-            "penetration": penetration,
-            "bend_angle": bend,
-            "normal_force": force,
-            "inclination": inclination,
-            "engagement": engagement,
-            "overcompressed": overcompressed,
-            "overfolded": overfolded,
+            "finger": rec.finger_index,
+            "level": rec.level,
+            "mode": rec.mode.value,
+            "penetration": rec.penetration,
+            "bend_angle": rec.bend_angle,
+            "normal_force": rec.normal_force,
+            "inclination": rec.inclination,
+            "engagement": rec.engagement,
+            "overcompressed": rec.overcompressed,
+            "overfolded": rec.overfolded,
         }
-        for finger, level, penetration, bend, force, inclination, engagement, overcompressed, overfolded in zip(
-            contacts.finger_index.tolist(),
-            contacts.level.tolist(),
-            contacts.penetration.tolist(),
-            [None] * len(contacts) if contacts.bend_angle is None else contacts.bend_angle.tolist(),
-            contacts.normal_force.tolist(),
-            contacts.inclination.tolist(),
-            contacts.engagement.tolist(),
-            contacts.overcompressed.tolist(),
-            contacts.overfolded.tolist(),
-        )
+        for rec in contacts.records
     ]
 
 
 def run_pullout(scn: PulloutScenario, seed: int | None = None) -> dict:
-    from .grasp import default_lift_grid
-
     material = seeded_material(scn.material, seed)
     try:
         grid = default_lift_grid(scn.probe, scn.config, step=scn.lift_step)

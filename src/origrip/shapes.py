@@ -19,7 +19,7 @@ Dimension order per kind:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -222,8 +222,6 @@ def bounding_radius(obj: ObjectShape) -> float:
 
 def stack_on(top: ObjectShape, bottom: ObjectShape, gap: float = 0.0) -> ObjectShape:
     """Copy of ``top`` resting on ``bottom`` (plus an optional gap)."""
-    import dataclasses as _dc
-
     base = bottom.pose.z + vertical_extent(bottom) + gap
-    pose = _dc.replace(top.pose, z=base, stack_level=bottom.pose.stack_level + 1)
-    return _dc.replace(top, pose=pose)
+    pose = replace(top.pose, z=base, stack_level=bottom.pose.stack_level + 1)
+    return replace(top, pose=pose)

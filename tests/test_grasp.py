@@ -39,7 +39,7 @@ from origrip import (
 import oracles
 from oracles import level_contacts
 from origrip import grasp
-from origrip.grasp import ForceClosure, _resolve_sweep, _resting_geometry
+from origrip.grasp import ForceClosure, _closures, _point_totals, _resolve, _resting_geometry
 
 # Barrel-shaped reference probe: covers both module levels, curls the faces.
 V_PROBE = curved_block(45.5, 67.0, 80.0)
@@ -449,16 +449,16 @@ def test_a_contact_sweep_equals_the_scalar_oracle_at_each_angle(obj, levels, fin
                                                                  material, mu, thetas):
     config = GripperConfig(finger_count=fingers, module_levels=tuple(levels),
                            curvature_threshold=curvature_threshold)
-    sweep = _resolve_sweep(thetas, obj, config, material, mu)
+    openings, contacts, bounds = _resolve(thetas, obj, config, material, mu, 1.0)
     decided = []
     with mock.patch.object(grasp, "is_force_closure", lambda p: decided.append(p.tobytes()) or ForceClosure(False, 0.0)):
-        sweep.closures(obj, config)
+        _closures(contacts, bounds, obj, config)
     expected_decided = []
-    contacts, bounds, totals = sweep.contacts, sweep.bounds.tolist(), list(zip(*sweep.totals()))
+    totals = list(zip(*_point_totals(contacts, bounds)))
     for p, theta in enumerate(thetas):
         records = tuple(level_contacts(theta, obj, config, material, mu, 0.0, 1.0))
         assert contacts.records[bounds[p]:bounds[p + 1]] == records
-        assert sweep.openings[p] == opening(theta, config)
+        assert openings[p] == opening(theta, config)
         expected = (len(records), oracles.scalar_squeeze_force(records), oracles.scalar_squeeze_force(records, 0),
                     oracles.scalar_pullout_capacity(records))
         assert [(type(v), v) for v in totals[p]] == [(type(v), v) for v in expected]

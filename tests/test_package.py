@@ -54,3 +54,17 @@ def test_every_function_the_benchmark_tracer_wraps_exists():
     assert len(named) > len(tables["SPANNED"])
     for module, func in named:
         assert callable(getattr(importlib.import_module(f"origrip.{module}"), func, None)), f"{module}.{func}"
+
+
+def test_no_module_imports_inside_a_function():
+    # every import sits at module level, where a reader sees what a module depends on
+    nested = []
+    for path in sorted((SRC / "origrip").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                nested += [
+                    f"{path.name}:{inner.lineno}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))
+                ]
+    assert nested == []

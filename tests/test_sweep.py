@@ -9,6 +9,7 @@ scene at every point, so any value, message or error order the reuse
 changes shows up here.
 """
 
+import dataclasses
 import math
 from contextlib import contextmanager
 from functools import cache
@@ -16,7 +17,7 @@ from functools import cache
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -184,13 +185,13 @@ def test_a_sweep_reads_the_materials_file_once(monkeypatch, tmp_path, axis, star
 
 def test_a_theta_sweep_resolves_one_object_and_gripper(monkeypatch):
     seen = []
-    resolve = scenario._resolve_sweep
+    resolve = scenario._resolve
 
     def recording(thetas, obj, config, *args):
         seen.append((tuple(thetas), obj, config))
         return resolve(thetas, obj, config, *args)
 
-    monkeypatch.setattr(scenario, "_resolve_sweep", recording)
+    monkeypatch.setattr(scenario, "_resolve", recording)
     scn = load_scenario(demo_scene_path("grasp_enveloping"))
     run_sweep(scn, "theta", [30.0, 40.0, 50.0, 60.0])
     # every point in one pass of the contact model, on the object and gripper the first point built
@@ -307,6 +308,39 @@ def test_theta_sweeps_of_random_grasps_match_the_per_point_oracle(scn, values, b
         values.insert(bad[0], bad[1])
     expected = _outcome(oracles.sweep_rows, scn, "theta", values, seed)
     assert _outcome(run_sweep, scn, "theta", values, seed) == expected
+
+
+_SMALL_BALL = parse_scenario({
+    "kind": "single_grasp", "material": "tpu95a", "theta": 45.0,
+    "gripper": {"finger_count": 4}, "object": {"shape": "sphere", "size": [40.0]},
+})
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(scn=_grasp_scenes(), theta=st.floats(0.0, 90.0))
+@example(scn=_SMALL_BALL, theta=10.0)  # nothing presses
+def test_one_shot_contact_tables_of_random_grasps_match_the_scalar_oracle(scn, theta):
+    scn = dataclasses.replace(scn, theta=theta)
+    records = oracles.level_contacts(theta, scn.obj, scn.config, scn.material, scn.mu, 0.0, scn.torque_scale)
+    expected = [
+        {
+            "finger": rec.finger_index,
+            "level": rec.level,
+            "mode": rec.mode.value,
+            "penetration": rec.penetration,
+            "bend_angle": rec.bend_angle,
+            "normal_force": rec.normal_force,
+            "inclination": rec.inclination,
+            "engagement": rec.engagement,
+            "overcompressed": rec.overcompressed,
+            "overfolded": rec.overfolded,
+        }
+        for rec in records
+    ]
+    table = run_scenario(scn)["contacts"]
+    assert [[(key, type(value), value) for key, value in row.items()] for row in table] == [
+        [(key, type(value), value) for key, value in row.items()] for row in expected
+    ]
 
 
 def _one_contact_theta(scn):
