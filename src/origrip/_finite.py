@@ -7,8 +7,8 @@ Finite is not enough: a 1e300 mm object overflows the wrench hull, a
 and a 1e-307 mm/s approach or a 1e308 s dwell takes infinitely long.
 
 ``SWEEP_MEMO`` keeps, for the length of one sweep, the work that repeats
-from point to point; it lives here because the scene reader and the grasp
-model both use it.
+from point to point; it lives here because the scene reader's materials
+table and the grasp model's closure verdicts both use it.
 """
 
 from __future__ import annotations
@@ -118,9 +118,8 @@ def _field_ranges(cls: type) -> tuple[tuple[str, Range], ...]:
 
 
 # Set by scenario.run_sweep for the length of one sweep, in its own context,
-# and None outside one.  The scene reader keys the sections that read
-# cleanly by (field, id(mapping)); every other entry has a tuple key led by
-# a string that names what it holds, which no such pair equals.
+# and None outside one.  Every key is a tuple led by a string that names
+# what the entry holds: the materials table, or a closure verdict.
 SWEEP_MEMO: ContextVar[dict | None] = ContextVar("SWEEP_MEMO", default=None)
 
 

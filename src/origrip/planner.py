@@ -103,9 +103,9 @@ def holds_at(
     """
     config = config or GripperConfig()
     material = material or SIL950
-    pen = (grasp_width(obj) - opening(theta, config)) / 2.0
-    strain = pen / config.rest_depth
-    if not material.strain_lo <= strain <= material.strain_hi:
+    opening(theta, config)  # raises outside the law's angle range
+    lo, hi = _strain_interval(obj, config, material)  # the band hold_window's edges come from
+    if not lo <= theta <= hi:
         return False
     return _carries(theta, obj, config, material, mu, torque_scale, safety)
 

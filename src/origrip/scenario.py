@@ -142,8 +142,7 @@ class Field:
     paths of all entries and of the one in use.  ``bind`` gives list lengths
     that depend on fields read earlier in the same section; ``convert`` maps
     a checked value to what the section is built from and raises ValueError
-    when it cannot; on a section field it may not read ``values``, since a
-    sweep reuses the finished value of an unchanged mapping.
+    when it cannot.
     """
 
     key: str
@@ -192,12 +191,6 @@ def _write(fields: tuple[Field, ...], obj: Any) -> dict:
 
 
 _FAILED = object()  # a field or section that did not read cleanly
-
-# Under a sweep, parse_scenario keeps in SWEEP_MEMO (field, id(mapping)) ->
-# (mapping, finished value) for each section field that read cleanly.  The
-# entry keeps the mapping alive, so its id is not reused while the memo
-# lives.  The field is part of the key: one mapping can sit under two fields
-# (a YAML anchor under top and bottom).
 
 
 @lru_cache(maxsize=32)  # scenes mostly share a few laws and shapes
@@ -369,14 +362,8 @@ def _fail(errors: list[str], path: str, message: str) -> object:
     return _FAILED
 
 
-def _read_section(
-    errors: list[str], data: Any, path: str, section: Section, values: dict | None = None,
-    memo: dict | None = None,
-) -> Any:
-    """Build ``section`` from mapping ``data``, or report why not and return _FAILED.
-
-    A section field whose mapping ``memo`` holds is not read again.
-    """
+def _read_section(errors: list[str], data: Any, path: str, section: Section, values: dict | None = None) -> Any:
+    """Build ``section`` from mapping ``data``, or report why not and return _FAILED."""
     if not isinstance(data, Mapping):
         return _fail(errors, path, f"expected a mapping, got {type(data).__name__}")
     prefix = f"{path}." if path else ""
@@ -392,7 +379,7 @@ def _read_section(
                 field = _bounded(field, **field.bind(values))
             except KeyError:  # bounded by an earlier field that failed
                 return _FAILED
-        value = _read_field(errors, data, prefix + field.key, field, values, memo)
+        value = _read_field(errors, data, prefix + field.key, field, values)
         if value is _FAILED or value is None:
             continue
         if isinstance(field.attr, tuple) and field.type == NUMBERS:
@@ -407,9 +394,7 @@ def _read_section(
         return _fail(errors, path, str(exc))
 
 
-def _read_field(
-    errors: list[str], data: Mapping, where: str, field: Field, values: dict, memo: dict | None = None
-) -> Any:
+def _read_field(errors: list[str], data: Mapping, where: str, field: Field, values: dict) -> Any:
     """The field's checked value, its default when missing, or _FAILED."""
     raw = data.get(field.key, _FAILED)
     if raw is None or raw is _FAILED:
@@ -417,15 +402,11 @@ def _read_field(
             raw = {}  # an absent or empty optional section takes its defaults
         elif raw is _FAILED:
             return _fail(errors, where, "required field is missing") if field.required else field.default
-    cached = memo is not None and field.section is not None
-    if cached and (field, id(raw)) in memo:
-        return memo[field, id(raw)][1]
-    clean = len(errors)
     kind = field.type
     if kind == NUMBER:
         value = _number(errors, raw, where, field)
     elif kind == SECTION:
-        value = _read_section(errors, raw, where, field.section, memo=memo)
+        value = _read_section(errors, raw, where, field.section)
     elif kind == SECTIONS:
         value = _read_named(errors, raw, where, field.section)
     elif kind == NUMBERS and not isinstance(raw, (list, tuple)):
@@ -452,9 +433,6 @@ def _read_field(
             value = _FAILED
         except ValueError as exc:
             value = _fail(errors, where, str(exc))
-    # named sections drop an entry that failed and keep the rest: not clean
-    if cached and value is not _FAILED and len(errors) == clean:
-        memo[field, id(raw)] = raw, value
     return value
 
 
@@ -514,7 +492,7 @@ def parse_scenario(data: Any, source: str = "<dict>") -> Scenario:
     name = _read_field(errors, data, "name", _NAME, {})
     if not isinstance(name, str) or not name:
         name = Path(source).stem if source not in ("<dict>", "") else "scenario"
-    scn = _read_section(errors, data, "", _KINDS[kind], {"name": name}, SWEEP_MEMO.get())
+    scn = _read_section(errors, data, "", _KINDS[kind], {"name": name})
     if errors:
         raise ScenarioError(errors)
     return scn
@@ -796,43 +774,51 @@ def run_sweep(
     ``axis`` is a dotted path into the scene mapping (for example ``theta``,
     ``mu``, ``object.mass``, or ``cycle.travel_speed``).  Rows keep the
     input order; outputs are flattened to scalar columns.  Each point
-    re-reads only the mappings on the axis path; every other section is
-    the object the first point built.  A ``theta`` sweep of a single grasp
-    runs every point in one pass of the contact model.
+    parses the written scene with its value on the axis; the sweep reads
+    the ``ORIGRIP_MATERIALS`` file and decides each closure once.
+
+    A ``theta`` sweep of a single grasp parses nothing: it runs ``scn``
+    itself at every point, in one pass of the contact model, and judges
+    each theta as a scene file's ``theta`` is judged.  A hand-built ``scn``
+    that a scene file would reject therefore fails as ``run_scenario(scn)``
+    does, with the model's ValueError rather than a ScenarioError.
     """
-    base = scenario_to_dict(scn)
     cast = int if _axis_field(scn, axis).type == INTEGER else float
     values = list(values)
     for value in values:
         if cast is int and not float(value).is_integer():
             raise ScenarioError([f"{axis}: expected an integer, got {value:g}"])
-    rows: list[dict] = []
     token = SWEEP_MEMO.set({})
     try:
         if axis == _THETA.key and scn.kind == "single_grasp" and values:
-            rows = _theta_rows(base, list(map(float, values)), seed)
-        else:
-            for value in map(cast, values):
-                outputs = run_scenario(parse_scenario(_set(base, axis, value)), seed=seed)
-                row: dict[str, Any] = {axis: value}
-                _flatten("", outputs, row)
-                rows.append(row)
+            return _theta_rows(scn, list(map(float, values)), seed)
+        base = scenario_to_dict(scn)
+        rows: list[dict] = []
+        for value in map(cast, values):
+            outputs = run_scenario(parse_scenario(_set(base, axis, value)), seed=seed)
+            row: dict[str, Any] = {axis: value}
+            _flatten("", outputs, row)
+            rows.append(row)
+        return rows
     finally:
         SWEEP_MEMO.reset(token)
-    return rows
 
 
-def _theta_rows(base: dict, thetas: list[float], seed: int | None) -> list[dict]:
-    """Rows of a theta sweep of a single grasp, failing where the per-point
-    loop would: the first point parses in full, the rest check only theta."""
-    first = parse_scenario(_set(base, _THETA.key, thetas[0]))
-    material = seeded_material(first.material, seed)
-    errors: list[str] = []
-    for theta in thetas[1:]:
-        _read_field(errors, {_THETA.key: theta}, _THETA.key, _THETA, {"gripper": first.config})
+def _theta_rows(scn: SingleGraspScenario, thetas: list[float], seed: int | None) -> list[dict]:
+    """Rows of a theta sweep of ``scn``, failing where the per-point loop
+    would: the first theta is judged before the seed draws the material,
+    the rest after it."""
+    def check(theta: float) -> None:
+        errors: list[str] = []
+        _read_field(errors, {_THETA.key: theta}, _THETA.key, _THETA, {"gripper": scn.config})
         if errors:
             raise ScenarioError(errors)
-    points, _ = _grasp_points(first, thetas, material)
+
+    check(thetas[0])
+    material = seeded_material(scn.material, seed)
+    for theta in thetas[1:]:
+        check(theta)
+    points, _ = _grasp_points(scn, thetas, material)
     return [{_THETA.key: theta, **outputs} for theta, outputs in zip(thetas, points)]  # outputs are flat
 
 

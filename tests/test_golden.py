@@ -12,9 +12,9 @@ manifest, and says why in CHANGES.md:
     PYTHONPATH=src python tests/test_golden.py --diff OLD NEW
     PYTHONPATH=src python tests/test_golden.py --write
 
-The demo suite never serialises a scene, so the sweeps (which round-trip
-the scene through ``scenario_to_dict`` for every point) are what pin the
-serialise direction.
+The demo suite never serialises a scene, so the sweeps on axes other than
+``theta`` (which round-trip the scene through ``scenario_to_dict`` for
+every point) are what pin the serialise direction.
 """
 
 import csv

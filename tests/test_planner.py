@@ -229,6 +229,26 @@ def test_wider_objects_hold_at_smaller_angles(width, extra):
     assert wide.theta_hi <= narrow.theta_hi
 
 
+@given(
+    st.sampled_from((sphere, cube)),
+    st.floats(min_value=30.0, max_value=85.0),
+    st.floats(min_value=0.001, max_value=0.3),
+    st.floats(min_value=0.0, max_value=60.0),
+    st.sampled_from((CFG2, CFG4)),
+    st.sampled_from((TPU95A, SIL950)),
+)
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_both_edges_of_a_hold_window_hold(make, width, mass, z, config, material):
+    """holds_at judges the strain band as hold_window bounds it, so a
+    window's own edges hold, whatever pins them."""
+    obj = make(width, mass, pose=Pose(z=z))
+    window = hold_window(obj, config, material, mu=0.5)
+    assume(window is not None)
+    for edge in (window.theta_lo, window.theta_hi):
+        assert window.contains(edge)
+        assert holds_at(edge, obj, config, material, mu=0.5), f"edge {edge!r} of {window}"
+
+
 @given(st.floats(min_value=45.0, max_value=60.0))
 @settings(max_examples=20)
 def test_feasible_plans_survive_simulation(top_width):

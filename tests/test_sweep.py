@@ -1,12 +1,12 @@
 """Sweeps against the per-point oracle, and what a sweep parses and decides once.
 
-A sweep point re-reads only the mappings on the axis path and reuses the
-finished value of every other section, the materials table and the
-closure verdict of every wrench set an earlier point decided; a theta
-sweep of a single grasp resolves every point in one pass of the contact
-model.  The oracle ``oracles.sweep_rows`` parses a deep copy of the whole
-scene at every point, so any value, message or error order the reuse
-changes shows up here.
+A sweep point parses the written scene with its value on the axis and
+reuses the materials table and the closure verdict of every wrench set an
+earlier point decided; a theta sweep of a single grasp parses nothing and
+resolves every point of the scenario it is given in one pass of the
+contact model.  The oracle ``oracles.sweep_rows`` parses a deep copy of
+the whole scene at every point, so any value, message or error order the
+reuse changes shows up here.
 """
 
 import dataclasses
@@ -169,18 +169,42 @@ def test_a_shared_mapping_builds_top_and_bottom_under_their_own_names():
             assert (scn, written) == fresh
 
 
-@pytest.mark.parametrize("axis, start", [("theta", 30.0), ("materials.tpu95a.plateau_torque", 20.0)])
-def test_a_sweep_reads_the_materials_file_once(monkeypatch, tmp_path, axis, start):
+@pytest.mark.parametrize(
+    "name, axis, start, step, reads",
+    [
+        pytest.param("grasp_parallel", "theta", 30.0, 1.0, 0, id="theta-30.0"),  # a theta sweep parses nothing
+        pytest.param("grasp_parallel", "materials.tpu95a.plateau_torque", 20.0, 1.0, 1,
+                     id="materials.tpu95a.plateau_torque-20.0"),
+        pytest.param("stacked_spheres", "top.mass", 0.01, 0.002, 1, id="top.mass-0.01"),
+    ],
+)
+def test_a_sweep_reads_the_materials_file_once(monkeypatch, tmp_path, name, axis, start, step, reads):
     env_file = tmp_path / "materials.yaml"
     env_file.write_text("foam: {plateau_force: 2.0, plateau_torque: 20.0}\n")
     monkeypatch.setenv(MATERIALS_ENV_VAR, str(env_file))
-    scn = load_scenario(demo_scene_path("grasp_parallel"))
+    scn = load_scenario(demo_scene_path(name))
     calls = []
     table = scenario.material_table
     monkeypatch.setattr(scenario, "material_table", lambda: calls.append(1) or table())
-    rows = run_sweep(scn, axis, [start + n for n in range(20)])
+    rows = run_sweep(scn, axis, [start + step * n for n in range(20)])
     assert len(rows) == 20
-    assert len(calls) == 1
+    assert len(calls) == reads
+
+
+def test_a_theta_sweep_reads_no_scene_file_and_no_materials_file(monkeypatch, tmp_path):
+    env_file = tmp_path / "materials.yaml"
+    env_file.write_text("foam: {plateau_force: 2.0, plateau_torque: 20.0}\n")
+    monkeypatch.setenv(MATERIALS_ENV_VAR, str(env_file))
+    scene_file = tmp_path / "grasp_parallel.yaml"
+    scene_file.write_bytes(demo_scene_path("grasp_parallel").read_bytes())
+    scn = load_scenario(scene_file)
+    values = [30.0 + 2.0 * n for n in range(10)]
+    expected = oracles.sweep_rows(scn, "theta", values)
+    env_file.unlink()
+    scene_file.unlink()
+    assert [list(row.items()) for row in run_sweep(scn, "theta", values)] == [
+        list(row.items()) for row in expected
+    ]
 
 
 def test_a_theta_sweep_resolves_one_object_and_gripper(monkeypatch):
@@ -194,8 +218,9 @@ def test_a_theta_sweep_resolves_one_object_and_gripper(monkeypatch):
     monkeypatch.setattr(scenario, "_resolve", recording)
     scn = load_scenario(demo_scene_path("grasp_enveloping"))
     run_sweep(scn, "theta", [30.0, 40.0, 50.0, 60.0])
-    # every point in one pass of the contact model, on the object and gripper the first point built
+    # every point in one pass of the contact model, on the scenario's own object and gripper
     assert seen == [((30.0, 40.0, 50.0, 60.0), scn.obj, scn.config)]
+    assert seen[0][1] is scn.obj and seen[0][2] is scn.config
     assert SWEEP_MEMO.get() is None
 
 
@@ -238,8 +263,8 @@ def test_a_one_shot_run_after_a_sweep_decides_closure_again(monkeypatch):
 @pytest.mark.parametrize(
     "name, axis, values, error, parses",
     [
-        # the first theta parses in full and the second is checked alone, as a theta field
-        ("grasp_enveloping", "theta", [45.0, 200.0], ScenarioError, 1),
+        # a theta sweep parses nothing: each theta is checked alone, as a theta field
+        ("grasp_enveloping", "theta", [45.0, 200.0], ScenarioError, 0),
         ("stacked_spheres", "top.mass", [0.1, 50.0], PlanError, 2),
     ],
     ids=["invalid", "infeasible"],
@@ -252,7 +277,7 @@ def test_the_memo_ends_with_a_sweep_that_stops_partway(monkeypatch, name, axis, 
     monkeypatch.setattr(scenario, "parse_scenario", lambda data: memos.append(SWEEP_MEMO.get()) or parse(data))
     with pytest.raises(error):
         run_sweep(scn, axis, values)
-    assert len(memos) == parses and all(memo is memos[0] for memo in memos) and memos[0]  # the first point filled it
+    assert len(memos) == parses and all(memo and memo is memos[0] for memo in memos)  # the first point filled it
     assert SWEEP_MEMO.get() is None
     assert _outcome(run_sweep, scn, axis, values) == expected
 
@@ -403,3 +428,15 @@ def test_a_theta_sweep_fails_where_the_per_point_loop_fails(values, seed, messag
     outcome = _outcome(run_sweep, scn, "theta", values, seed)
     assert outcome == _outcome(oracles.sweep_rows, scn, "theta", values, seed)
     assert outcome[0] == "invalid" and outcome[1][0].startswith(message)
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+def test_a_theta_sweep_of_a_hand_built_scenario_fails_as_running_it_does(seed):
+    # a scene file with mu -1 is a ScenarioError; the built scenario reaches the model's own check
+    scn = dataclasses.replace(load_scenario(demo_scene_path("grasp_parallel")), mu=-1.0)
+    with pytest.raises(ValueError) as ran:
+        run_scenario(scn, seed=seed)
+    with pytest.raises(ValueError) as swept:
+        run_sweep(scn, "theta", [30.0, 40.0], seed)
+    assert type(swept.value) is type(ran.value) is ValueError
+    assert str(swept.value) == str(ran.value) == "mu must be >= 0, got -1"
