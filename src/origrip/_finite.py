@@ -119,7 +119,12 @@ def _field_ranges(cls: type) -> tuple[tuple[str, Range], ...]:
 
 # Set by scenario.run_sweep for the length of one sweep, in its own context,
 # and None outside one.  Every key is a tuple led by a string that names
-# what the entry holds: the materials table, or a closure verdict.
+# what the entry holds: the materials table, or the closure verdict of one
+# wrench set, under its bytes.  A theta sweep decides every point in one
+# call, which decides each distinct set once without the memo; the closure
+# entries serve sweeps that run point by point on an axis that leaves the
+# contacts unchanged, such as object.mass: a 20-point grasp_parallel sweep
+# took 4.7 ms of CPU with them and 6.7 ms without (2-vCPU x86 host).
 SWEEP_MEMO: ContextVar[dict | None] = ContextVar("SWEEP_MEMO", default=None)
 
 

@@ -46,9 +46,15 @@ Each contact adds the two edges of its friction cone as planar wrenches
 the origin lies strictly inside their convex hull, with the distance to the
 nearest hull facet as its margin (Ferrari and Canny's epsilon quality).
 The facets come from numpy alone: a facet is a plane through three
-primitives with every primitive on one side of it (``_hull_margin``).
-Enveloping grasps are also judged for form closure by the angular coverage
-of their wrap patches.
+primitives with every primitive on one side of it (``_scan``).  One
+decision serves ``is_force_closure``, ``closure_summary`` and a sweep
+(``_force_closures``): it tells sets apart by their bytes, decides each
+distinct set once, and scans the sets of each size up to 16 primitives
+together, as one (sets, primitives, 3) stack; a larger set grows its hull
+alone.  A theta sweep hands it every point's set at once, and inside the
+modules' constant-force plateau most points repeat a set.  Enveloping
+grasps are also judged for form closure by the angular coverage of their
+wrap patches, whose arcs every run's contacts normalise in one array pass.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ._finite import field_problem, require, sweep_memoized
+from ._finite import SWEEP_MEMO, field_problem, require
 from .mechanics import TPU95A, MaterialModel, bending_contact_force, compression_forces
 from .shapes import (
     ObjectShape,
@@ -506,9 +512,9 @@ class ForceClosure:
 
 _RANK_RTOL = 1e-9  # singular values below this, relative to the largest component, count as 0
 _PLANE_TOL = 2.0**-40  # a point this far past a plane (in a set scaled to at most 1) counts as on it
-_ALL_TRIPLES = 16  # sets up to this size try every triple of points at once
+_ALL_TRIPLES = 16  # sets up to this size try every triple of points at once, stacked with their equals in size
 _CACHED_TRIPLES = 4096  # index arrays of up to this many triples are kept (sets of up to 30 points)
-_SIDE_ENTRIES = 1 << 22  # bounds the (points x triples) side matrix of one step, 32 MB
+_SIDE_ENTRIES = 1 << 22  # bounds the (sets x points x triples) side matrix of one step, 32 MB
 # a larger set starts from its extreme points along these 14 directions (each column, both signs)
 _SEED_DIRECTIONS = np.array(
     [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]], dtype=float
@@ -517,96 +523,141 @@ _SEED_DIRECTIONS = np.array(
 _CROSS_ORDER = np.array([[1, 2, 0], [2, 0, 1], [2, 0, 1], [1, 2, 0]])[:, :, None]
 
 
-def _gathers(triples: np.ndarray) -> tuple[np.ndarray, ...]:
-    """For (T, 3) indices i < j < k into row-major (x, y, z) points: flat
-    indices whose differences ``u[heads] - u[tails]`` are the four edge
-    vectors that the cross product multiplies, then i and ``arange(T)``."""
+def _gathers(triples: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """For (T, 3) indices i < j < k into ``m`` points: indices into their
+    flattened (i, j, xyz) differences pj - pi of the four edge vectors that
+    the cross product multiplies, and indices into a flattened (points x T)
+    side matrix of each triple's own entry, in row i."""
     i, j, k = triples.T
-    heads = 3 * np.stack((j, k, j, k))[:, None, :] + _CROSS_ORDER
-    tails = 3 * i + _CROSS_ORDER
-    return heads.ravel(), tails.ravel(), i, np.arange(i.size)
+    edges = 3 * (m * i + np.stack((j, k, j, k)))[:, None, :] + _CROSS_ORDER
+    return edges.ravel(), i * len(triples) + np.arange(len(triples))
 
 
-@lru_cache(maxsize=None)  # at most 31 entries of at most 0.8 MB each
-def _small_triples(m: int) -> tuple[np.ndarray, ...]:
-    return _gathers(np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3))
+@lru_cache(maxsize=None)  # at most 31 entries of at most 0.4 MB each
+def _small_triples(m: int) -> tuple[np.ndarray, np.ndarray]:
+    return _gathers(np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3), m)
 
 
-def _triple_blocks(m: int, size: int) -> Iterator[tuple[np.ndarray, ...]]:
+def _triple_blocks(m: int, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``_gathers`` of every triple of ``m`` points, at most ``size`` triples at a time."""
     if math.comb(m, 3) <= min(size, _CACHED_TRIPLES):
         yield _small_triples(m)
         return
     triples = combinations(range(m), 3)
     while block := list(islice(triples, size)):
-        yield _gathers(np.array(block, dtype=np.intp))
+        yield _gathers(np.array(block, dtype=np.intp), m)
 
 
-def _scan(points: np.ndarray, m: int) -> tuple[float, np.ndarray]:
-    """Facets of the convex hull of ``points[:m]``, from its point triples,
-    set against every point: the smallest signed distance from the origin to
-    a facet plane, and the rows past ``m`` that lie farthest outside each
-    facet they lie outside of.
+def _scan(points: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Facets of the convex hull of ``points[s, :m]``, for each set ``s`` of
+    the (k, n, 3) stack, from its point triples, set against every point of
+    the set: the smallest signed distance from the origin to a facet plane
+    of each set, and, for a stack of one set, the rows past ``m`` that lie
+    farthest outside each facet they lie outside of.
 
     A triple's plane is a facet when no point of the first ``m`` lies
     ``_PLANE_TOL`` or more past one of its sides; its outward normal then
     points to that side, and a plane of a flat subset points both ways.
     """
-    u = points[:m].ravel()
-    nearest, outside = math.inf, []
-    for heads, tails, i, columns in _triple_blocks(m, max(1, _SIDE_ENTRIES // len(points))):
-        edges = (u[heads] - u[tails]).reshape(4, 3, -1)
-        normals = edges[0] * edges[1] - edges[2] * edges[3]  # (pj - pi) x (pk - pi)
+    k, n, _ = points.shape
+    pairs = (points[:, None, :m] - points[:, :m, None]).reshape(k, -1)  # entry (i, j, xyz): pj - pi
+    nearest, outside = [], []
+    for edge_at, own_at in _triple_blocks(m, max(1, _SIDE_ENTRIES // (k * n))):
+        # take of flat indices: a gather with 2-D fancy indexing costs about 3x as much
+        edges = pairs.take(edge_at, axis=1).reshape(k, 4, 3, -1)
+        normals = edges[:, 0] * edges[:, 1] - edges[:, 2] * edges[:, 3]  # (pj - pi) x (pk - pi)
         side = points @ normals
-        offset = side[i, columns]
-        inner = side[:m]
-        norm = np.sqrt(np.einsum("ij,ij->j", normals, normals))
+        offset = side.reshape(k, -1).take(own_at, axis=1)
+        inner = side[:, :m]
+        norm = np.sqrt(np.einsum("sij,sij->sj", normals, normals))
         slack = _PLANE_TOL * norm
-        ahead = inner.max(axis=0) - offset < slack  # all on the -n side: n points out
-        behind = offset - inner.min(axis=0) < slack  # all on the +n side: -n points out
+        ahead = inner.max(axis=1) - offset < slack  # all on the -n side: n points out
+        behind = offset - inner.min(axis=1) < slack  # all on the +n side: -n points out
         # strict tests: the zero normal of a repeated point is neither, and its distance inf
         reach = np.minimum(np.where(ahead, offset, np.inf), np.where(behind, -offset, np.inf))
-        nearest = min(nearest, float((reach / norm).min(initial=math.inf)))  # no triple: no facet
-        if m < len(points):
-            outer = side[m:]
-            past = ahead & (outer.max(axis=0) - offset >= slack)
-            below = behind & (offset - outer.min(axis=0) >= slack)
+        nearest.append((reach / norm).min(axis=1, initial=math.inf))  # no triple: no facet
+        if m < n:  # one set, growing its hull
+            outer, offset, slack = side[0, m:], offset[0], slack[0]
+            past = ahead[0] & (outer.max(axis=0) - offset >= slack)
+            below = behind[0] & (offset - outer.min(axis=0) >= slack)
             outside += [m + outer.argmax(axis=0)[past], m + outer.argmin(axis=0)[below]]
-    return nearest, np.unique(np.concatenate(outside)) if outside else np.array([], dtype=np.intp)
+    outside = np.unique(np.concatenate(outside)) if outside else np.array([], dtype=np.intp)
+    return reduce(np.minimum, nearest), outside
 
 
-def _hull_margin(points: np.ndarray, scale: float) -> float:
+def _hull_margins(points: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Signed distance from the origin to the nearest facet plane of the
-    convex hull of ``points`` (n x 3, rank 3, largest component ``scale``):
-    positive iff the origin lies strictly inside.
+    convex hull of each set of the (k, n, 3) stack ``points`` (each of rank
+    3, with largest component ``scale``): positive iff the origin lies
+    strictly inside.
 
     Sets up to ``_ALL_TRIPLES`` points take their facets from every point
-    triple.  A larger set grows a subset, starting from its extreme points:
-    each step adds, per facet of the subset's hull, the point farthest
-    outside it, until no point is outside, when the subset's facets are the
-    hull's.  A point less than ``_PLANE_TOL`` outside a plane counts as on
-    it, so the distance can come out short by that much, relative to
-    ``scale``.  Rounding adds a few units of ``scale``'s last digit, and
-    more on facets whose three points nearly line up: on needle-shaped
-    hulls up to about 3e-13 of ``scale``.
+    triple, in one scan of the whole stack.  A larger set grows a subset,
+    starting from its extreme points: each step adds, per facet of the
+    subset's hull, the point farthest outside it, until no point is outside,
+    when the subset's facets are the hull's.  A point less than
+    ``_PLANE_TOL`` outside a plane counts as on it, so the distance can come
+    out short by that much, relative to ``scale``.  Rounding adds a few
+    units of ``scale``'s last digit, and more on facets whose three points
+    nearly line up: on needle-shaped hulls up to about 3e-13 of ``scale``.
     """
-    exponent = math.frexp(scale)[1]
-    points = np.ldexp(points, -exponent)  # exact: the largest component now lies in [0.5, 1)
+    exponent = np.frexp(scale)[1]
+    points = np.ldexp(points, -exponent[:, None, None])  # exact: the largest component now lies in [0.5, 1)
+    if points.shape[1] <= _ALL_TRIPLES:
+        return np.ldexp(_scan(points, points.shape[1])[0], exponent)
+    return np.ldexp([_grown_nearest(set_points) for set_points in points], exponent)
+
+
+def _grown_nearest(points: np.ndarray) -> float:
+    """``_scan``'s nearest facet distance for one (n, 3) set, from a subset grown to its hull."""
     n = len(points)
-    if n <= _ALL_TRIPLES:
-        return math.ldexp(_scan(points, n)[0], exponent)
     extent = points @ _SEED_DIRECTIONS
     member = np.zeros(n, dtype=bool)
     member[extent.argmax(axis=0)] = member[extent.argmin(axis=0)] = True
     while True:
         order = np.concatenate((np.flatnonzero(member), np.flatnonzero(~member)))
-        nearest, outside = _scan(points[order], np.count_nonzero(member))
-        if nearest == math.inf and not member.all():  # collinear extreme points span no plane yet
+        nearest, outside = _scan(points[order][None], np.count_nonzero(member))
+        if nearest[0] == math.inf and not member.all():  # collinear extreme points span no plane yet
             member[:] = True
         elif outside.size == 0:
-            return math.ldexp(nearest, exponent)
+            return float(nearest[0])
         else:
             member[order[outside]] = True
+
+
+def _decide(stack: np.ndarray) -> list[ForceClosure]:
+    """``is_force_closure`` of each (m, 3) set of the (k, m, 3) ``stack``."""
+    if not np.isfinite(stack).all():
+        raise ValueError("wrench primitives must be finite")
+    if stack.shape[1] < 3:  # two primitives span no more than a plane
+        return [ForceClosure(False, 0.0)] * len(stack)
+    scale = np.abs(stack).max(axis=(1, 2))
+    # matrix_rank's test: rank 3 when the third singular value, largest first, passes it
+    solid = np.linalg.svd(stack, compute_uv=False)[:, 2] > _RANK_RTOL * scale
+    margins = np.zeros(len(stack))
+    if solid.any():
+        margins[solid] = _hull_margins(stack[solid], scale[solid])
+    return [ForceClosure(False, 0.0) if margin <= 0.0 else ForceClosure(True, margin) for margin in margins.tolist()]
+
+
+def _force_closures(sets: Sequence[np.ndarray]) -> list[ForceClosure]:
+    """``is_force_closure`` of each (m, 3) float array of ``sets`` (m >= 2).
+
+    Sets are told apart by their bytes, and each distinct set is decided
+    once: within the call, and within a sweep, whose ``_finite.SWEEP_MEMO``
+    keeps every verdict, once for the whole sweep.  The sets left to decide
+    go to ``_decide`` in one stack per size.
+    """
+    memo = SWEEP_MEMO.get()
+    known = {} if memo is None else memo
+    keys = [("closure", primitives.tobytes()) for primitives in sets]
+    fresh: dict[int, dict[tuple, np.ndarray]] = {}
+    for key, primitives in zip(keys, sets):
+        if key not in known:
+            fresh.setdefault(len(primitives), {})[key] = primitives
+    for group in fresh.values():  # a stack that raises keeps nothing
+        known.update(zip(group, _decide(np.array(list(group.values())))))
+    return [known[key] for key in keys]
 
 
 def is_force_closure(primitives: np.ndarray) -> ForceClosure:
@@ -618,34 +669,21 @@ def is_force_closure(primitives: np.ndarray) -> ForceClosure:
     closed.  Sets of rank below 3 are flat and never closed; the rank
     tolerance is relative to the largest component, so the verdict is
     scale-free and rounding noise cannot pass a flat set off as a thin hull.
-    The hull comes from enumerating point triples (see ``_hull_margin``),
+    The hull comes from enumerating point triples (see ``_hull_margins``),
     whose cost grows with the cube of the hull's vertex count: it suits the
     few dozen primitives of a contact set.
 
-    Within a sweep (``scenario.run_sweep``), the result is kept in the
-    sweep-scoped memo ``_finite.SWEEP_MEMO`` under the exact shape and bytes
-    of the primitives, and an equal set is decided once.  Inside the
-    modules' constant-force plateau every point of a theta sweep presses
-    with the same forces at the same contacts, so most points repeat an
-    earlier set.  A primitive that is not finite raises ValueError.
+    This is the one-set case of the decision that ``closure_summary`` and
+    a sweep make for every point at once: within a sweep
+    (``scenario.run_sweep``), the result is kept in the sweep-scoped memo
+    ``_finite.SWEEP_MEMO`` under the exact bytes of the primitives, and an
+    equal set is decided once.  A primitive that is not finite raises
+    ValueError.
     """
     primitives = np.asarray(primitives, dtype=float)
     if primitives.ndim != 2 or primitives.shape[1] != 3 or primitives.shape[0] < 2:
         raise ValueError("need at least two wrench primitives of dimension 3")
-    return sweep_memoized(("closure", primitives.shape, primitives.tobytes()), _force_closure, primitives)
-
-
-def _force_closure(primitives: np.ndarray) -> ForceClosure:
-    if not np.isfinite(primitives).all():
-        raise ValueError("wrench primitives must be finite")
-    scale = float(np.abs(primitives).max())
-    singular = np.linalg.svd(primitives, compute_uv=False)
-    if np.count_nonzero(singular > _RANK_RTOL * scale) < 3:  # matrix_rank's test
-        return ForceClosure(False, 0.0)
-    margin = _hull_margin(primitives, scale)
-    if margin <= 0.0:
-        return ForceClosure(False, 0.0)
-    return ForceClosure(True, margin)
+    return _force_closures([primitives])[0]
 
 
 def is_form_closure(
@@ -665,54 +703,49 @@ def is_form_closure(
     require("slip_margin", slip_margin)
     if contacts.grasp_mode is not GraspMode.V_ENVELOPING:
         raise ValueError("form closure is defined only for enveloping grasps")
-    coverage = _coverage(contacts.finger_index.tolist(), _wrap_edges(contacts, obj, config), config)
+    coverage = _coverages(contacts, [0, len(contacts)], obj, config)[0]
     return coverage >= 180.0 + 2.0 * slip_margin, coverage
 
 
-def _wrap_edges(contacts: ContactSet, obj: ObjectShape, config: GripperConfig) -> list[float]:
-    """Patch edge angle (deg) of each wrapped contact on the object's widest
-    section, where coverage is assessed; none without one."""
+def _coverages(contacts: ContactSet, bounds: list[int], obj: ObjectShape, config: GripperConfig) -> list[float]:
+    """Angular measure (deg) of the wrap patches of each run
+    ``contacts[bounds[p]:bounds[p + 1]]`` on the object's widest section,
+    where coverage is assessed; 0 without one."""
+    runs = len(bounds) - 1
     r_h = equator_radius(obj)
-    return [] if r_h is None else _wrap_edge(contacts.penetration, r_h, config.panel_span / 2.0).tolist()
-
-
-def _coverage(fingers: Sequence[int], edges: Sequence[float], config: GripperConfig) -> float:
-    """Angular measure (deg) of the wrap patches of the contacts at ``fingers``."""
-    bearings = finger_bearings(config)
-    return _circular_union_deg(
-        [(bearings[finger] - edge, bearings[finger] + edge) for finger, edge in zip(fingers, edges)]
-    )
-
-
-def _circular_union_deg(intervals: Iterable[tuple[float, float]]) -> float:
-    """Total angular measure (deg) of a union of circle arcs."""
-    spans = []
-    for lo, hi in intervals:
-        if hi - lo >= 360.0:
-            return 360.0
-        lo %= 360.0
-        hi = lo + (hi - lo) % 360.0 if hi != lo else lo
-        width = (hi - lo) % 360.0
-        if width == 0.0:
-            continue
-        if lo + width <= 360.0:
-            spans.append((lo, lo + width))
-        else:
-            spans.append((lo, 360.0))
-            spans.append((0.0, (lo + width) % 360.0))
-    if not spans:
-        return 0.0
-    spans.sort()
-    total = 0.0
-    cur_lo, cur_hi = spans[0]
-    for lo, hi in spans[1:]:
-        if lo > cur_hi:
+    if r_h is None:
+        return [0.0] * runs
+    edge = _wrap_edge(contacts.penetration, r_h, config.panel_span / 2.0)
+    bearing = np.array(finger_bearings(config))[contacts.finger_index]
+    # Each patch is the arc from start, in [0, 360], through width, in
+    # [0, 360), degrees; an edge angle is an asin, so no patch spans more
+    # than 180 degrees and none covers the circle alone.
+    lo, hi = bearing - edge, bearing + edge
+    start = np.remainder(lo, 360.0)
+    end = start + np.remainder(hi - start, 360.0)
+    width = np.remainder(end - start, 360.0)  # from the rounded end: hi - start differs in the last bit for ~3% of arcs
+    starts, stops = start.tolist(), (start + width).tolist()
+    coverages = []
+    for first, last in zip(bounds, bounds[1:]):  # the union of each run's arcs, as spans within [0, 360]
+        spans = []
+        for lo, stop in zip(starts[first:last], stops[first:last]):
+            if stop <= 360.0:
+                spans.append((lo, stop))
+            else:
+                spans += (lo, 360.0), (0.0, stop % 360.0)
+        spans.sort()
+        total = 0.0
+        if spans:
+            cur_lo, cur_hi = spans[0]
+            for lo, hi in spans[1:]:
+                if lo > cur_hi:
+                    total += cur_hi - cur_lo
+                    cur_lo, cur_hi = lo, hi
+                else:
+                    cur_hi = max(cur_hi, hi)
             total += cur_hi - cur_lo
-            cur_lo, cur_hi = lo, hi
-        else:
-            cur_hi = max(cur_hi, hi)
-    total += cur_hi - cur_lo
-    return total
+        coverages.append(total)
+    return coverages
 
 
 def closure_summary(
@@ -730,24 +763,23 @@ def _closures(
     contacts: ContactSet, bounds: list[int], obj: ObjectShape, config: GripperConfig | None, slip_margin: float = 15.0
 ) -> list[ClosureResult]:
     """``closure_summary`` of each run ``contacts[bounds[p]:bounds[p + 1]]``,
-    from one pass over the whole set for the primitives and the wrap edges."""
+    from one pass over the whole set for the primitives and the wrap
+    coverage, and one decision of every run's primitives."""
     config = config or GripperConfig()
     require("slip_margin", slip_margin)
     primitives = _primitives(contacts)
+    runs = list(zip(bounds, bounds[1:]))
+    verdicts = iter(_force_closures([primitives[2 * lo:2 * hi] for lo, hi in runs if hi - lo >= 2]))
     enveloping = contacts.grasp_mode is GraspMode.V_ENVELOPING
-    if enveloping:
-        fingers, edges = contacts.finger_index.tolist(), _wrap_edges(contacts, obj, config)
+    wraps = _coverages(contacts, bounds, obj, config) if enveloping else repeat(None)
     results = []
-    for lo, hi in zip(bounds, bounds[1:]):
+    for (lo, hi), wrap in zip(runs, wraps):
         if hi - lo < 2:
             results.append(ClosureResult(False, None, 0.0, None))
             continue
-        fc = is_force_closure(primitives[2 * lo:2 * hi])
-        if enveloping:
-            wrap = _coverage(fingers[lo:hi], edges[lo:hi], config)
-            results.append(ClosureResult(fc.closed, wrap >= 180.0 + 2.0 * slip_margin, fc.margin, wrap))
-        else:
-            results.append(ClosureResult(fc.closed, None, fc.margin, None))
+        fc = next(verdicts)
+        form = None if wrap is None else wrap >= 180.0 + 2.0 * slip_margin
+        results.append(ClosureResult(fc.closed, form, fc.margin, wrap))
     return results
 
 

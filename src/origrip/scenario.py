@@ -862,24 +862,28 @@ def _finite_repr(value: float) -> str:
     return float.__repr__(value)
 
 
+_SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    float: _finite_repr,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
 def _json_text(data: Any, indent: str) -> str:
     """``json.dumps(data, indent=2, sort_keys=True, allow_nan=False)`` for a
     value nested at ``indent``, without json's pure-Python encoder.
 
     Plain dicts with ``str`` keys, lists, tuples and scalars are written
-    here; any other value is left to ``json.dumps``.
+    here; any other value is left to ``json.dumps``.  Dicts are written by
+    ``_dict_texts``: one alone, or a list of rows that share one key set,
+    such as a sweep's, as one table.
     """
     kind = type(data)
-    if kind is str:
-        return encode_basestring_ascii(data)
-    if kind is float:
-        return _finite_repr(data)
-    if kind is int:
-        return int.__repr__(data)
-    if kind is bool:
-        return "true" if data else "false"
-    if data is None:
-        return "null"
+    write = _SCALAR_TEXT.get(kind)
+    if write is not None:
+        return write(data)
     inner = indent + "  "
     sep = ",\n" + inner
     if (kind is list or kind is tuple) and data:
@@ -888,14 +892,40 @@ def _json_text(data: Any, indent: str) -> str:
                 _finite_repr(next(v for v in data if not math.isfinite(v)))
             body = sep.join(map(float.__repr__, data))
         else:
-            body = sep.join([_json_text(item, inner) for item in data])
+            body = sep.join(_dict_texts(data, inner) or [_json_text(item, inner) for item in data])
         return f"[\n{inner}{body}\n{indent}]"
-    if kind is dict and data and all(type(key) is str for key in data):
-        body = sep.join([f"{encode_basestring_ascii(key)}: {_json_text(data[key], inner)}"
-                         for key in sorted(data)])
-        return f"{{\n{inner}{body}\n{indent}}}"
+    if kind is dict:
+        texts = _dict_texts((data,), indent)
+        if texts:
+            return texts[0]
     text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
     return text.replace("\n", "\n" + indent) if indent else text
+
+
+def _dict_texts(rows: Sequence, indent: str) -> list[str] | None:
+    """``_json_text`` of each item of ``rows`` at ``indent``, when they are
+    dicts that share one nonempty key set of ``str`` keys, else None.  The
+    keys are sorted and encoded once for all rows; a value of a scalar type
+    goes straight to its writer, and any other to ``_json_text``."""
+    first = rows[0]
+    if type(first) is not dict or not first or not all(type(key) is str for key in first):
+        return None
+    keys = first.keys()
+    if len(rows) > 1 and not all(type(row) is dict and row.keys() == keys for row in rows):
+        return None
+    names = sorted(keys)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    heads = [encode_basestring_ascii(key) + ": " for key in names]
+    texts = []
+    for row in rows:
+        items = []
+        for head, key in zip(heads, names):
+            value = row[key]
+            write = _SCALAR_TEXT.get(type(value))
+            items.append(head + (_json_text(value, inner) if write is None else write(value)))
+        texts.append(f"{{\n{inner}{sep.join(items)}\n{indent}}}")
+    return texts
 
 
 def write_json(data: Any, stream: io.TextIOBase) -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,20 +14,27 @@ from origrip import (
     ContactSet,
     GraspMode,
     GripperConfig,
+    Pose,
     TPU95A,
     calibrate_friction,
     closure_summary,
     contact_wrench_primitives,
+    cube,
     cuboid,
     curved_block,
+    cylinder,
+    grasp,
     is_force_closure,
     is_form_closure,
+    pullout_capacity,
     resolve_contacts,
     sphere,
+    squeeze_force,
     z_span,
 )
 from origrip._finite import SWEEP_MEMO
 from origrip.grasp import _PLANE_TOL
+from origrip.transmission import opening_range, theta_for_opening
 
 V_PROBE = curved_block(45.5, 67.0, 80.0)
 P_PROBE = cuboid(63.0, 45.4, 100.0)
@@ -142,9 +150,17 @@ def test_needle_whose_extreme_points_are_its_tips():
         assert sampled - lip * 0.013 <= result.margin <= sampled
 
 
+def _solid(prims: np.ndarray) -> bool:
+    """Rank 3 by ``is_force_closure``'s rank guard.  Frictionless grasps of
+    3 or 4 levels are flat, but the rounding noise in their torques gives
+    them a hull that exact arithmetic calls closed, with a margin below
+    1e-34 of the largest component."""
+    return bool(np.linalg.matrix_rank(prims, tol=1e-9 * np.abs(prims).max()) == 3)
+
+
 def _qhull_closure(spatial, prims: np.ndarray) -> tuple[bool, float]:
     """Verdict and margin from Qhull's facet equations, behind the same rank guard."""
-    if np.linalg.matrix_rank(prims, tol=1e-9 * np.abs(prims).max()) < 3:
+    if not _solid(prims):
         return False, 0.0
     try:
         hull = spatial.ConvexHull(prims)
@@ -214,6 +230,21 @@ def _small_grasps() -> list[np.ndarray]:
     return sets
 
 
+def _three_and_four_level_grasps() -> list[np.ndarray]:
+    """Resolved 4-finger grasps of 3 and 4 module levels: 24 or 32
+    primitives, which take the grown-subset path."""
+    sets = []
+    for obj in (sphere(60.0), V_PROBE, P_PROBE):
+        lo, hi = z_span(obj)
+        for levels in (3, 4):
+            config = GripperConfig(finger_count=4, module_levels=tuple(np.linspace(lo + 8.0, hi - 8.0, levels)))
+            for theta, mu in ((45.0, 0.3), (60.0, 0.0), (75.0, MU_STAR)):
+                contacts = resolve_contacts(theta, obj, config, TPU95A, mu=mu)
+                if len(contacts) > 8:
+                    sets.append(contact_wrench_primitives(contacts))
+    return sets
+
+
 def test_closure_matches_the_exact_triple_oracle():
     # needs no scipy: every set here is small enough for exact arithmetic over all triples
     rng = np.random.default_rng(29)
@@ -227,17 +258,30 @@ def test_closure_matches_the_exact_triple_oracle():
         "no torque": [np.column_stack((p[:, :2], np.zeros(len(p)))) for p in base[::7]],
         "resolved grasps": _small_grasps(),
         "needle": _needles(rng, 30, (6, 17)),
+        # the grown-subset path: more than 16 primitives
+        "17 to 32 primitives": [
+            *(oracles.random_contact_primitives(rng, n) for n in range(9, 17)),  # 18 to 32 primitives
+            *(np.vstack((p, 0.5 * p[:1])) for p in base[-30::10] if len(p) == 16),
+        ],
+        "3 and 4 levels": _three_and_four_level_grasps(),
+        "needle of 17 to 32": _needles(rng, 6, (17, 33)),
     }
+    assert {len(p) for p in families["17 to 32 primitives"]} >= {17, 18, 32}
     for family, sets in families.items():
         closed = 0
         for prims in sets:
             result = is_force_closure(prims)
             expected, margin = oracles.exact_hull_closure(prims)
-            assert result.closed == expected, family
-            # _hull_margin: short by at most _PLANE_TOL of the largest component, plus a few
-            # units of its last digit from rounding, and up to about 3e-13 of it on needles
             scale = float(np.abs(prims).max())
-            rounding = 3e-13 * scale if family == "needle" else 4.0 * np.spacing(scale)
+            if not _solid(prims):
+                # flat up to rounding noise, which is open: an exact margin of at most
+                # 1e-20 of the largest component (4.4e-35 on 3- and 4-level frictionless grasps)
+                assert margin <= 1e-20 * scale, family
+                expected, margin = False, 0.0
+            assert result.closed == expected, family
+            # _hull_margins: short by at most _PLANE_TOL of the largest component, plus a few
+            # units of its last digit from rounding, and up to about 3e-13 of it on needles
+            rounding = 3e-13 * scale if family.startswith("needle") else 4.0 * np.spacing(scale)
             assert -(_PLANE_TOL * scale + rounding) <= result.margin - margin <= rounding, family
             closed += expected
         assert 0 < closed or family == "no torque", family
@@ -391,10 +435,132 @@ def test_force_closure_rejects_primitives_that_are_not_finite(bad):
     prims[3, 1] = bad
     with pytest.raises(ValueError, match="wrench primitives must be finite"):
         is_force_closure(prims)
-    token = SWEEP_MEMO.set({})
+    memo = {}
+    token = SWEEP_MEMO.set(memo)
     try:  # a set that raised is not kept: deciding it again raises again
         for _ in range(2):
             with pytest.raises(ValueError, match="wrench primitives must be finite"):
                 is_force_closure(prims)
+        # nor is a finite set decided in the same stack
+        with pytest.raises(ValueError, match="wrench primitives must be finite"):
+            grasp._force_closures([np.roll(prims, 1, axis=0)[4:], prims, np.flipud(prims)])
+        assert memo == {}
     finally:
         SWEEP_MEMO.reset(token)
+
+
+@st.composite
+def primitive_stacks(draw) -> list[np.ndarray]:
+    """One to eight sets of 4 to 16 primitives each, all of one size, from
+    random contacts: some with duplicate rows, some frictionless (each
+    contact's two cone edges coincide; at two contacts the set is flat), some
+    without torque (flat), and some repeating an earlier set."""
+    rows = draw(st.integers(4, 16), label="rows")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    sets: list[np.ndarray] = []
+    for kind in draw(st.lists(st.sampled_from(("plain", "duplicates", "frictionless", "no torque", "repeat")),
+                              min_size=1, max_size=8), label="kinds"):
+        prims = oracles.random_contact_primitives(rng, (rows + 1) // 2)[:rows]
+        if kind == "duplicates":
+            prims[rows // 2:] = prims[:rows - rows // 2]
+        elif kind == "frictionless":
+            prims[1::2] = prims[0:rows - 1:2]
+        elif kind == "no torque":
+            prims[:, 2] = 0.0
+        elif kind == "repeat" and sets:
+            prims = sets[-1].copy()
+        sets.append(prims)
+    return sets
+
+
+def _bits(result) -> tuple[bool, str]:
+    return result.closed, result.margin.hex()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(sets=primitive_stacks(), grown=st.integers(17, 32), seed=st.integers(0, 2**32 - 1))
+def test_deciding_sets_together_equals_deciding_each_alone(sets, grown, seed):
+    # sets of up to 16 primitives are decided in one stacked pass per size; a
+    # larger set grows its hull alone; each verdict equals the one-set decision bit for bit
+    large = oracles.random_contact_primitives(np.random.default_rng(seed), (grown + 1) // 2)[:grown]
+    together = [*sets, large, *sets[:1]]
+    alone = [_bits(is_force_closure(prims)) for prims in together]
+    assert [_bits(result) for result in grasp._force_closures(together)] == alone
+    assert [_bits(result) for result in grasp._decide(np.stack(sets))] == alone[:len(sets)]
+
+
+def test_a_run_of_fewer_than_two_contacts_is_never_decided():
+    contacts = resolve_contacts(30.0, P_PROBE, material=TPU95A, mu=0.5)
+    poisoned = dataclasses.replace(contacts.records[0], normal_force=math.nan)
+    runs = ContactSet.from_records((poisoned, *contacts.records), GraspMode.PARALLEL, math.nan, contacts.char_radius)
+    # a lone contact whose force is not finite, no contact, then the grasp's own contacts
+    results = grasp._closures(runs, [0, 1, 1, 1 + len(contacts)], P_PROBE, None)
+    assert results == [ClosureResult(False, None, 0.0, None)] * 2 + [closure_summary(contacts, P_PROBE)]
+    with pytest.raises(ValueError, match="wrench primitives must be finite"):
+        grasp._closures(runs, [0, 2, 1 + len(contacts)], P_PROBE, None)
+
+
+# Metamorphic relations of the grasp model: they need no oracle.
+
+
+@st.composite
+def pressing_grasps(draw):
+    """An object, a gripper of 2 or 4 fingers with 1 to 4 module levels and
+    a servo angle at which its jaws reach the object."""
+    shape = draw(st.sampled_from(("sphere", "cube", "cuboid", "cylinder", "curved_block")))
+    width = draw(st.floats(35.0, 76.0))
+    height = draw(st.floats(40.0, 110.0))
+    pose = Pose(z=draw(st.floats(-10.0, 10.0)), yaw=draw(st.floats(0.0, 90.0)))
+    obj = {
+        "sphere": lambda: sphere(width, pose=pose),
+        "cube": lambda: cube(width, pose=pose),
+        "cuboid": lambda: cuboid(width, draw(st.floats(35.0, 76.0)), height, pose=pose),
+        "cylinder": lambda: cylinder(width, height, pose=pose),
+        "curved_block": lambda: curved_block(draw(st.floats(max(width, height) / 2.0, 2.0 * max(width, height))),
+                                             width, height, pose=pose),
+    }[shape]()
+    levels = draw(st.lists(st.floats(5.0, 100.0), min_size=1, max_size=4, unique=True))
+    config = GripperConfig(
+        finger_count=draw(st.sampled_from((2, 4))),
+        module_levels=tuple(sorted(levels)),
+        curvature_threshold=draw(st.floats(0.2, 2.0)),
+    )
+    lo, hi = opening_range(config)
+    touch = theta_for_opening(min(max(width, lo), hi), config)
+    return obj, config, min(touch + draw(st.floats(0.0, 30.0)), 90.0)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(grasped=pressing_grasps(), mus=st.lists(st.floats(0.0, 2.0), min_size=2, max_size=2, unique=True).map(sorted))
+def test_more_friction_never_opens_a_closed_grasp_or_lowers_its_margin(grasped, mus):
+    # Normal forces do not depend on mu, and each cone edge at the lower mu is a
+    # convex combination of the two at the higher: the wrench hull only grows.
+    obj, config, theta = grasped
+    low, high = (resolve_contacts(theta, obj, config, TPU95A, mu) for mu in mus)
+    low, high, scale = (closure_summary(low, obj, config), closure_summary(high, obj, config),
+                        float(np.abs(grasp._primitives(high)).max(initial=0.0)))
+    # the higher margin may come out short by _PLANE_TOL of the largest component; rounding adds far less
+    tolerance = 2.0 * _PLANE_TOL * scale
+    assert high.margin >= low.margin - tolerance
+    assert high.force_closure or low.margin <= tolerance
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(grasped=pressing_grasps(), mu=st.floats(0.0, 1.5))
+def test_turning_the_object_by_one_finger_pitch_changes_no_verdict(grasped, mu):
+    # the turned object meets finger f + 1 as the object met finger f
+    obj, config, theta = grasped
+    pitch = 360.0 / config.finger_count
+    turned = dataclasses.replace(obj, pose=dataclasses.replace(obj.pose, yaw=obj.pose.yaw + pitch))
+    facts = []
+    for placed in (obj, turned):
+        contacts = resolve_contacts(theta, placed, config, TPU95A, mu)
+        summary = closure_summary(contacts, placed, config)
+        facts.append((
+            (len(contacts), contacts.grasp_mode, summary.force_closure, summary.form_closure),
+            (summary.margin, summary.wrap_angle or 0.0, squeeze_force(contacts), pullout_capacity(contacts)),
+        ))
+    (verdicts, values), (turned_verdicts, turned_values) = facts
+    assert turned_verdicts == verdicts
+    # bearings and widths of the turned object round differently: values agree to 1e-9 relative
+    assert turned_values == pytest.approx(values, rel=1e-9, abs=1e-12)

@@ -451,7 +451,12 @@ def test_a_contact_sweep_equals_the_scalar_oracle_at_each_angle(obj, levels, fin
                            curvature_threshold=curvature_threshold)
     openings, contacts, bounds = _resolve(thetas, obj, config, material, mu, 1.0)
     decided = []
-    with mock.patch.object(grasp, "is_force_closure", lambda p: decided.append(p.tobytes()) or ForceClosure(False, 0.0)):
+
+    def record(sets):
+        decided.extend(p.tobytes() for p in sets)
+        return [ForceClosure(False, 0.0)] * len(sets)
+
+    with mock.patch.object(grasp, "_force_closures", record):
         _closures(contacts, bounds, obj, config)
     expected_decided = []
     totals = list(zip(*_point_totals(contacts, bounds)))

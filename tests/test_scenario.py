@@ -460,10 +460,34 @@ POISONED = st.recursive(
     max_leaves=6,
 )
 
+# rows that share one key set, as a sweep's or a contact table's, written as one table
+CELLS = st.one_of(st.booleans(), st.integers(), FLOATS, FLOATS.map(np.float64), st.none(), st.text(max_size=4))
+ROW_KEYS = st.lists(st.text(max_size=4), min_size=1, max_size=5, unique=True)
+TABLES = ROW_KEYS.flatmap(
+    lambda keys: st.lists(
+        st.fixed_dictionaries({key: CELLS | st.lists(FLOATS, max_size=2) for key in keys}), min_size=2, max_size=6
+    )
+)
+MIXED_ROWS = st.lists(st.dictionaries(st.sampled_from("abc"), CELLS, max_size=3), min_size=2, max_size=6)
+
+
+def _poisoned_table(table_cell_bad):
+    table, (row, column), bad = table_cell_bad
+    row %= len(table)
+    key = sorted(table[row])[column % len(table[row])]
+    table[row][key] = bad
+    return table
+
+
+POISONED_TABLES = st.tuples(TABLES, st.tuples(st.integers(0), st.integers(0)), NON_FINITE).map(_poisoned_table)
+
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(JSON_TREES)
+@given(st.one_of(JSON_TREES, TABLES, MIXED_ROWS, st.dictionaries(st.text(max_size=3), TABLES, max_size=2)))
 @example({"é✓": [-0.0, 5e-324, 1e16, True, 10**30], "a": [], "b": {}, "c": ({"d": [{}]},)})
+@example([{"b": 1.5, "a": None, "é": "x"}, {"a": True, "b": -0.0, "é": np.float64(2.0)},
+          {"a": 3, "é": "", "b": 5e-324}])
+@example(({"a": [1.0]}, {"a": {}}))
 def test_write_json_matches_the_json_module_byte_for_byte(data):
     buf = io.StringIO()
     write_json(data, buf)
@@ -471,7 +495,8 @@ def test_write_json_matches_the_json_module_byte_for_byte(data):
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(POISONED)
+@given(st.one_of(POISONED, POISONED_TABLES, st.tuples(TABLES, POISONED_TABLES).map(lambda t: {"a": t[0], "b": t[1]})))
+@example([{"a": 1.0, "b": math.nan}, {"a": math.inf, "b": 2.0}])  # the first in key order, row by row
 def test_write_json_refuses_non_finite_numbers_at_any_depth(data):
     with pytest.raises(ValueError) as expected:
         reference_json(data)

@@ -2,11 +2,12 @@
 
 A sweep point parses the written scene with its value on the axis and
 reuses the materials table and the closure verdict of every wrench set an
-earlier point decided; a theta sweep of a single grasp parses nothing and
+earlier point decided; a theta sweep of a single grasp parses nothing,
 resolves every point of the scenario it is given in one pass of the
-contact model.  The oracle ``oracles.sweep_rows`` parses a deep copy of
-the whole scene at every point, so any value, message or error order the
-reuse changes shows up here.
+contact model and decides the closure of every point in one call.  The
+oracle ``oracles.sweep_rows`` parses a deep copy of the whole scene at
+every point, so any value, message or error order the reuse changes
+shows up here.
 """
 
 import dataclasses
@@ -229,32 +230,36 @@ def _closure_key(primitives):
     return primitives.shape, primitives.tobytes()
 
 
-def _record_closure(monkeypatch):
-    """Keys of the primitive sets handed to ``is_force_closure`` and to the
-    hull routine behind it, in call order."""
-    decided, hulled = [], []
-    decide, hull = grasp.is_force_closure, grasp._hull_margin
-    monkeypatch.setattr(grasp, "is_force_closure", lambda p: decided.append(_closure_key(p)) or decide(p))
-    monkeypatch.setattr(grasp, "_hull_margin", lambda p, scale: hulled.append(_closure_key(p)) or hull(p, scale))
-    return decided, hulled
+def _record_hulls(monkeypatch):
+    """Keys of the primitive sets whose hulls are built, in call order:
+    every set that reaches the stacked decision behind closure."""
+    hulled = []
+    decide = grasp._decide
+    monkeypatch.setattr(grasp, "_decide", lambda stack: hulled.extend(map(_closure_key, stack)) or decide(stack))
+    return hulled
 
 
 def test_a_plateau_sweep_builds_the_hull_once_per_primitive_set(monkeypatch):
     # inside the force plateau every theta presses with the same forces at the same contacts
     scn = load_scenario(demo_scene_path("grasp_enveloping"))
-    decided, hulled = _record_closure(monkeypatch)
-    rows = run_sweep(scn, "theta", [30.0 + 2.0 * n for n in range(16)])
+    hulled = _record_hulls(monkeypatch)
+    thetas = [30.0 + 2.0 * n for n in range(16)]
+    rows = run_sweep(scn, "theta", thetas)
     assert all(row["force_closure"] for row in rows)
-    assert len(set(hulled)) == len(hulled) == len(set(decided)) < len(decided) == 16
+    _, contacts, bounds = grasp._resolve(thetas, scn.obj, scn.config, scn.material, scn.mu, scn.torque_scale)
+    primitives = grasp.contact_wrench_primitives(contacts)
+    points = [_closure_key(primitives[2 * lo:2 * hi]) for lo, hi in zip(bounds, bounds[1:])]
+    assert len(set(hulled)) == len(hulled) == len(set(points)) < len(points) == 16
+    assert set(hulled) == set(points)
 
 
 def test_a_one_shot_run_after_a_sweep_decides_closure_again(monkeypatch):
     scn = load_scenario(demo_scene_path("grasp_enveloping"))
-    decided, hulled = _record_closure(monkeypatch)
+    hulled = _record_hulls(monkeypatch)
     swept = run_sweep(scn, "theta", [scn.theta, scn.theta])
-    assert len(decided) == 2 and len(hulled) == 1
+    assert len(hulled) == 1
     outputs = run_scenario(scn)
-    assert len(decided) == 3 and len(hulled) == 2
+    assert len(hulled) == 2 and hulled[0] == hulled[1]
     assert (outputs["force_closure"], outputs["closure_margin"]) == (
         swept[0]["force_closure"], swept[0]["closure_margin"]
     )
