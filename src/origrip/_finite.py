@@ -5,21 +5,14 @@ fields (``dims``) and API arguments (``mu``) all look their range up here.
 Finite is not enough: a 1e300 mm object overflows the wrench hull, a
 1e-307 mm lever arm or a 1e300 N plateau makes an infinite contact force,
 and a 1e-307 mm/s approach or a 1e308 s dwell takes infinitely long.
-
-``SWEEP_MEMO`` keeps, for the length of one sweep, the work that repeats
-from point to point; it lives here because the scene reader's materials
-table and the grasp model's closure verdicts both use it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Callable
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache
-from typing import Any
 
 MAX_LENGTH = 10_000.0   # mm: every length, height and site coordinate, 10 m either way
 MIN_LENGTH = 1e-3       # mm: module height, depth, panel span and lever arm, which divide forces
@@ -116,25 +109,3 @@ def require_finite(obj: object) -> None:
 def _field_ranges(cls: type) -> tuple[tuple[str, Range], ...]:
     return tuple((field.name, RANGES.get(field.name, _FINITE)) for field in dataclasses.fields(cls))
 
-
-# Set by scenario.run_sweep for the length of one sweep, in its own context,
-# and None outside one.  Every key is a tuple led by a string that names
-# what the entry holds: the materials table, or the closure verdict of one
-# wrench set, under its bytes.  A theta sweep decides every point in one
-# call, which decides each distinct set once without the memo; the closure
-# entries serve sweeps that run point by point on an axis that leaves the
-# contacts unchanged, such as object.mass: a 20-point grasp_parallel sweep
-# took 4.7 ms of CPU with them and 6.7 ms without (2-vCPU x86 host).
-SWEEP_MEMO: ContextVar[dict | None] = ContextVar("SWEEP_MEMO", default=None)
-
-
-def sweep_memoized(key: tuple, compute: Callable[..., Any], *args: Any) -> Any:
-    """``compute(*args)``, kept under ``key`` for the rest of the current
-    sweep, if there is one.  ``compute`` must be pure: the key stands for
-    every input it reads.  A call that raises keeps nothing."""
-    memo = SWEEP_MEMO.get()
-    if memo is None:
-        return compute(*args)
-    if key not in memo:
-        memo[key] = compute(*args)
-    return memo[key]

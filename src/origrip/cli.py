@@ -159,15 +159,12 @@ def _parse_values(spec: str) -> list[float]:
         raise ScenarioError([usage]) from None
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise ScenarioError([usage])
-    points = (hi + 1e-9 - lo) / step + 1.0
+    points = (hi - lo) / step + 1.0
     if points > _MAX_SWEEP_POINTS:
         raise ScenarioError([f"--values: {spec!r} spans {points:.3g} points, more than {_MAX_SWEEP_POINTS}"])
-    values = []
-    v = lo
-    while v <= hi + 1e-9 and len(values) < points:  # the count also stops a step too small to move v
-        values.append(round(v, 12))
-        v += step
-    return values
+    # each value from lo and its index, so rounding cannot build up over the steps and carry
+    # one past hi; a billionth of a step of slack keeps an end that the division leaves short
+    return [min(round(lo + k * step, 12), hi) for k in range(math.floor(points + 1e-9))]
 
 
 def _load_kind(args, expected: str) -> tuple[Scenario, str]:

@@ -69,7 +69,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ._finite import SWEEP_MEMO, field_problem, require
+from ._finite import field_problem, require
 from .mechanics import TPU95A, MaterialModel, bending_contact_force, compression_forces
 from .shapes import (
     ObjectShape,
@@ -643,19 +643,16 @@ def _decide(stack: np.ndarray) -> list[ForceClosure]:
 def _force_closures(sets: Sequence[np.ndarray]) -> list[ForceClosure]:
     """``is_force_closure`` of each (m, 3) float array of ``sets`` (m >= 2).
 
-    Sets are told apart by their bytes, and each distinct set is decided
-    once: within the call, and within a sweep, whose ``_finite.SWEEP_MEMO``
-    keeps every verdict, once for the whole sweep.  The sets left to decide
-    go to ``_decide`` in one stack per size.
+    Sets are told apart by their bytes, and each distinct set of the call
+    is decided once: the distinct sets go to ``_decide`` in one stack per
+    size.
     """
-    memo = SWEEP_MEMO.get()
-    known = {} if memo is None else memo
-    keys = [("closure", primitives.tobytes()) for primitives in sets]
-    fresh: dict[int, dict[tuple, np.ndarray]] = {}
+    keys = [primitives.tobytes() for primitives in sets]
+    fresh: dict[int, dict[bytes, np.ndarray]] = {}
     for key, primitives in zip(keys, sets):
-        if key not in known:
-            fresh.setdefault(len(primitives), {})[key] = primitives
-    for group in fresh.values():  # a stack that raises keeps nothing
+        fresh.setdefault(len(primitives), {})[key] = primitives
+    known: dict[bytes, ForceClosure] = {}
+    for group in fresh.values():
         known.update(zip(group, _decide(np.array(list(group.values())))))
     return [known[key] for key in keys]
 
@@ -674,11 +671,9 @@ def is_force_closure(primitives: np.ndarray) -> ForceClosure:
     few dozen primitives of a contact set.
 
     This is the one-set case of the decision that ``closure_summary`` and
-    a sweep make for every point at once: within a sweep
-    (``scenario.run_sweep``), the result is kept in the sweep-scoped memo
-    ``_finite.SWEEP_MEMO`` under the exact bytes of the primitives, and an
-    equal set is decided once.  A primitive that is not finite raises
-    ValueError.
+    a theta sweep make for every point at once, and it keeps nothing: an
+    equal set given again is decided again.  A primitive that is not
+    finite raises ValueError.
     """
     primitives = np.asarray(primitives, dtype=float)
     if primitives.ndim != 2 or primitives.shape[1] != 3 or primitives.shape[0] < 2:

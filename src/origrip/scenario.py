@@ -22,7 +22,8 @@ writing back, sweep axes and command-line overrides; a number's range is
 the one ``_finite.RANGES`` gives its key.  Materials are looked up by name
 in the built-in table, optionally extended by the YAML file named in the
 ``ORIGRIP_MATERIALS`` environment variable and by a scene-level
-``materials`` section (scene entries win).
+``materials`` section (scene entries win; the file is read only for a
+material the scene does not define).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import io
 import json
 import math
 import os
-from collections import ChainMap
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -44,7 +44,7 @@ from typing import Any, Union
 
 import yaml
 
-from ._finite import SWEEP_MEMO, Range, field_problem, sweep_memoized
+from ._finite import Range, field_problem
 from ._version import __version__
 from .grasp import ContactSet, _closures, _point_totals, _resolve, default_lift_grid, pullout_trace
 from .mechanics import BUILTIN_MATERIALS, MaterialModel, perturbed
@@ -209,24 +209,21 @@ def _theta_in_law(theta: float, values: dict) -> float:
 
 
 def _pick_material(name: str, values: dict) -> MaterialModel:
-    table = values.get("materials", BUILTIN_MATERIALS)
+    """The scene's own material ``name``, else the one ``material_table``
+    gives; only the built-ins when the ``materials`` section failed."""
+    own = values.get("materials")
+    if own is not None and name in own:
+        return own[name]
+    table = BUILTIN_MATERIALS if own is None else {**material_table(), **own}
     if name not in table:
         raise ValueError(f"unknown material {name!r}; known: {', '.join(sorted(table))}")
     return table[name]
 
 
-def _lookup_table(entries: dict, values: dict) -> ChainMap:
-    """The scene's own materials over the built-in and ``ORIGRIP_MATERIALS``
-    table; a sweep reads that file once."""
-    key = ("materials", os.environ.get(MATERIALS_ENV_VAR))
-    return ChainMap(entries, sweep_memoized(key, material_table))
-
-
 def _carried_materials(values: dict) -> tuple[MaterialModel, ...]:
     """The scene's own materials plus the one in use, which a scene file
     written back defines; the rest of the lookup table stays out."""
-    own = values["materials"].maps[0]
-    return tuple({**own, values["material"].name: values["material"]}.values())
+    return tuple({**values["materials"], values["material"].name: values["material"]}.values())
 
 
 def _object_section(default_name: str, with_z: bool) -> Section:
@@ -288,8 +285,7 @@ def _mech_fields(src: str) -> tuple[Field, ...]:
     is the attribute prefix under which the scenario keeps them."""
     return (
         Field("gripper", SECTION, section=_GRIPPER, attr=src + "config"),
-        Field("materials", SECTIONS, section=_MATERIAL, attr=("materials", src + "material"),
-              convert=_lookup_table),
+        Field("materials", SECTIONS, section=_MATERIAL, attr=("materials", src + "material")),
         Field("material", TEXT, required=True, attr=src + "material.name", convert=_pick_material),
         Field("mu", default=0.5, attr=src + "mu"),
         Field("torque_scale", default=1.0, attr=src + "torque_scale"),
@@ -774,8 +770,8 @@ def run_sweep(
     ``axis`` is a dotted path into the scene mapping (for example ``theta``,
     ``mu``, ``object.mass``, or ``cycle.travel_speed``).  Rows keep the
     input order; outputs are flattened to scalar columns.  Each point
-    parses the written scene with its value on the axis; the sweep reads
-    the ``ORIGRIP_MATERIALS`` file and decides each closure once.
+    parses the written scene with its value on the axis, which defines the
+    material it uses, so no point reads the ``ORIGRIP_MATERIALS`` file.
 
     A ``theta`` sweep of a single grasp parses nothing: it runs ``scn``
     itself at every point, in one pass of the contact model, and judges
@@ -788,20 +784,16 @@ def run_sweep(
     for value in values:
         if cast is int and not float(value).is_integer():
             raise ScenarioError([f"{axis}: expected an integer, got {value:g}"])
-    token = SWEEP_MEMO.set({})
-    try:
-        if axis == _THETA.key and scn.kind == "single_grasp" and values:
-            return _theta_rows(scn, list(map(float, values)), seed)
-        base = scenario_to_dict(scn)
-        rows: list[dict] = []
-        for value in map(cast, values):
-            outputs = run_scenario(parse_scenario(_set(base, axis, value)), seed=seed)
-            row: dict[str, Any] = {axis: value}
-            _flatten("", outputs, row)
-            rows.append(row)
-        return rows
-    finally:
-        SWEEP_MEMO.reset(token)
+    if axis == _THETA.key and scn.kind == "single_grasp" and values:
+        return _theta_rows(scn, list(map(float, values)), seed)
+    base = scenario_to_dict(scn)
+    rows: list[dict] = []
+    for value in map(cast, values):
+        outputs = run_scenario(parse_scenario(_set(base, axis, value)), seed=seed)
+        row: dict[str, Any] = {axis: value}
+        _flatten("", outputs, row)
+        rows.append(row)
+    return rows
 
 
 def _theta_rows(scn: SingleGraspScenario, thetas: list[float], seed: int | None) -> list[dict]:

@@ -173,6 +173,25 @@ def test_material_override_names_a_scene_material(capsys, tmp_path):
     assert "--material: unknown material 'hard'; known: " in err and "soft" in err
 
 
+@pytest.mark.parametrize("content", [None, "soft: [1, 2\n"], ids=["missing", "not_yaml"])
+def test_a_scene_that_defines_its_material_reads_no_materials_file(capsys, monkeypatch, tmp_path, content):
+    scene = tmp_path / "soft.yaml"
+    scene.write_text(SOFT_SCENE)
+    code, expected, err = run_json(capsys, ["grasp", "--scene", str(scene)])
+    assert code == EXIT_OK, err
+    env_file = tmp_path / "materials.yaml"
+    if content is not None:
+        env_file.write_text(content)
+    monkeypatch.setenv(MATERIALS_ENV_VAR, str(env_file))
+    code, record, err = run_json(capsys, ["grasp", "--scene", str(scene)])
+    assert code == EXIT_OK, err
+    assert record == expected
+    # a built-in material is looked up in the table that the file extends
+    code, record, err = run_json(capsys, ["grasp", "--scene", PARALLEL])
+    assert code == EXIT_INVALID and record is None
+    assert f"materials: cannot read ORIGRIP_MATERIALS file {str(env_file)!r}: " in err
+
+
 TWO_MATERIAL_SCENE = """\
 kind: single_grasp
 material: hard
@@ -436,6 +455,23 @@ def test_sweep_range_values(capsys):
     assert code == EXIT_OK
     assert record["axis"] == "theta"
     assert [row["theta"] for row in record["outputs"]] == [30.0, 45.0, 60.0]
+
+
+def test_sweep_ranges_step_from_the_start_and_stop_at_the_end(capsys):
+    # adding the step 300 times ends at 90.000000000001, past the law's theta_max of 90
+    argv = ["sweep", "--scene", PARALLEL, "--axis", "theta", "--values"]
+    code, record, err = run_json(capsys, argv + ["30:90:0.2"])
+    assert code == EXIT_OK, err
+    thetas = [row["theta"] for row in record["outputs"]]
+    assert len(thetas) == 301 and thetas[-1] == 90.0
+    code, record, err = run_json(capsys, argv + ["30:90:0.3"])
+    assert code == EXIT_OK, err
+    thetas = [row["theta"] for row in record["outputs"]]
+    assert thetas == [round(30.0 + 0.3 * k, 12) for k in range(201)]
+    assert 85.8 in thetas and thetas[-1] == 90.0
+    code, record, err = run_json(capsys, argv + ["45:45:1e-12"])  # lo == hi is one point, however small the step
+    assert code == EXIT_OK, err
+    assert [row["theta"] for row in record["outputs"]] == [45.0]
 
 
 def test_sweep_comma_values_csv(capsys):

@@ -1,18 +1,16 @@
 """Sweeps against the per-point oracle, and what a sweep parses and decides once.
 
-A sweep point parses the written scene with its value on the axis and
-reuses the materials table and the closure verdict of every wrench set an
-earlier point decided; a theta sweep of a single grasp parses nothing,
-resolves every point of the scenario it is given in one pass of the
-contact model and decides the closure of every point in one call.  The
-oracle ``oracles.sweep_rows`` parses a deep copy of the whole scene at
-every point, so any value, message or error order the reuse changes
-shows up here.
+A sweep point parses the written scene with its value on the axis, which
+defines the material it uses; a theta sweep of a single grasp parses
+nothing, resolves every point of the scenario it is given in one pass of
+the contact model and decides the closure of every point in one call.
+The oracle ``oracles.sweep_rows`` parses a deep copy of the whole scene
+at every point, so any value, message or error order the shortcuts
+change shows up here.
 """
 
 import dataclasses
 import math
-from contextlib import contextmanager
 from functools import cache
 
 import numpy as np
@@ -24,7 +22,6 @@ from hypothesis import strategies as st
 import oracles
 from origrip import RANGES, PlanError, ScenarioError, list_demo_scenes, load_scenario, parse_scenario, run_sweep
 from origrip import grasp, run_scenario, scenario
-from origrip._finite import SWEEP_MEMO
 from origrip.demo import demo_scene_path
 from origrip.scenario import MATERIALS_ENV_VAR, scenario_to_dict
 from origrip.shapes import width_along
@@ -117,15 +114,6 @@ def test_sweeps_match_the_per_point_oracle(name, data):
         assert _outcome(run_sweep, scn, axis, values, seed) == expected
 
 
-@contextmanager
-def _sweep_memo():
-    token = SWEEP_MEMO.set({})
-    try:
-        yield
-    finally:
-        SWEEP_MEMO.reset(token)
-
-
 def _parsed(data):
     try:
         scn = parse_scenario(data)
@@ -151,45 +139,46 @@ BAD_MATERIAL_ENTRY = {
 
 
 @pytest.mark.parametrize("data", [BAD_GRIPPER, BAD_MATERIAL_ENTRY], ids=["bad_gripper", "bad_material_entry"])
-def test_a_section_that_failed_is_read_again_under_a_sweep_memo(data):
+def test_a_section_that_failed_fails_the_same_when_read_again(data):
     fresh = _parsed(data)
-    with _sweep_memo():
-        assert _parsed(data) == fresh
-        assert _parsed(data) == fresh  # the sections that read cleanly are now in the memo
-    assert SWEEP_MEMO.get() is None
+    assert _parsed(data) == fresh
+    assert _parsed(data) == fresh
 
 
 def test_a_shared_mapping_builds_top_and_bottom_under_their_own_names():
     data = yaml.safe_load(SHARED_ANCHOR)
     assert data["top"] is data["bottom"]
     fresh = _parsed(data)
-    with _sweep_memo():
-        for _ in range(2):
-            scn, written = _parsed(data)
-            assert (scn.scene.top.name, scn.scene.bottom.name) == ("top", "bottom")
-            assert (scn, written) == fresh
+    for _ in range(2):
+        scn, written = _parsed(data)
+        assert (scn.scene.top.name, scn.scene.bottom.name) == ("top", "bottom")
+        assert (scn, written) == fresh
 
 
 @pytest.mark.parametrize(
-    "name, axis, start, step, reads",
+    "name, material, axis, start, step",
     [
-        pytest.param("grasp_parallel", "theta", 30.0, 1.0, 0, id="theta-30.0"),  # a theta sweep parses nothing
-        pytest.param("grasp_parallel", "materials.tpu95a.plateau_torque", 20.0, 1.0, 1,
+        pytest.param("grasp_parallel", None, "theta", 30.0, 1.0, id="theta-30.0"),
+        pytest.param("grasp_parallel", None, "materials.tpu95a.plateau_torque", 20.0, 1.0,
                      id="materials.tpu95a.plateau_torque-20.0"),
-        pytest.param("stacked_spheres", "top.mass", 0.01, 0.002, 1, id="top.mass-0.01"),
+        pytest.param("stacked_spheres", None, "top.mass", 0.01, 0.002, id="top.mass-0.01"),
+        pytest.param("grasp_parallel", "foam", "object.mass", 0.1, 0.01, id="foam-object.mass-0.1"),
     ],
 )
-def test_a_sweep_reads_the_materials_file_once(monkeypatch, tmp_path, name, axis, start, step, reads):
+def test_a_sweep_reads_no_materials_file(monkeypatch, tmp_path, name, material, axis, start, step):
     env_file = tmp_path / "materials.yaml"
     env_file.write_text("foam: {plateau_force: 2.0, plateau_torque: 20.0}\n")
     monkeypatch.setenv(MATERIALS_ENV_VAR, str(env_file))
     scn = load_scenario(demo_scene_path(name))
+    if material is not None:  # a material from the file, which the written scene then defines
+        scn = scenario.edit_scenario(scn, {"material": material})
+        assert scn.material.plateau_force == 2.0
     calls = []
     table = scenario.material_table
     monkeypatch.setattr(scenario, "material_table", lambda: calls.append(1) or table())
     rows = run_sweep(scn, axis, [start + step * n for n in range(20)])
     assert len(rows) == 20
-    assert len(calls) == reads
+    assert calls == []
 
 
 def test_a_theta_sweep_reads_no_scene_file_and_no_materials_file(monkeypatch, tmp_path):
@@ -222,7 +211,6 @@ def test_a_theta_sweep_resolves_one_object_and_gripper(monkeypatch):
     # every point in one pass of the contact model, on the scenario's own object and gripper
     assert seen == [((30.0, 40.0, 50.0, 60.0), scn.obj, scn.config)]
     assert seen[0][1] is scn.obj and seen[0][2] is scn.config
-    assert SWEEP_MEMO.get() is None
 
 
 def _closure_key(primitives):
@@ -277,13 +265,12 @@ def test_a_one_shot_run_after_a_sweep_decides_closure_again(monkeypatch):
 def test_the_memo_ends_with_a_sweep_that_stops_partway(monkeypatch, name, axis, values, error, parses):
     scn = load_scenario(demo_scene_path(name))
     expected = _outcome(oracles.sweep_rows, scn, axis, values, None)
-    memos = []
+    parsed = []
     parse = scenario.parse_scenario
-    monkeypatch.setattr(scenario, "parse_scenario", lambda data: memos.append(SWEEP_MEMO.get()) or parse(data))
+    monkeypatch.setattr(scenario, "parse_scenario", lambda data: parsed.append(data) or parse(data))
     with pytest.raises(error):
         run_sweep(scn, axis, values)
-    assert len(memos) == parses and all(memo and memo is memos[0] for memo in memos)  # the first point filled it
-    assert SWEEP_MEMO.get() is None
+    assert len(parsed) == parses
     assert _outcome(run_sweep, scn, axis, values) == expected
 
 
