@@ -95,6 +95,8 @@ def require_finite(obj: object) -> None:
     # contact loops
     for name, bounds in _field_ranges(type(obj)):
         value = getattr(obj, name)
+        if value.__class__ is float and bounds.lo < value < bounds.hi:
+            continue  # the common case, decided as Range.problem decides it
         if isinstance(value, (int, float)):
             why = bounds.problem(value)
         elif isinstance(value, (tuple, list)):

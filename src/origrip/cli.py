@@ -207,10 +207,10 @@ def _run_material_curve(args) -> int:
     material = seeded_material(material, args.seed)
     if args.mode == "compression":
         strains, forces = sample_compression_curve(material, samples=args.samples)
-        rows = [{"strain": float(s), "force": float(f)} for s, f in zip(strains, forces)]
+        rows = [{"strain": s, "force": f} for s, f in zip(strains.tolist(), forces.tolist())]
     else:
         angles, torques = sample_bending_curve(material, samples=args.samples)
-        rows = [{"angle": float(a), "torque": float(t)} for a, t in zip(angles, torques)]
+        rows = [{"angle": a, "torque": t} for a, t in zip(angles.tolist(), torques.tolist())]
     record = {
         "version": __version__,
         "command": "material-curve",

@@ -494,16 +494,109 @@ def parse_scenario(data: Any, source: str = "<dict>") -> Scenario:
     return scn
 
 
-def _load_yaml(text: str) -> Any:
-    """``yaml.safe_load(text)``, parsed by libyaml when it is installed.
+_TAG = "tag:yaml.org,2002:"
+_STR, _FLOAT, _SEQ, _MAP = (_TAG + name for name in ("str", "float", "seq", "map"))
+_BAD_VALUE = (ValueError, LookupError, AttributeError, TypeError)  # what a tag's constructor raises on a bad value
 
-    A text libyaml refuses is parsed again by the Python loader, whose
+
+def _marked(construct: Callable) -> Callable:
+    """``construct`` raising a value it cannot convert as a YAMLError at its node."""
+    def run(loader: Any, node: yaml.Node) -> Any:
+        try:
+            return construct(loader, node)
+        except _BAD_VALUE:
+            what = repr(node.value) if node.id == "scalar" else f"this {node.id}"
+            raise yaml.constructor.ConstructorError(
+                None, None, f"cannot read {what} as {node.tag}", node.start_mark) from None
+    return run
+
+
+_CONSTRUCTORS = {tag: _marked(construct) for tag, construct in yaml.SafeLoader.yaml_constructors.items()}
+_SCALARS = {_TAG + name: yaml.SafeLoader.yaml_constructors[_TAG + name] for name in ("null", "bool", "int", "float")}
+
+
+class _Unplain(Exception):
+    """A node ``_build`` leaves to PyYAML's constructor."""
+
+
+def _build(node: yaml.Node, loader: Any, built: dict) -> Any:
+    """The data of a composed node, as ``SafeConstructor`` builds it; raises
+    _Unplain at a node it leaves to PyYAML (see ``_load_yaml``).  ``built``
+    holds the map and list of each node built so far."""
+    kind = node.__class__
+    if kind is yaml.ScalarNode:
+        if node.tag == _STR:
+            return node.value
+        if node.tag == _FLOAT:
+            try:
+                value = float(node.value)
+            except ValueError:  # ".inf", "1:30", "1__0.5": PyYAML's own spellings
+                pass
+            else:  # a finite float reads as PyYAML reads it; PyYAML makes its own inf and nan
+                if math.isfinite(value):
+                    return value
+        construct = _SCALARS.get(node.tag)
+        if construct is None:
+            raise _Unplain
+        return construct(loader, node)
+    if node in built:  # an alias: one object, as PyYAML shares it
+        return built[node]
+    if kind is yaml.MappingNode and node.tag == _MAP:
+        data = built[node] = {}
+        for key_node, value_node in node.value:
+            if key_node.__class__ is not yaml.ScalarNode:  # PyYAML refuses a list or map key
+                raise _Unplain
+            key = _build(key_node, loader, built)
+            data[key] = _build(value_node, loader, built)
+        return data
+    if kind is yaml.SequenceNode and node.tag == _SEQ:
+        data = built[node] = []
+        for item in node.value:
+            data.append(_build(item, loader, built))
+        return data
+    raise _Unplain
+
+
+def _load_with(text: str, loader_class: type) -> Any:
+    """``yaml.load(text, loader_class)`` as ``_load_yaml`` builds it."""
+    loader = loader_class(text)
+    try:
+        root = loader.get_single_node()
+        if root is None:
+            return None
+        try:
+            return _build(root, loader, {})
+        except (_Unplain, RecursionError, *_BAD_VALUE):
+            loader.yaml_constructors = _CONSTRUCTORS
+            return loader.construct_document(root)
+    finally:
+        loader.dispose()
+
+
+def _load_yaml(text: str) -> Any:
+    """``yaml.safe_load(text)``, composed by libyaml when it is installed.
+
+    The composed node tree is built into data by one walk, ``_build``: it
+    builds ``str``, ``int``, ``float``, ``bool`` and ``null`` scalars (the
+    last four through ``SafeConstructor``'s own constructors, or ``float``
+    for a finite float), and plain maps and lists, one object per node so
+    that aliases share it.  Any other node (a merge key ``<<``, a value key
+    ``=``, a list or map as a key, a timestamp, binary, set, omap, pairs or
+    unknown tag), a value its tag cannot convert, or nesting too deep for
+    the walk hands the whole tree to PyYAML's ``construct_document``, so
+    every text loads exactly as ``yaml.safe_load`` loads it, with one
+    exception: a tag whose constructor cannot convert its value
+    (``!!int 1.5``, ``!!bool maybe``, ``!!timestamp xyz``) raises a
+    YAMLError marked at that node, not the ValueError, KeyError or other
+    error PyYAML lets through.
+
+    A text libyaml refuses is read again by the Python loader, whose
     verdict (and error message, with its source snippet) stands.
     """
     try:
-        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        return _load_with(text, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError:
-        return yaml.safe_load(text)
+        return _load_with(text, yaml.SafeLoader)
 
 
 def _read_yaml(path: Path) -> tuple[Any, bytes]:
@@ -676,8 +769,8 @@ def run_pullout(scn: PulloutScenario, seed: int | None = None) -> dict:
         "peak_force": float(trace.forces.max()),
         "markers": trace.markers,
         "trace": {
-            "lift": [float(v) for v in trace.lifts],
-            "force": [float(v) for v in trace.forces],
+            "lift": trace.lifts.tolist(),
+            "force": trace.forces.tolist(),
         },
     }
 

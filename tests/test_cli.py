@@ -605,6 +605,30 @@ def test_malformed_yaml_is_reported_with_its_source_line(capsys, tmp_path):
     assert "\n    theta: [1, 2\n           ^\n" in err
 
 
+TAGGED_THETAS = ["!!int 1.5", "!!float abc", "!!bool maybe", "!!timestamp xyz", '!!int ""']
+
+
+@pytest.mark.parametrize("theta", TAGGED_THETAS)
+def test_a_tag_that_cannot_read_its_value_is_invalid_yaml(capsys, tmp_path, theta):
+    scene = tmp_path / "tagged.yaml"
+    scene.write_text(Path(PARALLEL).read_text().replace("theta: 30.0", f"theta: {theta}"))
+    code, record, err = run_json(capsys, ["grasp", "--scene", str(scene)])
+    assert code == EXIT_INVALID and record is None
+    assert f"{scene}: not valid YAML: cannot read " in err
+    assert f"\n    theta: {theta}\n           ^\n" in err  # marked at the value, with its source line
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["!!float abc", "!!int 1.5"])
+def test_a_tag_that_cannot_read_its_value_fails_the_materials_file(capsys, monkeypatch, tmp_path, value):
+    env_file = tmp_path / "materials.yaml"
+    env_file.write_text(f"foam: {{plateau_force: {value}, plateau_torque: 20.0}}\n")
+    monkeypatch.setenv(MATERIALS_ENV_VAR, str(env_file))
+    code, record, err = run_json(capsys, ["material-curve", "--material", "tpu95a"])
+    assert code == EXIT_INVALID and record is None
+    assert f"materials: cannot read ORIGRIP_MATERIALS file {str(env_file)!r}: cannot read " in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -33,6 +33,7 @@ from origrip import (
     z_span,
 )
 from origrip.grasp import _PLANE_TOL
+from origrip.scenario import SingleGraspScenario, run_single_grasp
 from origrip.transmission import opening_range, theta_for_opening
 
 V_PROBE = curved_block(45.5, 67.0, 80.0)
@@ -554,3 +555,17 @@ def test_turning_the_object_by_one_finger_pitch_changes_no_verdict(grasped, mu):
     assert turned_verdicts == verdicts
     # bearings and widths of the turned object round differently: values agree to 1e-9 relative
     assert turned_values == pytest.approx(values, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(grasped=pressing_grasps(), masses=st.lists(st.floats(0.0, 1e3), min_size=2, max_size=2), mu=st.floats(0.0, 1.5))
+def test_the_object_mass_changes_no_single_grasp_output(grasped, masses, mu):
+    # tolerance 0: a single grasp reports contacts, forces and closure, none of
+    # which reads the mass, so every output, contact table included, is bit-identical
+    obj, config, theta = grasped
+    outputs = [
+        repr(run_single_grasp(SingleGraspScenario("s", config, TPU95A, mu, 1.0, theta,
+                                                  dataclasses.replace(obj, mass=mass))))
+        for mass in masses
+    ]
+    assert outputs[0] == outputs[1]

@@ -6,7 +6,8 @@
 2. ``cli.main`` with generated argv exits 0, 1 or 2, never prints a
    traceback, and writes nothing to stdout when it exits 2.
 3. So does ``cli.main`` on bundled scene and materials files mangled byte
-   by byte: bytes that are not UTF-8, NUL bytes, a byte order mark, a cut.
+   by byte: bytes that are not UTF-8, NUL bytes, a byte order mark, a cut,
+   an explicit tag on a value.
 """
 
 import io
@@ -163,14 +164,22 @@ MARKS = [b"\xef\xbb\xbf", b"\xff\xfe", b"\xfe\xff", b"\x00", b"\x00\x00"]
 COMMANDS = {kind: command for command, kind in KINDS.items()}
 
 
+TAGS = [b"!!int ", b"!!float ", b"!!bool ", b"!!null ", b"!!str ", b"!!timestamp ", b"!!binary ", b"!!set ",
+        b"!!omap ", b"!!map ", b"!foo "]
+
+
 @st.composite
 def mangled(draw, raw):
     """``raw`` with bytes that are not UTF-8, a NUL or a byte order mark put
-    in, a byte replaced, or its end cut off."""
+    in, a byte replaced, its end cut off, or an explicit tag put on a value."""
     at = draw(st.integers(0, len(raw)))
-    how = draw(st.sampled_from(["insert", "replace", "cut"]))
+    how = draw(st.sampled_from(["insert", "replace", "cut", "tag"]))
     if how == "cut":
         return raw[:at]
+    if how == "tag":
+        values = [i + 2 for i in range(len(raw)) if raw.startswith(b": ", i)]
+        at = draw(st.sampled_from(values))
+        return raw[:at] + draw(st.sampled_from(TAGS)) + raw[at:]
     bad = draw(st.sampled_from(NOT_UTF8 + MARKS) | st.binary(min_size=1, max_size=3))
     return raw[:at] + bad + raw[at + (how == "replace"):]
 

@@ -26,7 +26,7 @@ from origrip import (
     simulate_plan,
     sphere,
 )
-from origrip.planner import _strain_interval
+from origrip.planner import _BISECT_TOL, _strain_interval
 
 CFG2 = GripperConfig(finger_count=2)
 CFG4 = GripperConfig(finger_count=4)
@@ -247,6 +247,38 @@ def test_both_edges_of_a_hold_window_hold(make, width, mass, z, config, material
     for edge in (window.theta_lo, window.theta_hi):
         assert window.contains(edge)
         assert holds_at(edge, obj, config, material, mu=0.5), f"edge {edge!r} of {window}"
+
+
+@given(
+    st.sampled_from((sphere, cube)),
+    st.floats(min_value=45.0, max_value=85.0),
+    st.floats(min_value=-2.0, max_value=0.0).map(lambda power: 10.0 ** power),  # kg
+    st.floats(min_value=0.0, max_value=15.0),
+    st.sampled_from((CFG2, CFG4)),
+    st.sampled_from((TPU95A, SIL950)),
+    st.floats(min_value=1.0, max_value=2.0),
+    st.floats(min_value=1.0, max_value=4.0),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_a_heavier_object_or_a_higher_safety_never_widens_a_hold_window(
+    make, width, mass, z, config, material, safety, heavier, more_safety
+):
+    """Holding asks capacity >= safety * weight, and capacity does not read
+    the mass: a window for more weight or more safety lies inside the first.
+    Its lower edge may read up to _BISECT_TOL low, the bisection's bracket;
+    its upper edge is the same strain-band edge or none."""
+    pose = Pose(z=z)
+    window = hold_window(make(width, mass, pose=pose), config, material, mu=0.5, safety=safety)
+    for inner in (
+        hold_window(make(width, mass * heavier, pose=pose), config, material, mu=0.5, safety=safety),
+        hold_window(make(width, mass, pose=pose), config, material, mu=0.5, safety=safety + more_safety),
+    ):
+        if window is None or inner is None:
+            assert inner is None, (window, inner)
+            continue
+        assert inner.theta_hi == window.theta_hi
+        assert inner.theta_lo >= window.theta_lo - _BISECT_TOL, (window, inner)
 
 
 @given(st.floats(min_value=45.0, max_value=60.0))

@@ -512,7 +512,21 @@ def yaml_outcome(load, text):
         value = load(text)
     except yaml.YAMLError as exc:
         return type(exc), str(exc)
-    return type(value), repr(value)  # repr: a loaded NaN equals no other
+    return type(value), repr(value), containers(value)  # repr: a loaded NaN equals no other
+
+
+def containers(value, seen=None):
+    """Which container each container of ``value`` is, numbered in the order
+    first seen: an alias shares one object, which repr does not show."""
+    seen = {} if seen is None else seen
+    if not isinstance(value, (dict, list, tuple, set)):
+        return []
+    if id(value) in seen:
+        return [seen[id(value)]]
+    order = [seen.setdefault(id(value), len(seen))]
+    for item in [*value.keys(), *value.values()] if isinstance(value, dict) else value:
+        order += containers(item, seen)
+    return order
 
 
 YAML_TEXTS = {
@@ -531,12 +545,139 @@ def test_yaml_loaders_agree(monkeypatch, text, libyaml):
     assert yaml_outcome(_load_yaml, text) == yaml_outcome(yaml.safe_load, text)
 
 
+SPELLINGS = [
+    # YAML 1.1 numbers, booleans, nulls and strings, each in more than one spelling
+    "0", "-0", "017", "0o17", "0x1F", "0b101", "1_000", "+12", "1:30", "-1:30:15.5", "1.5", "-.5", "+1.0e+3",
+    "1e3", "1_0.2_5", "-0.0", ".Inf", "-.inf", ".NaN", "1.0e+999", "yes", "No", "on", "OFF", "true", "~", "null",
+    "''", '""', "'a b'", "abc", "x_1", "2024-01-02", "2024-01-02 10:30:00.5 +01:00",
+    # explicit tags that convert, some from an odd spelling
+    "!!str 12", "!!float 1", "!!float ' 2.5'", "!!float inf", "!!int '0x10'", "!!bool YES", "!!null ''",
+    "!!binary aGVsbG8=", "!!timestamp 2024-01-02",
+]
+UNREADABLE = [  # a tag that cannot read its value, or an unknown tag
+    "!!int 1.5", "!!float abc", "!!bool maybe", "!!timestamp xyz", '!!int ""', "!!float '1__0'", "!!binary '@'",
+    "!foo bar",
+]
+KEYS = ["a", "b", "1", "1.0", "yes", "~", "'a'", "=", "!!int 2"]  # repeats: 1 and 1.0, a and 'a'
+RARELY = st.integers(0, 15).map(lambda n: n == 0)
+
+
+@st.composite
+def yaml_nodes(draw, anchors, depth=0):
+    """One flow-style YAML node; ``anchors`` holds the anchors declared so
+    far, so an alias may name an enclosing node (a recursive alias)."""
+    if anchors and draw(st.integers(0, 5)) == 0:
+        return "*" + draw(st.sampled_from(anchors))
+    kind = draw(st.sampled_from(["scalar"] * 3 + ["map", "list"] * (depth < 3)))
+    if kind == "scalar":
+        return draw(st.sampled_from(UNREADABLE if draw(RARELY) else SPELLINGS))
+    head = ""
+    if draw(st.integers(0, 3)) == 0:
+        head = f"&n{len(anchors)} "
+        anchors.append(head[1:-1])
+    if kind == "list":
+        tag = draw(st.sampled_from(["!!seq ", "!!omap ", "!!pairs ", "!!set "])) if draw(RARELY) else ""
+        items = draw(st.lists(yaml_nodes(anchors, depth + 1), max_size=4))
+        return f"{tag}{head}[{', '.join(items)}]"
+    tag = draw(st.sampled_from(["!!map ", "!!set ", "!!int ", "!!str "])) if draw(RARELY) else ""
+    entries = [draw(yaml_entries(anchors, depth)) for _ in range(draw(st.integers(0, 4)))]
+    return f"{tag}{head}{{{', '.join(f'? {key} : {value}' for key, value in entries)}}}"
+
+
+@st.composite
+def yaml_entries(draw, anchors, depth):
+    """A key and a value of a map at ``depth``."""
+    if draw(RARELY):  # a merge key, of a map, a list of maps or anything
+        if draw(RARELY):
+            return "<<", draw(yaml_nodes(anchors, 2))
+        maps = draw(st.lists(yaml_nodes(anchors, 2).map(lambda node: f"{{a: {node}}}"), min_size=1, max_size=2))
+        return "<<", maps[0] if len(maps) == 1 else f"[{', '.join(maps)}]"
+    key = draw(yaml_nodes(anchors, 2) if draw(RARELY) else st.sampled_from(KEYS))  # now and then not a scalar
+    return key, draw(yaml_nodes(anchors, depth + 1))
+
+
+@st.composite
+def yaml_texts(draw):
+    """A block map of flow-style values, one flow-style node, or (rarely)
+    zero or two documents."""
+    if draw(RARELY):
+        return draw(st.sampled_from(["", "# nothing\n", "---\n", "--- a\n--- b\n", "--- 1\n...\n"]))
+    anchors: list[str] = []
+    if draw(st.integers(0, 3)) == 0:
+        return draw(yaml_nodes(anchors)) + "\n"
+    entries = draw(st.lists(yaml_entries(anchors, 0), min_size=1, max_size=5))
+    return "".join(f"{key}: {value}\n" for key, value in entries)
+
+
+@pytest.mark.parametrize("libyaml", [True, False])
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(text=yaml_texts())
+@example(text="a: &x [1, *x]\nb: *x\n")
+@example(text="a: &x {b: 1}\nc: *x\n")
+@example(text="<<: [{a: 1}, {b: 2}]\nb: 3\n")
+@example(text="theta: !!int 1.5\n")
+def test_generated_yaml_loads_as_safe_load_loads_it(text, libyaml):
+    try:
+        expected = yaml_outcome(yaml.safe_load, text)
+    except Exception:  # a tag whose constructor cannot convert its value
+        expected = None
+    with pytest.MonkeyPatch.context() as patch:
+        if not libyaml:
+            patch.delattr(yaml, "CSafeLoader", raising=False)
+        outcome = yaml_outcome(_load_yaml, text)
+    if expected is None:  # read as a YAML error, marked at the value
+        assert outcome[0] is yaml.constructor.ConstructorError and outcome[1].startswith("cannot read "), text
+        assert outcome[1].count("^") == 1, text
+    else:
+        assert outcome == expected, text
+
+
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="libyaml not installed")
 def test_valid_yaml_is_read_by_libyaml(monkeypatch):
     text = demo_scene_path("grasp_parallel").read_text()
     expected = yaml.safe_load(text)
     monkeypatch.setattr(yaml, "safe_load", None)
     assert _load_yaml(text) == expected
+
+
+def _scaled(data, rng):
+    """``data`` with every float multiplied by a random factor, near 1 or
+    anywhere from 1e-8 to 1e8, so floats are written in every form."""
+    if isinstance(data, dict):
+        return {key: _scaled(value, rng) for key, value in data.items()}
+    if isinstance(data, list):
+        return [_scaled(value, rng) for value in data]
+    if isinstance(data, float):
+        return data * (rng.uniform(0.9, 1.1) if rng.random() < 0.5 else 10 ** rng.uniform(-8, 8))
+    return data
+
+
+def _refuse(*args):
+    raise AssertionError("PyYAML's constructor ran")
+
+
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_scene_files_are_built_without_pyyaml_constructor(monkeypatch, tmp_path, name):
+    """Bundled scenes, and scenes written as ``yaml.safe_dump`` writes them,
+    are built by the walk alone: a refactor that sends them through
+    PyYAML's slower constructor fails here."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    written = scenario_to_dict(load_scenario(demo_scene_path(name)))
+    texts = [demo_scene_path(name).read_text()] + [
+        yaml.safe_dump(_scaled(written, rng), sort_keys=True, default_flow_style=flow)
+        for flow in (False, None, True) * 4
+    ]
+    expected = [yaml.safe_load(text) for text in texts]
+    monkeypatch.setattr(yaml.constructor.SafeConstructor, "construct_document", _refuse)
+    for index, (text, data) in enumerate(zip(texts, expected)):
+        assert _load_yaml(text) == data
+        path = tmp_path / f"{index}.yaml"
+        path.write_text(text)
+        try:
+            load_scenario(path)
+        except ScenarioError:  # a scaled number out of its range
+            pass
+    assert load_scenario(demo_scene_path(name)).name == name
 
 
 def test_written_scene_keeps_its_own_materials_only():
