@@ -76,7 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after it.
 
     ``parse_args`` leaves a parser as it was, so one serves every ``main``
-    call; callers must not add to it.
+    call; callers must not add to it.  ``main`` hands a known command's
+    tokens straight to that command's parser (see ``_parse_args``); the
+    parser built here reads only a command line that names no known
+    command (none, ``-h``, ``--version`` or a mistyped command).
     """
     parser = argparse.ArgumentParser(
         prog="origrip",
@@ -289,9 +292,31 @@ _SCENE_COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, reading a known command's tokens once.
+
+    The top-level parser would classify every token, then hand the tokens
+    after the command to the command's parser, which reads them again.
+    This takes the second step alone, as argparse's subparser action takes
+    it: the command's parser reads the tokens, ``command`` is set, and
+    leftover tokens are the top-level parser's "unrecognized arguments"
+    error.  A token ``--=...`` goes the long way, since the top-level
+    parser reports it as an ambiguous option before the command sees it.
+    """
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    if not argv or argv[0] not in commands or any(token.startswith("--=") for token in argv):
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    args.command = argv[0]
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse_args(argv)
     try:
         if args.command == "kinematics":
             return _run_kinematics(args)
@@ -311,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
                 args,
             )
             return EXIT_OK
-        parser.error(f"unknown command {args.command!r}")
+        build_parser().error(f"unknown command {args.command!r}")
     except (ScenarioError, AngleRangeError, OpeningRangeError, _OutputError) as exc:
         print(f"origrip: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -35,7 +35,9 @@ axis instead, so a theta sweep resolves every point in one pass into one
 contact set and the bounds of each point's run in it; a one-shot grasp and
 ``resolve_contacts``, which hold windows call at many angles, are its
 one-point case.  Per-point facts are functions of (contacts, bounds):
-``_point_totals`` for the sums, ``_closures`` for the verdicts.  A
+``_point_totals`` for the sums, ``_closures`` for the verdicts; with one
+point, the sums are the folds of ``squeeze_force`` and
+``pullout_capacity`` rather than a padded pass over every run.  A
 ``ContactSet`` holds its contacts as columns, and sums over contacts add
 them one at a time in (level, finger) order, as the scalar model does.
 
@@ -52,7 +54,8 @@ decision serves ``is_force_closure``, ``closure_summary`` and a sweep
 distinct set once, and scans the sets of each size up to 16 primitives
 together, as one (sets, primitives, 3) stack; a larger set grows its hull
 alone.  A theta sweep hands it every point's set at once, and inside the
-modules' constant-force plateau most points repeat a set.  Enveloping
+modules' constant-force plateau most points repeat a set; a one-shot grasp
+hands it one set, which goes straight to the stacked decision.  Enveloping
 grasps are also judged for form closure by the angular coverage of their
 wrap patches, whose arcs every run's contacts normalise in one array pass.
 """
@@ -645,8 +648,11 @@ def _force_closures(sets: Sequence[np.ndarray]) -> list[ForceClosure]:
 
     Sets are told apart by their bytes, and each distinct set of the call
     is decided once: the distinct sets go to ``_decide`` in one stack per
-    size.
+    size.  One set, as a one-shot grasp hands it, goes to ``_decide``
+    alone, with nothing to tell apart.
     """
+    if len(sets) == 1:
+        return _decide(sets[0][None])
     keys = [primitives.tobytes() for primitives in sets]
     fresh: dict[int, dict[bytes, np.ndarray]] = {}
     for key, primitives in zip(keys, sets):
@@ -837,8 +843,11 @@ def _point_totals(contacts: ContactSet, bounds: list[int]) -> tuple[list[int], l
     contact by contact."""
     # One padded pass costs about as much for twenty runs as for one, and
     # several times a plain fold over one set: a sweep takes the pass, and
-    # squeeze_force and pullout_capacity, which see one set, keep the fold.
+    # one run (a one-shot grasp) takes the folds of squeeze_force and
+    # pullout_capacity, which add the same terms in the same order.
     c = contacts
+    if len(bounds) == 2:
+        return [len(c)], [squeeze_force(c)], [squeeze_force(c, 0)], [pullout_capacity(c)]
     side = c.finger_index == 0
     squeeze = c.normal_force * c.incl_cos
     bounds = np.asarray(bounds)

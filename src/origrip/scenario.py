@@ -557,6 +557,14 @@ def _build(node: yaml.Node, loader: Any, built: dict) -> Any:
     raise _Unplain
 
 
+# Each collection a YAML text opens starts at one of these marks of its own
+# (a flow '[' or '{', or the '-', ':' or '?' of a block's first entry), so
+# their count bounds the depth of its nesting.  libyaml overruns an 8 MB C
+# stack near 22,000 levels; a scene file holds a few dozen marks.
+_NESTING_MARKS = "[{-:?"
+_LIBYAML_NESTING = 1_000
+
+
 def _load_with(text: str, loader_class: type) -> Any:
     """``yaml.load(text, loader_class)`` as ``_load_yaml`` builds it."""
     loader = loader_class(text)
@@ -574,7 +582,8 @@ def _load_with(text: str, loader_class: type) -> Any:
 
 
 def _load_yaml(text: str) -> Any:
-    """``yaml.safe_load(text)``, composed by libyaml when it is installed.
+    """``yaml.safe_load(text)``, composed by libyaml when it is installed
+    and the text cannot nest deeper than libyaml's C stack allows.
 
     The composed node tree is built into data by one walk, ``_build``: it
     builds ``str``, ``int``, ``float``, ``bool`` and ``null`` scalars (the
@@ -591,12 +600,22 @@ def _load_yaml(text: str) -> Any:
     error PyYAML lets through.
 
     A text libyaml refuses is read again by the Python loader, whose
-    verdict (and error message, with its source snippet) stands.
+    verdict (and error message, with its source snippet) stands.  So is a
+    text that may nest deeper than ``_LIBYAML_NESTING``: libyaml's composer
+    recurses in C once per level and overruns the C stack, killing the
+    process, where the Python loader's recursion stops at Python's limit,
+    read here as a YAMLError.
     """
+    fast = getattr(yaml, "CSafeLoader", None)
     try:
-        return _load_with(text, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    except yaml.YAMLError:
+        if fast is not None and sum(map(text.count, _NESTING_MARKS)) <= _LIBYAML_NESTING:
+            try:
+                return _load_with(text, fast)
+            except yaml.YAMLError:
+                pass
         return _load_with(text, yaml.SafeLoader)
+    except RecursionError:
+        raise yaml.YAMLError("collections nested too deeply to read") from None
 
 
 def _read_yaml(path: Path) -> tuple[Any, bytes]:
@@ -903,8 +922,7 @@ def _theta_rows(scn: SingleGraspScenario, thetas: list[float], seed: int | None)
     material = seeded_material(scn.material, seed)
     for theta in thetas[1:]:
         check(theta)
-    points, _ = _grasp_points(scn, thetas, material)
-    return [{_THETA.key: theta, **outputs} for theta, outputs in zip(thetas, points)]  # outputs are flat
+    return _grasp_points(scn, thetas, material)[0]  # flat rows, theta first as the axis column
 
 
 def _axis_field(scn: Scenario, axis: str) -> Field:

@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
@@ -596,6 +600,72 @@ def test_the_cached_parser_answers_every_call_as_a_fresh_one(capsys):
     assert json.loads(fresh[2][1])["outputs"] != json.loads(fresh[3][1])["outputs"]
 
 
+ARGV_TABLE = [
+    # every command with typical flags
+    ["kinematics", "--theta", "30"],
+    ["kinematics", "--opening", "53", "--format", "csv", "--out", "k.csv"],
+    ["material-curve", "--material", "sil950", "--mode", "bending", "--samples", "7", "--seed", "3"],
+    ["grasp", "--scene", PARALLEL, "--theta", "30", "--mu", "0.4", "--material", "tpu95a", "--seed", "7"],
+    ["pullout", "--scene", PULLOUT, "--grid", "2.5", "--format", "csv"],
+    ["multi", "--scene", STACKED], ["compare", "--scene", PICKPLACE, "--out", "-"],
+    ["sweep", "--scene", PARALLEL, "--axis", "theta", "--values", "30:60:10", "--seed", "1"],
+    ["scenes"], ["scenes", "--format", "csv"],
+    # --opt=value, abbreviations, negative numbers, repeats, "--"
+    ["grasp", f"--scene={PARALLEL}", "--theta=-5", "--mu=0"],
+    ["sweep", "--sc", PARALLEL, "--ax", "mu", "--val", "0.1,0.2", "--form", "csv"],
+    ["kinematics", "--th", "-1e3"], ["pullout", "--theta", "1", "--theta", "2", "--scene", PULLOUT],
+    ["grasp", "--scene", PARALLEL, "--", "x"], ["grasp", "--", "--scene", PARALLEL],
+    # help and version after a command
+    ["grasp", "-h"], ["sweep", "--help"], ["kinematics", "--he"], ["grasp", "--version"],
+    ["scenes", "--version", "-h"],
+    # unknown options and arguments, a missing required option, bad values and choices
+    ["grasp", "--scene", PARALLEL, "--bogus"], ["multi", "--scene", STACKED, "extra", "--also", "-x"],
+    ["grasp"], ["sweep", "--scene", PARALLEL, "--axis", "theta"], ["kinematics"],
+    ["kinematics", "--theta", "1", "--opening", "2"], ["kinematics", "--theta", "abc"],
+    ["grasp", "--scene", PARALLEL, "--format", "xml"], ["material-curve", "--material", "sil950", "--mode", "twist"],
+    ["grasp", "--scene"], ["grasp", "--s", PARALLEL], ["grasp", "--scene", PARALLEL, "--=1"],
+    # no command, or not a known one
+    [], ["--version"], ["-h"], ["grap"], ["Grasp", "--scene", PARALLEL], ["--version", "grasp"],
+    ["--bogus", "grasp"], ["-", "grasp"],
+]
+
+
+def _parsed(capsys, parse, argv):
+    try:
+        namespace, code = parse(argv), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    captured = capsys.readouterr()
+    return type(namespace), vars(namespace) if namespace else None, code, captured.out, captured.err
+
+
+def _argv_id(argv):
+    return " ".join(argv).replace(str(Path(PARALLEL).parent) + os.sep, "") or "(none)"
+
+
+@pytest.mark.parametrize("argv", ARGV_TABLE, ids=_argv_id)
+def test_a_command_line_parses_as_the_top_level_parser_parses_it(capsys, argv):
+    expected = _parsed(capsys, cli.build_parser().parse_args, argv)
+    assert _parsed(capsys, cli._parse_args, argv) == expected
+
+
+def test_a_known_command_never_reaches_the_top_level_parser(capsys):
+    parser = cli.build_parser()
+    commands = ("kinematics", "material-curve", "grasp", "pullout", "multi", "compare", "sweep", "scenes")
+    # a "--=" token goes to the top-level parser, which calls it ambiguous before the command sees it
+    known = [argv for argv in ARGV_TABLE if argv and argv[0] in commands and "--=1" not in argv]
+    refuse = mock.Mock(side_effect=AssertionError("the top-level parser read the command line"))
+    with mock.patch.object(parser, "parse_args", refuse), mock.patch.object(parser, "parse_known_args", refuse):
+        for argv in known:
+            try:
+                cli._parse_args(argv)
+            except SystemExit:
+                pass
+    capsys.readouterr()
+    assert refuse.call_count == 0
+    assert len(known) > 30
+
+
 def test_malformed_yaml_is_reported_with_its_source_line(capsys, tmp_path):
     scene = tmp_path / "bad.yaml"
     scene.write_text("kind: single_grasp\ntheta: [1, 2\nmaterial: tpu95a\n")
@@ -670,3 +740,17 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc_info.value.code == 0
     assert capsys.readouterr().out.startswith("origrip ")
+
+
+@pytest.mark.parametrize("nest", ["[" * 50_000 + "]" * 50_000, "- " * 50_000 + "x"], ids=["flow", "block"])
+def test_a_scene_nested_50000_levels_deep_is_invalid_yaml(tmp_path, nest):
+    # libyaml's composer recurses in C per level and would overrun the C stack (a segfault, exit 139)
+    scene = tmp_path / "deep.yaml"
+    scene.write_text(f"kind: {nest}\n" if nest[0] == "[" else f"{nest}\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "origrip.cli", "grasp", "--scene", str(scene)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (EXIT_INVALID, "")
+    assert proc.stderr == f"origrip: invalid scenario (1 problem(s)):\n  - {scene}: not valid YAML: " \
+                          "collections nested too deeply to read\n"

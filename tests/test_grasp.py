@@ -473,6 +473,42 @@ def test_a_contact_sweep_equals_the_scalar_oracle_at_each_angle(obj, levels, fin
     assert decided == expected_decided
 
 
+def _typed_bits(values):
+    """Each value with its type, a float by its exact bits."""
+    return [(type(v), v.hex() if type(v) is float else v) for v in values]
+
+
+@given(
+    obj=_placed_objects(),
+    levels=st.lists(st.floats(0.5, 120.0), min_size=1, max_size=4).map(sorted),
+    fingers=st.sampled_from((2, 4)),
+    curvature_threshold=st.floats(0.2, 2.0),
+    material=st.sampled_from((TPU95A, SIL950)),
+    mu=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+    thetas=st.lists(st.floats(0.0, 90.0), min_size=2, max_size=6),
+)
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_a_one_point_call_equals_its_run_inside_a_sweep(obj, levels, fingers, curvature_threshold, material, mu,
+                                                         thetas):
+    # one run takes the folds and the lone decision; several take the padded
+    # pass and the grouped decision: equal in type and bit for bit
+    config = GripperConfig(finger_count=fingers, module_levels=tuple(levels),
+                           curvature_threshold=curvature_threshold)
+    _, contacts, bounds = _resolve(thetas, obj, config, material, mu, 1.0)
+    totals = list(zip(*_point_totals(contacts, bounds)))
+    for theta, swept in zip(thetas, totals):
+        _, alone, alone_bounds = _resolve([theta], obj, config, material, mu, 1.0)
+        assert alone_bounds == [0, len(alone)]
+        assert _typed_bits(next(zip(*_point_totals(alone, alone_bounds)))) == _typed_bits(swept)
+    primitives = grasp._primitives(contacts)
+    runs = [primitives[2 * lo:2 * hi] for lo, hi in zip(bounds, bounds[1:]) if hi - lo >= 2]
+    together = grasp._force_closures(runs + runs)  # two sets or more: the grouped decision
+    for run, swept in zip(runs, together):
+        (alone,) = grasp._force_closures([run])
+        assert type(alone) is type(swept) is ForceClosure
+        assert _typed_bits((alone.closed, alone.margin)) == _typed_bits((swept.closed, swept.margin))
+
+
 def test_contact_sets_are_columns_with_records_on_demand():
     contacts = resolve_contacts(60.0, V_PROBE, GripperConfig(finger_count=4), TPU95A, mu=0.3)
     records = contacts.records

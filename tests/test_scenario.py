@@ -545,6 +545,16 @@ def test_yaml_loaders_agree(monkeypatch, text, libyaml):
     assert yaml_outcome(_load_yaml, text) == yaml_outcome(yaml.safe_load, text)
 
 
+@pytest.mark.parametrize("libyaml", [True, False])
+@pytest.mark.parametrize("text", ["[" * 600, "{a: " * 600, "[" * 5_000 + "]" * 5_000], ids=["open", "open_map", "closed"])
+def test_deep_nesting_is_a_yaml_error_not_a_recursion_error(monkeypatch, text, libyaml):
+    # past _LIBYAML_NESTING marks the Python loader reads the text, and its recursion limit is a YAML error
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    with pytest.raises(yaml.YAMLError, match="^collections nested too deeply to read$"):
+        _load_yaml(text)
+
+
 SPELLINGS = [
     # YAML 1.1 numbers, booleans, nulls and strings, each in more than one spelling
     "0", "-0", "017", "0o17", "0x1F", "0b101", "1_000", "+12", "1:30", "-1:30:15.5", "1.5", "-.5", "+1.0e+3",

@@ -23,7 +23,7 @@ import oracles
 from origrip import RANGES, PlanError, ScenarioError, list_demo_scenes, load_scenario, parse_scenario, run_sweep
 from origrip import grasp, run_scenario, scenario
 from origrip.demo import demo_scene_path
-from origrip.scenario import MATERIALS_ENV_VAR, scenario_to_dict
+from origrip.scenario import MATERIALS_ENV_VAR, run_single_grasp, scenario_to_dict
 from origrip.shapes import width_along
 from origrip.transmission import FINGER_COUNTS, finger_bearings, opening, theta_for_opening
 
@@ -325,6 +325,34 @@ def test_theta_sweeps_of_random_grasps_match_the_per_point_oracle(scn, values, b
         values.insert(bad[0], bad[1])
     expected = _outcome(oracles.sweep_rows, scn, "theta", values, seed)
     assert _outcome(run_sweep, scn, "theta", values, seed) == expected
+
+
+_SHARED_FACTS = ("squeeze_force", "side_squeeze_force", "pullout_capacity", "force_closure", "closure_margin")
+
+
+def _typed_bits(values):
+    return [(type(v), v.hex() if type(v) is float else v) for v in values]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(scn=_grasp_scenes(), start=st.floats(0.0, 90.0), steps=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=7))
+def test_theta_sweep_points_with_one_contact_set_share_their_sums_and_closure(scn, start, steps):
+    # the paper's plateau claim: inside the constant-force plateau a point whose
+    # contacts press with the same forces at the same places reads the same
+    # squeeze, capacity and force closure bit for bit, whatever its theta
+    thetas = [min(start + sum(steps[:n]), 90.0) for n in range(len(steps) + 1)]
+    rows = run_sweep(scn, "theta", thetas)
+    shared: dict[tuple, list] = {}
+    for theta, row in zip(thetas, rows):
+        outputs = run_single_grasp(dataclasses.replace(scn, theta=theta))
+        table = outputs.pop("contacts")
+        # a row is the one-shot grasp, less its contact table
+        assert (list(row), _typed_bits(row.values())) == (list(outputs), _typed_bits(outputs.values()))
+        contact_set = tuple(
+            (c["finger"], c["level"], c["mode"], c["normal_force"], c["inclination"], c["engagement"]) for c in table
+        )
+        facts = _typed_bits(row[key] for key in _SHARED_FACTS)
+        assert shared.setdefault(contact_set, facts) == facts
 
 
 _SMALL_BALL = parse_scenario({
