@@ -59,8 +59,10 @@ def main() -> None:
     material = table[args.material]
 
     print(f"{'size':>6}  {'window lo':>9}  {'window hi':>9}  limiting")
-    size = lo
-    while size <= hi + 1e-9:
+    # each size from lo and its index, so rounding cannot build up over the
+    # steps and carry the last one past hi (and past the scene bound)
+    count = math.floor((hi - lo) / step + 1e-9) + 1
+    for size in (min(round(lo + k * step, 12), hi) for k in range(count)):
         # center the widest section between the module levels
         mid = 0.5 * (config.module_levels[0] + config.module_levels[-1])
         obj = ObjectShape(
@@ -74,7 +76,6 @@ def main() -> None:
                 f"{size:6.1f}  {window.theta_lo:9.2f}  {window.theta_hi:9.2f}  "
                 f"{window.limiting_factor.value}"
             )
-        size += step
 
 
 if __name__ == "__main__":

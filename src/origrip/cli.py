@@ -9,10 +9,12 @@ Subcommands:
     multi           release schedule and timeline for a stacked-pair scene
     compare         sequential vs. multi-object transport cost
     sweep           re-run a scene stepping one numeric field
+    scenes          list bundled demo scenes
 
-Results go to stdout (or ``--out``) as JSON or CSV.  Exit codes: 0 on
-success, 1 when a stacked plan is infeasible, 2 for invalid scenes or
-arguments.
+``main`` hands each command to its ``_run_*`` function in ``_RUNNERS``,
+which writes the command's record, built by ``scenario.result_record``, to
+stdout (or ``--out``) as JSON or CSV.  Exit codes: 0 on success, 1 when a
+stacked plan is infeasible, 2 for invalid scenes or arguments.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .scenario import (
     load_scenario,
     make_result_record,
     material_table,
+    result_record,
     run_scenario,
     run_sweep,
     seeded_material,
@@ -63,7 +66,10 @@ def _add_output_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 
 
-def _add_scene_args(parser: argparse.ArgumentParser) -> None:
+def _add_scene_args(parser: argparse.ArgumentParser, kind: str | None = None) -> None:
+    """The arguments of a command that reads a scene: of ``kind``, which the
+    namespace carries as ``scene_kind``, or of any kind when None."""
+    parser.set_defaults(scene_kind=kind)
     parser.add_argument("--scene", required=True, help="scene YAML file")
     parser.add_argument(
         "--seed", type=int, default=None, help="sample material spread with this seed"
@@ -103,18 +109,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     grasp_cmd = sub.add_parser("grasp", help="single-object contact and closure report")
     pull_cmd = sub.add_parser("pullout", help="extraction-resistance trace")
-    for cmd in (grasp_cmd, pull_cmd):
-        _add_scene_args(cmd)
+    for cmd, kind in ((grasp_cmd, "single_grasp"), (pull_cmd, "pullout")):
+        _add_scene_args(cmd, kind)
         cmd.add_argument("--theta", type=float, default=None, help="override the scene's closure angle")
         cmd.add_argument("--material", default=None, help="override the scene's material by name")
         cmd.add_argument("--mu", type=float, default=None, help="override the scene's friction coefficient")
     pull_cmd.add_argument("--grid", type=float, default=None, help="override the lift grid step, mm")
 
-    for name, blurb in (
-        ("multi", "stacked-pair release schedule"),
-        ("compare", "sequential vs. multi-object transport"),
+    for name, blurb, kind in (
+        ("multi", "stacked-pair release schedule", "stacked"),
+        ("compare", "sequential vs. multi-object transport", "pickplace"),
     ):
-        _add_scene_args(sub.add_parser(name, help=blurb))
+        _add_scene_args(sub.add_parser(name, help=blurb), kind)
 
     swp = sub.add_parser("sweep", help="step one numeric scene field")
     _add_scene_args(swp)
@@ -149,9 +155,12 @@ def _emit(data, args) -> None:
 
 
 def _parse_values(spec: str) -> list[float]:
+    """The sweep values of ``--values``: at least one, at most ``_MAX_SWEEP_POINTS``."""
     usage = f"--values: expected 'a,b,c' or finite 'lo:hi:step' with step > 0, got {spec!r}"
     if ":" not in spec:
         parts = [p for p in spec.split(",") if p.strip() != ""]
+        if not parts:
+            raise ScenarioError(["--values: empty value list"])
         if len(parts) > _MAX_SWEEP_POINTS:
             raise ScenarioError([f"--values: a list of {len(parts)} points, more than {_MAX_SWEEP_POINTS}"])
     try:
@@ -170,21 +179,9 @@ def _parse_values(spec: str) -> list[float]:
     return [min(round(lo + k * step, 12), hi) for k in range(math.floor(points + 1e-9))]
 
 
-def _load_kind(args, expected: str) -> tuple[Scenario, str]:
-    scn, digest = load_scenario(args.scene, with_digest=True)
-    if scn.kind != expected:
-        raise ScenarioError(
-            [f"{args.scene}: scene kind is {scn.kind!r} but this command needs {expected!r}"]
-        )
-    return scn, digest
-
-
 def _run_kinematics(args) -> int:
     config = GripperConfig()
-    if args.theta is not None:
-        theta = args.theta
-    else:
-        theta = theta_for_opening(args.opening, config)
+    theta = args.theta if args.theta is not None else theta_for_opening(args.opening, config)
     lo, hi = opening_range(config)
     outputs = {
         "theta": theta,
@@ -192,7 +189,7 @@ def _run_kinematics(args) -> int:
         "opening": opening(theta, config),
         "opening_range": [lo, hi],
     }
-    _emit({"version": __version__, "command": "kinematics", "outputs": outputs}, args)
+    _emit(result_record(args.command, outputs), args)
     return EXIT_OK
 
 
@@ -206,24 +203,14 @@ def _run_material_curve(args) -> int:
         raise ScenarioError([f"--samples: need at least 2, got {args.samples}"])
     if args.samples > _MAX_SAMPLES:
         raise ScenarioError([f"--samples: {args.samples} samples, more than {_MAX_SAMPLES}"])
-    material = table[args.material]
-    material = seeded_material(material, args.seed)
+    material = seeded_material(table[args.material], args.seed)
     if args.mode == "compression":
         strains, forces = sample_compression_curve(material, samples=args.samples)
         rows = [{"strain": s, "force": f} for s, f in zip(strains.tolist(), forces.tolist())]
     else:
         angles, torques = sample_bending_curve(material, samples=args.samples)
         rows = [{"angle": a, "torque": t} for a, t in zip(angles.tolist(), torques.tolist())]
-    record = {
-        "version": __version__,
-        "command": "material-curve",
-        "material": args.material,
-        "mode": args.mode,
-        "outputs": rows,
-    }
-    if args.seed is not None:
-        record["seed"] = args.seed
-    _emit(record, args)
+    _emit(result_record(args.command, rows, seed=args.seed, material=args.material, mode=args.mode), args)
     return EXIT_OK
 
 
@@ -243,52 +230,56 @@ def _apply_overrides(args, scn: Scenario) -> Scenario:
                              for path, sep, why in split]) from None
 
 
-def _run_scene_command(args, command: str, expected_kind: str) -> int:
-    scn, digest = _load_kind(args, expected_kind)
+def _run_scene_command(args) -> int:
+    """A command that runs one scene of its ``scene_kind``; an infeasible
+    plan writes its reason in place of outputs."""
+    scn, digest = load_scenario(args.scene, with_digest=True)
+    if scn.kind != args.scene_kind:
+        raise ScenarioError(
+            [f"{args.scene}: scene kind is {scn.kind!r} but this command needs {args.scene_kind!r}"]
+        )
     scn = _apply_overrides(args, scn)
     try:
         outputs = run_scenario(scn, seed=args.seed)
     except PlanError as exc:
-        record = make_result_record(command, scn, {}, digest=digest, seed=args.seed)
-        record["infeasible"] = True
-        record["reason"] = exc.reason.value
-        record["message"] = str(exc)
+        record = make_result_record(args.command, scn, {}, digest=digest, seed=args.seed)
+        record.update(infeasible=True, reason=exc.reason.value, message=str(exc))
         _emit(record, args)
         return EXIT_INFEASIBLE
-    record = make_result_record(command, scn, outputs, digest=digest, seed=args.seed)
-    _emit(record, args)
+    _emit(make_result_record(args.command, scn, outputs, digest=digest, seed=args.seed), args)
     return EXIT_OK
 
 
 def _run_sweep(args) -> int:
     scn, digest = load_scenario(args.scene, with_digest=True)
     values = _parse_values(args.values)
-    if not values:
-        raise ScenarioError(["--values: empty value list"])
     try:
         rows = run_sweep(scn, args.axis, values, seed=args.seed)
     except PlanError as exc:
         print(f"origrip: sweep point infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    record = {
-        "version": __version__,
-        "command": "sweep",
-        "scenario": scn.name,
-        "axis": args.axis,
-        "digest": digest,
-        "outputs": rows,
-    }
-    if args.seed is not None:
-        record["seed"] = args.seed
+    record = result_record(args.command, rows, digest=digest, seed=args.seed, scenario=scn.name, axis=args.axis)
     _emit(record, args)
     return EXIT_OK
 
 
-_SCENE_COMMANDS = {
-    "grasp": "single_grasp",
-    "pullout": "pullout",
-    "multi": "stacked",
-    "compare": "pickplace",
+def _run_scenes(args) -> int:
+    _emit(result_record(args.command, [{"name": n} for n in list_demo_scenes()]), args)
+    return EXIT_OK
+
+
+# command: runner.  Runners call the writers, ``load_scenario``, ``run_scenario``
+# and ``run_sweep`` by their module names, never through a table: a profiler
+# that wraps those names in place sees every call.
+_RUNNERS = {
+    "kinematics": _run_kinematics,
+    "material-curve": _run_material_curve,
+    "grasp": _run_scene_command,
+    "pullout": _run_scene_command,
+    "multi": _run_scene_command,
+    "compare": _run_scene_command,
+    "sweep": _run_sweep,
+    "scenes": _run_scenes,
 }
 
 
@@ -316,31 +307,13 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command line ``argv`` (``sys.argv[1:]`` when None); return its exit code."""
     args = _parse_args(argv)
     try:
-        if args.command == "kinematics":
-            return _run_kinematics(args)
-        if args.command == "material-curve":
-            return _run_material_curve(args)
-        if args.command in _SCENE_COMMANDS:
-            return _run_scene_command(args, args.command, _SCENE_COMMANDS[args.command])
-        if args.command == "sweep":
-            return _run_sweep(args)
-        if args.command == "scenes":
-            _emit(
-                {
-                    "version": __version__,
-                    "command": "scenes",
-                    "outputs": [{"name": n} for n in list_demo_scenes()],
-                },
-                args,
-            )
-            return EXIT_OK
-        build_parser().error(f"unknown command {args.command!r}")
+        return _RUNNERS[args.command](args)
     except (ScenarioError, AngleRangeError, OpeningRangeError, _OutputError) as exc:
         print(f"origrip: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    return EXIT_OK
 
 
 if __name__ == "__main__":

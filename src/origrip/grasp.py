@@ -35,11 +35,11 @@ axis instead, so a theta sweep resolves every point in one pass into one
 contact set and the bounds of each point's run in it; a one-shot grasp and
 ``resolve_contacts``, which hold windows call at many angles, are its
 one-point case.  Per-point facts are functions of (contacts, bounds):
-``_point_totals`` for the sums, ``_closures`` for the verdicts; with one
-point, the sums are the folds of ``squeeze_force`` and
-``pullout_capacity`` rather than a padded pass over every run.  A
+``_point_totals`` for the sums, ``_closures`` for the verdicts.  A
 ``ContactSet`` holds its contacts as columns, and sums over contacts add
-them one at a time in (level, finger) order, as the scalar model does.
+them one at a time in (level, finger) order, as the scalar model does:
+``_point_totals`` walks each run's contacts in one plain loop, for one
+point or many.
 
 Closure
 -------
@@ -705,7 +705,12 @@ def is_form_closure(
     if contacts.grasp_mode is not GraspMode.V_ENVELOPING:
         raise ValueError("form closure is defined only for enveloping grasps")
     coverage = _coverages(contacts, [0, len(contacts)], obj, config)[0]
-    return coverage >= 180.0 + 2.0 * slip_margin, coverage
+    return _form_closed(coverage, slip_margin), coverage
+
+
+def _form_closed(coverage: float, slip_margin: float) -> bool:
+    """The form-closure rule: wrap patches cover half the section plus ``slip_margin`` at each end."""
+    return coverage >= 180.0 + 2.0 * slip_margin
 
 
 def _coverages(contacts: ContactSet, bounds: list[int], obj: ObjectShape, config: GripperConfig) -> list[float]:
@@ -779,7 +784,7 @@ def _closures(
             results.append(ClosureResult(False, None, 0.0, None))
             continue
         fc = next(verdicts)
-        form = None if wrap is None else wrap >= 180.0 + 2.0 * slip_margin
+        form = None if wrap is None else _form_closed(wrap, slip_margin)
         results.append(ClosureResult(fc.closed, form, fc.margin, wrap))
     return results
 
@@ -809,8 +814,8 @@ def _capacity_term(mu, force, incl_cos, incl_sin):
 
 def _contact_sums(terms: np.ndarray) -> np.ndarray:
     """The sum of each column of ``terms``, added one row (one contact slot)
-    at a time, in order: the scalar model's contact-by-contact sum.  Rows of
-    zeros pad columns with fewer contacts, since x + 0.0 is x."""
+    at a time, in order: the scalar model's contact-by-contact sum.  A slot
+    where nothing presses holds 0.0, since x + 0.0 is x."""
     total = np.zeros(terms.shape[1:])
     for row in terms:
         total += row
@@ -837,34 +842,31 @@ def squeeze_force(contacts: ContactSet, finger_index: int | None = None) -> floa
 
 
 def _point_totals(contacts: ContactSet, bounds: list[int]) -> tuple[list[int], list, list, list[float]]:
-    """Per run ``contacts[bounds[p]:bounds[p + 1]]``: the contact count,
-    ``squeeze_force`` of all fingers and of finger 0 (0, an int, where
-    nothing presses) and ``pullout_capacity``, from one zero-padded pass,
-    contact by contact."""
-    # One padded pass costs about as much for twenty runs as for one, and
-    # several times a plain fold over one set: a sweep takes the pass, and
-    # one run (a one-shot grasp) takes the folds of squeeze_force and
-    # pullout_capacity, which add the same terms in the same order.
+    """Per run ``contacts[bounds[p]:bounds[p + 1]]``, the runs lying end to
+    end from contact 0: the contact count, ``squeeze_force`` of all fingers
+    and of finger 0 (0, an int, where nothing presses) and
+    ``pullout_capacity``, each summed contact by contact as those functions
+    sum."""
     c = contacts
-    if len(bounds) == 2:
-        return [len(c)], [squeeze_force(c)], [squeeze_force(c, 0)], [pullout_capacity(c)]
-    side = c.finger_index == 0
-    squeeze = c.normal_force * c.incl_cos
-    bounds = np.asarray(bounds)
-    counts = (bounds[1:] - bounds[:-1]).tolist()
-    point = np.repeat(np.arange(len(counts)), counts)
-    padded = np.zeros((max(counts), 3, len(counts)))
-    padded[np.arange(len(c)) - bounds[point], :, point] = np.column_stack(
-        (squeeze, np.where(side, squeeze, 0.0), _capacity_term(c.mu, c.normal_force, c.incl_cos, c.incl_sin))
-    )
-    squeezes, sides, capacities = _contact_sums(padded).tolist()
-    pressing = np.bincount(point[side], minlength=len(counts)).tolist()
-    return (
-        counts,
-        [total if n else 0 for n, total in zip(counts, squeezes)],
-        [total if n else 0 for n, total in zip(pressing, sides)],
-        capacities,
-    )
+    pushes = (c.normal_force * c.incl_cos).tolist()
+    terms = _capacity_term(c.mu, c.normal_force, c.incl_cos, c.incl_sin).tolist()
+    on_side = (c.finger_index == 0).tolist()
+    counts, squeezes, sides, capacities = [], [], [], []
+    each = zip(pushes, on_side, terms)  # one walk over the contacts, run after run
+    for lo, hi in zip(bounds, bounds[1:]):
+        squeeze = side = capacity = 0.0
+        pressing = False
+        for push, side_contact, term in islice(each, hi - lo):
+            squeeze += push
+            capacity += term
+            if side_contact:
+                side += push
+                pressing = True
+        counts.append(hi - lo)
+        squeezes.append(squeeze if hi > lo else 0)
+        sides.append(side if pressing else 0)
+        capacities.append(capacity)
+    return counts, squeezes, sides, capacities
 
 
 def lift_check(

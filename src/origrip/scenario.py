@@ -852,21 +852,25 @@ def run_scenario(scn: Scenario, seed: int | None = None) -> dict:
     return _RUNNERS[scn.kind](scn, seed=seed)
 
 
-def make_result_record(
-    command: str, scn: Scenario, outputs: dict, digest: str | None = None, seed: int | None = None
+def result_record(
+    command: str, outputs: Any, *, digest: str | None = None, seed: int | None = None, **header: Any
 ) -> dict:
-    record = {
-        "version": __version__,
-        "command": command,
-        "scenario": scn.name,
-        "kind": scn.kind,
-        "outputs": outputs,
-    }
+    """The record a command writes: ``version``, ``command``, the command's
+    own ``header`` fields, ``outputs``, then ``digest`` and ``seed`` when
+    given.  The flat ``field,value`` CSV lists the fields in this order."""
+    record = {"version": __version__, "command": command, **header, "outputs": outputs}
     if digest is not None:
         record["digest"] = digest
     if seed is not None:
         record["seed"] = seed
     return record
+
+
+def make_result_record(
+    command: str, scn: Scenario, outputs: dict, digest: str | None = None, seed: int | None = None
+) -> dict:
+    """The record of a scene command: ``result_record`` headed by the scene's name and kind."""
+    return result_record(command, outputs, digest=digest, seed=seed, scenario=scn.name, kind=scn.kind)
 
 
 # --------------------------------------------------------------------------

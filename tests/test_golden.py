@@ -1,6 +1,7 @@
 """Byte-level golden outputs: the demo suite, one CLI sweep per scene kind
-and a few more, and ``grasp`` records of four-finger scenes written from
-the dicts below.
+and a few more, one record of every other command (JSON, and the flat
+``field,value`` CSV whose row order follows the record's key order), and
+``grasp`` records of four-finger scenes written from the dicts below.
 
 The manifest ``golden_manifest.json`` maps each output file to the sha256
 of its bytes.  Refactors must leave every hash unchanged.  A deliberate
@@ -25,7 +26,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from origrip.cli import EXIT_OK, main
+from origrip.cli import EXIT_INFEASIBLE, EXIT_OK, main
 from origrip.demo import demo_scene_path, run_demo_suite
 from origrip.scenario import make_result_record, parse_scenario, run_scenario, write_json
 
@@ -74,6 +75,30 @@ SWEEPS = {
     "sweep_sphere_four_fingers_theta.json": (GRASPS["grasp_sphere_four_fingers.json"], "theta", "25:70:2.5"),
 }
 
+# a stacked pair whose bottom object is the wider one: no plan, exit 1
+UPSIDE_DOWN = {
+    "kind": "stacked",
+    "name": "upside_down",
+    "material": "sil950",
+    "top": {"shape": "sphere", "size": [50.0], "mass": 0.05},
+    "bottom": {"shape": "sphere", "size": [60.0], "mass": 0.05},
+}
+
+# file name: (argv, scene or None for a command that reads none, exit code)
+COMMANDS = {
+    "kinematics_theta_30.json": (["kinematics", "--theta", "30"], None, EXIT_OK),
+    "kinematics_theta_30.csv": (["kinematics", "--theta", "30", "--format", "csv"], None, EXIT_OK),
+    "material_curve_sil950_bending_seed_3.json": (
+        ["material-curve", "--material", "sil950", "--mode", "bending", "--seed", "3"], None, EXIT_OK
+    ),
+    "scenes.json": (["scenes"], None, EXIT_OK),
+    "grasp_parallel.csv": (["grasp", "--format", "csv"], "grasp_parallel", EXIT_OK),
+    "multi_stacked_spheres.csv": (["multi", "--format", "csv"], "stacked_spheres", EXIT_OK),
+    "compare_pickplace_comparison.csv": (["compare", "--format", "csv"], "pickplace_comparison", EXIT_OK),
+    "multi_upside_down.json": (["multi"], UPSIDE_DOWN, EXIT_INFEASIBLE),
+    "multi_upside_down.csv": (["multi", "--format", "csv"], UPSIDE_DOWN, EXIT_INFEASIBLE),
+}
+
 
 def write_golden(out_dir: Path) -> dict[str, Path]:
     """Write every golden output under ``out_dir``; map manifest names to paths."""
@@ -81,17 +106,19 @@ def write_golden(out_dir: Path) -> dict[str, Path]:
     manifest = run_demo_suite(demo_dir)
     files = sorted(name for names in manifest.values() for name in names) + ["index.json"]
     paths = {f"demo/{name}": demo_dir / name for name in files}
+    runs = {name: (["sweep", "--axis", axis, "--values", values], scene, EXIT_OK)
+            for name, (scene, axis, values) in SWEEPS.items()}
     with tempfile.TemporaryDirectory() as scene_dir:
-        for filename, (scene, axis, values) in SWEEPS.items():
+        for filename, (argv, scene, code) in {**runs, **COMMANDS}.items():
             if isinstance(scene, dict):  # a scene of its own, written as JSON (which is YAML)
                 scene_path = Path(scene_dir, filename)
                 scene_path.write_text(json.dumps(scene, sort_keys=True) + "\n")
-            else:
-                scene_path = demo_scene_path(scene)
+                argv = [*argv, "--scene", str(scene_path)]
+            elif scene is not None:
+                argv = [*argv, "--scene", str(demo_scene_path(scene))]
             path = out_dir / filename
-            argv = ["sweep", "--scene", str(scene_path), "--axis", axis, "--values", values, "--out", str(path)]
-            if main(argv) != EXIT_OK:
-                raise AssertionError(f"sweep {filename} did not exit 0")
+            if main([*argv, "--out", str(path)]) != code:
+                raise AssertionError(f"{filename} did not exit {code}")
             paths[filename] = path
     for filename, scene in GRASPS.items():
         scn = parse_scenario(scene)
@@ -156,7 +183,7 @@ def leaf_diff(old_dir: Path, new_dir: Path) -> list[str]:
 def test_outputs_match_golden_manifest(tmp_path):
     expected = json.loads(MANIFEST.read_text())
     actual = golden_hashes(tmp_path)
-    assert len(actual) == 23
+    assert len(actual) == 32
     mismatched = sorted(name for name in expected if actual.get(name) != expected[name])
     assert sorted(actual) == sorted(expected)
     assert mismatched == []

@@ -490,8 +490,8 @@ def _typed_bits(values):
 @settings(max_examples=150, derandomize=True, deadline=None)
 def test_a_one_point_call_equals_its_run_inside_a_sweep(obj, levels, fingers, curvature_threshold, material, mu,
                                                          thetas):
-    # one run takes the folds and the lone decision; several take the padded
-    # pass and the grouped decision: equal in type and bit for bit
+    # the sums of one run alone equal its sums among many, and the lone
+    # decision the grouped one: equal in type and bit for bit
     config = GripperConfig(finger_count=fingers, module_levels=tuple(levels),
                            curvature_threshold=curvature_threshold)
     _, contacts, bounds = _resolve(thetas, obj, config, material, mu, 1.0)

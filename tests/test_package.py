@@ -6,9 +6,24 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import origrip
+import origrip.cli
+from origrip.demo import demo_scene_path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _tracer_tables() -> dict[str, dict]:
+    """``SPANNED`` and ``COUNTED`` of ``perfbench/tracing.py``, read without
+    importing it: span or count name -> where the tracer finds its functions."""
+    tree = ast.parse((SRC.parent / "perfbench" / "tracing.py").read_text())
+    return {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("SPANNED", "COUNTED")
+    }
 
 
 def test_cli_runs_closure_without_loading_scipy():
@@ -43,17 +58,60 @@ def test_all_names_resolve_and_none_is_a_module():
 def test_every_function_the_benchmark_tracer_wraps_exists():
     # perfbench/tracing.py looks these names up with getattr and no default,
     # so a rename here breaks `perfbench/run.py --trace 1`; the file is only read
-    tree = ast.parse((SRC.parent / "perfbench" / "tracing.py").read_text())
-    tables = {
-        node.targets[0].id: ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("SPANNED", "COUNTED")
-    }
+    tables = _tracer_tables()
     named = [(module, func) for module, funcs in tables["SPANNED"].values() for func in funcs]
     named += list(tables["COUNTED"].values())
     assert len(named) > len(tables["SPANNED"])
     for module, func in named:
         assert callable(getattr(importlib.import_module(f"origrip.{module}"), func, None)), f"{module}.{func}"
+
+
+_SCENE_SPANS = {"main", "build_parser", "load_scenario", "parse_scenario", "run_scenario"}
+
+# one command line of each command, and the front-end functions it must enter
+FRONT_END = [
+    (["kinematics", "--theta", "30"], {"main", "build_parser", "write_json"}),
+    (["material-curve", "--material", "tpu95a", "--format", "csv"], {"main", "build_parser", "write_csv"}),
+    (["scenes"], {"main", "build_parser", "write_json"}),
+    (["grasp", "--scene", "grasp_parallel"], _SCENE_SPANS | {"write_json"}),
+    (["pullout", "--scene", "pullout_parallel", "--format", "csv"], _SCENE_SPANS | {"write_csv"}),
+    (["multi", "--scene", "stacked_spheres"], _SCENE_SPANS | {"write_json"}),
+    (["compare", "--scene", "pickplace_comparison"], _SCENE_SPANS | {"write_json"}),
+    (["sweep", "--scene", "grasp_parallel", "--axis", "mu", "--values", "0.4,0.6"],
+     _SCENE_SPANS | {"run_sweep", "scenario_to_dict", "write_json"}),
+]
+
+
+def _counting(name, fn, entered: set):
+    def wrapper(*args, **kwargs):
+        entered.add(name)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("argv, expected", FRONT_END, ids=[argv[0] for argv, _ in FRONT_END])
+def test_the_benchmark_tracer_sees_each_command_enter_the_front_end(monkeypatch, argv, expected):
+    # the tracer swaps each cli and scenario function it spans for a wrapper
+    # wherever a module binds it by name; a call through any other reference,
+    # such as a table that holds the function itself, escapes it
+    entered = set()
+    modules = [m for name, m in sys.modules.items() if name == "origrip" or name.startswith("origrip.")]
+    for module, funcs in _tracer_tables()["SPANNED"].values():
+        if module not in ("cli", "scenario"):
+            continue
+        for func in funcs:
+            original = getattr(importlib.import_module(f"origrip.{module}"), func)
+            wrapper = _counting(func, original, entered)
+            for namespace in modules:
+                for attr, value in list(vars(namespace).items()):
+                    if value is original:
+                        monkeypatch.setattr(namespace, attr, wrapper)
+    if "--scene" in argv:
+        at = argv.index("--scene") + 1
+        argv = [*argv[:at], str(demo_scene_path(argv[at])), *argv[at + 1:]]
+    assert origrip.cli.main(argv) == 0
+    assert expected - entered == set()
 
 
 def test_no_module_imports_inside_a_function():

@@ -61,6 +61,14 @@ def test_hold_windows_prints_one_row_per_size():
     assert [row.split()[0] for row in rows[1:]] == ["40.0", "45.0", "50.0"]
 
 
+def test_hold_windows_reaches_the_top_of_the_size_range():
+    # adding the step ten times drifted past 10000, the scene bound, and crashed
+    proc = run_script("hold_windows.py", "--sizes", "9999:10000:0.1")
+    assert proc.returncode == 0, proc.stderr
+    sizes = [row.split()[0] for row in proc.stdout.splitlines()[1:]]
+    assert len(sizes) == 11 and sizes[-1] == "10000.0"
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
