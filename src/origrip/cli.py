@@ -173,7 +173,7 @@ def _parse_values(spec: str) -> list[float]:
         raise ScenarioError([usage])
     points = (hi - lo) / step + 1.0
     if points > _MAX_SWEEP_POINTS:
-        raise ScenarioError([f"--values: {spec!r} spans {points:.3g} points, more than {_MAX_SWEEP_POINTS}"])
+        raise ScenarioError([f"--values: {spec!r} spans {points:.6g} points, more than {_MAX_SWEEP_POINTS}"])
     # each value from lo and its index, so rounding cannot build up over the steps and carry
     # one past hi; a billionth of a step of slack keeps an end that the division leaves short
     return [min(round(lo + k * step, 12), hi) for k in range(math.floor(points + 1e-9))]

@@ -30,16 +30,17 @@ the object over (level, finger, lift) independently of the servo angle, and
 ``_contact_loads`` turns that geometry into penetrations and forces.  The
 third axis is lift for a trace, which runs both over its lift grid at one
 aperture.  ``_resolve`` runs the loads on the lift-0 geometry, cached per
-(object, gripper), with the apertures of a list of servo angles on that
-axis instead, so a theta sweep resolves every point in one pass into one
-contact set and the bounds of each point's run in it; a one-shot grasp and
-``resolve_contacts``, which hold windows call at many angles, are its
-one-point case.  Per-point facts are functions of (contacts, bounds):
-``_point_totals`` for the sums, ``_closures`` for the verdicts.  A
-``ContactSet`` holds its contacts as columns, and sums over contacts add
-them one at a time in (level, finger) order, as the scalar model does:
-``_point_totals`` walks each run's contacts in one plain loop, for one
-point or many.
+(object, gripper) as (1, level, finger) arrays, with the apertures of a
+list of servo angles on the first axis instead, so a theta sweep resolves
+every point in one pass into one contact set that runs point by point as
+it comes out of the mask, and the bounds of each point's run in it; a
+one-shot grasp and ``resolve_contacts``, which hold windows call at many
+angles, are its one-point case.  Per-point facts are functions of
+(contacts, bounds), one column entry per point: ``_point_totals`` for the
+sums, ``_closures`` for the verdicts.  A ``ContactSet`` holds its contacts
+as columns, and sums over contacts add them one at a time in (level,
+finger) order, as the scalar model does: ``_point_totals`` walks each
+run's contacts in one plain loop, for one point or many.
 
 Closure
 -------
@@ -57,7 +58,10 @@ alone.  A theta sweep hands it every point's set at once, and inside the
 modules' constant-force plateau most points repeat a set; a one-shot grasp
 hands it one set, which goes straight to the stacked decision.  Enveloping
 grasps are also judged for form closure by the angular coverage of their
-wrap patches, whose arcs every run's contacts normalise in one array pass.
+wrap patches: the arcs of every run's contacts are normalised and sorted
+in array passes, and merged in one walk.  ``_closures`` reports each fact
+as a column with one entry per run; ``closure_summary`` is its one-run
+case.
 """
 
 from __future__ import annotations
@@ -356,10 +360,14 @@ class _Faces(NamedTuple):
 
 @lru_cache(maxsize=256)  # sweeps and hold windows resolve one object at many angles
 def _resting_geometry(obj: ObjectShape, config: GripperConfig) -> tuple[_Geometry, _Faces, float]:
-    """``_contact_geometry`` at lift 0 and its face columns, shared read-only
-    between calls, and the object's bounding radius."""
-    geometry = _contact_geometry(obj, config, np.zeros(1))
-    levels, fingers, _ = geometry.width.shape
+    """``_contact_geometry`` at lift 0 as (1, level, finger) arrays, whose
+    first axis takes a column of apertures, and its face columns, shared
+    read-only between calls, and the object's bounding radius."""
+    lifted = _contact_geometry(obj, config, np.zeros(1))
+    geometry = lifted._replace(**{
+        name: array[None, ..., 0] for name, array in zip(lifted._fields[1:], lifted[1:]) if array is not None
+    })
+    _, levels, fingers = geometry.width.shape
     level, finger = (a.ravel() for a in np.indices((levels, fingers)))
     outward = np.array([(math.cos(rad), math.sin(rad)) for rad in map(math.radians, finger_bearings(config))])
     outward = outward[finger]
@@ -387,12 +395,13 @@ def _contact_loads(
     material: MaterialModel,
     torque_scale: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
-    """Contact loads at an aperture, or at each of a 1-D array of them
-    against the one lift of ``geometry``: the (level, finger, lift or
-    aperture) mask of faces that press, then per pressing face, in that
-    order, the penetration (mm), the bend angle (deg, None unless
-    enveloping), the normal force (N) and whether the module is
-    overcompressed (overfolded when enveloping)."""
+    """Contact loads at an aperture, or at each of a (point, 1, 1) column of
+    them against the (1, level, finger) geometry of ``_resting_geometry``:
+    the mask of faces that press, over (level, finger, lift) or (point,
+    level, finger), then per pressing face, in that order, the penetration
+    (mm), the bend angle (deg, None unless enveloping), the normal force
+    (N) and whether the module is overcompressed (overfolded when
+    enveloping)."""
     pen = (geometry.width - aperture) / 2.0
     hit = pen > 0.0
     pen = pen[hit]
@@ -434,24 +443,23 @@ def _resolve(
     torque_scale: float,
 ) -> tuple[tuple[float, ...], ContactSet, list[int]]:
     """The openings at ``thetas`` and their contacts, from one pass of the
-    contact model: the lift-0 geometry is broadcast over the apertures.
-    The contacts run point by point, point ``p`` holding the entries
-    ``bounds[p]:bounds[p + 1]``; their ``theta`` is NaN unless there is
-    one point."""
+    contact model: the lift-0 geometry is broadcast over a column of
+    apertures, so the contacts come out point by point, point ``p``
+    holding the entries ``bounds[p]:bounds[p + 1]``; their ``theta`` is NaN
+    unless there is one point."""
     config = config or GripperConfig()
     material = material or TPU95A
     geometry, faces, char_radius = _resting_geometry(obj, config)
     require("mu", mu)
     openings = tuple(opening(theta, config) for theta in thetas)
-    hit, pens, bends, forces, overloads = _contact_loads(geometry, np.array(openings), config, material, torque_scale)
-    face, point = hit.reshape(len(faces.ids), len(thetas)).nonzero()
-    if len(thetas) > 1:  # the loads follow the (face, point) mask; the set runs point by point
-        order = np.argsort(point, kind="stable")
-        face, point, pens, forces, overloads = face[order], point[order], pens[order], forces[order], overloads[order]
-        bends = None if bends is None else bends[order]
-        bounds = np.searchsorted(point, np.arange(len(thetas) + 1)).tolist()
-    else:
+    apertures = np.array(openings).reshape(-1, 1, 1)
+    hit, pens, bends, forces, overloads = _contact_loads(geometry, apertures, config, material, torque_scale)
+    if len(thetas) == 1:
+        (face,) = hit.ravel().nonzero()
         bounds = [0, len(face)]
+    else:
+        point, face = hit.reshape(len(thetas), -1).nonzero()
+        bounds = [0, *np.bincount(point, minlength=len(thetas)).cumsum().tolist()]
     ids, values = faces.ids.take(face, axis=0), faces.values.take(face, axis=0)
     enveloping = geometry.mode is GraspMode.V_ENVELOPING
     unloaded = np.zeros(len(face), dtype=bool)
@@ -513,6 +521,7 @@ class ForceClosure:
     margin: float
 
 
+_OPEN = ForceClosure(False, 0.0)
 _RANK_RTOL = 1e-9  # singular values below this, relative to the largest component, count as 0
 _PLANE_TOL = 2.0**-40  # a point this far past a plane (in a set scaled to at most 1) counts as on it
 _ALL_TRIPLES = 16  # sets up to this size try every triple of points at once, stacked with their equals in size
@@ -633,14 +642,17 @@ def _decide(stack: np.ndarray) -> list[ForceClosure]:
     if not np.isfinite(stack).all():
         raise ValueError("wrench primitives must be finite")
     if stack.shape[1] < 3:  # two primitives span no more than a plane
-        return [ForceClosure(False, 0.0)] * len(stack)
+        return [_OPEN] * len(stack)
     scale = np.abs(stack).max(axis=(1, 2))
     # matrix_rank's test: rank 3 when the third singular value, largest first, passes it
     solid = np.linalg.svd(stack, compute_uv=False)[:, 2] > _RANK_RTOL * scale
-    margins = np.zeros(len(stack))
-    if solid.any():
-        margins[solid] = _hull_margins(stack[solid], scale[solid])
-    return [ForceClosure(False, 0.0) if margin <= 0.0 else ForceClosure(True, margin) for margin in margins.tolist()]
+    if solid.all():  # the common case: no flat set to mask out
+        margins = _hull_margins(stack, scale)
+    else:
+        margins = np.zeros(len(stack))
+        if solid.any():
+            margins[solid] = _hull_margins(stack[solid], scale[solid])
+    return [_OPEN if margin <= 0.0 else ForceClosure(True, margin) for margin in margins.tolist()]
 
 
 def _force_closures(sets: Sequence[np.ndarray]) -> list[ForceClosure]:
@@ -730,27 +742,31 @@ def _coverages(contacts: ContactSet, bounds: list[int], obj: ObjectShape, config
     start = np.remainder(lo, 360.0)
     end = start + np.remainder(hi - start, 360.0)
     width = np.remainder(end - start, 360.0)  # from the rounded end: hi - start differs in the last bit for ~3% of arcs
-    starts, stops = start.tolist(), (start + width).tolist()
-    coverages = []
-    for first, last in zip(bounds, bounds[1:]):  # the union of each run's arcs, as spans within [0, 360]
-        spans = []
-        for lo, stop in zip(starts[first:last], stops[first:last]):
-            if stop <= 360.0:
-                spans.append((lo, stop))
-            else:
-                spans += (lo, 360.0), (0.0, stop % 360.0)
-        spans.sort()
-        total = 0.0
-        if spans:
-            cur_lo, cur_hi = spans[0]
-            for lo, hi in spans[1:]:
-                if lo > cur_hi:
-                    total += cur_hi - cur_lo
-                    cur_lo, cur_hi = lo, hi
-                else:
-                    cur_hi = max(cur_hi, hi)
+    stop = start + width
+    # the arcs as spans within [0, 360], an arc past 360 split in two, sorted
+    # by run, start and stop: the order list.sort() gives each run's tuples
+    run = np.repeat(np.arange(runs), np.diff(bounds))
+    past = stop > 360.0
+    span_run = np.concatenate((run, run[past]))
+    span_lo = np.concatenate((start, np.zeros(np.count_nonzero(past))))
+    span_hi = np.concatenate((np.minimum(stop, 360.0), np.remainder(stop[past], 360.0)))
+    order = np.lexsort((span_hi, span_lo, span_run))
+    coverages = [0.0] * runs
+    current = -1
+    total = cur_lo = cur_hi = 0.0
+    # one walk merges each run's spans and adds up the merged lengths in order
+    for r, left, right in zip(span_run[order].tolist(), span_lo[order].tolist(), span_hi[order].tolist()):
+        if r != current:
+            if current >= 0:
+                coverages[current] = total + (cur_hi - cur_lo)
+            current, total, cur_lo, cur_hi = r, 0.0, left, right
+        elif left > cur_hi:
             total += cur_hi - cur_lo
-        coverages.append(total)
+            cur_lo, cur_hi = left, right
+        elif right > cur_hi:
+            cur_hi = right
+    if current >= 0:
+        coverages[current] = total + (cur_hi - cur_lo)
     return coverages
 
 
@@ -762,31 +778,32 @@ def closure_summary(
 ) -> ClosureResult:
     """Force closure always; form closure only where it applies.  Fewer than
     two contacts close nothing, and form closure is then not judged."""
-    return _closures(contacts, [0, len(contacts)], obj, config, slip_margin)[0]
+    (closed,), (margin,), (form,), (wrap,) = _closures(contacts, [0, len(contacts)], obj, config, slip_margin)
+    return ClosureResult(closed, form, margin, wrap)
 
 
 def _closures(
     contacts: ContactSet, bounds: list[int], obj: ObjectShape, config: GripperConfig | None, slip_margin: float = 15.0
-) -> list[ClosureResult]:
-    """``closure_summary`` of each run ``contacts[bounds[p]:bounds[p + 1]]``,
-    from one pass over the whole set for the primitives and the wrap
-    coverage, and one decision of every run's primitives."""
+) -> tuple[list[bool], list[float], list[bool | None], list[float | None]]:
+    """``closure_summary`` of each run ``contacts[bounds[p]:bounds[p + 1]]``
+    as four columns, one entry per run: force closure, its margin, form
+    closure and wrap coverage.  They come from one pass over the whole set
+    for the primitives and the wrap coverage, and one decision of every
+    run's primitives."""
     config = config or GripperConfig()
     require("slip_margin", slip_margin)
     primitives = _primitives(contacts)
     runs = list(zip(bounds, bounds[1:]))
-    verdicts = iter(_force_closures([primitives[2 * lo:2 * hi] for lo, hi in runs if hi - lo >= 2]))
-    enveloping = contacts.grasp_mode is GraspMode.V_ENVELOPING
-    wraps = _coverages(contacts, bounds, obj, config) if enveloping else repeat(None)
-    results = []
-    for (lo, hi), wrap in zip(runs, wraps):
-        if hi - lo < 2:
-            results.append(ClosureResult(False, None, 0.0, None))
-            continue
-        fc = next(verdicts)
-        form = None if wrap is None else _form_closed(wrap, slip_margin)
-        results.append(ClosureResult(fc.closed, form, fc.margin, wrap))
-    return results
+    judged = [hi - lo >= 2 for lo, hi in runs]
+    decided = iter(_force_closures([primitives[2 * lo:2 * hi] for (lo, hi), ok in zip(runs, judged) if ok]))
+    verdicts = [next(decided) if ok else _OPEN for ok in judged]  # fewer than two contacts close nothing
+    closed = [fc.closed for fc in verdicts]
+    margins = [fc.margin for fc in verdicts]
+    if contacts.grasp_mode is not GraspMode.V_ENVELOPING:
+        return closed, margins, [None] * len(runs), [None] * len(runs)
+    wraps = [wrap if ok else None for wrap, ok in zip(_coverages(contacts, bounds, obj, config), judged)]
+    forms = [None if wrap is None else _form_closed(wrap, slip_margin) for wrap in wraps]
+    return closed, margins, forms, wraps
 
 
 # --------------------------------------------------------------------------
@@ -921,7 +938,7 @@ def default_lift_grid(
     lift_max = span_hi - (config.module_levels[0] - config.module_height / 2.0) + 2.0 * step
     points = (lift_max + step) / step
     if points > _MAX_LIFT_POINTS:
-        raise ValueError(f"lift grid of {points:.3g} points exceeds {_MAX_LIFT_POINTS}")
+        raise ValueError(f"lift grid of {points:.6g} points exceeds {_MAX_LIFT_POINTS}")
     return np.arange(0.0, lift_max + step, step)
 
 

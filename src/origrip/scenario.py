@@ -739,13 +739,13 @@ def _grasp_points(
             "squeeze_force": squeeze,
             "side_squeeze_force": side,
             "pullout_capacity": capacity,
-            "force_closure": closure.force_closure,
-            "closure_margin": closure.margin,
-            "form_closure": closure.form_closure,
-            "wrap_coverage": closure.wrap_angle,
+            "force_closure": closed,
+            "closure_margin": margin,
+            "form_closure": form,
+            "wrap_coverage": wrap,
         }
-        for theta, aperture, count, squeeze, side, capacity, closure in zip(
-            thetas, openings, *_point_totals(contacts, bounds), _closures(contacts, bounds, scn.obj, scn.config)
+        for theta, aperture, count, squeeze, side, capacity, closed, margin, form, wrap in zip(
+            thetas, openings, *_point_totals(contacts, bounds), *_closures(contacts, bounds, scn.obj, scn.config)
         )
     ]
     return points, contacts
@@ -915,7 +915,10 @@ def run_sweep(
 def _theta_rows(scn: SingleGraspScenario, thetas: list[float], seed: int | None) -> list[dict]:
     """Rows of a theta sweep of ``scn``, failing where the per-point loop
     would: the first theta is judged before the seed draws the material,
-    the rest after it."""
+    the rest after it.  A later theta strictly inside the law's angle
+    range is finite and in range, so when all of them are, one comparison
+    each judges them; otherwise each is read as a scene's ``theta`` is, so
+    the first bad one's message stands."""
     def check(theta: float) -> None:
         errors: list[str] = []
         _read_field(errors, {_THETA.key: theta}, _THETA.key, _THETA, {"gripper": scn.config})
@@ -924,8 +927,10 @@ def _theta_rows(scn: SingleGraspScenario, thetas: list[float], seed: int | None)
 
     check(thetas[0])
     material = seeded_material(scn.material, seed)
-    for theta in thetas[1:]:
-        check(theta)
+    lo, hi = scn.config.law.theta_min, scn.config.law.theta_max
+    if not all(lo < theta < hi for theta in thetas[1:]):
+        for theta in thetas[1:]:
+            check(theta)
     return _grasp_points(scn, thetas, material)[0]  # flat rows, theta first as the axis column
 
 

@@ -4,11 +4,11 @@ Everything here is deliberately brute force and shares no code with the
 implementations under test: closure is judged by direction sampling instead
 of a convex hull, or from every point triple in exact arithmetic, widths by
 projecting polygon vertices, arc unions by a dense angular grid, hold
-windows by sweeping the hold predicate directly, contacts by a scalar loop
-over module levels and fingers with scalar module curves, wrench primitives
-by a scalar loop over contacts and cone edges, force and capacity sums by
-a scalar loop over records, and sweeps by parsing a deep copy of the
-written scene at every point.
+windows and plan verdicts by sweeping the hold predicate directly, contacts
+by a scalar loop over module levels and fingers with scalar module curves,
+wrench primitives by a scalar loop over contacts and cone edges, force and
+capacity sums by a scalar loop over records, and sweeps by parsing a deep
+copy of the written scene at every point.
 """
 
 from __future__ import annotations
@@ -272,6 +272,28 @@ def swept_hold_window(
     lo_i, hi_i = idx[0], idx[-1]
     assert all(flags[lo_i : hi_i + 1]), "holdable set is not contiguous on the sweep grid"
     return float(thetas[lo_i]), float(thetas[hi_i])
+
+
+def grid_plan_verdict(scene, step: float = 0.1) -> str:
+    """The verdict of a stacked pair's release plan by a grid search over
+    the law's angle range: ``holds_at`` of each object, and whether the jaws
+    touch the bottom one (``level_contacts`` at lift 0), every ``step`` deg.
+
+    ``no_common_hold`` when no grid angle holds both objects,
+    ``no_release_gap`` when none holds the top while touching nothing of
+    the bottom, else ``feasible``.  The caller keeps the bottom narrower.
+    """
+    law = scene.config.law
+    thetas = np.arange(law.theta_min, law.theta_max + step / 2.0, step).tolist()
+    model = dict(config=scene.config, material=scene.material, mu=scene.mu, torque_scale=scene.torque_scale)
+    top = [holds_at(theta, scene.top, safety=scene.safety, **model) for theta in thetas]
+    bottom = [holds_at(theta, scene.bottom, safety=scene.safety, **model) for theta in thetas]
+    if not any(upper and lower for upper, lower in zip(top, bottom)):
+        return "no_common_hold"
+    for theta, held in zip(thetas, top):
+        if held and not level_contacts(theta, scene.bottom, lift=0.0, **model):
+            return "feasible"
+    return "no_release_gap"
 
 
 # --------------------------------------------------------------------------

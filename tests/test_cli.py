@@ -513,8 +513,9 @@ def test_sweep_bad_values(capsys):
         ("0:inf:1", "expected 'a,b,c' or finite 'lo:hi:step'"),
         ("1e20:2e20:1", "'1e20:2e20:1' spans 1e+20 points, more than 10000"),  # 1 never moves 1e20
         ("0:90:1e-6", "'0:90:1e-6' spans 9e+07 points, more than 10000"),
+        ("0:90:0.009", "'0:90:0.009' spans 10001 points, more than 10000"),  # read 1e+04 with 3 digits
     ],
-    ids=["endless", "step-too-small-to-move", "too-many-points"],
+    ids=["endless", "step-too-small-to-move", "too-many-points", "one-point-too-many"],
 )
 def test_sweep_ranges_without_end_are_invalid(capsys, spec, message):
     code, record, err = run_json(capsys, ["sweep", "--scene", ENVELOPING, "--axis", "theta", "--values", spec])

@@ -468,6 +468,11 @@ def _bits(result) -> tuple[bool, str]:
     return result.closed, result.margin.hex()
 
 
+def _typed_bits(values) -> list[tuple[type, object]]:
+    """Each value with its type, a float by its exact bits."""
+    return [(type(v), v.hex() if type(v) is float else v) for v in values]
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(sets=primitive_stacks(), grown=st.integers(17, 32), seed=st.integers(0, 2**32 - 1))
 def test_deciding_sets_together_equals_deciding_each_alone(sets, grown, seed):
@@ -485,8 +490,12 @@ def test_a_run_of_fewer_than_two_contacts_is_never_decided():
     poisoned = dataclasses.replace(contacts.records[0], normal_force=math.nan)
     runs = ContactSet.from_records((poisoned, *contacts.records), GraspMode.PARALLEL, math.nan, contacts.char_radius)
     # a lone contact whose force is not finite, no contact, then the grasp's own contacts
-    results = grasp._closures(runs, [0, 1, 1, 1 + len(contacts)], P_PROBE, None)
-    assert results == [ClosureResult(False, None, 0.0, None)] * 2 + [closure_summary(contacts, P_PROBE)]
+    columns = grasp._closures(runs, [0, 1, 1, 1 + len(contacts)], P_PROBE, None)
+    expected = [ClosureResult(False, None, 0.0, None)] * 2 + [closure_summary(contacts, P_PROBE)]
+    fields = ("force_closure", "margin", "form_closure", "wrap_angle")
+    assert [_typed_bits(column) for column in columns] == [
+        _typed_bits([getattr(result, field) for result in expected]) for field in fields
+    ]
     with pytest.raises(ValueError, match="wrench primitives must be finite"):
         grasp._closures(runs, [0, 2, 1 + len(contacts)], P_PROBE, None)
 

@@ -279,6 +279,9 @@ def test_default_lift_grid():
         default_lift_grid(P_PROBE, step=0.0)
     with pytest.raises(ValueError, match="lift grid of .* points exceeds 100000"):
         default_lift_grid(P_PROBE, step=1e-6)
+    # one point past the cap is counted as such, not rounded to 1e+05
+    with pytest.raises(ValueError, match="^lift grid of 100001 points exceeds 100000$"):
+        default_lift_grid(cube(100.0), step=90.0 / 99998)
 
 
 def _scaled_config(config, s):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +19,7 @@ from origrip import (
     curved_block,
     cylinder,
     equator_z,
+    grasp_width,
     hold_window,
     holds_at,
     make_stacked_scene,
@@ -27,6 +30,7 @@ from origrip import (
     sphere,
 )
 from origrip.planner import _BISECT_TOL, _strain_interval
+from origrip.transmission import unclamped_theta_for_opening
 
 CFG2 = GripperConfig(finger_count=2)
 CFG4 = GripperConfig(finger_count=4)
@@ -322,3 +326,71 @@ def test_capacity_never_falls_as_the_gripper_closes(shape, size, aspect, yaw, co
     caps = [pullout_capacity(resolve_contacts(t, obj, config, material, mu)) for t in thetas]
     for (t0, c0), (t1, c1) in zip(zip(thetas, caps), zip(thetas[1:], caps[1:])):
         assert c1 >= c0 * (1.0 - 1e-12), f"capacity falls from {c0} N at {t0} deg to {c1} N at {t1} deg"
+
+
+GRID_STEP = 0.1  # deg, the grid oracle's resolution
+WIDE_SHAPES = {
+    "sphere": lambda width, mass: sphere(width, mass),
+    "cube": lambda width, mass: cube(width, mass),
+    "cylinder": lambda width, mass: cylinder(width, width, mass),
+    "cuboid": lambda width, mass: cuboid(width, 0.8 * width, width, mass),
+}
+
+
+def _wide_stacked_scene(rng):
+    """A stacked pair from a wide envelope, which mostly fails to plan: four
+    shapes, 2 or 4 fingers, both materials, mu 0.05-1, safety 1-2, masses
+    0-0.6 kg and a bottom narrower than the top by 0.5-25 mm."""
+    top_width = rng.uniform(35.0, 75.0)
+    bottom_width = max(20.0, top_width - rng.uniform(0.5, 25.0))
+    top, bottom = (
+        WIDE_SHAPES[rng.choice(sorted(WIDE_SHAPES))](width, rng.uniform(0.0, 0.6))
+        for width in (top_width, bottom_width)
+    )
+    return make_stacked_scene(
+        top, bottom, clearance=rng.uniform(0.0, 4.0), config=GripperConfig(finger_count=int(rng.choice([2, 4]))),
+        material=(TPU95A, SIL950)[rng.integers(2)], mu=rng.uniform(0.05, 1.0), safety=rng.uniform(1.0, 2.0),
+    )
+
+
+def _deciding_gap(scene):
+    """How far (deg) the plan's verdict is from flipping: the overlap of the
+    two hold windows or the distance by which they miss, and where they
+    overlap, the room between the top's release edge and the angle at which
+    the jaws first touch the bottom.  Infinite when an object has no window."""
+    common = dict(config=scene.config, material=scene.material, mu=scene.mu, safety=scene.safety,
+                  torque_scale=scene.torque_scale)
+    top, bottom = hold_window(scene.top, **common), hold_window(scene.bottom, **common)
+    if top is None or bottom is None:
+        return math.inf
+    overlap = min(top.theta_hi, bottom.theta_hi) - max(top.theta_lo, bottom.theta_lo)
+    if overlap < 0.0:
+        return -overlap
+    touch = unclamped_theta_for_opening(grasp_width(scene.bottom), scene.config)
+    return min(overlap, abs(min(bottom.theta_lo, touch) - top.theta_lo))
+
+
+@pytest.mark.parametrize("verdict", ["no_common_hold", "no_release_gap", "feasible"])
+def test_plan_verdicts_match_a_grid_search(verdict):
+    # draws stratified by the planner's verdict: the wide envelope is mostly no_common_hold
+    rng = np.random.default_rng(["no_common_hold", "no_release_gap", "feasible"].index(verdict))
+    checked = 0
+    for _ in range(5_000):
+        scene = _wide_stacked_scene(rng)
+        try:
+            plan, found = plan_stacked(scene), "feasible"
+        except PlanError as exc:
+            plan, found = None, exc.reason.value
+        if found != verdict or _deciding_gap(scene) <= 2.0 * GRID_STEP:  # too close to call on the grid
+            continue
+        assert oracles.grid_plan_verdict(scene, GRID_STEP) == verdict
+        if plan is not None:
+            model = dict(config=scene.config, material=scene.material, mu=scene.mu, torque_scale=scene.torque_scale)
+            assert holds_at(plan.theta_grasp, scene.top, safety=scene.safety, **model)
+            assert holds_at(plan.theta_grasp, scene.bottom, safety=scene.safety, **model)
+            assert holds_at(plan.theta_release_bottom, scene.top, safety=scene.safety, **model)
+            assert oracles.level_contacts(plan.theta_release_bottom, scene.bottom, lift=0.0, **model) == []
+        checked += 1
+        if checked == 10:
+            return
+    pytest.fail(f"drew only {checked} {verdict} pairs")

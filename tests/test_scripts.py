@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -94,3 +95,18 @@ def test_hold_windows_rejects_bad_input(args, message):
     assert "Traceback" not in proc.stderr
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("hold_windows.py: error: ") and message in last
+
+
+def test_compare_outcomes_names_the_first_operation_whose_outcome_differs(tmp_path):
+    proc = run_script("compare_outcomes.py", str(ROOT), str(ROOT))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(" operations: identical outcomes\n")
+    # a copy whose version differs writes a different record for every command
+    copy = tmp_path / "copy"
+    shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    version = copy / "src" / "origrip" / "_version.py"
+    version.write_text('__version__ = "0.0.0-changed"\n')
+    proc = run_script("compare_outcomes.py", str(ROOT), str(copy))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.startswith("first difference: theta_sweep seed 3 op sweep/")
+    assert "stdout differs for: origrip sweep --scene " in proc.stdout

@@ -450,6 +450,27 @@ def test_a_theta_sweep_fails_where_the_per_point_loop_fails(values, seed, messag
     assert outcome[0] == "invalid" and outcome[1][0].startswith(message)
 
 
+def test_a_theta_sweep_strictly_inside_the_law_reads_only_its_first_theta(monkeypatch):
+    scn = load_scenario(demo_scene_path("grasp_parallel"))
+    law = scn.config.law
+    inside = [30.0, 40.0, 50.0, math.nextafter(law.theta_max, 0.0)]
+    expected = oracles.sweep_rows(scn, "theta", inside)
+    read = scenario._read_field
+    reads = []
+
+    def recording(errors, data, *rest):
+        reads.append(data)
+        return read(errors, data, *rest)
+
+    monkeypatch.setattr(scenario, "_read_field", recording)
+    assert run_sweep(scn, "theta", inside) == expected
+    assert reads == [{"theta": 30.0}]
+    # a later theta on the law's bound is in range but not strictly inside: each is read on its own
+    reads.clear()
+    run_sweep(scn, "theta", [30.0, 40.0, law.theta_max])
+    assert reads == [{"theta": value} for value in (30.0, 40.0, law.theta_max)]
+
+
 @pytest.mark.parametrize("seed", [None, 7])
 def test_a_theta_sweep_of_a_hand_built_scenario_fails_as_running_it_does(seed):
     # a scene file with mu -1 is a ScenarioError; the built scenario reaches the model's own check
