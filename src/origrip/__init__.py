@@ -55,7 +55,6 @@ from .shapes import (
 from .grasp import (
     ClosureResult,
     ContactMode,
-    ContactRecord,
     ContactSet,
     ForceClosure,
     GraspMode,

@@ -171,12 +171,13 @@ def _parse_values(spec: str) -> list[float]:
         raise ScenarioError([usage]) from None
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise ScenarioError([usage])
-    points = (hi - lo) / step + 1.0
-    if points > _MAX_SWEEP_POINTS:
-        raise ScenarioError([f"--values: {spec!r} spans {points:.6g} points, more than {_MAX_SWEEP_POINTS}"])
-    # each value from lo and its index, so rounding cannot build up over the steps and carry
-    # one past hi; a billionth of a step of slack keeps an end that the division leaves short
-    return [min(round(lo + k * step, 12), hi) for k in range(math.floor(points + 1e-9))]
+    # a billionth of a step of slack keeps an end that the division leaves short
+    points = (hi - lo) / step + 1.0 + 1e-9
+    count = math.floor(points) if points < math.inf else points
+    if count > _MAX_SWEEP_POINTS:
+        raise ScenarioError([f"--values: {spec!r} spans {count:.6g} points, more than {_MAX_SWEEP_POINTS}"])
+    # each value from lo and its index, so rounding cannot build up over the steps and carry one past hi
+    return [min(round(lo + k * step, 12), hi) for k in range(count)]
 
 
 def _run_kinematics(args) -> int:

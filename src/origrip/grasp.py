@@ -38,9 +38,10 @@ one-shot grasp and ``resolve_contacts``, which hold windows call at many
 angles, are its one-point case.  Per-point facts are functions of
 (contacts, bounds), one column entry per point: ``_point_totals`` for the
 sums, ``_closures`` for the verdicts.  A ``ContactSet`` holds its contacts
-as columns, and sums over contacts add them one at a time in (level,
-finger) order, as the scalar model does: ``_point_totals`` walks each
-run's contacts in one plain loop, for one point or many.
+as columns, its only form, and sums over contacts add them one at a time
+in (level, finger) order, as the scalar model does: ``_point_totals`` walks
+each run's contacts in one plain loop, for one point or many, and the
+public sums (``squeeze_force``, ``pullout_capacity``) are its one-run case.
 
 Closure
 -------
@@ -69,10 +70,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache, reduce
-from itertools import combinations, islice, repeat
-from operator import add
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from functools import lru_cache, reduce
+from itertools import combinations, islice
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -104,28 +104,6 @@ class ContactMode(Enum):
     BENDING = "bending"
 
 
-# --------------------------------------------------------------------------
-# contact records
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ContactRecord:
-    finger_index: int
-    level: int                       # 0 = bottom module, upward
-    mode: ContactMode
-    penetration: float               # mm
-    bend_angle: float | None         # deg, bending contacts only
-    normal_force: float              # N
-    normal: tuple[float, float]      # unit in-plane direction, into the object
-    position: tuple[float, float]    # contact point in the grasp plane, mm
-    inclination: float               # deg, out-of-plane tilt of the normal
-    mu: float
-    engagement: float                # fraction of the module face on the object
-    overcompressed: bool
-    overfolded: bool
-
-
 _CONTACT_MODES = {GraspMode.PARALLEL: ContactMode.COMPRESSION, GraspMode.V_ENVELOPING: ContactMode.BENDING}
 
 # the per-contact columns of a ContactSet, in field order
@@ -142,26 +120,25 @@ class ContactSet:
     (rows for ``normal`` and ``position``), in (level, finger) order when
     resolved.  A contact's mode follows the grasp: compression in a parallel
     grasp, bending in an enveloping one, which alone has ``bend_angle``.
-    ``records`` gives the same contacts one record each, built on first
-    use, so the columns, which subsets share, are never written.  Equality
-    compares the grasp fields and the records.
+    Subsets share the columns, which are never written.  Equality compares
+    the grasp fields and each column by value.
     """
 
     grasp_mode: GraspMode
     theta: float
     char_radius: float               # torque normalization length, mm
     finger_index: np.ndarray
-    level: np.ndarray
+    level: np.ndarray                # 0 = bottom module, upward
     penetration: np.ndarray          # mm
     bend_angle: np.ndarray | None    # deg; None unless enveloping
     normal_force: np.ndarray         # N
     normal: np.ndarray               # (n, 2) unit in-plane directions, into the object
     position: np.ndarray             # (n, 2) contact points in the grasp plane, mm
-    inclination: np.ndarray          # deg
+    inclination: np.ndarray          # deg, out-of-plane tilt of the normal
     incl_cos: np.ndarray             # math.cos and math.sin of each inclination
     incl_sin: np.ndarray
     mu: np.ndarray
-    engagement: np.ndarray
+    engagement: np.ndarray           # fraction of the module face on the object
     overcompressed: np.ndarray
     overfolded: np.ndarray
 
@@ -169,73 +146,29 @@ class ContactSet:
         # one dict update in place of a frozen dataclass's setattr per field: hold windows build one set per angle
         if columns.keys() != _COLUMN_SET:
             raise TypeError(f"ContactSet needs the columns {', '.join(_COLUMNS)}")
-        self.__dict__.update(grasp_mode=grasp_mode, theta=theta, char_radius=char_radius, **columns)
-
-    @classmethod
-    def from_records(
-        cls, records: Iterable[ContactRecord], grasp_mode: GraspMode, theta: float, char_radius: float
-    ) -> "ContactSet":
-        """The set of the given records, whose modes and bend angles must be
-        those of ``grasp_mode``."""
-        records = tuple(records)
         enveloping = grasp_mode is GraspMode.V_ENVELOPING
-        mode = _CONTACT_MODES[grasp_mode]
-        for rec in records:
-            if rec.mode is not mode or (rec.bend_angle is None) == enveloping:
-                raise ValueError(
-                    f"a {grasp_mode.value} grasp has {mode.value} contacts, "
-                    f"with a bend angle {'each' if enveloping else 'on none'}"
-                )
-
-        def column(name: str, dtype: type = float) -> np.ndarray:
-            return np.array([getattr(rec, name) for rec in records], dtype=dtype)
-
-        incl = [math.radians(rec.inclination) for rec in records]
-        return cls(
-            grasp_mode, theta, char_radius,
-            finger_index=column("finger_index", np.intp),
-            level=column("level", np.intp),
-            penetration=column("penetration"),
-            bend_angle=column("bend_angle") if enveloping else None,
-            normal_force=column("normal_force"),
-            normal=np.array([rec.normal for rec in records], dtype=float).reshape(-1, 2),
-            position=np.array([rec.position for rec in records], dtype=float).reshape(-1, 2),
-            inclination=column("inclination"),
-            incl_cos=np.array(list(map(math.cos, incl))),
-            incl_sin=np.array(list(map(math.sin, incl))),
-            mu=column("mu"),
-            engagement=column("engagement"),
-            overcompressed=column("overcompressed", bool),
-            overfolded=column("overfolded", bool),
-        )
+        if (columns["bend_angle"] is None) == enveloping:
+            raise ValueError(
+                f"a {grasp_mode.value} grasp has {_CONTACT_MODES[grasp_mode].value} contacts, "
+                f"with a bend angle {'each' if enveloping else 'on none'}"
+            )
+        self.__dict__.update(grasp_mode=grasp_mode, theta=theta, char_radius=char_radius, **columns)
 
     @property
     def contact_mode(self) -> ContactMode:
         """The mode of every contact."""
         return _CONTACT_MODES[self.grasp_mode]
 
-    @cached_property
-    def records(self) -> tuple[ContactRecord, ...]:
-        return tuple(map(
-            ContactRecord,
-            self.finger_index.tolist(), self.level.tolist(), repeat(self.contact_mode, len(self)),
-            self.penetration.tolist(),
-            repeat(None, len(self)) if self.bend_angle is None else self.bend_angle.tolist(),
-            self.normal_force.tolist(),
-            zip(*self.normal.T.tolist()), zip(*self.position.T.tolist()), self.inclination.tolist(),
-            self.mu.tolist(), self.engagement.tolist(), self.overcompressed.tolist(), self.overfolded.tolist(),
-        ))
-
-    def _key(self) -> tuple:
-        return self.grasp_mode, self.theta, self.char_radius, self.records
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        # tuples compare a NaN theta, which every set of a sweep shares as math.nan, equal to itself
+        if (self.grasp_mode, self.theta, self.char_radius) != (other.grasp_mode, other.theta, other.char_radius):
+            return False
+        return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((self.grasp_mode, self.theta, self.char_radius, len(self)))
 
     def __len__(self) -> int:
         return len(self.normal_force)
@@ -811,17 +744,9 @@ def _closures(
 # --------------------------------------------------------------------------
 
 
-def pullout_capacity(contacts: ContactSet | Sequence[ContactRecord]) -> float:
+def pullout_capacity(contacts: ContactSet) -> float:
     """Maximum vertical extraction resistance of a contact set, N."""
-    if isinstance(contacts, ContactSet):
-        columns = contacts.mu, contacts.normal_force, contacts.incl_cos, contacts.incl_sin
-        return _total(map(_capacity_term, *(column.tolist() for column in columns)))
-    return _total(map(_record_capacity, contacts))
-
-
-def _record_capacity(rec: ContactRecord) -> float:
-    incl = math.radians(rec.inclination)
-    return _capacity_term(rec.mu, rec.normal_force, math.cos(incl), math.sin(incl))
+    return _point_totals(contacts, [0, len(contacts)])[3][0]
 
 
 def _capacity_term(mu, force, incl_cos, incl_sin):
@@ -839,12 +764,6 @@ def _contact_sums(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _total(terms: Iterable[float]) -> float:
-    """The terms of one contact set added one at a time, in order, as
-    ``_contact_sums`` adds each column."""
-    return reduce(add, terms, 0.0)
-
-
 def squeeze_force(contacts: ContactSet, finger_index: int | None = None) -> float:
     """Sum of in-plane normal force components, optionally for one finger;
     0 (an int) when no contact presses.
@@ -852,22 +771,23 @@ def squeeze_force(contacts: ContactSet, finger_index: int | None = None) -> floa
     This is what a probe sensor reads while being squeezed: the horizontal
     push of one side's modules.
     """
-    terms = contacts.normal_force * contacts.incl_cos
-    if finger_index is not None:
-        terms = terms[contacts.finger_index == finger_index]
-    return _total(terms.tolist()) if len(terms) else 0
+    if finger_index is None:
+        return _point_totals(contacts, [0, len(contacts)])[1][0]
+    return _point_totals(contacts, [0, len(contacts)], finger_index)[2][0]
 
 
-def _point_totals(contacts: ContactSet, bounds: list[int]) -> tuple[list[int], list, list, list[float]]:
+def _point_totals(
+    contacts: ContactSet, bounds: list[int], side: int = 0
+) -> tuple[list[int], list, list, list[float]]:
     """Per run ``contacts[bounds[p]:bounds[p + 1]]``, the runs lying end to
-    end from contact 0: the contact count, ``squeeze_force`` of all fingers
-    and of finger 0 (0, an int, where nothing presses) and
-    ``pullout_capacity``, each summed contact by contact as those functions
-    sum."""
+    end from contact 0: the contact count, the squeeze of all fingers and of
+    finger ``side`` (0, an int, where nothing presses) and the pull-out
+    capacity, each summed contact by contact.  ``squeeze_force`` and
+    ``pullout_capacity`` are its one-run case."""
     c = contacts
     pushes = (c.normal_force * c.incl_cos).tolist()
     terms = _capacity_term(c.mu, c.normal_force, c.incl_cos, c.incl_sin).tolist()
-    on_side = (c.finger_index == 0).tolist()
+    on_side = (c.finger_index == side).tolist()
     counts, squeezes, sides, capacities = [], [], [], []
     each = zip(pushes, on_side, terms)  # one walk over the contacts, run after run
     for lo, hi in zip(bounds, bounds[1:]):
@@ -1013,7 +933,7 @@ def calibrate_friction(
     the target.
 
     The probe instrumentation reads the vertical force transmitted through
-    one side of the grasp, so the fit is against a single finger's records;
+    one side of the grasp, so the fit is against a single finger's contacts;
     normal forces do not depend on mu, which makes the capacity linear in mu
     and the fit closed-form.
     """
@@ -1021,10 +941,10 @@ def calibrate_friction(
         raise ValueError(f"target must be finite, got {target_side_force:g}")
     contacts = resolve_contacts(theta, probe, config, material, mu=0.0, torque_scale=torque_scale)
     side = contacts.finger(0)
-    if len(side) == 0:
+    # at mu = 0 only the hooking term of the capacity is left
+    (count,), (slope,), _, (intercept,) = _point_totals(side, [0, len(side)])
+    if count == 0:
         raise ValueError("probe makes no contact on the reference finger")
-    slope = squeeze_force(side)
-    intercept = pullout_capacity(side)  # at mu = 0 only the hooking term is left
     if slope <= 0.0:
         raise ValueError("degenerate probe contact: no friction-bearing normal force")
     if target_side_force < intercept:

@@ -752,20 +752,26 @@ def _grasp_points(
 
 
 def _contact_table(contacts: ContactSet) -> list[dict]:
+    c = contacts
+    mode = c.contact_mode.value
+    bends = [None] * len(c) if c.bend_angle is None else c.bend_angle.tolist()
     return [
         {
-            "finger": rec.finger_index,
-            "level": rec.level,
-            "mode": rec.mode.value,
-            "penetration": rec.penetration,
-            "bend_angle": rec.bend_angle,
-            "normal_force": rec.normal_force,
-            "inclination": rec.inclination,
-            "engagement": rec.engagement,
-            "overcompressed": rec.overcompressed,
-            "overfolded": rec.overfolded,
+            "finger": finger,
+            "level": level,
+            "mode": mode,
+            "penetration": penetration,
+            "bend_angle": bend,
+            "normal_force": force,
+            "inclination": inclination,
+            "engagement": engagement,
+            "overcompressed": overcompressed,
+            "overfolded": overfolded,
         }
-        for rec in contacts.records
+        for finger, level, penetration, bend, force, inclination, engagement, overcompressed, overfolded in zip(
+            c.finger_index.tolist(), c.level.tolist(), c.penetration.tolist(), bends, c.normal_force.tolist(),
+            c.inclination.tolist(), c.engagement.tolist(), c.overcompressed.tolist(), c.overfolded.tolist(),
+        )
     ]
 
 

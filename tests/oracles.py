@@ -7,7 +7,7 @@ projecting polygon vertices, arc unions by a dense angular grid, hold
 windows and plan verdicts by sweeping the hold predicate directly, contacts
 by a scalar loop over module levels and fingers with scalar module curves,
 wrench primitives by a scalar loop over contacts and cone edges, force and
-capacity sums by a scalar loop over records, and sweeps by parsing a deep
+capacity sums by a scalar loop over contact rows, and sweeps by parsing a deep
 copy of the written scene at every point.
 """
 
@@ -17,6 +17,7 @@ import copy
 import math
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from origrip import (
     SIL950,
     TPU95A,
     ContactMode,
-    ContactRecord,
     GraspMode,
     GripperConfig,
     ScenarioError,
@@ -163,14 +163,49 @@ def random_contact_primitives(rng: np.random.Generator, n_contacts: int) -> np.n
     return np.array(rows)
 
 
-def wrench_primitives(contacts) -> np.ndarray:
-    """Friction-cone edge wrenches built one contact and one cone edge at a
-    time: rows (fx, fy, tau), the +mu edge before the -mu edge."""
+class Contact(NamedTuple):
+    """One contact as a row of fields: the form the scalar oracles build and
+    read.  ``contact_rows`` reads a ``ContactSet``'s columns as these rows,
+    so that contacts compare field by field.  A named tuple, not a
+    dataclass: ``perfbench`` imports this module by path, unregistered,
+    where a dataclass cannot resolve its postponed annotations."""
+
+    finger_index: int
+    level: int
+    mode: ContactMode
+    penetration: float
+    bend_angle: float | None
+    normal_force: float
+    normal: tuple[float, float]
+    position: tuple[float, float]
+    inclination: float
+    mu: float
+    engagement: float
+    overcompressed: bool
+    overfolded: bool
+
+
+def contact_rows(contacts) -> tuple[Contact, ...]:
+    """The contacts of a ``ContactSet`` as rows, one per contact, in order."""
+    c = contacts
+    n = len(c)
+    return tuple(map(
+        Contact,
+        c.finger_index.tolist(), c.level.tolist(), [c.contact_mode] * n, c.penetration.tolist(),
+        [None] * n if c.bend_angle is None else c.bend_angle.tolist(), c.normal_force.tolist(),
+        map(tuple, c.normal.tolist()), map(tuple, c.position.tolist()), c.inclination.tolist(),
+        c.mu.tolist(), c.engagement.tolist(), c.overcompressed.tolist(), c.overfolded.tolist(),
+    ))
+
+
+def wrench_primitives(contacts, r_char: float) -> np.ndarray:
+    """Friction-cone edge wrenches of contact rows, built one contact and one
+    cone edge at a time: rows (fx, fy, tau), the +mu edge before the -mu
+    edge, with the torque over ``r_char``."""
     if len(contacts) == 0:
         raise ValueError("contact set is empty")
     rows = []
-    r_char = contacts.char_radius
-    for rec in contacts.records:
+    for rec in contacts:
         n = np.array(rec.normal)
         t = np.array([-n[1], n[0]])
         p = np.array(rec.position)
@@ -181,19 +216,19 @@ def wrench_primitives(contacts) -> np.ndarray:
     return np.array(rows)
 
 
-def scalar_squeeze_force(records, finger_index=None):
-    """In-plane normal force summed one record at a time: 0 (an int) without any."""
+def scalar_squeeze_force(contacts, finger_index=None):
+    """In-plane normal force of contact rows summed one row at a time: 0 (an int) without any."""
     total = 0
-    for rec in records:
+    for rec in contacts:
         if finger_index is None or rec.finger_index == finger_index:
             total += rec.normal_force * math.cos(math.radians(rec.inclination))
     return total
 
 
-def scalar_pullout_capacity(records) -> float:
-    """Extraction resistance summed one record at a time."""
+def scalar_pullout_capacity(contacts) -> float:
+    """Extraction resistance of contact rows summed one row at a time."""
     total = 0.0
-    for rec in records:
+    for rec in contacts:
         incl = math.radians(rec.inclination)
         total += rec.mu * rec.normal_force * math.cos(incl) + rec.normal_force * math.sin(incl)
     return total
@@ -297,7 +332,7 @@ def grid_plan_verdict(scene, step: float = 0.1) -> str:
 
 
 # --------------------------------------------------------------------------
-# contacts, one scalar record at a time
+# contacts, one scalar row at a time
 # --------------------------------------------------------------------------
 
 _MAX_INCLINATION = 89.9  # deg, as in the package
@@ -361,8 +396,8 @@ def wrap_bend_angle(penetration: float, r_h: float, half_span: float) -> float:
 
 
 def level_contacts(theta, obj, config, material, mu, lift, torque_scale) -> list:
-    """Contact records with the gripper raised by ``lift`` mm, built one
-    module level and one finger at a time."""
+    """Contact rows with the gripper raised by ``lift`` mm, built one module
+    level and one finger at a time."""
     if not 0.0 <= mu < math.inf:
         raise ValueError(f"mu must be finite and non-negative, got {mu:g}")
     aperture = opening(theta, config)
@@ -370,7 +405,7 @@ def level_contacts(theta, obj, config, material, mu, lift, torque_scale) -> list
     span_lo, span_hi = z_span(obj)
     half_face = config.module_height / 2.0
     half_span = config.panel_span / 2.0
-    records = []
+    rows = []
 
     for level, level_z in enumerate(config.module_levels):
         face_lo = level_z - half_face + lift
@@ -408,8 +443,8 @@ def level_contacts(theta, obj, config, material, mu, lift, torque_scale) -> list
 
             rad = math.radians(bearing)
             outward = (math.cos(rad), math.sin(rad))
-            records.append(
-                ContactRecord(
+            rows.append(
+                Contact(
                     finger_index=finger,
                     level=level,
                     mode=contact_mode,
@@ -425,7 +460,7 @@ def level_contacts(theta, obj, config, material, mu, lift, torque_scale) -> list
                     overfolded=overfolded,
                 )
             )
-    return records
+    return rows
 
 
 def _flat_row(value, prefix: str, row: dict) -> None:

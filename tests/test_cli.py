@@ -514,14 +514,26 @@ def test_sweep_bad_values(capsys):
         ("1e20:2e20:1", "'1e20:2e20:1' spans 1e+20 points, more than 10000"),  # 1 never moves 1e20
         ("0:90:1e-6", "'0:90:1e-6' spans 9e+07 points, more than 10000"),
         ("0:90:0.009", "'0:90:0.009' spans 10001 points, more than 10000"),  # read 1e+04 with 3 digits
+        ("0:1e308:1e-300", "'0:1e308:1e-300' spans inf points, more than 10000"),  # no whole count of inf
     ],
-    ids=["endless", "step-too-small-to-move", "too-many-points", "one-point-too-many"],
+    ids=["endless", "step-too-small-to-move", "too-many-points", "one-point-too-many", "overflowing-span"],
 )
 def test_sweep_ranges_without_end_are_invalid(capsys, spec, message):
     code, record, err = run_json(capsys, ["sweep", "--scene", ENVELOPING, "--axis", "theta", "--values", spec])
     assert code == EXIT_INVALID
     assert record is None
     assert err.startswith("origrip:") and f"--values: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["0:90:0.00900045", "0:89.9955:0.009"])
+def test_a_sweep_range_of_exactly_the_cap_runs(capsys, spec):
+    # each spans 10000.5 steps, so it builds 10000 values: the cap is on the values built
+    code, record, err = run_json(capsys, ["sweep", "--scene", ENVELOPING, "--axis", "theta", "--values", spec])
+    assert code == EXIT_OK and err == ""
+    thetas = [row["theta"] for row in record["outputs"]]
+    lo, hi, step = map(float, spec.split(":"))
+    assert len(thetas) == 10_000 and thetas[0] == lo and hi - step < thetas[-1] <= hi
 
 
 def test_sweep_value_lists_are_capped_like_ranges(capsys):

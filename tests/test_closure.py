@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 import oracles
 from origrip import (
     ClosureResult,
-    ContactMode,
-    ContactRecord,
     ContactSet,
     GraspMode,
     GripperConfig,
@@ -289,43 +287,51 @@ def test_closure_matches_the_exact_triple_oracle():
 
 @st.composite
 def contact_sets(draw) -> ContactSet:
-    records = []
+    normals, positions, forces, mus = [], [], [], []
     for _ in range(draw(st.integers(1, 16))):
         bearing = draw(st.floats(0.0, 2.0 * math.pi))
         reach = draw(st.floats(0.5, 100.0))
         outward = (math.cos(bearing), math.sin(bearing))
-        records.append(
-            ContactRecord(
-                finger_index=0,
-                level=0,
-                mode=ContactMode.COMPRESSION,
-                penetration=1.0,
-                bend_angle=None,
-                normal_force=draw(st.floats(0.0, 50.0)),
-                normal=(-outward[0], -outward[1]),
-                position=(reach * outward[0], reach * outward[1]),
-                inclination=0.0,
-                mu=draw(st.just(0.0) | st.floats(0.0, 2.0)),
-                engagement=1.0,
-                overcompressed=False,
-                overfolded=False,
-            )
-        )
-    return ContactSet.from_records(records, GraspMode.PARALLEL, 30.0, draw(st.floats(1.0, 100.0)))
+        normals.append((-outward[0], -outward[1]))
+        positions.append((reach * outward[0], reach * outward[1]))
+        forces.append(draw(st.floats(0.0, 50.0)))
+        mus.append(draw(st.just(0.0) | st.floats(0.0, 2.0)))
+    n = len(forces)
+    return ContactSet(
+        GraspMode.PARALLEL, 30.0, draw(st.floats(1.0, 100.0)),
+        finger_index=np.zeros(n, dtype=np.intp),
+        level=np.zeros(n, dtype=np.intp),
+        penetration=np.ones(n),
+        bend_angle=None,
+        normal_force=np.array(forces),
+        normal=np.array(normals),
+        position=np.array(positions),
+        inclination=np.zeros(n),
+        incl_cos=np.ones(n),
+        incl_sin=np.zeros(n),
+        mu=np.array(mus),
+        engagement=np.ones(n),
+        overcompressed=np.zeros(n, dtype=bool),
+        overfolded=np.zeros(n, dtype=bool),
+    )
+
+
+def _oracle_primitives(contacts: ContactSet) -> np.ndarray:
+    return oracles.wrench_primitives(oracles.contact_rows(contacts), contacts.char_radius)
 
 
 @given(contact_sets())
 @settings(max_examples=200, derandomize=True)
 def test_wrench_primitives_equal_the_scalar_oracle(contacts):
-    assert np.array_equal(contact_wrench_primitives(contacts), oracles.wrench_primitives(contacts))
+    assert np.array_equal(contact_wrench_primitives(contacts), _oracle_primitives(contacts))
 
 
 def test_wrench_primitives_of_resolved_contacts_equal_the_scalar_oracle():
     for mu in (0.0, MU_STAR):
         contacts = resolve_contacts(60.0, V_PROBE, material=TPU95A, mu=mu)
-        lone = ContactSet.from_records(contacts.records[:1], contacts.grasp_mode, 60.0, contacts.char_radius)
+        lone = contacts._take(slice(0, 1), 60.0)
         for subset in (contacts, lone):
-            assert np.array_equal(contact_wrench_primitives(subset), oracles.wrench_primitives(subset))
+            assert np.array_equal(contact_wrench_primitives(subset), _oracle_primitives(subset))
 
 
 @given(st.floats(min_value=1e-12, max_value=1e12))
@@ -363,7 +369,7 @@ def test_coverage_matches_arc_union_oracle():
         _, coverage = is_form_closure(contacts, V_PROBE, config)
         # rebuild the wrap sectors from the contact geometry by hand
         intervals = []
-        for rec in contacts.records:
+        for rec in oracles.contact_rows(contacts):
             r_h = 33.5  # equator cross-section radius of the probe
             s = min(math.sqrt(2.0 * r_h * rec.penetration - rec.penetration**2), 25.0)
             edge = math.degrees(math.asin(s / r_h))
@@ -398,7 +404,7 @@ def test_closure_summary_parallel():
 
 def test_closure_summary_single_contact():
     contacts = resolve_contacts(30.0, P_PROBE, material=TPU95A, mu=0.5)
-    lone = ContactSet.from_records(contacts.records[:1], GraspMode.PARALLEL, 30.0, contacts.char_radius)
+    lone = contacts._take(slice(0, 1), 30.0)
     summary = closure_summary(lone, P_PROBE)
     assert not summary.force_closure
     assert summary.margin == 0.0
@@ -487,8 +493,10 @@ def test_deciding_sets_together_equals_deciding_each_alone(sets, grown, seed):
 
 def test_a_run_of_fewer_than_two_contacts_is_never_decided():
     contacts = resolve_contacts(30.0, P_PROBE, material=TPU95A, mu=0.5)
-    poisoned = dataclasses.replace(contacts.records[0], normal_force=math.nan)
-    runs = ContactSet.from_records((poisoned, *contacts.records), GraspMode.PARALLEL, math.nan, contacts.char_radius)
+    doubled = contacts._take(np.r_[0, :len(contacts)], math.nan)
+    force = doubled.normal_force.copy()
+    force[0] = math.nan
+    runs = dataclasses.replace(doubled, normal_force=force)
     # a lone contact whose force is not finite, no contact, then the grasp's own contacts
     columns = grasp._closures(runs, [0, 1, 1, 1 + len(contacts)], P_PROBE, None)
     expected = [ClosureResult(False, None, 0.0, None)] * 2 + [closure_summary(contacts, P_PROBE)]

@@ -37,9 +37,9 @@ from origrip import (
     squeeze_force,
 )
 import oracles
-from oracles import level_contacts
+from oracles import contact_rows, level_contacts
 from origrip import grasp
-from origrip.grasp import ForceClosure, _closures, _point_totals, _resolve, _resting_geometry
+from origrip.grasp import _COLUMNS, ForceClosure, _closures, _point_totals, _resolve, _resting_geometry
 
 # Barrel-shaped reference probe: covers both module levels, curls the faces.
 V_PROBE = curved_block(45.5, 67.0, 80.0)
@@ -81,7 +81,7 @@ def test_parallel_contacts():
     assert len(contacts) == 4  # two fingers x two levels
     pen_expected = (63.0 - opening(30.0)) / 2.0
     force_expected = 4.75 * (pen_expected / 15.0) / 0.1  # loading ramp
-    for rec in contacts.records:
+    for rec in contact_rows(contacts):
         assert rec.mode is ContactMode.COMPRESSION
         assert rec.bend_angle is None
         assert rec.penetration == pytest.approx(pen_expected, abs=1e-9)
@@ -89,7 +89,7 @@ def test_parallel_contacts():
         assert rec.engagement == 1.0
         assert rec.inclination == 0.0
         assert not rec.overcompressed and not rec.overfolded
-    finger0 = [r for r in contacts.records if r.finger_index == 0]
+    finger0 = [r for r in contact_rows(contacts) if r.finger_index == 0]
     assert all(r.normal[0] == pytest.approx(-1.0) for r in finger0)
     assert all(r.position[0] == pytest.approx(31.5) for r in finger0)
 
@@ -99,14 +99,14 @@ def test_enveloping_contacts():
     assert contacts.grasp_mode is GraspMode.V_ENVELOPING
     assert len(contacts) == 4
     pen, bend, incl = v_probe_expectations(60.0)
-    for rec in contacts.records:
+    for rec in contact_rows(contacts):
         assert rec.mode is ContactMode.BENDING
         assert rec.penetration == pytest.approx(pen, abs=1e-9)
         assert rec.bend_angle == pytest.approx(bend, abs=1e-9)
         # plateau torque over the lever arm
         assert rec.normal_force == pytest.approx(39.0 / 15.0, abs=1e-12)
         assert rec.engagement == 1.0
-    by_level = {rec.level: rec for rec in contacts.finger(0).records}
+    by_level = {rec.level: rec for rec in contact_rows(contacts.finger(0))}
     # the lower face presses below the equator and hooks under it
     assert by_level[0].inclination == pytest.approx(incl, abs=1e-9)
     assert by_level[1].inclination == 0.0
@@ -114,21 +114,21 @@ def test_enveloping_contacts():
 
 def test_partial_engagement():
     contacts = resolve_contacts(60.0, sphere(60.0), material=TPU95A, mu=0.5)
-    upper = [r for r in contacts.records if r.level == 1]
+    upper = [r for r in contact_rows(contacts) if r.level == 1]
     assert upper and all(r.engagement == pytest.approx(0.5) for r in upper)
 
 
 def test_overcompression_surfaces():
     contacts = resolve_contacts(85.0, P_PROBE, material=TPU95A, mu=0.5)
-    assert all(r.overcompressed for r in contacts.records)
-    assert all(r.penetration > 15.0 for r in contacts.records)
+    assert all(r.overcompressed for r in contact_rows(contacts))
+    assert all(r.penetration > 15.0 for r in contact_rows(contacts))
 
 
 def test_overfold_surfaces_with_plateau_force():
     contacts = resolve_contacts(70.0, V_PROBE, material=TPU95A, mu=0.5)
-    assert all(r.overfolded for r in contacts.records)
-    assert all(r.normal_force == pytest.approx(2.6) for r in contacts.records)
-    assert all(r.bend_angle > 25.0 for r in contacts.records)
+    assert all(r.overfolded for r in contact_rows(contacts))
+    assert all(r.normal_force == pytest.approx(2.6) for r in contact_rows(contacts))
+    assert all(r.bend_angle > 25.0 for r in contact_rows(contacts))
 
 
 def test_no_contact_when_open():
@@ -148,26 +148,15 @@ def test_capacity_formula():
     expected = sum(
         r.mu * r.normal_force * math.cos(math.radians(r.inclination))
         + r.normal_force * math.sin(math.radians(r.inclination))
-        for r in contacts.records
+        for r in contact_rows(contacts)
     )
     assert pullout_capacity(contacts) == pytest.approx(expected, abs=1e-12)
-    # record sequences work the same as contact sets
-    assert pullout_capacity(list(contacts.records)) == pullout_capacity(contacts)
-
-
-def test_capacity_of_records_sums_any_mix_of_modes():
-    # a record list is summed as it stands, whatever its modes and bend angles
-    bending = resolve_contacts(60.0, V_PROBE, material=TPU95A, mu=0.3).records
-    compression = resolve_contacts(60.0, P_PROBE, material=TPU95A, mu=0.3).records
-    mixed = [compression[0], bending[0], dataclasses.replace(bending[1], bend_angle=None), *compression[1:]]
-    assert pullout_capacity(mixed) == oracles.scalar_pullout_capacity(mixed)
-    assert pullout_capacity([]) == 0.0
 
 
 def test_capacity_linear_in_mu():
     base = resolve_contacts(60.0, V_PROBE, material=TPU95A, mu=0.0)
-    slope = sum(r.normal_force * math.cos(math.radians(r.inclination)) for r in base.records)
-    intercept = sum(r.normal_force * math.sin(math.radians(r.inclination)) for r in base.records)
+    slope = sum(r.normal_force * math.cos(math.radians(r.inclination)) for r in contact_rows(base))
+    intercept = sum(r.normal_force * math.sin(math.radians(r.inclination)) for r in contact_rows(base))
     for mu in (0.0, 0.2, 0.5, 0.9):
         contacts = resolve_contacts(60.0, V_PROBE, material=TPU95A, mu=mu)
         assert pullout_capacity(contacts) == pytest.approx(intercept + slope * mu, abs=1e-9)
@@ -435,7 +424,7 @@ def test_contacts_equal_the_scalar_oracle(obj, levels, fingers, curvature_thresh
     config = GripperConfig(finger_count=fingers, module_levels=tuple(levels),
                            curvature_threshold=curvature_threshold)
     contacts = resolve_contacts(theta, obj, config, material, mu, torque_scale)
-    assert contacts.records == tuple(level_contacts(theta, obj, config, material, mu, 0.0, torque_scale))
+    assert contact_rows(contacts) == tuple(level_contacts(theta, obj, config, material, mu, 0.0, torque_scale))
 
 
 @given(
@@ -464,15 +453,14 @@ def test_a_contact_sweep_equals_the_scalar_oracle_at_each_angle(obj, levels, fin
     expected_decided = []
     totals = list(zip(*_point_totals(contacts, bounds)))
     for p, theta in enumerate(thetas):
-        records = tuple(level_contacts(theta, obj, config, material, mu, 0.0, 1.0))
-        assert contacts.records[bounds[p]:bounds[p + 1]] == records
+        rows = tuple(level_contacts(theta, obj, config, material, mu, 0.0, 1.0))
+        assert contact_rows(contacts)[bounds[p]:bounds[p + 1]] == rows
         assert openings[p] == opening(theta, config)
-        expected = (len(records), oracles.scalar_squeeze_force(records), oracles.scalar_squeeze_force(records, 0),
-                    oracles.scalar_pullout_capacity(records))
+        expected = (len(rows), oracles.scalar_squeeze_force(rows), oracles.scalar_squeeze_force(rows, 0),
+                    oracles.scalar_pullout_capacity(rows))
         assert [(type(v), v) for v in totals[p]] == [(type(v), v) for v in expected]
-        if len(records) >= 2:
-            point = ContactSet.from_records(records, contacts.grasp_mode, theta, contacts.char_radius)
-            expected_decided.append(oracles.wrench_primitives(point).tobytes())
+        if len(rows) >= 2:
+            expected_decided.append(oracles.wrench_primitives(rows, contacts.char_radius).tobytes())
     assert decided == expected_decided
 
 
@@ -512,22 +500,75 @@ def test_a_one_point_call_equals_its_run_inside_a_sweep(obj, levels, fingers, cu
         assert _typed_bits((alone.closed, alone.margin)) == _typed_bits((swept.closed, swept.margin))
 
 
-def test_contact_sets_are_columns_with_records_on_demand():
+@given(
+    obj=_placed_objects(),
+    levels=st.lists(st.floats(0.5, 120.0), min_size=1, max_size=4).map(sorted),
+    fingers=st.sampled_from((2, 4)),
+    curvature_threshold=st.floats(0.2, 2.0),
+    material=st.sampled_from((TPU95A, SIL950)),
+    mu=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+    theta=st.floats(0.0, 90.0),
+)
+@settings(max_examples=300, derandomize=True, deadline=None)
+@example(V_PROBE, [20.0, 60.0], 4, 1.0, TPU95A, 0.3, 60.0)  # enveloping, every face pressing
+@example(P_PROBE, [20.0, 60.0], 4, 1.0, SIL950, 0.3, 60.0)  # parallel, two fingers of four pressing
+def test_public_sums_equal_the_scalar_oracle(obj, levels, fingers, curvature_threshold, material, mu, theta):
+    # each public sum is the one-run case of _point_totals: equal in type and bit for bit
+    # to a plain sum over the oracle's rows, finger `fingers` being absent (an int 0)
+    config = GripperConfig(finger_count=fingers, module_levels=tuple(levels),
+                           curvature_threshold=curvature_threshold)
+    contacts = resolve_contacts(theta, obj, config, material, mu)
+    rows = level_contacts(theta, obj, config, material, mu, 0.0, 1.0)
+    asked = (None, *range(fingers + 1))
+    assert (_typed_bits([squeeze_force(contacts, finger) for finger in asked])
+            == _typed_bits([oracles.scalar_squeeze_force(rows, finger) for finger in asked]))
+    capacity = oracles.scalar_pullout_capacity(rows)
+    assert (_typed_bits([pullout_capacity(contacts), lift_check(contacts, obj).capacity])
+            == _typed_bits([capacity, capacity]))
+
+
+def _columns(contacts: ContactSet) -> dict:
+    return {name: getattr(contacts, name) for name in _COLUMNS}
+
+
+def test_a_finger_holds_its_own_contacts():
     contacts = resolve_contacts(60.0, V_PROBE, GripperConfig(finger_count=4), TPU95A, mu=0.3)
-    records = contacts.records
-    assert records is contacts.records  # built once
-    rebuilt = ContactSet.from_records(records, contacts.grasp_mode, contacts.theta, contacts.char_radius)
+    assert contact_rows(contacts.finger(1)) == tuple(r for r in contact_rows(contacts) if r.finger_index == 1)
+    assert len(contacts.finger(5)) == 0 and contact_rows(contacts.finger(5)) == ()
+
+
+def test_contact_sets_compare_by_grasp_fields_and_columns():
+    contacts = resolve_contacts(60.0, V_PROBE, GripperConfig(finger_count=4), TPU95A, mu=0.3)
+    copies = {name: column.copy() for name, column in _columns(contacts).items()}
+    rebuilt = ContactSet(contacts.grasp_mode, contacts.theta, contacts.char_radius, **copies)
     assert rebuilt == contacts and hash(rebuilt) == hash(contacts)
     assert rebuilt != dataclasses.replace(contacts, theta=61.0)
-    assert contacts.finger(1).records == tuple(r for r in records if r.finger_index == 1)
-    assert len(contacts.finger(5)) == 0 and contacts.finger(5).records == ()
-    # a contact's mode and bend angle follow the grasp mode
-    for mode in GraspMode:
-        if mode is not contacts.grasp_mode:
-            with pytest.raises(ValueError, match="contacts"):
-                ContactSet.from_records(records, mode, 60.0, contacts.char_radius)
-    with pytest.raises(ValueError, match="bend angle"):
-        ContactSet.from_records([dataclasses.replace(records[0], bend_angle=None)], contacts.grasp_mode, 60.0, 1.0)
+    assert rebuilt != dataclasses.replace(contacts, char_radius=contacts.char_radius + 1.0)
+    for name, column in copies.items():
+        changed = ~column if column.dtype == bool else column + 1
+        assert rebuilt != dataclasses.replace(contacts, **{name: changed}), name
+    # a parallel set, whose bend_angle is None, compares its other columns
+    parallel = resolve_contacts(30.0, P_PROBE, material=TPU95A, mu=0.3)
+    assert parallel == resolve_contacts(30.0, P_PROBE, material=TPU95A, mu=0.3) != parallel.finger(0)
+    # the sets of a sweep share the theta math.nan: each equals itself and its equal
+    swept, again = (_resolve([50.0, 60.0], V_PROBE, None, TPU95A, 0.3, 1.0)[1] for _ in range(2))
+    assert math.isnan(swept.theta) and swept == swept
+    assert swept == again and hash(swept) == hash(again)
+
+
+def test_a_contact_set_has_a_bend_angle_column_exactly_when_enveloping():
+    parallel = resolve_contacts(60.0, P_PROBE, material=TPU95A, mu=0.3)
+    enveloping = resolve_contacts(60.0, V_PROBE, material=TPU95A, mu=0.3)
+    assert parallel.bend_angle is None and enveloping.bend_angle is not None
+    for contacts, bend_angle in ((parallel, parallel.penetration), (enveloping, None)):
+        mode = contacts.grasp_mode
+        with pytest.raises(ValueError, match=f"^a {mode.value} grasp has {contacts.contact_mode.value} contacts"):
+            ContactSet(mode, 60.0, contacts.char_radius, **{**_columns(contacts), "bend_angle": bend_angle})
+    columns = _columns(parallel)
+    del columns["mu"]
+    for wrong in (columns, {**columns, "mu": parallel.mu, "mode": parallel.mu}):
+        with pytest.raises(TypeError, match="needs the columns"):
+            ContactSet(GraspMode.PARALLEL, 60.0, parallel.char_radius, **wrong)
 
 
 def test_contact_geometry_is_shared_by_equal_objects_only():
@@ -535,15 +576,15 @@ def test_contact_geometry_is_shared_by_equal_objects_only():
     for make in (lambda **kw: cuboid(63.0, 45.4, 100.0, **kw), lambda **kw: sphere(62.0, **kw)):
         first, twin = make(pose=Pose(z=-5.0, yaw=20.0)), make(pose=Pose(z=-5.0, yaw=20.0))
         assert twin is not first
-        assert resolve_contacts(60.0, twin, config).records == resolve_contacts(60.0, first, config).records
+        assert contact_rows(resolve_contacts(60.0, twin, config)) == contact_rows(resolve_contacts(60.0, first, config))
         assert _resting_geometry(twin, config) is _resting_geometry(first, config)
         yawed = dataclasses.replace(first, pose=Pose(z=-5.0, yaw=35.0))
         raised = dataclasses.replace(first, pose=Pose(z=15.0, yaw=20.0))
         for other in (yawed, raised) if first.kind is ShapeKind.CUBOID else (raised,):
             assert _resting_geometry(other, config) is not _resting_geometry(first, config)
-            records = resolve_contacts(60.0, other, config).records
-            assert records == tuple(level_contacts(60.0, other, config, TPU95A, 0.5, 0.0, 1.0))
-            assert records != resolve_contacts(60.0, first, config).records
+            rows = contact_rows(resolve_contacts(60.0, other, config))
+            assert rows == tuple(level_contacts(60.0, other, config, TPU95A, 0.5, 0.0, 1.0))
+            assert rows != contact_rows(resolve_contacts(60.0, first, config))
 
         geometry, faces, _ = _resting_geometry(first, config)
         arrays = [geometry.width, geometry.engagement, geometry.inclination, *faces]
@@ -606,7 +647,7 @@ def test_trace_equals_scalar_contacts_at_every_lift(
     config = GripperConfig(finger_count=fingers, curvature_threshold=curvature_threshold)
     trace = pullout_trace(theta, probe, config, material, mu, grid, torque_scale)
     expected = [
-        pullout_capacity(level_contacts(theta, probe, config, material, mu, lift, torque_scale))
+        oracles.scalar_pullout_capacity(level_contacts(theta, probe, config, material, mu, lift, torque_scale))
         for lift in grid
     ]
     assert np.array_equal(trace.forces, expected)
@@ -617,7 +658,7 @@ def test_trace_equals_scalar_contacts_on_the_default_grids():
         for theta in (60.0, 75.0, 90.0):
             trace = pullout_trace(theta, probe, material=SIL950, mu=0.4)
             expected = [
-                pullout_capacity(level_contacts(theta, probe, GripperConfig(), SIL950, 0.4, lift, 1.0))
+                oracles.scalar_pullout_capacity(level_contacts(theta, probe, GripperConfig(), SIL950, 0.4, lift, 1.0))
                 for lift in trace.lifts
             ]
             assert np.array_equal(trace.forces, expected)

@@ -366,7 +366,7 @@ _SMALL_BALL = parse_scenario({
 @example(scn=_SMALL_BALL, theta=10.0)  # nothing presses
 def test_one_shot_contact_tables_of_random_grasps_match_the_scalar_oracle(scn, theta):
     scn = dataclasses.replace(scn, theta=theta)
-    records = oracles.level_contacts(theta, scn.obj, scn.config, scn.material, scn.mu, 0.0, scn.torque_scale)
+    rows = oracles.level_contacts(theta, scn.obj, scn.config, scn.material, scn.mu, 0.0, scn.torque_scale)
     expected = [
         {
             "finger": rec.finger_index,
@@ -380,7 +380,7 @@ def test_one_shot_contact_tables_of_random_grasps_match_the_scalar_oracle(scn, t
             "overcompressed": rec.overcompressed,
             "overfolded": rec.overfolded,
         }
-        for rec in records
+        for rec in rows
     ]
     table = run_scenario(scn)["contacts"]
     assert [[(key, type(value), value) for key, value in row.items()] for row in table] == [
