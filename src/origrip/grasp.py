@@ -162,6 +162,8 @@ class ContactSet:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
+        if self is other:
+            return True
         # tuples compare a NaN theta, which every set of a sweep shares as math.nan, equal to itself
         if (self.grasp_mode, self.theta, self.char_radius) != (other.grasp_mode, other.theta, other.char_radius):
             return False
@@ -771,23 +773,21 @@ def squeeze_force(contacts: ContactSet, finger_index: int | None = None) -> floa
     This is what a probe sensor reads while being squeezed: the horizontal
     push of one side's modules.
     """
-    if finger_index is None:
-        return _point_totals(contacts, [0, len(contacts)])[1][0]
-    return _point_totals(contacts, [0, len(contacts)], finger_index)[2][0]
+    if finger_index is not None:
+        contacts = contacts.finger(finger_index)
+    return _point_totals(contacts, [0, len(contacts)])[1][0]
 
 
-def _point_totals(
-    contacts: ContactSet, bounds: list[int], side: int = 0
-) -> tuple[list[int], list, list, list[float]]:
+def _point_totals(contacts: ContactSet, bounds: list[int]) -> tuple[list[int], list, list, list[float]]:
     """Per run ``contacts[bounds[p]:bounds[p + 1]]``, the runs lying end to
     end from contact 0: the contact count, the squeeze of all fingers and of
-    finger ``side`` (0, an int, where nothing presses) and the pull-out
-    capacity, each summed contact by contact.  ``squeeze_force`` and
+    finger 0 (0, an int, where nothing presses) and the pull-out capacity,
+    each summed contact by contact.  ``squeeze_force`` and
     ``pullout_capacity`` are its one-run case."""
     c = contacts
     pushes = (c.normal_force * c.incl_cos).tolist()
     terms = _capacity_term(c.mu, c.normal_force, c.incl_cos, c.incl_sin).tolist()
-    on_side = (c.finger_index == side).tolist()
+    on_side = (c.finger_index == 0).tolist()
     counts, squeezes, sides, capacities = [], [], [], []
     each = zip(pushes, on_side, terms)  # one walk over the contacts, run after run
     for lo, hi in zip(bounds, bounds[1:]):

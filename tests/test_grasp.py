@@ -554,6 +554,9 @@ def test_contact_sets_compare_by_grasp_fields_and_columns():
     swept, again = (_resolve([50.0, 60.0], V_PROBE, None, TPU95A, 0.3, 1.0)[1] for _ in range(2))
     assert math.isnan(swept.theta) and swept == swept
     assert swept == again and hash(swept) == hash(again)
+    # a set holding a NaN in a column equals itself, though not a copy of itself
+    poisoned = dataclasses.replace(contacts, normal_force=np.full(len(contacts), math.nan))
+    assert poisoned == poisoned and poisoned != dataclasses.replace(poisoned)
 
 
 def test_a_contact_set_has_a_bend_angle_column_exactly_when_enveloping():
