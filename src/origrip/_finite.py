@@ -51,7 +51,7 @@ _FINITE = Range()
 # A scene key and the model field it fills share one line when their names
 # differ: size/dims, strain_range/strain_lo/strain_hi, angle_range/angle_*.
 RANGES: dict[str, Range] = {
-    **dict.fromkeys(("x", "y", "z", "pick", "place_bottom", "place_top"), Range(-MAX_LENGTH, MAX_LENGTH)),
+    **dict.fromkeys(("z", "pick", "place_bottom", "place_top"), Range(-MAX_LENGTH, MAX_LENGTH)),
     **dict.fromkeys(("size", "dims", "r0", "slope", "module_offset", "module_levels", "approach_height",
                      "lift_step"), Range(0.0, MAX_LENGTH, lo_open=True)),
     **dict.fromkeys(("module_height", "rest_depth", "panel_span", "bend_lever_arm"),

@@ -126,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scene_args(swp)
     swp.add_argument("--axis", required=True, help="dotted field path, e.g. theta or object.mass")
     swp.add_argument(
-        "--values", required=True, help="comma list (30,45,60) or range lo:hi:step"
+        "--values", required=True,
+        help="comma list (30,45,60) or range lo:hi:step; write one that starts below 0 as --values=-10,0",
     )
 
     scenes = sub.add_parser("scenes", help="list bundled demo scenes")

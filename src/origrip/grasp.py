@@ -120,12 +120,13 @@ class ContactSet:
     (rows for ``normal`` and ``position``), in (level, finger) order when
     resolved.  A contact's mode follows the grasp: compression in a parallel
     grasp, bending in an enveloping one, which alone has ``bend_angle``.
-    Subsets share the columns, which are never written.  Equality compares
-    the grasp fields and each column by value.
+    Subsets share the columns, which are never written.  A set holds no
+    servo angle: one pass of a sweep resolves many angles into one set.
+    Equality compares the grasp mode, ``char_radius`` and each column by
+    value, and a set equals itself even when a column holds a NaN.
     """
 
     grasp_mode: GraspMode
-    theta: float
     char_radius: float               # torque normalization length, mm
     finger_index: np.ndarray
     level: np.ndarray                # 0 = bottom module, upward
@@ -142,7 +143,7 @@ class ContactSet:
     overcompressed: np.ndarray
     overfolded: np.ndarray
 
-    def __init__(self, grasp_mode: GraspMode, theta: float, char_radius: float, **columns: np.ndarray | None):
+    def __init__(self, grasp_mode: GraspMode, char_radius: float, **columns: np.ndarray | None):
         # one dict update in place of a frozen dataclass's setattr per field: hold windows build one set per angle
         if columns.keys() != _COLUMN_SET:
             raise TypeError(f"ContactSet needs the columns {', '.join(_COLUMNS)}")
@@ -152,7 +153,7 @@ class ContactSet:
                 f"a {grasp_mode.value} grasp has {_CONTACT_MODES[grasp_mode].value} contacts, "
                 f"with a bend angle {'each' if enveloping else 'on none'}"
             )
-        self.__dict__.update(grasp_mode=grasp_mode, theta=theta, char_radius=char_radius, **columns)
+        self.__dict__.update(grasp_mode=grasp_mode, char_radius=char_radius, **columns)
 
     @property
     def contact_mode(self) -> ContactMode:
@@ -164,25 +165,24 @@ class ContactSet:
             return NotImplemented
         if self is other:
             return True
-        # tuples compare a NaN theta, which every set of a sweep shares as math.nan, equal to itself
-        if (self.grasp_mode, self.theta, self.char_radius) != (other.grasp_mode, other.theta, other.char_radius):
+        if (self.grasp_mode, self.char_radius) != (other.grasp_mode, other.char_radius):
             return False
         return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS)
 
     def __hash__(self) -> int:
-        return hash((self.grasp_mode, self.theta, self.char_radius, len(self)))
+        return hash((self.grasp_mode, self.char_radius, len(self)))
 
     def __len__(self) -> int:
         return len(self.normal_force)
 
-    def _take(self, keep: np.ndarray | slice, theta: float) -> "ContactSet":
-        """The contacts ``keep`` selects, at ``theta``."""
+    def _take(self, keep: np.ndarray | slice) -> "ContactSet":
+        """The contacts ``keep`` selects."""
         columns = {name: None if (column := getattr(self, name)) is None else column[keep] for name in _COLUMNS}
-        return ContactSet(self.grasp_mode, theta, self.char_radius, **columns)
+        return ContactSet(self.grasp_mode, self.char_radius, **columns)
 
     def finger(self, index: int) -> "ContactSet":
         """Sub-set of the contacts belonging to one finger."""
-        return self._take(self.finger_index == index, self.theta)
+        return self._take(self.finger_index == index)
 
 
 @dataclass(frozen=True)
@@ -380,8 +380,7 @@ def _resolve(
     """The openings at ``thetas`` and their contacts, from one pass of the
     contact model: the lift-0 geometry is broadcast over a column of
     apertures, so the contacts come out point by point, point ``p``
-    holding the entries ``bounds[p]:bounds[p + 1]``; their ``theta`` is NaN
-    unless there is one point."""
+    holding the entries ``bounds[p]:bounds[p + 1]``."""
     config = config or GripperConfig()
     material = material or TPU95A
     geometry, faces, char_radius = _resting_geometry(obj, config)
@@ -401,7 +400,7 @@ def _resolve(
     mus = np.empty(len(face))
     mus.fill(mu)
     contacts = ContactSet(
-        geometry.mode, thetas[0] if len(thetas) == 1 else math.nan, char_radius,
+        geometry.mode, char_radius,
         finger_index=ids[:, 0],
         level=ids[:, 1],
         penetration=pens,

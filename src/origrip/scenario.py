@@ -159,17 +159,14 @@ class Field:
 
 @dataclass(frozen=True, eq=False)
 class Section:
-    """A mapping of fields, built into one object once every field reads cleanly.
-
-    ``extra_keys`` are accepted without being read here.
-    """
+    """A mapping of fields, built into one object once every field reads
+    cleanly; any other key is unknown."""
 
     fields: tuple[Field, ...]
     build: Callable[[dict], Any]
-    extra_keys: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "keys", frozenset(f.key for f in self.fields) | set(self.extra_keys))
+        object.__setattr__(self, "keys", frozenset(f.key for f in self.fields))
 
 
 def _write(fields: tuple[Field, ...], obj: Any) -> dict:
@@ -293,7 +290,6 @@ def _mech_fields(src: str) -> tuple[Field, ...]:
 
 
 _THETA = Field("theta", required=True, convert=_theta_in_law)
-_ROOT_KEYS = ("kind", "name")
 
 
 def _grasp_kind(cls: type, obj_attr: str, default_name: str, *extra: Field) -> Section:
@@ -305,10 +301,10 @@ def _grasp_kind(cls: type, obj_attr: str, default_name: str, *extra: Field) -> S
             v["name"], v["gripper"], v["material"], v["mu"], v["torque_scale"], v["theta"], v["object"],
             *(v[f.key] for f in extra), _carried_materials(v),
         ),
-        _ROOT_KEYS,
     )
 
 
+# each kind's section reads the scene less its ``kind`` and ``name``
 _KINDS: dict[str, Section] = {
     "single_grasp": _grasp_kind(SingleGraspScenario, "obj", "object"),
     "pullout": _grasp_kind(
@@ -332,13 +328,10 @@ _KINDS: dict[str, Section] = {
             v["clearance"],
             _carried_materials(v),
         ),
-        _ROOT_KEYS,
     ),
-    # a pick-and-place scene accepts, and ignores, the grasping kinds' sections
     "pickplace": Section(
         (Field("cycle", SECTION, required=True, section=_CYCLE, attr="spec"),),
         lambda v: PickPlaceScenario(v["name"], v["cycle"]),
-        _ROOT_KEYS + ("gripper", "materials"),
     ),
 }
 
@@ -488,7 +481,8 @@ def parse_scenario(data: Any, source: str = "<dict>") -> Scenario:
     name = _read_field(errors, data, "name", _NAME, {})
     if not isinstance(name, str) or not name:
         name = Path(source).stem if source not in ("<dict>", "") else "scenario"
-    scn = _read_section(errors, data, "", _KINDS[kind], {"name": name})
+    body = {key: value for key, value in data.items() if key not in ("kind", "name")}
+    scn = _read_section(errors, body, "", _KINDS[kind], {"name": name})
     if errors:
         raise ScenarioError(errors)
     return scn

@@ -52,13 +52,12 @@ DIM_COUNTS = {
 
 @dataclass(frozen=True)
 class Pose:
-    """Planar placement plus stacking info.  ``z`` is the base height."""
+    """Base height ``z`` and turn about the vertical.  The fingers close
+    symmetrically, so the model centres every object on the gripper axis
+    and a pose has no horizontal offset."""
 
-    x: float = 0.0
-    y: float = 0.0
     z: float = 0.0
     yaw: float = 0.0          # deg
-    stack_level: int = 0
 
     def __post_init__(self):
         require_finite(self)
@@ -70,7 +69,6 @@ class ObjectShape:
     dims: tuple[float, ...]
     mass: float = 0.0         # kg
     name: str = ""
-    material: str = ""
     pose: Pose = field(default_factory=Pose)
 
     def __post_init__(self):
@@ -223,5 +221,4 @@ def bounding_radius(obj: ObjectShape) -> float:
 def stack_on(top: ObjectShape, bottom: ObjectShape, gap: float = 0.0) -> ObjectShape:
     """Copy of ``top`` resting on ``bottom`` (plus an optional gap)."""
     base = bottom.pose.z + vertical_extent(bottom) + gap
-    pose = replace(top.pose, z=base, stack_level=bottom.pose.stack_level + 1)
-    return replace(top, pose=pose)
+    return replace(top, pose=replace(top.pose, z=base))

@@ -69,9 +69,6 @@ class Trajectory:
     def count(self, action: Action) -> int:
         return sum(1 for s in self.segments if s.action is action)
 
-    def __add__(self, other: "Trajectory") -> "Trajectory":
-        return Trajectory(self.segments + other.segments)
-
 
 @dataclass(frozen=True)
 class CycleSpec:

@@ -452,6 +452,19 @@ def test_compare_command(capsys):
     assert record["outputs"]["time_reduction"] == pytest.approx(0.31, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "key, body", [("gripper", {"finger_count": 3, "bogus": "x"}), ("materials", "not a mapping")]
+)
+def test_a_pickplace_scene_with_a_grasping_section_is_invalid(capsys, tmp_path, key, body):
+    path = tmp_path / "scene.yaml"
+    path.write_text(yaml.safe_dump({**yaml.safe_load(Path(PICKPLACE).read_text()), key: body}))
+    code, record, err = run_json(capsys, ["compare", "--scene", str(path)])
+    assert code == EXIT_INVALID
+    assert record is None
+    assert err.startswith("origrip:") and f"{key}: unknown key" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_range_values(capsys):
     code, record, _ = run_json(
         capsys, ["sweep", "--scene", ENVELOPING, "--axis", "theta", "--values", "30:60:15"]
@@ -476,6 +489,19 @@ def test_sweep_ranges_step_from_the_start_and_stop_at_the_end(capsys):
     code, record, err = run_json(capsys, argv + ["45:45:1e-12"])  # lo == hi is one point, however small the step
     assert code == EXIT_OK, err
     assert [row["theta"] for row in record["outputs"]] == [45.0]
+
+
+def test_a_sweep_list_that_starts_below_zero_is_written_with_an_equals_sign(capsys):
+    argv = ["sweep", "--scene", ENVELOPING, "--axis", "object.z"]
+    code, record, err = run_json(capsys, argv + ["--values=-10,0"])
+    assert code == EXIT_OK, err
+    assert [row["object.z"] for row in record["outputs"]] == [-10.0, 0.0]
+    for spaced in ("-10,0", "-10:0:5"):  # argparse reads the separate token as an option
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["--values", spaced])
+        err = capsys.readouterr().err
+        assert exc_info.value.code == EXIT_INVALID
+        assert "argument --values: expected one argument" in err and "Traceback" not in err
 
 
 def test_sweep_comma_values_csv(capsys):

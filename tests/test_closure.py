@@ -298,7 +298,7 @@ def contact_sets(draw) -> ContactSet:
         mus.append(draw(st.just(0.0) | st.floats(0.0, 2.0)))
     n = len(forces)
     return ContactSet(
-        GraspMode.PARALLEL, 30.0, draw(st.floats(1.0, 100.0)),
+        GraspMode.PARALLEL, draw(st.floats(1.0, 100.0)),
         finger_index=np.zeros(n, dtype=np.intp),
         level=np.zeros(n, dtype=np.intp),
         penetration=np.ones(n),
@@ -329,7 +329,7 @@ def test_wrench_primitives_equal_the_scalar_oracle(contacts):
 def test_wrench_primitives_of_resolved_contacts_equal_the_scalar_oracle():
     for mu in (0.0, MU_STAR):
         contacts = resolve_contacts(60.0, V_PROBE, material=TPU95A, mu=mu)
-        lone = contacts._take(slice(0, 1), 60.0)
+        lone = contacts._take(slice(0, 1))
         for subset in (contacts, lone):
             assert np.array_equal(contact_wrench_primitives(subset), _oracle_primitives(subset))
 
@@ -404,7 +404,7 @@ def test_closure_summary_parallel():
 
 def test_closure_summary_single_contact():
     contacts = resolve_contacts(30.0, P_PROBE, material=TPU95A, mu=0.5)
-    lone = contacts._take(slice(0, 1), 30.0)
+    lone = contacts._take(slice(0, 1))
     summary = closure_summary(lone, P_PROBE)
     assert not summary.force_closure
     assert summary.margin == 0.0
@@ -493,7 +493,7 @@ def test_deciding_sets_together_equals_deciding_each_alone(sets, grown, seed):
 
 def test_a_run_of_fewer_than_two_contacts_is_never_decided():
     contacts = resolve_contacts(30.0, P_PROBE, material=TPU95A, mu=0.5)
-    doubled = contacts._take(np.r_[0, :len(contacts)], math.nan)
+    doubled = contacts._take(np.r_[0, :len(contacts)])
     force = doubled.normal_force.copy()
     force[0] = math.nan
     runs = dataclasses.replace(doubled, normal_force=force)

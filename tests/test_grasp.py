@@ -540,9 +540,9 @@ def test_a_finger_holds_its_own_contacts():
 def test_contact_sets_compare_by_grasp_fields_and_columns():
     contacts = resolve_contacts(60.0, V_PROBE, GripperConfig(finger_count=4), TPU95A, mu=0.3)
     copies = {name: column.copy() for name, column in _columns(contacts).items()}
-    rebuilt = ContactSet(contacts.grasp_mode, contacts.theta, contacts.char_radius, **copies)
+    rebuilt = ContactSet(contacts.grasp_mode, contacts.char_radius, **copies)
     assert rebuilt == contacts and hash(rebuilt) == hash(contacts)
-    assert rebuilt != dataclasses.replace(contacts, theta=61.0)
+    assert not hasattr(contacts, "theta")  # a set holds no servo angle
     assert rebuilt != dataclasses.replace(contacts, char_radius=contacts.char_radius + 1.0)
     for name, column in copies.items():
         changed = ~column if column.dtype == bool else column + 1
@@ -550,10 +550,9 @@ def test_contact_sets_compare_by_grasp_fields_and_columns():
     # a parallel set, whose bend_angle is None, compares its other columns
     parallel = resolve_contacts(30.0, P_PROBE, material=TPU95A, mu=0.3)
     assert parallel == resolve_contacts(30.0, P_PROBE, material=TPU95A, mu=0.3) != parallel.finger(0)
-    # the sets of a sweep share the theta math.nan: each equals itself and its equal
+    # the set of a sweep's points equals itself and its equal
     swept, again = (_resolve([50.0, 60.0], V_PROBE, None, TPU95A, 0.3, 1.0)[1] for _ in range(2))
-    assert math.isnan(swept.theta) and swept == swept
-    assert swept == again and hash(swept) == hash(again)
+    assert swept == swept == again and hash(swept) == hash(again)
     # a set holding a NaN in a column equals itself, though not a copy of itself
     poisoned = dataclasses.replace(contacts, normal_force=np.full(len(contacts), math.nan))
     assert poisoned == poisoned and poisoned != dataclasses.replace(poisoned)
@@ -566,12 +565,12 @@ def test_a_contact_set_has_a_bend_angle_column_exactly_when_enveloping():
     for contacts, bend_angle in ((parallel, parallel.penetration), (enveloping, None)):
         mode = contacts.grasp_mode
         with pytest.raises(ValueError, match=f"^a {mode.value} grasp has {contacts.contact_mode.value} contacts"):
-            ContactSet(mode, 60.0, contacts.char_radius, **{**_columns(contacts), "bend_angle": bend_angle})
+            ContactSet(mode, contacts.char_radius, **{**_columns(contacts), "bend_angle": bend_angle})
     columns = _columns(parallel)
     del columns["mu"]
     for wrong in (columns, {**columns, "mu": parallel.mu, "mode": parallel.mu}):
         with pytest.raises(TypeError, match="needs the columns"):
-            ContactSet(GraspMode.PARALLEL, 60.0, parallel.char_radius, **wrong)
+            ContactSet(GraspMode.PARALLEL, parallel.char_radius, **wrong)
 
 
 def test_contact_geometry_is_shared_by_equal_objects_only():

@@ -18,7 +18,6 @@ import pytest
 from origrip import (
     RANGES,
     PlanError,
-    Pose,
     ScenarioError,
     default_lift_grid,
     closure_summary,
@@ -76,8 +75,6 @@ def _pair(v):
 # taking the parsed scene and the value); no scene path for a model field
 # that no scene key fills
 CASES = {
-    "x": (None, None, None, lambda s, v: Pose(x=v)),
-    "y": (None, None, None, lambda s, v: Pose(y=v)),
     "z": ("grasp_enveloping", "object.z", None, lambda s, v: replace(s.obj.pose, z=v)),
     "size": ("grasp_enveloping", "object.size", ALL, _replace("obj", "dims", lambda v: (v, v, v))),
     "dims": ("grasp_parallel", "object.size", 1, _replace("obj", "dims", lambda v: (63.0, v, 100.0))),

@@ -152,6 +152,17 @@ def test_stacked_objects_cannot_set_height():
     assert exc_info.value.errors == ["top.z: unknown key"]
 
 
+@pytest.mark.parametrize(
+    "key, body", [("gripper", {"finger_count": 3, "bogus": "x"}), ("materials", "not a mapping")]
+)
+def test_a_pickplace_scene_takes_no_grasping_sections(key, body):
+    data = yaml.safe_load(demo_scene_path("pickplace_comparison").read_text())
+    assert isinstance(parse_scenario(data), PickPlaceScenario)  # kind, name and cycle
+    with pytest.raises(ScenarioError) as exc_info:
+        parse_scenario({**data, key: body})
+    assert exc_info.value.errors == [f"{key}: unknown key"]
+
+
 def test_unknown_material_lists_known_names():
     with pytest.raises(ScenarioError) as exc_info:
         parse_scenario(minimal_grasp(material="unobtainium"))

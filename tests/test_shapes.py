@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -156,6 +157,18 @@ def test_widths_equal_the_scalar_oracle(obj, bearing, height):
     assert local_width(obj, bearing, z) == oracles.scalar_local_width(obj, bearing, z)
 
 
+def test_an_object_is_centred_and_carries_no_unread_field():
+    assert [f.name for f in dataclasses.fields(Pose)] == ["z", "yaw"]
+    assert [f.name for f in dataclasses.fields(ObjectShape)] == ["kind", "dims", "mass", "name", "pose"]
+    for key in ("x", "y", "stack_level"):
+        with pytest.raises(TypeError):
+            Pose(**{key: 1.0})
+    with pytest.raises(TypeError):
+        ObjectShape(ShapeKind.SPHERE, (60.0,), material="steel")
+    with pytest.raises(TypeError):
+        sphere(60.0, material="steel")
+
+
 def test_bounding_radius():
     assert bounding_radius(cube(52.0)) == pytest.approx(52.0 * math.sqrt(2.0) / 2.0)
     assert bounding_radius(cuboid(60.0, 40.0, 100.0)) == pytest.approx(math.hypot(60.0, 40.0) / 2.0)
@@ -168,7 +181,6 @@ def test_stack_on():
     top = sphere(40.0)
     placed = stack_on(top, bottom)
     assert placed.pose.z == 50.0
-    assert placed.pose.stack_level == 1
     assert top.pose.z == 0.0  # original untouched
     with_gap = stack_on(top, bottom, gap=2.0)
     assert with_gap.pose.z == 52.0

@@ -114,15 +114,6 @@ def test_calibrated_scene_reductions():
     assert comparison.multiobject.process_time == pytest.approx(50.21908652060898, abs=1e-9)
 
 
-def test_trajectory_addition():
-    a = build_sequential(CycleSpec())
-    b = build_multiobject(CycleSpec())
-    combined = a + b
-    assert len(combined.segments) == 26
-    assert combined.path_distance == a.path_distance + b.path_distance
-    assert combined.process_time == a.process_time + b.process_time
-
-
 sites = st.tuples(
     st.floats(min_value=-500.0, max_value=500.0),
     st.floats(min_value=-500.0, max_value=500.0),
