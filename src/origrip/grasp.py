@@ -26,12 +26,18 @@ gripper rises: faces slide toward or past the narrowing sections and then
 off the top of the object, which reproduces flat plateaus with discrete
 drops for parallel grasps and a smoothly varying curve for enveloping ones.
 One model serves both: ``_contact_geometry`` places every module face on
-the object over (level, finger, lift) independently of the servo angle, and
-``_contact_loads`` turns that geometry into penetrations and forces.  The
-third axis is lift for a trace, which runs both over its lift grid at one
-aperture.  ``_resolve`` runs the loads on the lift-0 geometry, cached per
-(object, gripper) as (1, level, finger) arrays, with the apertures of a
-list of servo angles on the first axis instead, so a theta sweep resolves
+the object over (level, column, lift) independently of the servo angle, and
+``_contact_loads`` turns that geometry into penetrations and module-curve
+forces, which the engaged fraction of each face scales.  One drive moves
+every finger, so fingers that meet the object at one width share a column,
+and an object with vertical sides has one width at every lift, so its width
+keeps a lift axis of length 1.  A trace runs both over its lift grid at one
+aperture: each curve once per (level, column) cell that presses at some
+lift, then the engagement at each lift, gathered back to (level, finger,
+lift) for the sum.  ``_resolve`` runs the loads on the lift-0 geometry,
+cached per (object, gripper) as (1, level, finger) arrays, one column per
+finger, with the apertures of a list of servo angles on the first axis
+instead, so a theta sweep resolves
 every point in one pass into one contact set that runs point by point as
 it comes out of the mask, and the bounds of each point's run in it; a
 one-shot grasp and ``resolve_contacts``, which hold windows call at many
@@ -233,18 +239,24 @@ def _asin_deg(x: np.ndarray) -> np.ndarray:
 
 
 class _Geometry(NamedTuple):
-    """Where each module face meets the object, over (level, finger, lift).
+    """Where each module face meets the object, over (level, column, lift).
 
-    None of it depends on the servo angle.  ``width`` is the object's local
-    width along the finger's bearing, -inf where the face misses the
-    object, so no aperture makes such a face press.
+    None of it depends on the servo angle.  Fingers that meet the object at
+    one width share a column, and ``column`` maps each finger to its own.
+    ``width`` is the object's local width in a column, -inf where the face
+    misses the object, so no aperture makes such a face press.  An object
+    with vertical sides has one width at every lift: its ``width`` and
+    ``r_h`` keep a lift axis of length 1, where -inf marks a level that
+    misses the object at every lift, and ``engagement``, 0 where a face is
+    off the object, marks the lifts.
     """
 
     mode: GraspMode
-    width: np.ndarray                # mm
-    engagement: np.ndarray           # fraction of the face on the object
-    inclination: np.ndarray          # deg, out-of-plane tilt of the normal
-    r_h: np.ndarray | None           # cross-section radius, mm; enveloping only
+    width: np.ndarray                # mm, (level, column, lift or 1)
+    engagement: np.ndarray           # fraction of the face on the object, (level, 1, lift)
+    inclination: np.ndarray          # deg, out-of-plane tilt of the normal, (level, 1, lift)
+    r_h: np.ndarray | None           # cross-section radius, mm, (level, 1, lift or 1); enveloping only
+    column: np.ndarray               # the column of each finger
 
 
 def _contact_geometry(obj: ObjectShape, config: GripperConfig, lifts: np.ndarray) -> _Geometry:
@@ -256,12 +268,15 @@ def _contact_geometry(obj: ObjectShape, config: GripperConfig, lifts: np.ndarray
     overlap_lo = np.maximum(levels - half_face + lifts, span_lo)
     overlap_hi = np.minimum(levels + half_face + lifts, span_hi)
     on = overlap_hi > overlap_lo
-    engagement = (overlap_hi - overlap_lo) / config.module_height
+    engagement = np.maximum(overlap_hi - overlap_lo, 0.0) / config.module_height
     # The face presses hardest at the widest covered section.
     z_contact = np.minimum(np.maximum(z_eq, overlap_lo), overlap_hi)
 
-    # local_width along bearing 0 (for r_h) and along each finger
-    width = np.array([width_along(obj, bearing) for bearing in (0.0, *finger_bearings(config))])[:, None]
+    # one column per distinct local width along a finger, finger 0 (bearing 0) first
+    widths = [width_along(obj, bearing) for bearing in finger_bearings(config)]
+    distinct = list(dict.fromkeys(widths))
+    column = np.array([distinct.index(w) for w in widths])
+    width = np.array(distinct)[:, None]
     inclination = np.zeros(z_contact.shape)
     r_v = vertical_profile_radius(obj)
     if r_v is not None:  # a barrel narrows away from its equator
@@ -271,14 +286,14 @@ def _contact_geometry(obj: ObjectShape, config: GripperConfig, lifts: np.ndarray
         depth = z_eq - z_contact
         hooked = depth > 0.0
         inclination[hooked] = np.minimum(_MAX_INCLINATION, _asin_deg(np.minimum(1.0, depth[hooked] / r_v)))
+    else:  # vertical sides: a level's width is the same at every lift where it touches
+        on = on.any(axis=2, keepdims=True)
     width = np.where(on, width, -np.inf)
 
-    fingers = width.shape[1] - 1
     mode = grasp_mode(obj, config)
     # the cross-section radius at the contact height, from the width along bearing 0
-    r_h = np.repeat(width[:, :1] / 2.0, fingers, axis=1) if mode is GraspMode.V_ENVELOPING else None
-    engagement, inclination = (np.repeat(a, fingers, axis=1) for a in (engagement, inclination))
-    return _Geometry(mode, width[:, 1:], engagement, inclination, r_h)
+    r_h = width[:, :1] / 2.0 if mode is GraspMode.V_ENVELOPING else None
+    return _Geometry(mode, width, engagement, inclination, r_h, column)
 
 
 class _Faces(NamedTuple):
@@ -295,12 +310,15 @@ class _Faces(NamedTuple):
 
 @lru_cache(maxsize=256)  # sweeps and hold windows resolve one object at many angles
 def _resting_geometry(obj: ObjectShape, config: GripperConfig) -> tuple[_Geometry, _Faces, float]:
-    """``_contact_geometry`` at lift 0 as (1, level, finger) arrays, whose
-    first axis takes a column of apertures, and its face columns, shared
-    read-only between calls, and the object's bounding radius."""
+    """``_contact_geometry`` at lift 0 as (1, level, finger) arrays, one
+    column per finger, whose first axis takes a column of apertures, and
+    its face columns, shared read-only between calls, and the object's
+    bounding radius."""
     lifted = _contact_geometry(obj, config, np.zeros(1))
-    geometry = lifted._replace(**{
-        name: array[None, ..., 0] for name, array in zip(lifted._fields[1:], lifted[1:]) if array is not None
+    width = lifted.width[:, lifted.column, 0][None]
+    geometry = lifted._replace(width=width, column=np.arange(width.shape[2]), **{
+        name: np.broadcast_to(array[None, ..., 0], width.shape).copy()
+        for name in ("engagement", "inclination", "r_h") if (array := getattr(lifted, name)) is not None
     })
     _, levels, fingers = geometry.width.shape
     level, finger = (a.ravel() for a in np.indices((levels, fingers)))
@@ -332,28 +350,27 @@ def _contact_loads(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
     """Contact loads at an aperture, or at each of a (point, 1, 1) column of
     them against the (1, level, finger) geometry of ``_resting_geometry``:
-    the mask of faces that press, over (level, finger, lift) or (point,
+    the mask of faces that press, over (level, column, lift) or (point,
     level, finger), then per pressing face, in that order, the penetration
-    (mm), the bend angle (deg, None unless enveloping), the normal force
-    (N) and whether the module is overcompressed (overfolded when
-    enveloping)."""
+    (mm), the bend angle (deg, None unless enveloping), the module curve's
+    normal force on a fully engaged face (N) and whether the module is
+    overcompressed (overfolded when enveloping)."""
     pen = (geometry.width - aperture) / 2.0
     hit = pen > 0.0
     pen = pen[hit]
     enveloping = geometry.mode is GraspMode.V_ENVELOPING
     if not pen.size:  # empty columns: no curve, and no torque scale, is judged, as in the scalar model
         return hit, pen, pen if enveloping else None, pen, hit[hit]
-    engagement = _pressing(geometry.engagement, hit)
     if not enveloping:
         strain = pen / config.rest_depth
-        return hit, pen, None, engagement * compression_forces(strain, material), strain > 1.0
+        return hit, pen, None, compression_forces(strain, material), strain > 1.0
     bend = _wrap_edge(pen, _pressing(geometry.r_h, hit), config.panel_span / 2.0) / 2.0
-    force = engagement * bending_contact_force(bend, config.bend_lever_arm, material, torque_scale)
+    force = bending_contact_force(bend, config.bend_lever_arm, material, torque_scale)
     return hit, pen, bend, force, bend > material.angle_hi
 
 
 def _pressing(values: np.ndarray, hit: np.ndarray) -> np.ndarray:
-    """The entries of geometry ``values`` where ``hit``, over all of its apertures."""
+    """The entries of geometry ``values`` where ``hit``, over all of its apertures or columns."""
     return values[hit] if values.shape == hit.shape else np.broadcast_to(values, hit.shape)[hit]
 
 
@@ -387,7 +404,7 @@ def _resolve(
     require("mu", mu)
     openings = tuple(opening(theta, config) for theta in thetas)
     apertures = np.array(openings).reshape(-1, 1, 1)
-    hit, pens, bends, forces, overloads = _contact_loads(geometry, apertures, config, material, torque_scale)
+    hit, pens, bends, curves, overloads = _contact_loads(geometry, apertures, config, material, torque_scale)
     if len(thetas) == 1:
         (face,) = hit.ravel().nonzero()
         bounds = [0, len(face)]
@@ -405,7 +422,7 @@ def _resolve(
         level=ids[:, 1],
         penetration=pens,
         bend_angle=bends,
-        normal_force=forces,
+        normal_force=values[:, 7] * curves,  # the engaged fraction of each face
         normal=values[:, 0:2],
         position=values[:, 2:4],
         inclination=values[:, 4],
@@ -896,12 +913,14 @@ def pullout_trace(
 
     geometry = _contact_geometry(probe, config, lifts)
     require("mu", mu)
-    hit, _, _, force, _ = _contact_loads(geometry, opening(theta, config), config, material, torque_scale)
-    rad = np.radians(geometry.inclination[hit])
-    terms = np.zeros(hit.shape)
-    terms[hit] = _capacity_term(mu, force, np.cos(rad), np.sin(rad))
+    hit, _, _, curves, _ = _contact_loads(geometry, opening(theta, config), config, material, torque_scale)
+    # each curve is run once per (level, column) cell that presses at some lift
+    cells = np.zeros(hit.shape)
+    cells[hit] = curves
+    rad = np.radians(geometry.inclination)
+    terms = _capacity_term(mu, geometry.engagement * cells, np.cos(rad), np.sin(rad))
     # pullout_capacity's sum: contact by contact, level-major then finger-minor
-    forces = _contact_sums(terms.reshape(-1, lifts.size))
+    forces = _contact_sums(terms[:, geometry.column].reshape(-1, lifts.size))
     top = config.module_levels[-1]
     bottom = config.module_levels[0]
     half_face = config.module_height / 2.0

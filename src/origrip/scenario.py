@@ -999,12 +999,13 @@ def _json_text(data: Any, indent: str) -> str:
     inner = indent + "  "
     sep = ",\n" + inner
     if (kind is list or kind is tuple) and data:
-        if {*map(type, data)} == {float}:
-            if not all(map(math.isfinite, data)):  # raise for the first NaN or infinity
-                _finite_repr(next(v for v in data if not math.isfinite(v)))
+        try:  # a list of floats in one pass; any other item (a bool too) raises TypeError
             body = sep.join(map(float.__repr__, data))
-        else:
+        except TypeError:
             body = sep.join(_dict_texts(data, inner) or [_json_text(item, inner) for item in data])
+        else:
+            if "n" in body:  # "nan", "inf" or "-inf": no finite float's text holds an n
+                _finite_repr(next(v for v in data if not math.isfinite(v)))
         return f"[\n{inner}{body}\n{indent}]"
     if kind is dict:
         texts = _dict_texts((data,), indent)

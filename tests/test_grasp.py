@@ -21,6 +21,7 @@ from origrip import (
     ShapeKind,
     TPU95A,
     TransmissionLaw,
+    bending_contact_force,
     calibrate_friction,
     cube,
     cuboid,
@@ -35,6 +36,7 @@ from origrip import (
     resolve_contacts,
     sphere,
     squeeze_force,
+    z_span,
 )
 import oracles
 from oracles import contact_rows, level_contacts
@@ -616,9 +618,9 @@ def test_list_dimensions_give_hashable_objects():
 
 @st.composite
 def _trace_probes(draw):
-    """Any shape whose span covers both default module levels (20 and 60 mm)."""
+    """Any shape, and 1 to 4 module levels inside its span, at least 1 mm up."""
     z = draw(st.floats(-30.0, 19.0))
-    height = draw(st.floats(61.0 - z, 140.0))
+    height = draw(st.floats(max(20.0, 5.0 - z), 140.0))
     width = draw(st.floats(25.0, 110.0))
     kind = draw(st.sampled_from(list(ShapeKind)))
     dims = {
@@ -628,11 +630,14 @@ def _trace_probes(draw):
         ShapeKind.CYLINDER: (width, height),
         ShapeKind.CURVED_BLOCK: (draw(st.floats(max(width, height) / 2.0, 150.0)), width, height),
     }[kind]
-    return ObjectShape(kind, dims, pose=Pose(z=z, yaw=draw(st.floats(-180.0, 180.0))))
+    probe = ObjectShape(kind, dims, pose=Pose(z=z, yaw=draw(st.floats(-180.0, 180.0))))
+    span_lo, span_hi = z_span(probe)
+    levels = draw(st.lists(st.floats(max(span_lo, 1.0), span_hi), min_size=1, max_size=4))
+    return probe, tuple(sorted(levels))
 
 
 @given(
-    probe=_trace_probes(),
+    placed=_trace_probes(),
     fingers=st.sampled_from((2, 4)),
     curvature_threshold=st.floats(0.2, 2.0),
     material=st.sampled_from((TPU95A, SIL950)),
@@ -643,10 +648,15 @@ def _trace_probes(draw):
     grid=st.lists(st.floats(-100.0, 300.0), min_size=1, max_size=60),
 )
 @settings(max_examples=300, deadline=None)
+# fingers at 0 and 90 deg meet a cube one width, and those at 180 and 270 deg another: two columns
+@example((cube(80.0), (20.0, 60.0)), 4, 1.0, TPU95A, 0.5, 60.0, 1.0, [0.0, 15.0, 30.0, 50.0, 70.0, 90.0])
+# every finger meets a cylinder one width: one column, one width at every lift
+@example((cylinder(60.0, 90.0), (20.0, 60.0)), 4, 1.0, SIL950, 0.4, 45.0, 2.0, [-20.0, 0.0, 25.0, 45.0, 80.0])
 def test_trace_equals_scalar_contacts_at_every_lift(
-    probe, fingers, curvature_threshold, material, mu, theta, torque_scale, grid
+    placed, fingers, curvature_threshold, material, mu, theta, torque_scale, grid
 ):
-    config = GripperConfig(finger_count=fingers, curvature_threshold=curvature_threshold)
+    probe, levels = placed
+    config = GripperConfig(finger_count=fingers, curvature_threshold=curvature_threshold, module_levels=levels)
     trace = pullout_trace(theta, probe, config, material, mu, grid, torque_scale)
     expected = [
         oracles.scalar_pullout_capacity(level_contacts(theta, probe, config, material, mu, lift, torque_scale))
@@ -678,9 +688,27 @@ def test_trace_and_contacts_reject_the_same_input():
             pullout_trace(probe=V_PROBE, material=TPU95A, **kwargs)
         with pytest.raises(error, match=message):
             resolve_contacts(obj=V_PROBE, material=TPU95A, **kwargs)
-    # the torque scale is only read by bending contacts
+    # the torque scale is only read by bending contacts, and only by contacts that press
     assert pullout_trace(60.0, P_PROBE, torque_scale=0.0).forces[0] > 0.0
+    assert pullout_trace(60.0, cylinder(60.0, 90.0), torque_scale=0.0, lift_grid=[500.0]).forces.tolist() == [0.0]
     assert len(resolve_contacts(60.0, P_PROBE, torque_scale=0.0)) == 4
+
+
+def test_a_trace_runs_the_module_curve_once_per_level_and_column():
+    """Fingers of one width read one penetration, and a cylinder's width is
+    the same at every lift: 3 curve points, not 3 levels x 4 fingers x 401
+    lifts."""
+    angles = []
+
+    def counted(angle, *args):
+        angles.append(len(angle))
+        return bending_contact_force(angle, *args)
+
+    config = GripperConfig(finger_count=4, module_levels=(15.0, 45.0, 75.0))
+    with mock.patch.object(grasp, "bending_contact_force", counted):
+        trace = pullout_trace(60.0, cylinder(60.0, 90.0), config, lift_grid=np.linspace(0.0, 100.0, 401))
+    assert angles == [3]
+    assert trace.forces[0] > trace.forces[-1] == 0.0
 
 
 def test_trace_rejects_a_grid_that_is_not_a_list():
