@@ -32,10 +32,10 @@ from .planner import PlanError
 from .scenario import (
     Scenario,
     ScenarioError,
+    _pick_material,
     edit_scenario,
     load_scenario,
     make_result_record,
-    material_table,
     result_record,
     run_scenario,
     run_sweep,
@@ -196,16 +196,17 @@ def _run_kinematics(args) -> int:
 
 
 def _run_material_curve(args) -> int:
-    table = material_table()
-    if args.material not in table:
-        raise ScenarioError(
-            [f"--material: unknown material {args.material!r}; known: {', '.join(sorted(table))}"]
-        )
+    try:  # the built-ins and the ORIGRIP_MATERIALS file, as a scene without materials of its own
+        material = _pick_material(args.material, {"materials": {}})
+    except ScenarioError:  # the ORIGRIP_MATERIALS file cannot be read
+        raise
+    except ValueError as exc:
+        raise ScenarioError([f"--material: {exc}"]) from None
     if args.samples < 2:
         raise ScenarioError([f"--samples: need at least 2, got {args.samples}"])
     if args.samples > _MAX_SAMPLES:
         raise ScenarioError([f"--samples: {args.samples} samples, more than {_MAX_SAMPLES}"])
-    material = seeded_material(table[args.material], args.seed)
+    material = seeded_material(material, args.seed)
     if args.mode == "compression":
         strains, forces = sample_compression_curve(material, samples=args.samples)
         rows = [{"strain": s, "force": f} for s, f in zip(strains.tolist(), forces.tolist())]

@@ -864,14 +864,18 @@ class PulloutTrace:
         return "t4"
 
 
+def _clear_lift(span_hi: float, config: GripperConfig) -> float:
+    """The lift at which the bottom module face clears an object whose top is at ``span_hi``."""
+    return span_hi - (config.module_levels[0] - config.module_height / 2.0)
+
+
 def default_lift_grid(
     probe: ObjectShape, config: GripperConfig | None = None, step: float = 0.5
 ) -> np.ndarray:
     """Grid from 0 to just past full disengagement, at most ``_MAX_LIFT_POINTS`` points."""
     config = config or GripperConfig()
     require("lift_step", step)
-    _, span_hi = z_span(probe)
-    lift_max = span_hi - (config.module_levels[0] - config.module_height / 2.0) + 2.0 * step
+    lift_max = _clear_lift(z_span(probe)[1], config) + 2.0 * step
     points = (lift_max + step) / step
     if points > _MAX_LIFT_POINTS:
         raise ValueError(f"lift grid of {points:.6g} points exceeds {_MAX_LIFT_POINTS}")
@@ -922,7 +926,6 @@ def pullout_trace(
     # pullout_capacity's sum: contact by contact, level-major then finger-minor
     forces = _contact_sums(terms[:, geometry.column].reshape(-1, lifts.size))
     top = config.module_levels[-1]
-    bottom = config.module_levels[0]
     half_face = config.module_height / 2.0
     return PulloutTrace(
         lifts=lifts,
@@ -930,7 +933,7 @@ def pullout_trace(
         t1=0.0,
         t2=max(0.0, span_hi - (top + half_face)),
         t3=max(0.0, span_hi - (top - half_face)),
-        t4=max(0.0, span_hi - (bottom - half_face)),
+        t4=max(0.0, _clear_lift(span_hi, config)),
     )
 
 

@@ -36,7 +36,6 @@ import math
 import os
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
@@ -139,10 +138,10 @@ class Field:
     ``attr`` is where the writer finds the value on the built object: a
     dotted attribute path (the key by default), one path per item for a
     number list kept as separate attributes, or for named sections the
-    paths of all entries and of the one in use.  ``bind`` gives list lengths
-    that depend on fields read earlier in the same section; ``convert`` maps
-    a checked value to what the section is built from and raises ValueError
-    when it cannot.
+    paths of all entries and of the one in use.  ``convert`` maps a checked
+    value, given the section's earlier values that read cleanly, to what the
+    section is built from, and raises ValueError when it cannot; one judging
+    it against an earlier field that failed says nothing, as that field did.
     """
 
     key: str
@@ -153,7 +152,6 @@ class Field:
     lengths: tuple[int, ...] = ()
     section: Section | None = None
     attr: str | tuple[str, ...] | None = None
-    bind: Callable[[dict], dict] | None = None
     convert: Callable[[Any, dict], Any] | None = None
 
 
@@ -190,9 +188,15 @@ def _write(fields: tuple[Field, ...], obj: Any) -> dict:
 _FAILED = object()  # a field or section that did not read cleanly
 
 
-@lru_cache(maxsize=32)  # scenes mostly share a few laws and shapes
-def _bounded(field: Field, **bounds: Any) -> Field:
-    return replace(field, **bounds)
+def _count_problem(counts: tuple[int, ...], got: int) -> str:
+    return f"expected {' or '.join(map(str, counts))} value(s), got {got}"
+
+
+def _size_of_shape(size: tuple[float, ...], values: dict) -> tuple[float, ...]:
+    """``size`` with the shape's count of numbers; none to judge against when the shape failed."""
+    if "shape" in values and len(size) not in (counts := DIM_COUNTS[ShapeKind(values["shape"])]):
+        raise ValueError(_count_problem(counts, len(size)))
+    return size
 
 
 def _theta_in_law(theta: float, values: dict) -> float:
@@ -200,18 +204,19 @@ def _theta_in_law(theta: float, values: dict) -> float:
     the gripper failed."""
     if "gripper" in values:
         law = values["gripper"].law
-        if (why := Range(law.theta_min, law.theta_max).problem(theta)) is not None:
-            raise ValueError(why)
+        if not law.theta_min <= theta <= law.theta_max:  # a NaN too
+            raise ValueError(Range(law.theta_min, law.theta_max).problem(theta))
     return theta
 
 
 def _pick_material(name: str, values: dict) -> MaterialModel:
-    """The scene's own material ``name``, else the one ``material_table``
-    gives; only the built-ins when the ``materials`` section failed."""
+    """The scene's own material ``name`` (_FAILED when that entry failed), else
+    the one ``material_table`` gives; only the built-ins when ``materials`` failed."""
     own = values.get("materials")
     if own is not None and name in own:
         return own[name]
-    table = BUILTIN_MATERIALS if own is None else {**material_table(), **own}
+    kept = {} if own is None else {key: entry for key, entry in own.items() if entry is not _FAILED}
+    table = BUILTIN_MATERIALS if own is None else {**material_table(), **kept}
     if name not in table:
         raise ValueError(f"unknown material {name!r}; known: {', '.join(sorted(table))}")
     return table[name]
@@ -231,8 +236,8 @@ def _object_section(default_name: str, with_z: bool) -> Section:
 
     fields = (
         Field("shape", TEXT, required=True, choices=tuple(kind.value for kind in ShapeKind), attr="kind.value"),
-        Field("size", NUMBERS, required=True, attr="dims",
-              bind=lambda v: {"lengths": DIM_COUNTS[ShapeKind(v["shape"])]}),
+        Field("size", NUMBERS, required=True, lengths=tuple(sorted(set().union(*DIM_COUNTS.values()))),
+              attr="dims", convert=_size_of_shape),
         Field("mass"),
         Field("name", TEXT),
         Field("yaw", attr="pose.yaw"),
@@ -351,23 +356,18 @@ def _fail(errors: list[str], path: str, message: str) -> object:
     return _FAILED
 
 
-def _read_section(errors: list[str], data: Any, path: str, section: Section, values: dict | None = None) -> Any:
-    """Build ``section`` from mapping ``data``, or report why not and return _FAILED."""
+def _read_section(errors: list[str], data: Any, path: str, section: Section, values: dict, label: str = "") -> Any:
+    """Build ``section`` from mapping ``data``, or report why not and return
+    _FAILED; its own problems are named ``label``, or else ``path``."""
     if not isinstance(data, Mapping):
-        return _fail(errors, path, f"expected a mapping, got {type(data).__name__}")
+        return _fail(errors, label or path, f"expected a mapping, got {type(data).__name__}")
     prefix = f"{path}." if path else ""
     if not section.keys.issuperset(data):
         for key in data:
             if key not in section.keys:
                 _fail(errors, f"{prefix}{key}", "unknown key")
-    values = {} if values is None else values
     clean = len(errors)
     for field in section.fields:
-        if field.bind is not None:
-            try:
-                field = _bounded(field, **field.bind(values))
-            except KeyError:  # bounded by an earlier field that failed
-                return _FAILED
         value = _read_field(errors, data, prefix + field.key, field, values)
         if value is _FAILED or value is None:
             continue
@@ -380,7 +380,7 @@ def _read_section(errors: list[str], data: Any, path: str, section: Section, val
     try:
         return section.build(values)
     except ValueError as exc:
-        return _fail(errors, path, str(exc))
+        return _fail(errors, label or path, str(exc))
 
 
 def _read_field(errors: list[str], data: Mapping, where: str, field: Field, values: dict) -> Any:
@@ -395,14 +395,13 @@ def _read_field(errors: list[str], data: Mapping, where: str, field: Field, valu
     if kind == NUMBER:
         value = _number(errors, raw, where, field)
     elif kind == SECTION:
-        value = _read_section(errors, raw, where, field.section)
+        value = _read_section(errors, raw, where, field.section, {})
     elif kind == SECTIONS:
         value = _read_named(errors, raw, where, field.section)
     elif kind == NUMBERS and not isinstance(raw, (list, tuple)):
         value = _fail(errors, where, f"expected a list of numbers, got {type(raw).__name__}")
     elif kind == NUMBERS and len(raw) not in field.lengths:
-        counts = " or ".join(str(n) for n in field.lengths)
-        value = _fail(errors, where, f"expected {counts} value(s), got {len(raw)}")
+        value = _fail(errors, where, _count_problem(field.lengths, len(raw)))
     elif kind == NUMBERS:
         value = tuple([_number(errors, item, where, field, i) for i, item in enumerate(raw)])
         value = _FAILED if _FAILED in value else value
@@ -441,14 +440,14 @@ def _number(errors: list[str], raw: Any, where: str, field: Field, index: int | 
 
 
 def _read_named(errors: list[str], data: Any, path: str, section: Section) -> Any:
-    """Entries of a mapping of named sections that read cleanly."""
+    """Each entry of a mapping of named sections, built, or _FAILED where it
+    did not read cleanly, so that a field naming it reports nothing more."""
     if not isinstance(data, Mapping):
         return _fail(errors, path, f"expected a mapping, got {type(data).__name__}")
-    built = {
+    return {
         str(name): _read_section(errors, body, f"{path}.{name}", section, {"name": str(name)})
         for name, body in data.items()
     }
-    return {name: entry for name, entry in built.items() if entry is not _FAILED}
 
 
 def _field_at(fields: tuple[Field, ...], parts: Sequence[str]) -> Field | None:
@@ -471,8 +470,8 @@ def _field_at(fields: tuple[Field, ...], parts: Sequence[str]) -> Field | None:
 
 def parse_scenario(data: Any, source: str = "<dict>") -> Scenario:
     """Validate a raw mapping and assemble the typed scenario."""
+    where = source if source != "<dict>" else "scenario"
     if not isinstance(data, Mapping):
-        where = source if source != "<dict>" else "scenario"
         raise ScenarioError([f"{where}: expected a mapping, got {type(data).__name__}"])
     errors: list[str] = []
     kind = _read_field(errors, data, "kind", _KIND, {})
@@ -482,7 +481,7 @@ def parse_scenario(data: Any, source: str = "<dict>") -> Scenario:
     if not isinstance(name, str) or not name:
         name = Path(source).stem if source not in ("<dict>", "") else "scenario"
     body = {key: value for key, value in data.items() if key not in ("kind", "name")}
-    scn = _read_section(errors, body, "", _KINDS[kind], {"name": name})
+    scn = _read_section(errors, body, "", _KINDS[kind], {"name": name}, where)
     if errors:
         raise ScenarioError(errors)
     return scn
@@ -914,23 +913,19 @@ def run_sweep(
 
 def _theta_rows(scn: SingleGraspScenario, thetas: list[float], seed: int | None) -> list[dict]:
     """Rows of a theta sweep of ``scn``, failing where the per-point loop
-    would: the first theta is judged before the seed draws the material,
-    the rest after it.  A later theta strictly inside the law's angle
-    range is finite and in range, so when all of them are, one comparison
-    each judges them; otherwise each is read as a scene's ``theta`` is, so
-    the first bad one's message stands."""
-    def check(theta: float) -> None:
-        errors: list[str] = []
-        _read_field(errors, {_THETA.key: theta}, _THETA.key, _THETA, {"gripper": scn.config})
-        if errors:
-            raise ScenarioError(errors)
+    would: each theta is judged by a scene ``theta``'s own convert, the
+    first before the seed draws the material and the rest after it."""
+    def judge(some: list[float]) -> None:
+        try:
+            for theta in some:
+                _THETA.convert(theta, gripper)
+        except ValueError as exc:
+            raise ScenarioError([f"{_THETA.key}: {exc}"]) from None
 
-    check(thetas[0])
+    gripper = {"gripper": scn.config}
+    judge(thetas[:1])
     material = seeded_material(scn.material, seed)
-    lo, hi = scn.config.law.theta_min, scn.config.law.theta_max
-    if not all(lo < theta < hi for theta in thetas[1:]):
-        for theta in thetas[1:]:
-            check(theta)
+    judge(thetas[1:])
     return _grasp_points(scn, thetas, material)[0]  # flat rows, theta first as the axis column
 
 

@@ -97,6 +97,28 @@ def test_material_curve_unknown_material(capsys):
     assert "unknown material 'adamantium'" in err
 
 
+@pytest.mark.parametrize(
+    "materials, err",
+    [
+        (None, "origrip: invalid scenario (1 problem(s)):\n"
+               "  - --material: unknown material 'adamantium'; known: sil950, tpu95a\n"),
+        ("foam: {plateau_force: 2.0, plateau_torque: 20.0}\n", "origrip: invalid scenario (1 problem(s)):\n"
+         "  - --material: unknown material 'adamantium'; known: foam, sil950, tpu95a\n"),
+        ("foam: [1, 2\n", "origrip: invalid scenario (1 problem(s)):\n"
+         "  - materials: cannot read ORIGRIP_MATERIALS file {path!r}: "),
+    ],
+    ids=["built_in", "materials_file", "unreadable_materials_file"],
+)
+def test_material_curve_names_materials_as_a_scene_does(capsys, monkeypatch, tmp_path, materials, err):
+    path = tmp_path / "materials.yaml"
+    if materials is not None:
+        path.write_text(materials)
+        monkeypatch.setenv(MATERIALS_ENV_VAR, str(path))
+    code, record, got = run_json(capsys, ["material-curve", "--material", "adamantium", "--samples", "1"])
+    assert code == EXIT_INVALID and record is None
+    assert got.startswith(err.format(path=str(path)))  # one problem, in its words to the end of the line
+
+
 def test_material_curve_needs_two_samples(capsys):
     code, _, err = run_json(capsys, ["material-curve", "--material", "tpu95a", "--samples", "1"])
     assert code == EXIT_INVALID
@@ -793,3 +815,14 @@ def test_a_scene_nested_50000_levels_deep_is_invalid_yaml(tmp_path, nest):
     assert (proc.returncode, proc.stdout) == (EXIT_INVALID, "")
     assert proc.stderr == f"origrip: invalid scenario (1 problem(s)):\n  - {scene}: not valid YAML: " \
                           "collections nested too deeply to read\n"
+
+
+def test_a_stacked_pose_past_its_range_names_the_scene_file(capsys, tmp_path):
+    scene = tmp_path / "too_tall.yaml"
+    scene.write_text(
+        "kind: stacked\nmaterial: sil950\nclearance: 9000\n"
+        "top: {shape: sphere, size: [9000]}\nbottom: {shape: sphere, size: [8000]}\n"
+    )
+    code, record, err = run_json(capsys, ["multi", "--scene", str(scene)])
+    assert code == EXIT_INVALID and record is None
+    assert err == f"origrip: invalid scenario (1 problem(s)):\n  - {scene}: z must be <= 10000, got 17000\n"

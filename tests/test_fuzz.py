@@ -8,6 +8,9 @@
 3. So does ``cli.main`` on bundled scene and materials files mangled byte
    by byte: bytes that are not UTF-8, NUL bytes, a byte order mark, a cut,
    an explicit tag on a value.
+4. Two fields of a bundled scene broken together, neither judged against
+   the other, report the problems of each broken alone, no more and no
+   fewer.
 """
 
 import io
@@ -19,7 +22,7 @@ from functools import cache
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from origrip import RANGES, PlanError, ScenarioError, list_demo_scenes, load_scenario, make_result_record
@@ -40,13 +43,14 @@ def _written(name):
     return scenario_to_dict(load_scenario(demo_scene_path(name)))
 
 
-def _leaves(data, where=()):
-    """Where the numbers of a written scene sit: keys and list indices."""
+def _leaves(data, where=(), types=(int, float)):
+    """Where the numbers (or other values of ``types``) of a written scene
+    sit: keys and list indices."""
     items = data.items() if isinstance(data, dict) else enumerate(data)
     for key, value in items:
         if isinstance(value, (dict, list)):
-            yield from _leaves(value, where + (key,))
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield from _leaves(value, where + (key,), types)
+        elif isinstance(value, types) and not isinstance(value, bool):
             yield where + (key,)
 
 
@@ -215,3 +219,55 @@ def test_mangled_files_exit_cleanly(run):
     assert "Traceback" not in err, (argv, raw, err)
     if code == 2:
         assert out == "", (argv, raw, out)
+
+
+def _judged_together(a, b):
+    """Whether one of two fields is judged against the other: an object's
+    size against its shape, theta against the gripper, the material against
+    the scene's own materials."""
+    if {a[0], b[0]} in ({"gripper", "theta"}, {"materials", "material"}):
+        return True
+    return a[0] == b[0] and {a[1:2], b[1:2]} == {("shape",), ("size",)}
+
+
+@st.composite
+def broken_pairs(draw):
+    """A bundled scene and two of its fields, each with a value that fails
+    to read: a number where text belongs, text or NaN where a number does,
+    or null."""
+    name = draw(st.sampled_from(SCENES))
+    fields = sorted((where for where in _leaves(_written(name), types=(int, float, str)) if where != ("kind",)),
+                    key=repr)
+    a = draw(st.sampled_from(fields))
+    b = draw(st.sampled_from([where for where in fields if where != a and not _judged_together(a, where)]))
+    breaks = []
+    for where in (a, b):
+        text = isinstance(_get(_written(name), where), str)
+        breaks.append((where, draw(st.sampled_from([5, None] if text else [math.nan, "x", None]))))
+    return name, *breaks
+
+
+def _get(data, where):
+    for part in where:
+        data = data[part]
+    return data
+
+
+def _problems(data):
+    try:
+        parse_scenario(data)
+    except ScenarioError as exc:
+        return exc.errors
+    return []
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(broken_pairs())
+@example(("grasp_parallel", (("object", "shape"), 5), (("object", "mass"), math.nan)))
+def test_problems_of_independent_fields_add_up(case):
+    name, (a, bad_a), (b, bad_b) = case
+    data = _written(name)
+    alone_a, alone_b = _problems(_replaced(data, a, bad_a)), _problems(_replaced(data, b, bad_b))
+    assert alone_a and alone_b
+    both = _problems(_replaced(_replaced(data, a, bad_a), b, bad_b))
+    assert sorted(both) == sorted(alone_a + alone_b)

@@ -123,6 +123,68 @@ def test_validation_reports_every_problem():
     assert "5 problem(s)" in str(exc_info.value)
 
 
+@pytest.mark.parametrize("shape", [{"shape": "blob"}, {"shape": 5}, {}], ids=["unknown", "not_text", "missing"])
+def test_a_failed_shape_hides_no_other_object_problem(shape):
+    obj = {**shape, "size": [60.0, math.nan], "mass": -1.0, "yaw": math.nan, "z": math.inf}
+    with pytest.raises(ScenarioError) as exc_info:
+        parse_scenario(minimal_grasp(object=obj))
+    assert exc_info.value.errors[0].startswith("object.shape: ")
+    assert exc_info.value.errors[1:] == [
+        "object.size[1]: must be finite, got nan",
+        "object.mass: must be >= 0, got -1",
+        "object.yaw: must be finite, got nan",
+        "object.z: must be finite, got inf",
+    ]
+
+
+@pytest.mark.parametrize(
+    "shape, size, problem",
+    [
+        ("sphere", [60.0, 1.0], "object.size: expected 1 value(s), got 2"),
+        ("curved_block", [60.0], "object.size: expected 2 or 3 value(s), got 1"),
+        # a count no shape takes, and a bad number before a count the shape does not take
+        ("sphere", [60.0, 1.0, 2.0, 3.0], "object.size: expected 1 or 2 or 3 value(s), got 4"),
+        ("sphere", [], "object.size: expected 1 or 2 or 3 value(s), got 0"),
+        ("sphere", [60.0, -1.0], "object.size[1]: must be > 0, got -1"),
+        ("blob", [60.0, 1.0, 2.0, 3.0], "object.size: expected 1 or 2 or 3 value(s), got 4"),
+    ],
+)
+def test_a_size_is_counted_against_the_shape_read_before_it(shape, size, problem):
+    with pytest.raises(ScenarioError) as exc_info:
+        parse_scenario(minimal_grasp(object={"shape": shape, "size": size}))
+    assert problem in exc_info.value.errors
+    assert len(exc_info.value.errors) == 1 + (shape == "blob")
+
+
+@pytest.mark.parametrize("name", ["mine", "tpu95a"])
+def test_a_failed_own_material_named_by_material_is_not_unknown(name):
+    bad = {"plateau_force": -1.0, "plateau_torque": 16.0}
+    with pytest.raises(ScenarioError) as exc_info:
+        parse_scenario(minimal_grasp(material=name, materials={name: bad}))
+    assert exc_info.value.errors == [f"materials.{name}.plateau_force: must be > 0, got -1"]
+    # another name is unknown, and the failed entry is not among the known ones
+    with pytest.raises(ScenarioError) as exc_info:
+        parse_scenario(minimal_grasp(material="other", materials={name: bad}))
+    assert exc_info.value.errors[1] == "material: unknown material 'other'; known: sil950, tpu95a"
+
+
+TOO_TALL = {
+    "kind": "stacked", "material": "sil950", "clearance": 9000.0,
+    "top": {"shape": "sphere", "size": [9000.0]}, "bottom": {"shape": "sphere", "size": [8000.0]},
+}
+
+
+def test_a_problem_of_the_whole_scene_names_the_scene(tmp_path):
+    with pytest.raises(ScenarioError) as exc_info:
+        parse_scenario(TOO_TALL)
+    assert exc_info.value.errors == ["scenario: z must be <= 10000, got 17000"]
+    path = tmp_path / "too_tall.yaml"
+    path.write_text(yaml.safe_dump(TOO_TALL))
+    with pytest.raises(ScenarioError) as exc_info:
+        load_scenario(path)
+    assert exc_info.value.errors == [f"{path}: z must be <= 10000, got 17000"]
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ScenarioError, match="kind"):
         parse_scenario({"kind": "teleport"})

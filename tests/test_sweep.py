@@ -450,25 +450,22 @@ def test_a_theta_sweep_fails_where_the_per_point_loop_fails(values, seed, messag
     assert outcome[0] == "invalid" and outcome[1][0].startswith(message)
 
 
-def test_a_theta_sweep_strictly_inside_the_law_reads_only_its_first_theta(monkeypatch):
+def test_a_theta_sweep_judges_every_theta_by_the_scene_theta_convert_alone(monkeypatch):
     scn = load_scenario(demo_scene_path("grasp_parallel"))
     law = scn.config.law
-    inside = [30.0, 40.0, 50.0, math.nextafter(law.theta_max, 0.0)]
-    expected = oracles.sweep_rows(scn, "theta", inside)
-    read = scenario._read_field
-    reads = []
+    thetas = [30.0, 40.0, math.nextafter(law.theta_max, 0.0), law.theta_max]
+    expected = oracles.sweep_rows(scn, "theta", thetas)
+    judged = []
 
-    def recording(errors, data, *rest):
-        reads.append(data)
-        return read(errors, data, *rest)
+    def recording(theta, values):
+        judged.append((theta, values))
+        return scenario._theta_in_law(theta, values)
 
-    monkeypatch.setattr(scenario, "_read_field", recording)
-    assert run_sweep(scn, "theta", inside) == expected
-    assert reads == [{"theta": 30.0}]
-    # a later theta on the law's bound is in range but not strictly inside: each is read on its own
-    reads.clear()
-    run_sweep(scn, "theta", [30.0, 40.0, law.theta_max])
-    assert reads == [{"theta": value} for value in (30.0, 40.0, law.theta_max)]
+    monkeypatch.setattr(scenario, "_THETA", dataclasses.replace(scenario._THETA, convert=recording))
+    monkeypatch.setattr(scenario, "_read_field", None)  # a theta sweep reads no field
+    assert run_sweep(scn, "theta", thetas) == expected
+    # one rule for every theta, strictly inside the law or on its bound
+    assert judged == [(theta, {"gripper": scn.config}) for theta in thetas]
 
 
 @pytest.mark.parametrize("seed", [None, 7])
