@@ -37,17 +37,19 @@ lift, then the engagement at each lift, gathered back to (level, finger,
 lift) for the sum.  ``_resolve`` runs the loads on the lift-0 geometry,
 cached per (object, gripper) as (1, level, finger) arrays, one column per
 finger, with the apertures of a list of servo angles on the first axis
-instead, so a theta sweep resolves
-every point in one pass into one contact set that runs point by point as
-it comes out of the mask, and the bounds of each point's run in it; a
-one-shot grasp and ``resolve_contacts``, which hold windows call at many
-angles, are its one-point case.  Per-point facts are functions of
-(contacts, bounds), one column entry per point: ``_point_totals`` for the
-sums, ``_closures`` for the verdicts.  A ``ContactSet`` holds its contacts
-as columns, its only form, and sums over contacts add them one at a time
-in (level, finger) order, as the scalar model does: ``_point_totals`` walks
-each run's contacts in one plain loop, for one point or many, and the
-public sums (``squeeze_force``, ``pullout_capacity``) are its one-run case.
+instead, so a theta sweep resolves every point in one pass into one
+contact set that runs point by point as it comes out of the mask, and the
+bounds of each point's run in it; the planner resolves a hold window's
+two edges, or an object's stage angles, in one pass, and a one-shot
+grasp, a bisection step and ``resolve_contacts`` are its one-point case.
+Per-point facts are functions of (contacts, bounds), one column entry per
+point: ``_point_totals`` for the sums, ``_closures`` for the verdicts,
+and ``_bears``, the hold rule, reads the capacity column.  A
+``ContactSet`` holds its contacts as columns, its only form, and sums over
+contacts add them one at a time in (level, finger) order, as the scalar
+model does: ``_point_totals`` walks each run's contacts in one plain loop,
+for one point or many, and the public sums (``squeeze_force``,
+``pullout_capacity``) are its one-run case.
 
 Closure
 -------
@@ -98,6 +100,7 @@ from .transmission import GripperConfig, finger_bearings, opening
 
 _MAX_INCLINATION = 89.9  # deg; keeps sin/cos well-conditioned at deep hooks
 _MAX_LIFT_POINTS = 100_000  # a pull-out trace point costs a few microseconds
+_GRAVITY = 9.81  # m/s^2; with masses in kg, weights come out in N
 
 
 class GraspMode(Enum):
@@ -150,7 +153,7 @@ class ContactSet:
     overfolded: np.ndarray
 
     def __init__(self, grasp_mode: GraspMode, char_radius: float, **columns: np.ndarray | None):
-        # one dict update in place of a frozen dataclass's setattr per field: hold windows build one set per angle
+        # one dict update in place of a frozen dataclass's setattr per field: the planner builds one set per pass
         if columns.keys() != _COLUMN_SET:
             raise TypeError(f"ContactSet needs the columns {', '.join(_COLUMNS)}")
         enveloping = grasp_mode is GraspMode.V_ENVELOPING
@@ -825,20 +828,26 @@ def _point_totals(contacts: ContactSet, bounds: list[int]) -> tuple[list[int], l
 def lift_check(
     contacts: ContactSet,
     obj: ObjectShape,
-    gravity: float = 9.81,
+    gravity: float = _GRAVITY,
     safety: float = 1.0,
 ) -> LiftResult:
     """Does the grasp carry the object's weight with the given safety factor?"""
+    capacity = pullout_capacity(contacts)
+    weight, (holds,) = _bears([capacity], obj, gravity, safety)
+    return LiftResult(holds=holds, capacity=capacity, weight=weight, margin=capacity - weight)
+
+
+def _bears(
+    capacities: Sequence[float], obj: ObjectShape, gravity: float = _GRAVITY, safety: float = 1.0
+) -> tuple[float, list[bool]]:
+    """The hold rule: the object's weight, mass x gravity (N), and whether
+    each pull-out capacity (N) bears it, capacity >= safety x weight.
+    ``gravity`` and ``safety`` are judged first.  ``lift_check`` is its
+    one-capacity case."""
     require("gravity", gravity)
     require("safety", safety)
-    capacity = pullout_capacity(contacts)
     weight = obj.mass * gravity
-    return LiftResult(
-        holds=capacity >= safety * weight,
-        capacity=capacity,
-        weight=weight,
-        margin=capacity - weight,
-    )
+    return weight, [capacity >= safety * weight for capacity in capacities]
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,12 @@ Scenes are built by resting the top object on the bottom one and sliding
 the pair vertically until the two widest cross-sections straddle the module
 heights symmetrically, the way an operator would present a stack centered
 on the fingers.
+
+Every hold judgement goes through ``_held``, one contact-model pass over
+an object's angles: a window's two edges together, a plan's three stage
+angles per object together, and a bisection one step at a time.  Outputs
+and errors equal those of one ``resolve_contacts`` and ``lift_check`` call
+per angle.
 """
 
 from __future__ import annotations
@@ -26,9 +32,10 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from ._finite import require
-from .grasp import lift_check, resolve_contacts
+from .grasp import _bears, _point_totals, _resolve
 from .mechanics import SIL950, MaterialModel
 from .shapes import ObjectShape, equator_z, grasp_width, stack_on
 from .transmission import GripperConfig, opening, unclamped_theta_for_opening
@@ -72,19 +79,26 @@ def _strain_interval(
     )
 
 
-def _carries(
-    theta: float,
+def _held(
+    thetas: Sequence[float],
     obj: ObjectShape,
     config: GripperConfig,
     material: MaterialModel,
     mu: float,
     torque_scale: float,
     safety: float = 1.0,
-) -> bool:
-    """Resolve the contacts at ``theta``, then check they bear the object's
-    weight with the given safety factor (untouched objects are not carried)."""
-    contacts = resolve_contacts(theta, obj, config, material, mu, torque_scale)
-    return len(contacts) > 0 and lift_check(contacts, obj, safety=safety).holds
+) -> list[bool]:
+    """Whether the gripper carries the object at each of ``thetas``: it
+    touches the object and the contacts bear its weight with the safety
+    factor.  One pass of the contact model resolves every angle, and the
+    hold rule reads each angle's pull-out capacity; ``safety`` is judged
+    only when some angle has a contact, where the rule applies."""
+    _, contacts, bounds = _resolve(thetas, obj, config, material, mu, torque_scale)
+    counts, _, _, capacities = _point_totals(contacts, bounds)
+    if not any(counts):
+        return [False] * len(counts)
+    _, bears = _bears(capacities, obj, safety=safety)
+    return [count > 0 and held for count, held in zip(counts, bears)]
 
 
 def holds_at(
@@ -107,7 +121,7 @@ def holds_at(
     lo, hi = _strain_interval(obj, config, material)  # the band hold_window's edges come from
     if not lo <= theta <= hi:
         return False
-    return _carries(theta, obj, config, material, mu, torque_scale, safety)
+    return _held((theta,), obj, config, material, mu, torque_scale, safety)[0]
 
 
 def hold_window(
@@ -124,7 +138,10 @@ def hold_window(
     weakens a contact and can only recruit more of them), so the holdable
     set inside the strain band is an interval whose lower edge is found by
     bisection when weight is the binding constraint.  Returns None when no
-    angle holds the object.
+    angle holds the object.  Both edges are judged in one pass: the jaws
+    touch the object at the lower edge only where they touch it at the
+    upper one, so judging the lower edge also when the upper one fails
+    raises nothing more.
     """
     config = config or GripperConfig()
     material = material or SIL950
@@ -138,17 +155,18 @@ def hold_window(
     if lo > hi:
         return None
 
-    def ok(theta: float) -> bool:
-        return _carries(theta, obj, config, material, mu, torque_scale, safety)
+    def held(*thetas: float) -> list[bool]:
+        return _held(thetas, obj, config, material, mu, torque_scale, safety)
 
-    if not ok(hi):
+    held_hi, held_lo = held(hi, lo)
+    if not held_hi:
         return None
-    if not ok(lo):
+    if not held_lo:
         factor = LimitingFactor.LIFT_CAPACITY
         lo_fail, lo_ok = lo, hi
         while lo_ok - lo_fail > _BISECT_TOL:
             mid = 0.5 * (lo_fail + lo_ok)
-            if ok(mid):
+            if held(mid)[0]:
                 lo_ok = mid
             else:
                 lo_fail = mid
@@ -303,21 +321,27 @@ def simulate_plan(scene: StackedScene, plan: Plan) -> tuple[StageState, ...]:
 
     An object counts as carried when it is touched at all and the contacts
     bear its weight outright (no planning safety margin here); the expected
-    progression is (both, top only, none).
+    progression is (both, top only, none).  Each object's three stage
+    angles are judged in one pass; a bad plan or scene raises the error
+    that judging stage by stage, top object first, meets first.
     """
-    carry = (scene.config, scene.material, scene.mu, scene.torque_scale)
-    stages = []
-    for stage, theta in (
+    stages = (
         ("grasp", plan.theta_grasp),
         ("release_bottom", plan.theta_release_bottom),
         ("release_top", plan.theta_release_top),
-    ):
-        stages.append(
-            StageState(
-                stage=stage,
-                theta=theta,
-                top_held=_carries(theta, scene.top, *carry),
-                bottom_held=_carries(theta, scene.bottom, *carry),
-            )
-        )
-    return tuple(stages)
+    )
+    thetas = [theta for _, theta in stages]
+    carry = (scene.config, scene.material, scene.mu, scene.torque_scale)
+    try:
+        top = _held(thetas, scene.top, *carry)
+        bottom = _held(thetas, scene.bottom, *carry)
+    except ValueError:
+        # raise the error that a stage-by-stage replay, top before bottom, meets first
+        for theta in thetas:
+            for obj in (scene.top, scene.bottom):
+                _held((theta,), obj, *carry)
+        raise
+    return tuple(
+        StageState(stage, theta, top_held, bottom_held)
+        for (stage, theta), top_held, bottom_held in zip(stages, top, bottom)
+    )

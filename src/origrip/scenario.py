@@ -211,12 +211,14 @@ def _theta_in_law(theta: float, values: dict) -> float:
 
 def _pick_material(name: str, values: dict) -> MaterialModel:
     """The scene's own material ``name`` (_FAILED when that entry failed), else
-    the one ``material_table`` gives; only the built-ins when ``materials`` failed."""
+    the one ``material_table`` gives.  When ``materials`` failed, a built-in,
+    and _FAILED for any other name, which the failed section may define."""
     own = values.get("materials")
-    if own is not None and name in own:
+    if own is None:
+        return BUILTIN_MATERIALS.get(name, _FAILED)
+    if name in own:
         return own[name]
-    kept = {} if own is None else {key: entry for key, entry in own.items() if entry is not _FAILED}
-    table = BUILTIN_MATERIALS if own is None else {**material_table(), **kept}
+    table = {**material_table(), **{key: entry for key, entry in own.items() if entry is not _FAILED}}
     if name not in table:
         raise ValueError(f"unknown material {name!r}; known: {', '.join(sorted(table))}")
     return table[name]

@@ -7,8 +7,10 @@ projecting polygon vertices, arc unions by a dense angular grid, hold
 windows and plan verdicts by sweeping the hold predicate directly, contacts
 by a scalar loop over module levels and fingers with scalar module curves,
 wrench primitives by a scalar loop over contacts and cone edges, force and
-capacity sums by a scalar loop over contact rows, and sweeps by parsing a deep
-copy of the written scene at every point.
+capacity sums by a scalar loop over contact rows, sweeps by parsing a deep
+copy of the written scene at every point, and the planner's windows and
+stage states one angle at a time, from the public ``resolve_contacts`` and
+``lift_check`` (the package resolves an object's angles in one pass).
 """
 
 from __future__ import annotations
@@ -27,15 +29,20 @@ from origrip import (
     ContactMode,
     GraspMode,
     GripperConfig,
+    HoldWindow,
+    LimitingFactor,
     ScenarioError,
+    StageState,
     cube,
     equator_z,
     finger_bearings,
     grasp_mode,
     holds_at,
+    lift_check,
     make_stacked_scene,
     opening,
     parse_scenario,
+    resolve_contacts,
     run_scenario,
     scenario_to_dict,
     sphere,
@@ -43,6 +50,7 @@ from origrip import (
     z_span,
 )
 from origrip.shapes import vertical_profile_radius
+from origrip.transmission import unclamped_theta_for_opening
 
 
 def sphere_directions(n: int = 360) -> np.ndarray:
@@ -283,6 +291,62 @@ def random_stacked_scene(rng: np.random.Generator):
     material = {"tpu95a": TPU95A, "sil950": SIL950}[rng.choice(["tpu95a", "sil950"])]
     return make_stacked_scene(
         top, bottom, clearance=rng.uniform(0.0, 4.0), config=config, material=material, mu=0.5
+    )
+
+
+_BISECT_TOL = 1e-6  # deg, as in the package
+
+
+def carries(theta, obj, config, material, mu, torque_scale, safety=1.0) -> bool:
+    """Whether the gripper carries the object at one angle: the public
+    ``resolve_contacts`` at ``theta``, then ``lift_check`` of a touched
+    object with the safety factor."""
+    contacts = resolve_contacts(theta, obj, config, material, mu, torque_scale)
+    return len(contacts) > 0 and lift_check(contacts, obj, safety=safety).holds
+
+
+def per_angle_hold_window(obj, config, material, mu=0.5, safety=1.2, torque_scale=1.0):
+    """``hold_window`` with one ``carries`` call per angle: the upper edge,
+    then the lower edge only when the upper one holds, then each midpoint
+    of the bisection.  The strain band, judged on the width along the
+    closure axis, is worked out from the drive law."""
+    law = config.law
+    width = width_along(obj, 0.0)
+    lo = unclamped_theta_for_opening(width - 2.0 * material.strain_lo * config.rest_depth, config)
+    hi = unclamped_theta_for_opening(width - 2.0 * material.strain_hi * config.rest_depth, config)
+    factor = LimitingFactor.STRAIN_RANGE
+    if lo < law.theta_min:
+        lo, factor = law.theta_min, LimitingFactor.OPENING_RANGE
+    hi = min(hi, law.theta_max)
+    if lo > hi:
+        return None
+    model = (obj, config, material, mu, torque_scale, safety)
+    if not carries(hi, *model):
+        return None
+    if not carries(lo, *model):
+        factor = LimitingFactor.LIFT_CAPACITY
+        lo_fail, lo_ok = lo, hi
+        while lo_ok - lo_fail > _BISECT_TOL:
+            mid = 0.5 * (lo_fail + lo_ok)
+            if carries(mid, *model):
+                lo_ok = mid
+            else:
+                lo_fail = mid
+        lo = lo_ok
+    return HoldWindow(lo, hi, factor)
+
+
+def per_angle_stages(scene, plan) -> tuple:
+    """``simulate_plan`` with one ``carries`` call per stage and object, in
+    stage order, the top object before the bottom one."""
+    model = (scene.config, scene.material, scene.mu, scene.torque_scale)
+    return tuple(
+        StageState(stage, theta, carries(theta, scene.top, *model), carries(theta, scene.bottom, *model))
+        for stage, theta in (
+            ("grasp", plan.theta_grasp),
+            ("release_bottom", plan.theta_release_bottom),
+            ("release_top", plan.theta_release_top),
+        )
     )
 
 

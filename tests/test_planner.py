@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +31,10 @@ from origrip import (
     simulate_plan,
     sphere,
 )
+from origrip import grasp, planner
+from origrip.demo import demo_scene_path
 from origrip.planner import _BISECT_TOL, _strain_interval
+from origrip.scenario import load_scenario, run_scenario
 from origrip.transmission import unclamped_theta_for_opening
 
 CFG2 = GripperConfig(finger_count=2)
@@ -152,8 +157,12 @@ def test_release_angle_guarantees_no_touch():
     assert 78.0 - 50.0 * plan.theta_release_bottom / 90.0 > 50.0
 
 
-def test_plan_size_order_error():
-    scene = make_stacked_scene(sphere(50.0, 0.05), sphere(60.0, 0.05), config=CFG4)
+@pytest.mark.parametrize("top, bottom", [
+    (sphere(50.0, 0.05), sphere(60.0, 0.05)),
+    (cube(58.0, 0.05), cube(58.0, 0.05)),  # equal widths: neither can be dropped first
+], ids=["wider_bottom", "equal_widths"])
+def test_plan_size_order_error(top, bottom):
+    scene = make_stacked_scene(top, bottom, config=CFG4)
     with pytest.raises(PlanError) as exc_info:
         plan_stacked(scene)
     assert exc_info.value.reason is InfeasibleReason.SIZE_ORDER
@@ -166,9 +175,12 @@ def test_plan_no_common_hold_error():
     assert exc_info.value.reason is InfeasibleReason.NO_COMMON_HOLD
 
 
-def test_plan_no_release_gap_error():
-    # widths two millimetres apart: no angle drops one but keeps the other
-    scene = make_stacked_scene(cube(52.0, 0.02), cube(50.0, 0.02), config=CFG4)
+# widths two millimetres apart: no angle drops one but keeps the other; three
+# apart (the squeeze at the band's loose edge, 2 x 0.1 x 15 mm): the jaws leave
+# the bottom cube at the top one's release edge, a release window of zero width
+@pytest.mark.parametrize("top_width", [52.0, 53.0])
+def test_plan_no_release_gap_error(top_width):
+    scene = make_stacked_scene(cube(top_width, 0.02), cube(50.0, 0.02), config=CFG4, material=SIL950)
     with pytest.raises(PlanError) as exc_info:
         plan_stacked(scene)
     assert exc_info.value.reason is InfeasibleReason.NO_RELEASE_GAP
@@ -394,3 +406,109 @@ def test_plan_verdicts_match_a_grid_search(verdict):
         if checked == 10:
             return
     pytest.fail(f"drew only {checked} {verdict} pairs")
+
+
+def _moved(scene, scale, shift):
+    """The scene with both objects ``scale`` times as heavy and raised by ``shift`` mm."""
+    top, bottom = (
+        dataclasses.replace(obj, mass=obj.mass * scale, pose=dataclasses.replace(obj.pose, z=obj.pose.z + shift))
+        for obj in (scene.top, scene.bottom)
+    )
+    return dataclasses.replace(scene, top=top, bottom=bottom)
+
+
+def _outcome(call, *args, **kwargs):
+    """The repr of what ``call`` returns, or the type and message of the
+    ValueError or PlanError it raises: equal reprs are equal bit for bit."""
+    try:
+        return repr(call(*args, **kwargs))
+    except (ValueError, PlanError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_windows_plans_and_stages_equal_the_per_angle_oracle_bit_for_bit():
+    """The planner resolves each object's angles in one contact pass; the
+    oracle calls resolve_contacts and lift_check once per angle.  The pair
+    slides up to 25 mm off the module heights, where capacity grows as the
+    gripper closes, and masses up to 100 times the envelope's make weight
+    bind there, so windows bisect; the jaws touch nothing at a plan's last
+    stage."""
+    rng = np.random.default_rng(26)
+    bisected = untouched = feasible = 0
+    for _ in range(60):
+        scene = _moved(oracles.random_stacked_scene(rng), 10.0 ** rng.uniform(0.0, 2.0), rng.uniform(-25.0, 25.0))
+        model = dict(config=scene.config, material=scene.material, mu=scene.mu, safety=scene.safety,
+                     torque_scale=scene.torque_scale)
+        for obj in (scene.top, scene.bottom):
+            window = hold_window(obj, **model)
+            assert repr(window) == repr(oracles.per_angle_hold_window(obj, **model))
+            bisected += window is not None and window.limiting_factor is LimitingFactor.LIFT_CAPACITY
+        with mock.patch.object(planner, "hold_window", oracles.per_angle_hold_window):
+            reference = _outcome(plan_stacked, scene)
+        assert _outcome(plan_stacked, scene) == reference
+        try:
+            plan = plan_stacked(scene)
+        except PlanError:
+            continue
+        feasible += 1
+        assert repr(simulate_plan(scene, plan)) == repr(oracles.per_angle_stages(scene, plan))
+        untouched += not resolve_contacts(plan.theta_release_top, scene.top, scene.config, scene.material)
+    assert bisected >= 5 and feasible >= 5 and untouched == feasible, (bisected, feasible, untouched)
+
+
+BALLS = make_stacked_scene(sphere(60.0, 0.10), sphere(50.0, 0.06), config=CFG4)  # both enveloped
+AWAY = sphere(60.0, 0.10, pose=Pose(z=300.0))  # above every module face: no angle touches it
+
+
+@pytest.mark.parametrize("obj, changes, raised", [
+    (BALLS.top, dict(mu=-0.1), "mu"),
+    (BALLS.top, dict(safety=0.5), "safety"),  # the upper edge touches the ball: safety is judged there
+    (AWAY, dict(safety=0.5), None),  # no angle touches: safety is never judged, and nothing holds
+    (BALLS.top, dict(torque_scale=-1.0), "torque_scale"),
+    (AWAY, dict(mu=-0.1, torque_scale=-1.0), "mu"),  # mu is judged before any contact
+])
+def test_windows_raise_what_the_per_angle_path_raises(obj, changes, raised):
+    model = dict(config=CFG4, material=SIL950, mu=0.5, safety=1.2, torque_scale=1.0) | changes
+    window = _outcome(hold_window, obj, **model)
+    assert window == _outcome(oracles.per_angle_hold_window, obj, **model)
+    assert window == "None" if raised is None else window[1].startswith(f"{raised} ")
+    for theta in (45.0, 58.0):  # inside the strain band of a 60 mm ball
+        assert _outcome(holds_at, theta, obj, **model) == _outcome(
+            oracles.carries, theta, obj, CFG4, SIL950, model["mu"], model["torque_scale"], model["safety"])
+
+
+@pytest.mark.parametrize("changes, angles", [
+    (dict(mu=-0.1), (57.6, 44.1, 0.0)),
+    (dict(mu=-0.1), (57.6, 120.0, 0.0)),  # mu before the angle range
+    (dict(torque_scale=-1.0), (57.6, 120.0, 0.0)),  # the grasp stage touches before 120 deg is reached
+    (dict(torque_scale=-1.0), (0.0, 120.0, 57.6)),  # nothing touches at 0 deg: 120 deg is reached first
+    (dict(torque_scale=-1.0), (0.0, 0.0, 0.0)),  # nothing touches: no torque scale is judged
+])
+def test_a_stage_replay_raises_what_the_per_angle_path_raises(changes, angles):
+    """simulate_plan resolves each object's stage angles in one pass, and a
+    hand-built plan or scene can be bad in two ways at once: the first
+    problem stage by stage, top object first, is the one raised."""
+    scene = dataclasses.replace(BALLS, **changes)
+    plan = dataclasses.replace(plan_stacked(BALLS), theta_grasp=angles[0], theta_release_bottom=angles[1],
+                               theta_release_top=angles[2])
+    assert _outcome(simulate_plan, scene, plan) == _outcome(oracles.per_angle_stages, scene, plan)
+
+
+@pytest.mark.parametrize("name", ["stacked_cubes", "stacked_cuboids", "stacked_sphere_cube", "stacked_spheres"])
+def test_a_bundled_stacked_scene_runs_at_most_four_contact_passes(name, monkeypatch):
+    """Two hold windows and two stage replays: four passes of the contact
+    model when no window bisects, whether the planner calls the pass
+    directly or through resolve_contacts."""
+    passes = []
+    resolve = grasp._resolve
+
+    def counted(thetas, *args):
+        passes.append(len(thetas))
+        return resolve(thetas, *args)
+
+    for module in (grasp, planner):
+        monkeypatch.setattr(module, "_resolve", counted)
+    record = run_scenario(load_scenario(demo_scene_path(name)))
+    assert record["plan"]["top_limiting_factor"] != "lift_capacity"
+    assert record["plan"]["bottom_limiting_factor"] != "lift_capacity"
+    assert 0 < len(passes) <= 4, passes

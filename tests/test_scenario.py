@@ -168,6 +168,20 @@ def test_a_failed_own_material_named_by_material_is_not_unknown(name):
     assert exc_info.value.errors[1] == "material: unknown material 'other'; known: sil950, tpu95a"
 
 
+def test_a_failed_materials_section_leaves_a_name_it_may_define_unjudged():
+    mine = {"mine": {"plateau_force": 2.0, "plateau_torque": 16.0}}
+    with pytest.raises(ScenarioError) as exc_info:
+        parse_scenario(minimal_grasp(material="mine", materials=[mine]))  # a list, not a mapping
+    assert exc_info.value.errors == ["materials: expected a mapping, got list"]
+    # a built-in still reads, and a typo next to a section that reads is still reported
+    with pytest.raises(ScenarioError) as exc_info:
+        parse_scenario(minimal_grasp(material="sil950", materials=[mine]))
+    assert exc_info.value.errors == ["materials: expected a mapping, got list"]
+    with pytest.raises(ScenarioError) as exc_info:
+        parse_scenario(minimal_grasp(material="mien", materials=mine))
+    assert exc_info.value.errors == ["material: unknown material 'mien'; known: mine, sil950, tpu95a"]
+
+
 TOO_TALL = {
     "kind": "stacked", "material": "sil950", "clearance": 9000.0,
     "top": {"shape": "sphere", "size": [9000.0]}, "bottom": {"shape": "sphere", "size": [8000.0]},
