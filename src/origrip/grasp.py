@@ -35,13 +35,14 @@ keeps a lift axis of length 1.  A trace runs both over its lift grid at one
 aperture: each curve once per (level, column) cell that presses at some
 lift, then the engagement at each lift, gathered back to (level, finger,
 lift) for the sum.  ``_resolve`` runs the loads on the lift-0 geometry,
-cached per (object, gripper) as (1, level, finger) arrays, one column per
-finger, with the apertures of a list of servo angles on the first axis
-instead, so a theta sweep resolves every point in one pass into one
-contact set that runs point by point as it comes out of the mask, and the
-bounds of each point's run in it; the planner resolves a hold window's
-two edges, or an object's stage angles, in one pass, and a one-shot
-grasp, a bisection step and ``resolve_contacts`` are its one-point case.
+cached per (object, gripper) with one entry per module face in (level,
+finger) order, against a column of the apertures of a list of servo
+angles, so a theta sweep resolves every point in one pass into one contact
+set that runs point by point as it comes out of the (point, face) mask,
+and the bounds of each point's run in it; the planner resolves a hold
+window's two edges, or an object's stage angles, in one pass, and a
+one-shot grasp, a bisection step and ``resolve_contacts`` take the same
+path with one angle.
 Per-point facts are functions of (contacts, bounds), one column entry per
 point: ``_point_totals`` for the sums, ``_closures`` for the verdicts,
 and ``_bears``, the hold rule, reads the capacity column.  A
@@ -65,7 +66,8 @@ distinct set once, and scans the sets of each size up to 16 primitives
 together, as one (sets, primitives, 3) stack; a larger set grows its hull
 alone.  A theta sweep hands it every point's set at once, and inside the
 modules' constant-force plateau most points repeat a set; a one-shot grasp
-hands it one set, which goes straight to the stacked decision.  Enveloping
+takes the same path with one set.  Each stack starts from margin 0, which
+a flat set keeps, and only its solid sets are scanned.  Enveloping
 grasps are also judged for form closure by the angular coverage of their
 wrap patches: the arcs of every run's contacts are normalised and sorted
 in array passes, and merged in one walk.  ``_closures`` reports each fact
@@ -299,62 +301,67 @@ def _contact_geometry(obj: ObjectShape, config: GripperConfig, lifts: np.ndarray
     return _Geometry(mode, width, engagement, inclination, r_h, column)
 
 
+# the columns of ``_Faces.ids`` and ``_Faces.values``, as ``_resting_geometry`` fills them
+_FINGER, _LEVEL = 0, 1
+_NORMAL, _POSITION, _INCLINATION, _INCL_COS, _INCL_SIN, _ENGAGEMENT = slice(0, 2), slice(2, 4), 4, 5, 6, 7
+
+
 class _Faces(NamedTuple):
-    """The angle-free columns of each module face's contact, one row per
-    face in (level, finger) order, packed so that one gather picks the
-    faces that press: ``ids`` holds finger and level, ``values`` the
-    normal and the position (mm; (0, 0) where the face misses the object)
-    in the grasp plane, the inclination (deg), its ``math.cos`` and
+    """``_contact_geometry`` at lift 0, one entry per module face in (level,
+    finger) order: the width (mm, -inf where the face misses the object) and
+    ``r_h`` (mm, enveloping only) that ``_contact_loads`` reads, and the
+    angle-free columns of each face's contact, packed so that one gather
+    picks the faces that press: ``ids`` holds finger and level, ``values``
+    the normal and the position (mm; (0, 0) where the face misses the
+    object) in the grasp plane, the inclination (deg), its ``math.cos`` and
     ``math.sin``, and the engaged fraction of the face."""
 
+    mode: GraspMode
+    width: np.ndarray
+    r_h: np.ndarray | None
     ids: np.ndarray
     values: np.ndarray
 
 
 @lru_cache(maxsize=256)  # sweeps and hold windows resolve one object at many angles
-def _resting_geometry(obj: ObjectShape, config: GripperConfig) -> tuple[_Geometry, _Faces, float]:
-    """``_contact_geometry`` at lift 0 as (1, level, finger) arrays, one
-    column per finger, whose first axis takes a column of apertures, and
-    its face columns, shared read-only between calls, and the object's
-    bounding radius."""
+def _resting_geometry(obj: ObjectShape, config: GripperConfig) -> tuple[_Faces, float]:
+    """The object's module faces at lift 0, shared read-only between calls,
+    and its bounding radius."""
     lifted = _contact_geometry(obj, config, np.zeros(1))
-    width = lifted.width[:, lifted.column, 0][None]
-    geometry = lifted._replace(width=width, column=np.arange(width.shape[2]), **{
-        name: np.broadcast_to(array[None, ..., 0], width.shape).copy()
-        for name in ("engagement", "inclination", "r_h") if (array := getattr(lifted, name)) is not None
-    })
-    _, levels, fingers = geometry.width.shape
-    level, finger = (a.ravel() for a in np.indices((levels, fingers)))
+    level, finger = (a.ravel() for a in np.indices((len(config.module_levels), len(lifted.column))))
+    width = lifted.width[level, lifted.column[finger], 0]
     outward = np.array([(math.cos(rad), math.sin(rad)) for rad in map(math.radians, finger_bearings(config))])
     outward = outward[finger]
-    width = geometry.width.ravel()
-    half_width = np.where(width > -np.inf, width / 2.0, 0.0)[:, None]
-    inclination = geometry.inclination.ravel()
+    inclination = lifted.inclination[level, 0, 0]
     incl = [math.radians(x) for x in inclination.tolist()]
-    faces = _Faces(
-        np.column_stack((finger, level)),
-        np.column_stack((
-            -outward, half_width * outward, inclination, list(map(math.cos, incl)), list(map(math.sin, incl)),
-            geometry.engagement.ravel(),
-        )),
-    )
-    for array in (*geometry[1:], *faces):  # every geometry field after the mode
+    ids = np.empty((len(width), 2), dtype=level.dtype)
+    ids[:, _FINGER], ids[:, _LEVEL] = finger, level
+    values = np.empty((len(width), 8))
+    values[:, _NORMAL] = -outward
+    values[:, _POSITION] = np.where(width > -np.inf, width / 2.0, 0.0)[:, None] * outward
+    values[:, _INCLINATION] = inclination
+    values[:, _INCL_COS] = list(map(math.cos, incl))
+    values[:, _INCL_SIN] = list(map(math.sin, incl))
+    values[:, _ENGAGEMENT] = lifted.engagement[level, 0, 0]
+    r_h = None if lifted.r_h is None else lifted.r_h[level, 0, 0]
+    faces = _Faces(lifted.mode, width, r_h, ids, values)
+    for array in faces[1:]:  # every field after the mode
         if array is not None:
             array.flags.writeable = False
-    return geometry, faces, bounding_radius(obj)
+    return faces, bounding_radius(obj)
 
 
 def _contact_loads(
-    geometry: _Geometry,
+    geometry: _Geometry | _Faces,
     aperture: float | np.ndarray,
     config: GripperConfig,
     material: MaterialModel,
     torque_scale: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
-    """Contact loads at an aperture, or at each of a (point, 1, 1) column of
-    them against the (1, level, finger) geometry of ``_resting_geometry``:
-    the mask of faces that press, over (level, column, lift) or (point,
-    level, finger), then per pressing face, in that order, the penetration
+    """Contact loads of the geometry's mode, width and ``r_h`` at an
+    aperture, or at each of a (point, 1) column of them against the lift-0
+    faces: the mask of faces that press, over (level, column, lift) or
+    (point, face), then per pressing face, in that order, the penetration
     (mm), the bend angle (deg, None unless enveloping), the module curve's
     normal force on a fully engaged face (N) and whether the module is
     overcompressed (overfolded when enveloping)."""
@@ -367,14 +374,9 @@ def _contact_loads(
     if not enveloping:
         strain = pen / config.rest_depth
         return hit, pen, None, compression_forces(strain, material), strain > 1.0
-    bend = _wrap_edge(pen, _pressing(geometry.r_h, hit), config.panel_span / 2.0) / 2.0
+    bend = _wrap_edge(pen, np.broadcast_to(geometry.r_h, hit.shape)[hit], config.panel_span / 2.0) / 2.0
     force = bending_contact_force(bend, config.bend_lever_arm, material, torque_scale)
     return hit, pen, bend, force, bend > material.angle_hi
-
-
-def _pressing(values: np.ndarray, hit: np.ndarray) -> np.ndarray:
-    """The entries of geometry ``values`` where ``hit``, over all of its apertures or columns."""
-    return values[hit] if values.shape == hit.shape else np.broadcast_to(values, hit.shape)[hit]
 
 
 def resolve_contacts(
@@ -398,41 +400,37 @@ def _resolve(
     torque_scale: float,
 ) -> tuple[tuple[float, ...], ContactSet, list[int]]:
     """The openings at ``thetas`` and their contacts, from one pass of the
-    contact model: the lift-0 geometry is broadcast over a column of
-    apertures, so the contacts come out point by point, point ``p``
-    holding the entries ``bounds[p]:bounds[p + 1]``."""
+    contact model: the lift-0 faces meet a column of apertures, so the
+    contacts come out point by point, point ``p`` holding the entries
+    ``bounds[p]:bounds[p + 1]``."""
     config = config or GripperConfig()
     material = material or TPU95A
-    geometry, faces, char_radius = _resting_geometry(obj, config)
+    faces, char_radius = _resting_geometry(obj, config)
     require("mu", mu)
     openings = tuple(opening(theta, config) for theta in thetas)
-    apertures = np.array(openings).reshape(-1, 1, 1)
-    hit, pens, bends, curves, overloads = _contact_loads(geometry, apertures, config, material, torque_scale)
-    if len(thetas) == 1:
-        (face,) = hit.ravel().nonzero()
-        bounds = [0, len(face)]
-    else:
-        point, face = hit.reshape(len(thetas), -1).nonzero()
-        bounds = [0, *np.bincount(point, minlength=len(thetas)).cumsum().tolist()]
+    apertures = np.array(openings)[:, None]
+    hit, pens, bends, curves, overloads = _contact_loads(faces, apertures, config, material, torque_scale)
+    point, face = hit.nonzero()
+    bounds = [0, *np.bincount(point, minlength=len(thetas)).cumsum().tolist()]
     ids, values = faces.ids.take(face, axis=0), faces.values.take(face, axis=0)
-    enveloping = geometry.mode is GraspMode.V_ENVELOPING
+    enveloping = faces.mode is GraspMode.V_ENVELOPING
     unloaded = np.zeros(len(face), dtype=bool)
     mus = np.empty(len(face))
     mus.fill(mu)
     contacts = ContactSet(
-        geometry.mode, char_radius,
-        finger_index=ids[:, 0],
-        level=ids[:, 1],
+        faces.mode, char_radius,
+        finger_index=ids[:, _FINGER],
+        level=ids[:, _LEVEL],
         penetration=pens,
         bend_angle=bends,
-        normal_force=values[:, 7] * curves,  # the engaged fraction of each face
-        normal=values[:, 0:2],
-        position=values[:, 2:4],
-        inclination=values[:, 4],
-        incl_cos=values[:, 5],
-        incl_sin=values[:, 6],
+        normal_force=values[:, _ENGAGEMENT] * curves,
+        normal=values[:, _NORMAL],
+        position=values[:, _POSITION],
+        inclination=values[:, _INCLINATION],
+        incl_cos=values[:, _INCL_COS],
+        incl_sin=values[:, _INCL_SIN],
         mu=mus,
-        engagement=values[:, 7],
+        engagement=values[:, _ENGAGEMENT],
         overcompressed=unloaded if enveloping else overloads,
         overfolded=overloads if enveloping else unloaded,
     )
@@ -551,29 +549,6 @@ def _scan(points: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return reduce(np.minimum, nearest), outside
 
 
-def _hull_margins(points: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Signed distance from the origin to the nearest facet plane of the
-    convex hull of each set of the (k, n, 3) stack ``points`` (each of rank
-    3, with largest component ``scale``): positive iff the origin lies
-    strictly inside.
-
-    Sets up to ``_ALL_TRIPLES`` points take their facets from every point
-    triple, in one scan of the whole stack.  A larger set grows a subset,
-    starting from its extreme points: each step adds, per facet of the
-    subset's hull, the point farthest outside it, until no point is outside,
-    when the subset's facets are the hull's.  A point less than
-    ``_PLANE_TOL`` outside a plane counts as on it, so the distance can come
-    out short by that much, relative to ``scale``.  Rounding adds a few
-    units of ``scale``'s last digit, and more on facets whose three points
-    nearly line up: on needle-shaped hulls up to about 3e-13 of ``scale``.
-    """
-    exponent = np.frexp(scale)[1]
-    points = np.ldexp(points, -exponent[:, None, None])  # exact: the largest component now lies in [0.5, 1)
-    if points.shape[1] <= _ALL_TRIPLES:
-        return np.ldexp(_scan(points, points.shape[1])[0], exponent)
-    return np.ldexp([_grown_nearest(set_points) for set_points in points], exponent)
-
-
 def _grown_nearest(points: np.ndarray) -> float:
     """``_scan``'s nearest facet distance for one (n, 3) set, from a subset grown to its hull."""
     n = len(points)
@@ -592,7 +567,22 @@ def _grown_nearest(points: np.ndarray) -> float:
 
 
 def _decide(stack: np.ndarray) -> list[ForceClosure]:
-    """``is_force_closure`` of each (m, 3) set of the (k, m, 3) ``stack``."""
+    """``is_force_closure`` of each (m, 3) set of the (k, m, 3) ``stack``.
+
+    Every set starts from margin 0, which a flat set (rank below 3) keeps.
+    The margin of a solid set is the signed distance from the origin to the
+    nearest facet plane of its convex hull, positive iff the origin lies
+    strictly inside.  Sets up to ``_ALL_TRIPLES`` points take their facets
+    from every point triple, in one ``_scan`` of the solid sets.  A larger
+    set grows a subset alone (``_grown_nearest``), starting from its
+    extreme points: each step adds, per facet of the subset's hull, the
+    point farthest outside it, until no point is outside, when the subset's
+    facets are the hull's.  A point less than ``_PLANE_TOL`` outside a
+    plane counts as on it, so the distance can come out short by that
+    much, relative to the set's largest component.  Rounding adds a few
+    units of that component's last digit, and more on facets whose three
+    points nearly line up: on needle-shaped hulls up to about 3e-13 of it.
+    """
     if not np.isfinite(stack).all():
         raise ValueError("wrench primitives must be finite")
     if stack.shape[1] < 3:  # two primitives span no more than a plane
@@ -600,12 +590,13 @@ def _decide(stack: np.ndarray) -> list[ForceClosure]:
     scale = np.abs(stack).max(axis=(1, 2))
     # matrix_rank's test: rank 3 when the third singular value, largest first, passes it
     solid = np.linalg.svd(stack, compute_uv=False)[:, 2] > _RANK_RTOL * scale
-    if solid.all():  # the common case: no flat set to mask out
-        margins = _hull_margins(stack, scale)
-    else:
-        margins = np.zeros(len(stack))
-        if solid.any():
-            margins[solid] = _hull_margins(stack[solid], scale[solid])
+    margins = np.zeros(len(stack))
+    if solid.any():  # _scan takes one set or more
+        exponent = np.frexp(scale[solid])[1]
+        points = np.ldexp(stack[solid], -exponent[:, None, None])  # exact: the largest component now lies in [0.5, 1)
+        m = stack.shape[1]
+        nearest = _scan(points, m)[0] if m <= _ALL_TRIPLES else [_grown_nearest(set_points) for set_points in points]
+        margins[solid] = np.ldexp(nearest, exponent)
     return [_OPEN if margin <= 0.0 else ForceClosure(True, margin) for margin in margins.tolist()]
 
 
@@ -614,11 +605,8 @@ def _force_closures(sets: Sequence[np.ndarray]) -> list[ForceClosure]:
 
     Sets are told apart by their bytes, and each distinct set of the call
     is decided once: the distinct sets go to ``_decide`` in one stack per
-    size.  One set, as a one-shot grasp hands it, goes to ``_decide``
-    alone, with nothing to tell apart.
+    size.  A lone set, as a one-shot grasp hands it, is a stack of one.
     """
-    if len(sets) == 1:
-        return _decide(sets[0][None])
     keys = [primitives.tobytes() for primitives in sets]
     fresh: dict[int, dict[bytes, np.ndarray]] = {}
     for key, primitives in zip(keys, sets):
@@ -638,7 +626,7 @@ def is_force_closure(primitives: np.ndarray) -> ForceClosure:
     closed.  Sets of rank below 3 are flat and never closed; the rank
     tolerance is relative to the largest component, so the verdict is
     scale-free and rounding noise cannot pass a flat set off as a thin hull.
-    The hull comes from enumerating point triples (see ``_hull_margins``),
+    The hull comes from enumerating point triples (see ``_decide``),
     whose cost grows with the cube of the hull's vertex count: it suits the
     few dozen primitives of a contact set.
 

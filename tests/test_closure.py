@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -446,17 +446,14 @@ def test_force_closure_rejects_primitives_that_are_not_finite(bad):
         grasp._force_closures([np.roll(prims, 1, axis=0)[4:], prims, np.flipud(prims)])
 
 
-@st.composite
-def primitive_stacks(draw) -> list[np.ndarray]:
-    """One to eight sets of 4 to 16 primitives each, all of one size, from
-    random contacts: some with duplicate rows, some frictionless (each
-    contact's two cone edges coincide; at two contacts the set is flat), some
-    without torque (flat), and some repeating an earlier set."""
-    rows = draw(st.integers(4, 16), label="rows")
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+def _primitive_stack(rows: int, seed: int, kinds: list[str]) -> list[np.ndarray]:
+    """One set of ``rows`` primitives per kind, from random contacts: plain,
+    with duplicate rows, frictionless (each contact's two cone edges
+    coincide; at two contacts the set is flat), without torque (flat), or
+    repeating the set before it."""
+    rng = np.random.default_rng(seed)
     sets: list[np.ndarray] = []
-    for kind in draw(st.lists(st.sampled_from(("plain", "duplicates", "frictionless", "no torque", "repeat")),
-                              min_size=1, max_size=8), label="kinds"):
+    for kind in kinds:
         prims = oracles.random_contact_primitives(rng, (rows + 1) // 2)[:rows]
         if kind == "duplicates":
             prims[rows // 2:] = prims[:rows - rows // 2]
@@ -470,6 +467,16 @@ def primitive_stacks(draw) -> list[np.ndarray]:
     return sets
 
 
+@st.composite
+def primitive_stacks(draw) -> list[np.ndarray]:
+    """One to eight sets of 4 to 16 primitives each, all of one size, of every kind ``_primitive_stack`` makes."""
+    rows = draw(st.integers(4, 16), label="rows")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    kinds = draw(st.lists(st.sampled_from(("plain", "duplicates", "frictionless", "no torque", "repeat")),
+                          min_size=1, max_size=8), label="kinds")
+    return _primitive_stack(rows, seed, kinds)
+
+
 def _bits(result) -> tuple[bool, str]:
     return result.closed, result.margin.hex()
 
@@ -481,6 +488,8 @@ def _typed_bits(values) -> list[tuple[type, object]]:
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(sets=primitive_stacks(), grown=st.integers(17, 32), seed=st.integers(0, 2**32 - 1))
+@example(sets=_primitive_stack(8, 1, ["no torque", "no torque", "repeat"]), grown=20, seed=2)  # every set flat
+@example(sets=_primitive_stack(12, 3, ["plain"]), grown=17, seed=4)  # a stack of one closed set
 def test_deciding_sets_together_equals_deciding_each_alone(sets, grown, seed):
     # sets of up to 16 primitives are decided in one stacked pass per size; a
     # larger set grows its hull alone; each verdict equals the one-set decision bit for bit

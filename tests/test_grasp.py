@@ -483,15 +483,19 @@ def _typed_bits(values):
 @settings(max_examples=150, derandomize=True, deadline=None)
 def test_a_one_point_call_equals_its_run_inside_a_sweep(obj, levels, fingers, curvature_threshold, material, mu,
                                                          thetas):
-    # the sums of one run alone equal its sums among many, and the lone
-    # decision the grouped one: equal in type and bit for bit
+    # the opening, contacts and sums of one run alone equal its own among
+    # many, and the lone decision the grouped one: equal in type and bit for bit
     config = GripperConfig(finger_count=fingers, module_levels=tuple(levels),
                            curvature_threshold=curvature_threshold)
-    _, contacts, bounds = _resolve(thetas, obj, config, material, mu, 1.0)
+    openings, contacts, bounds = _resolve(thetas, obj, config, material, mu, 1.0)
+    rows = contact_rows(contacts)
     totals = list(zip(*_point_totals(contacts, bounds)))
-    for theta, swept in zip(thetas, totals):
-        _, alone, alone_bounds = _resolve([theta], obj, config, material, mu, 1.0)
+    for theta, swept_opening, lo, hi, swept in zip(thetas, openings, bounds, bounds[1:], totals):
+        alone_openings, alone, alone_bounds = _resolve([theta], obj, config, material, mu, 1.0)
+        assert _typed_bits(alone_openings) == _typed_bits([swept_opening])
         assert alone_bounds == [0, len(alone)]
+        assert contact_rows(alone) == rows[lo:hi]
+        assert alone == contacts._take(slice(lo, hi))
         assert _typed_bits(next(zip(*_point_totals(alone, alone_bounds)))) == _typed_bits(swept)
     primitives = grasp._primitives(contacts)
     runs = [primitives[2 * lo:2 * hi] for lo, hi in zip(bounds, bounds[1:]) if hi - lo >= 2]
@@ -590,9 +594,10 @@ def test_contact_geometry_is_shared_by_equal_objects_only():
             assert rows == tuple(level_contacts(60.0, other, config, TPU95A, 0.5, 0.0, 1.0))
             assert rows != contact_rows(resolve_contacts(60.0, first, config))
 
-        geometry, faces, _ = _resting_geometry(first, config)
-        arrays = [geometry.width, geometry.engagement, geometry.inclination, *faces]
-        arrays += [] if geometry.r_h is None else [geometry.r_h]
+        # every face's width, r_h (enveloping only) and face table, whose columns hold engagement and inclination
+        faces, _ = _resting_geometry(first, config)
+        arrays = [field for field in faces if isinstance(field, np.ndarray)]
+        assert len(arrays) == (3 if first.kind is ShapeKind.CUBOID else 4)
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):

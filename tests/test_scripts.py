@@ -101,6 +101,7 @@ def test_compare_outcomes_names_the_first_operation_whose_outcome_differs(tmp_pa
     proc = run_script("compare_outcomes.py", str(ROOT), str(ROOT))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith(" operations: identical outcomes\n")
+    assert proc.stdout.startswith("demo suites with no seed and with --seed 7: ")
     # a copy whose version differs writes a different record for every command
     copy = tmp_path / "copy"
     shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
@@ -110,3 +111,16 @@ def test_compare_outcomes_names_the_first_operation_whose_outcome_differs(tmp_pa
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.startswith("first difference: theta_sweep seed 3 op sweep/")
     assert "stdout differs for: origrip sweep --scene " in proc.stdout
+
+
+def test_compare_outcomes_names_the_first_demo_file_that_differs(tmp_path):
+    # a copy whose demo suite writes its index differently, every command's outcome unchanged
+    copy = tmp_path / "copy"
+    shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    demo = copy / "src" / "origrip" / "demo.py"
+    source = demo.read_text()
+    assert source.count("write_json(manifest, fh)") == 1
+    demo.write_text(source.replace("write_json(manifest, fh)", 'write_json({**manifest, "changed": []}, fh)'))
+    proc = run_script("compare_outcomes.py", str(ROOT), str(copy))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == "first difference: demo suite with no seed: index.json differs\n"
