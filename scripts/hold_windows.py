@@ -19,20 +19,24 @@ from origrip.transmission import FINGER_COUNTS
 MAX_ROWS = 1000
 
 
-def size_range(spec: str) -> tuple[float, float, float]:
-    """``lo:hi:step`` as finite numbers with 0 < lo <= hi, step > 0, at
-    most MAX_ROWS sizes and no size above the scene bound."""
+def size_range(spec: str) -> list[float]:
+    """The sizes of ``lo:hi:step``: finite numbers with 0 < lo <= hi,
+    step > 0, at most MAX_ROWS sizes and no size above the scene bound."""
     try:
         lo, hi, step = (float(p) for p in spec.split(":"))
     except ValueError:
         raise ValueError(f"expected lo:hi:step, got {spec!r}") from None
     if not all(map(math.isfinite, (lo, hi, step))) or not 0.0 < lo <= hi or step <= 0.0:
         raise ValueError(f"need finite numbers with 0 < lo <= hi and step > 0, got {spec!r}")
-    if (hi - lo) / step >= MAX_ROWS:
+    # a billionth of a step of slack keeps an end that the division leaves short
+    span = (hi - lo) / step + 1e-9
+    if span >= MAX_ROWS:  # floor(span) + 1 sizes, more than MAX_ROWS; also an infinite span
         raise ValueError(f"{spec!r} gives more than {MAX_ROWS} sizes")
     if (why := field_problem("size", hi)) is not None:
         raise ValueError(f"largest size {why}")
-    return lo, hi, step
+    # each size from lo and its index, so rounding cannot build up over the
+    # steps and carry the last one past hi (and past the scene bound)
+    return [min(round(lo + k * step, 12), hi) for k in range(math.floor(span) + 1)]
 
 
 def main() -> None:
@@ -46,7 +50,7 @@ def main() -> None:
     args = parser.parse_args()
 
     try:
-        lo, hi, step = size_range(args.sizes)
+        sizes = size_range(args.sizes)
     except ValueError as exc:
         parser.error(f"--sizes: {exc}")
     for flag, value in (("--mass", args.mass), ("--mu", args.mu)):
@@ -59,10 +63,7 @@ def main() -> None:
     material = table[args.material]
 
     print(f"{'size':>6}  {'window lo':>9}  {'window hi':>9}  limiting")
-    # each size from lo and its index, so rounding cannot build up over the
-    # steps and carry the last one past hi (and past the scene bound)
-    count = math.floor((hi - lo) / step + 1e-9) + 1
-    for size in (min(round(lo + k * step, 12), hi) for k in range(count)):
+    for size in sizes:
         # center the widest section between the module levels
         mid = 0.5 * (config.module_levels[0] + config.module_levels[-1])
         obj = ObjectShape(

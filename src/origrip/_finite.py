@@ -91,8 +91,7 @@ def require_finite(obj: object) -> None:
     or item of a tuple or list of numbers, that is not finite or lies
     outside its range in ``RANGES``."""
     # getattr, not vars(obj): building an instance's __dict__ makes every
-    # later attribute read on it slower, and these objects are read in the
-    # contact loops
+    # later attribute read on it slower
     for name, bounds in _field_ranges(type(obj)):
         value = getattr(obj, name)
         if value.__class__ is float and bounds.lo < value < bounds.hi:

@@ -78,10 +78,11 @@ case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass, fields
 from enum import Enum
 from functools import lru_cache, reduce
 from itertools import combinations, islice
+from types import MappingProxyType
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -117,28 +118,22 @@ class ContactMode(Enum):
 
 _CONTACT_MODES = {GraspMode.PARALLEL: ContactMode.COMPRESSION, GraspMode.V_ENVELOPING: ContactMode.BENDING}
 
-# the per-contact columns of a ContactSet, in field order
-_COLUMNS = (
-    "finger_index", "level", "penetration", "bend_angle", "normal_force", "normal", "position",
-    "inclination", "incl_cos", "incl_sin", "mu", "engagement", "overcompressed", "overfolded",
-)
-_COLUMN_SET = frozenset(_COLUMNS)
-
-
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class ContactSet:
     """The contacts of one grasp, held as columns with one entry per contact
     (rows for ``normal`` and ``position``), in (level, finger) order when
-    resolved.  A contact's mode follows the grasp: compression in a parallel
-    grasp, bending in an enveloping one, which alone has ``bend_angle``.
-    Subsets share the columns, which are never written.  A set holds no
-    servo angle: one pass of a sweep resolves many angles into one set.
-    Equality compares the grasp mode, ``char_radius`` and each column by
-    value, and a set equals itself even when a column holds a NaN.
+    resolved.  The fields after ``char_radius`` are the columns, passed by
+    keyword only.  A contact's mode follows the grasp: compression in a
+    parallel grasp, bending in an enveloping one, which alone has
+    ``bend_angle``.  Subsets share the columns, which are never written.  A
+    set holds no servo angle: one pass of a sweep resolves many angles into
+    one set.  Equality compares the grasp mode, ``char_radius`` and each
+    column by value, and a set equals itself even when a column holds a NaN.
     """
 
     grasp_mode: GraspMode
     char_radius: float               # torque normalization length, mm
+    _: KW_ONLY
     finger_index: np.ndarray
     level: np.ndarray                # 0 = bottom module, upward
     penetration: np.ndarray          # mm
@@ -154,17 +149,13 @@ class ContactSet:
     overcompressed: np.ndarray
     overfolded: np.ndarray
 
-    def __init__(self, grasp_mode: GraspMode, char_radius: float, **columns: np.ndarray | None):
-        # one dict update in place of a frozen dataclass's setattr per field: the planner builds one set per pass
-        if columns.keys() != _COLUMN_SET:
-            raise TypeError(f"ContactSet needs the columns {', '.join(_COLUMNS)}")
-        enveloping = grasp_mode is GraspMode.V_ENVELOPING
-        if (columns["bend_angle"] is None) == enveloping:
+    def __post_init__(self) -> None:
+        enveloping = self.grasp_mode is GraspMode.V_ENVELOPING
+        if (self.bend_angle is None) == enveloping:
             raise ValueError(
-                f"a {grasp_mode.value} grasp has {_CONTACT_MODES[grasp_mode].value} contacts, "
+                f"a {self.grasp_mode.value} grasp has {_CONTACT_MODES[self.grasp_mode].value} contacts, "
                 f"with a bend angle {'each' if enveloping else 'on none'}"
             )
-        self.__dict__.update(grasp_mode=grasp_mode, char_radius=char_radius, **columns)
 
     @property
     def contact_mode(self) -> ContactMode:
@@ -194,6 +185,9 @@ class ContactSet:
     def finger(self, index: int) -> "ContactSet":
         """Sub-set of the contacts belonging to one finger."""
         return self._take(self.finger_index == index)
+
+
+_COLUMNS = tuple(f.name for f in fields(ContactSet))[2:]  # the per-contact columns, in field order
 
 
 @dataclass(frozen=True)
@@ -301,32 +295,26 @@ def _contact_geometry(obj: ObjectShape, config: GripperConfig, lifts: np.ndarray
     return _Geometry(mode, width, engagement, inclination, r_h, column)
 
 
-# the columns of ``_Faces.ids`` and ``_Faces.values``, as ``_resting_geometry`` fills them
-_FINGER, _LEVEL = 0, 1
-_NORMAL, _POSITION, _INCLINATION, _INCL_COS, _INCL_SIN, _ENGAGEMENT = slice(0, 2), slice(2, 4), 4, 5, 6, 7
-
-
 class _Faces(NamedTuple):
     """``_contact_geometry`` at lift 0, one entry per module face in (level,
     finger) order: the width (mm, -inf where the face misses the object) and
-    ``r_h`` (mm, enveloping only) that ``_contact_loads`` reads, and the
-    angle-free columns of each face's contact, packed so that one gather
-    picks the faces that press: ``ids`` holds finger and level, ``values``
-    the normal and the position (mm; (0, 0) where the face misses the
-    object) in the grasp plane, the inclination (deg), its ``math.cos`` and
-    ``math.sin``, and the engaged fraction of the face."""
+    ``r_h`` (mm, enveloping only) that ``_contact_loads`` reads, and
+    ``columns``, the angle-free ``ContactSet`` columns of each face's
+    contact by name: finger and level, the normal and the position (mm;
+    (0, 0) where the face misses the object) in the grasp plane, the
+    inclination (deg), its ``math.cos`` and ``math.sin``, and the engaged
+    fraction of the face."""
 
     mode: GraspMode
     width: np.ndarray
     r_h: np.ndarray | None
-    ids: np.ndarray
-    values: np.ndarray
+    columns: MappingProxyType[str, np.ndarray]
 
 
 @lru_cache(maxsize=256)  # sweeps and hold windows resolve one object at many angles
 def _resting_geometry(obj: ObjectShape, config: GripperConfig) -> tuple[_Faces, float]:
-    """The object's module faces at lift 0, shared read-only between calls,
-    and its bounding radius."""
+    """The object's module faces at lift 0, shared read-only between calls
+    (every array, and the column mapping), and its bounding radius."""
     lifted = _contact_geometry(obj, config, np.zeros(1))
     level, finger = (a.ravel() for a in np.indices((len(config.module_levels), len(lifted.column))))
     width = lifted.width[level, lifted.column[finger], 0]
@@ -334,21 +322,21 @@ def _resting_geometry(obj: ObjectShape, config: GripperConfig) -> tuple[_Faces, 
     outward = outward[finger]
     inclination = lifted.inclination[level, 0, 0]
     incl = [math.radians(x) for x in inclination.tolist()]
-    ids = np.empty((len(width), 2), dtype=level.dtype)
-    ids[:, _FINGER], ids[:, _LEVEL] = finger, level
-    values = np.empty((len(width), 8))
-    values[:, _NORMAL] = -outward
-    values[:, _POSITION] = np.where(width > -np.inf, width / 2.0, 0.0)[:, None] * outward
-    values[:, _INCLINATION] = inclination
-    values[:, _INCL_COS] = list(map(math.cos, incl))
-    values[:, _INCL_SIN] = list(map(math.sin, incl))
-    values[:, _ENGAGEMENT] = lifted.engagement[level, 0, 0]
+    columns = {
+        "finger_index": finger,
+        "level": level,
+        "normal": -outward,
+        "position": np.where(width > -np.inf, width / 2.0, 0.0)[:, None] * outward,
+        "inclination": inclination,
+        "incl_cos": np.array(list(map(math.cos, incl))),
+        "incl_sin": np.array(list(map(math.sin, incl))),
+        "engagement": lifted.engagement[level, 0, 0],
+    }
     r_h = None if lifted.r_h is None else lifted.r_h[level, 0, 0]
-    faces = _Faces(lifted.mode, width, r_h, ids, values)
-    for array in faces[1:]:  # every field after the mode
+    for array in (width, r_h, *columns.values()):
         if array is not None:
             array.flags.writeable = False
-    return faces, bounding_radius(obj)
+    return _Faces(lifted.mode, width, r_h, MappingProxyType(columns)), bounding_radius(obj)
 
 
 def _contact_loads(
@@ -402,7 +390,8 @@ def _resolve(
     """The openings at ``thetas`` and their contacts, from one pass of the
     contact model: the lift-0 faces meet a column of apertures, so the
     contacts come out point by point, point ``p`` holding the entries
-    ``bounds[p]:bounds[p + 1]``."""
+    ``bounds[p]:bounds[p + 1]``.  Each pressing face brings its lift-0
+    columns by name, and the loads fill the rest."""
     config = config or GripperConfig()
     material = material or TPU95A
     faces, char_radius = _resting_geometry(obj, config)
@@ -412,25 +401,16 @@ def _resolve(
     hit, pens, bends, curves, overloads = _contact_loads(faces, apertures, config, material, torque_scale)
     point, face = hit.nonzero()
     bounds = [0, *np.bincount(point, minlength=len(thetas)).cumsum().tolist()]
-    ids, values = faces.ids.take(face, axis=0), faces.values.take(face, axis=0)
+    columns = {name: column.take(face, axis=0) for name, column in faces.columns.items()}
     enveloping = faces.mode is GraspMode.V_ENVELOPING
     unloaded = np.zeros(len(face), dtype=bool)
-    mus = np.empty(len(face))
-    mus.fill(mu)
     contacts = ContactSet(
         faces.mode, char_radius,
-        finger_index=ids[:, _FINGER],
-        level=ids[:, _LEVEL],
+        **columns,
         penetration=pens,
         bend_angle=bends,
-        normal_force=values[:, _ENGAGEMENT] * curves,
-        normal=values[:, _NORMAL],
-        position=values[:, _POSITION],
-        inclination=values[:, _INCLINATION],
-        incl_cos=values[:, _INCL_COS],
-        incl_sin=values[:, _INCL_SIN],
-        mu=mus,
-        engagement=values[:, _ENGAGEMENT],
+        normal_force=columns["engagement"] * curves,
+        mu=np.full(len(face), mu, dtype=float),
         overcompressed=unloaded if enveloping else overloads,
         overfolded=overloads if enveloping else unloaded,
     )

@@ -96,55 +96,43 @@ class CycleSpec:
         return math.hypot(b[0] - a[0], b[1] - a[1])
 
 
-def _descend(spec: CycleSpec) -> Segment:
-    return Segment(Action.DESCEND, spec.approach_height, spec.approach_height / spec.descend_speed)
-
-
-def _ascend(spec: CycleSpec) -> Segment:
-    return Segment(Action.ASCEND, spec.approach_height, spec.approach_height / spec.ascend_speed)
-
-
-def _travel(spec: CycleSpec, a: tuple[float, float], b: tuple[float, float]) -> Segment:
-    d = spec.site_distance(a, b)
-    return Segment(Action.TRAVEL, d, d / spec.travel_speed)
-
-
-def _grasp(spec: CycleSpec) -> Segment:
-    return Segment(Action.GRASP, 0.0, spec.grasp_dwell)
-
-
-def _release(spec: CycleSpec) -> Segment:
-    return Segment(Action.RELEASE, 0.0, spec.release_dwell)
-
-
-def _visit(spec: CycleSpec, act: Segment) -> tuple[Segment, Segment, Segment]:
-    return _descend(spec), act, _ascend(spec)
+def _route(spec: CycleSpec, *stops: tuple[tuple[float, float], Action]) -> Trajectory:
+    """Visit each (site, ``Action.GRASP`` or ``Action.RELEASE``) stop in
+    turn: descend, dwell and ascend at the site, then travel to the next."""
+    h = spec.approach_height
+    dwells = {Action.GRASP: spec.grasp_dwell, Action.RELEASE: spec.release_dwell}
+    segs: list[Segment] = []
+    for i, (site, act) in enumerate(stops):
+        if i:
+            d = spec.site_distance(stops[i - 1][0], site)
+            segs.append(Segment(Action.TRAVEL, d, d / spec.travel_speed))
+        segs += (
+            Segment(Action.DESCEND, h, h / spec.descend_speed),
+            Segment(act, 0.0, dwells[act]),
+            Segment(Action.ASCEND, h, h / spec.ascend_speed),
+        )
+    return Trajectory(tuple(segs))
 
 
 def build_sequential(spec: CycleSpec) -> Trajectory:
     """One object per trip: deliver the bottom object, return, deliver the top."""
-    segs = [
-        *_visit(spec, _grasp(spec)),                      # pick the bottom object
-        _travel(spec, spec.pick, spec.place_bottom),
-        *_visit(spec, _release(spec)),
-        _travel(spec, spec.place_bottom, spec.pick),      # come back for the top
-        *_visit(spec, _grasp(spec)),
-        _travel(spec, spec.pick, spec.place_top),
-        *_visit(spec, _release(spec)),
-    ]
-    return Trajectory(tuple(segs))
+    return _route(
+        spec,
+        (spec.pick, Action.GRASP),               # pick the bottom object
+        (spec.place_bottom, Action.RELEASE),
+        (spec.pick, Action.GRASP),               # come back for the top
+        (spec.place_top, Action.RELEASE),
+    )
 
 
 def build_multiobject(spec: CycleSpec) -> Trajectory:
     """Both objects in one grip: drop the bottom en route, then the top."""
-    segs = [
-        *_visit(spec, _grasp(spec)),                      # pick the whole stack
-        _travel(spec, spec.pick, spec.place_bottom),
-        *_visit(spec, _release(spec)),                    # partial open drops the bottom
-        _travel(spec, spec.place_bottom, spec.place_top),
-        *_visit(spec, _release(spec)),                    # full open drops the top
-    ]
-    return Trajectory(tuple(segs))
+    return _route(
+        spec,
+        (spec.pick, Action.GRASP),               # pick the whole stack
+        (spec.place_bottom, Action.RELEASE),     # partial open drops the bottom
+        (spec.place_top, Action.RELEASE),        # full open drops the top
+    )
 
 
 @dataclass(frozen=True)

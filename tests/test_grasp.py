@@ -574,9 +574,13 @@ def test_a_contact_set_has_a_bend_angle_column_exactly_when_enveloping():
             ContactSet(mode, contacts.char_radius, **{**_columns(contacts), "bend_angle": bend_angle})
     columns = _columns(parallel)
     del columns["mu"]
-    for wrong in (columns, {**columns, "mu": parallel.mu, "mode": parallel.mu}):
-        with pytest.raises(TypeError, match="needs the columns"):
-            ContactSet(GraspMode.PARALLEL, parallel.char_radius, **wrong)
+    with pytest.raises(TypeError, match=r"missing 1 required keyword-only argument: 'mu'$"):
+        ContactSet(GraspMode.PARALLEL, parallel.char_radius, **columns)
+    with pytest.raises(TypeError, match=r"got an unexpected keyword argument 'mode'$"):
+        ContactSet(GraspMode.PARALLEL, parallel.char_radius, **columns, mu=parallel.mu, mode=parallel.mu)
+    # the columns are keyword-only: one passed by position is refused
+    with pytest.raises(TypeError, match=r"takes 3 positional arguments but 4 positional arguments"):
+        ContactSet(GraspMode.PARALLEL, parallel.char_radius, parallel.mu, **columns)
 
 
 def test_contact_geometry_is_shared_by_equal_objects_only():
@@ -594,14 +598,16 @@ def test_contact_geometry_is_shared_by_equal_objects_only():
             assert rows == tuple(level_contacts(60.0, other, config, TPU95A, 0.5, 0.0, 1.0))
             assert rows != contact_rows(resolve_contacts(60.0, first, config))
 
-        # every face's width, r_h (enveloping only) and face table, whose columns hold engagement and inclination
+        # every face's width, r_h (enveloping only) and each column of its contact, in a mapping that is read-only too
         faces, _ = _resting_geometry(first, config)
-        arrays = [field for field in faces if isinstance(field, np.ndarray)]
-        assert len(arrays) == (3 if first.kind is ShapeKind.CUBOID else 4)
+        arrays = [field for field in faces if isinstance(field, np.ndarray)] + list(faces.columns.values())
+        assert len(arrays) == (9 if first.kind is ShapeKind.CUBOID else 10)
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
+        with pytest.raises(TypeError):
+            faces.columns["engagement"] = faces.columns["level"]
 
 
 def test_list_dimensions_give_hashable_objects():

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import types
@@ -126,3 +127,16 @@ def test_no_module_imports_inside_a_function():
                     if isinstance(inner, (ast.Import, ast.ImportFrom))
                 ]
     assert nested == []
+
+
+def test_sources_parse_as_the_declared_python_floor():
+    # syntax only: ast's feature_version rejects newer grammar (such as
+    # `except*` or PEP 695 type parameters), not newer library names
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M)
+    assert floor, "pyproject.toml states no requires-python floor"
+    version = tuple(map(int, floor.groups()))
+    sources = sorted((SRC / "origrip").glob("*.py")) + sorted((SRC.parent / "scripts").glob("*.py"))
+    assert len(sources) > 10
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)

@@ -81,6 +81,8 @@ def test_hold_windows_reaches_the_top_of_the_size_range():
         (["--sizes", "abc"], "--sizes: expected lo:hi:step, got 'abc'"),
         (["--sizes", "40:70"], "expected lo:hi:step"),
         (["--sizes", "40:1e9:1e-3"], "more than 1000 sizes"),
+        (["--sizes", "6.4:16.4:0.01"], "gives more than 1000 sizes"),  # 1001 sizes: the division leaves 999.99...
+        (["--sizes", "1:2:1e-320"], "gives more than 1000 sizes"),  # a span past the float range
         (["--mass", "nan"], "--mass: must be finite, got nan"),
         (["--mu", "-0.5"], "--mu: must be >= 0, got -0.5"),
         (["--material", "adamantium"], "--material: unknown material 'adamantium'"),
