@@ -66,8 +66,9 @@ distinct set once, and scans the sets of each size up to 16 primitives
 together, as one (sets, primitives, 3) stack; a larger set grows its hull
 alone.  A theta sweep hands it every point's set at once, and inside the
 modules' constant-force plateau most points repeat a set; a one-shot grasp
-takes the same path with one set.  Each stack starts from margin 0, which
-a flat set keeps, and only its solid sets are scanned.  Enveloping
+takes the same path with one set.  The scan's largest triple determinant
+proves a set solid; only a set it leaves unproven, flat or nearly so, has
+its rank taken by an SVD, and a flat set keeps margin 0.  Enveloping
 grasps are also judged for form closure by the angular coverage of their
 wrap patches: the arcs of every run's contacts are normalised and sorted
 in array passes, and merged in one walk.  ``_closures`` reports each fact
@@ -455,6 +456,7 @@ class ForceClosure:
 
 _OPEN = ForceClosure(False, 0.0)
 _RANK_RTOL = 1e-9  # singular values below this, relative to the largest component, count as 0
+_SOLID_DET = 2e-8  # a scaled triple determinant above this proves the third singular value passes _RANK_RTOL
 _PLANE_TOL = 2.0**-40  # a point this far past a plane (in a set scaled to at most 1) counts as on it
 _ALL_TRIPLES = 16  # sets up to this size try every triple of points at once, stacked with their equals in size
 _CACHED_TRIPLES = 4096  # index arrays of up to this many triples are kept (sets of up to 30 points)
@@ -492,26 +494,29 @@ def _triple_blocks(m: int, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]
         yield _gathers(np.array(block, dtype=np.intp), m)
 
 
-def _scan(points: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _scan(points: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Facets of the convex hull of ``points[s, :m]``, for each set ``s`` of
     the (k, n, 3) stack, from its point triples, set against every point of
     the set: the smallest signed distance from the origin to a facet plane
-    of each set, and, for a stack of one set, the rows past ``m`` that lie
-    farthest outside each facet they lie outside of.
+    of each set, the largest ``|det[pi, pj, pk]|`` of each set's triples,
+    and, for a stack of one set, the rows past ``m`` that lie farthest
+    outside each facet they lie outside of.
 
     A triple's plane is a facet when no point of the first ``m`` lies
     ``_PLANE_TOL`` or more past one of its sides; its outward normal then
     points to that side, and a plane of a flat subset points both ways.
+    The determinant is the plane's own offset ``pi . ((pj - pi) x (pk - pi))``.
     """
     k, n, _ = points.shape
     pairs = (points[:, None, :m] - points[:, :m, None]).reshape(k, -1)  # entry (i, j, xyz): pj - pi
-    nearest, outside = [], []
+    nearest, largest, outside = [], [], []
     for edge_at, own_at in _triple_blocks(m, max(1, _SIDE_ENTRIES // (k * n))):
         # take of flat indices: a gather with 2-D fancy indexing costs about 3x as much
         edges = pairs.take(edge_at, axis=1).reshape(k, 4, 3, -1)
         normals = edges[:, 0] * edges[:, 1] - edges[:, 2] * edges[:, 3]  # (pj - pi) x (pk - pi)
         side = points @ normals
         offset = side.reshape(k, -1).take(own_at, axis=1)
+        largest.append(np.abs(offset).max(axis=1, initial=0.0))
         inner = side[:, :m]
         norm = np.sqrt(np.einsum("sij,sij->sj", normals, normals))
         slack = _PLANE_TOL * norm
@@ -526,7 +531,7 @@ def _scan(points: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
             below = behind[0] & (offset - outer.min(axis=0) >= slack)
             outside += [m + outer.argmax(axis=0)[past], m + outer.argmin(axis=0)[below]]
     outside = np.unique(np.concatenate(outside)) if outside else np.array([], dtype=np.intp)
-    return reduce(np.minimum, nearest), outside
+    return reduce(np.minimum, nearest), reduce(np.maximum, largest), outside
 
 
 def _grown_nearest(points: np.ndarray) -> float:
@@ -537,7 +542,7 @@ def _grown_nearest(points: np.ndarray) -> float:
     member[extent.argmax(axis=0)] = member[extent.argmin(axis=0)] = True
     while True:
         order = np.concatenate((np.flatnonzero(member), np.flatnonzero(~member)))
-        nearest, outside = _scan(points[order][None], np.count_nonzero(member))
+        nearest, _, outside = _scan(points[order][None], np.count_nonzero(member))
         if nearest[0] == math.inf and not member.all():  # collinear extreme points span no plane yet
             member[:] = True
         elif outside.size == 0:
@@ -549,34 +554,53 @@ def _grown_nearest(points: np.ndarray) -> float:
 def _decide(stack: np.ndarray) -> list[ForceClosure]:
     """``is_force_closure`` of each (m, 3) set of the (k, m, 3) ``stack``.
 
-    Every set starts from margin 0, which a flat set (rank below 3) keeps.
+    A set is solid (rank 3) when its third singular value, largest first,
+    passes ``_RANK_RTOL`` relative to its largest component, as
+    ``np.linalg.matrix_rank`` decides it; a flat set has margin 0.  Each
+    set is scaled by the power of two that brings its largest component
+    into [0.5, 1).  A triple of scaled rows is then a 3 x 3 submatrix ``M``
+    with squared Frobenius norm at most 9, and the set's third singular
+    value is at least ``M``'s, at least ``|det M| / 9``: a determinant above
+    ``_SOLID_DET`` proves the set solid, by margins far wider than the
+    rounding of the determinant or of an SVD.  Sets up to ``_ALL_TRIPLES``
+    points are scanned in one ``_scan`` of the stack, which reports each
+    set's largest determinant, and only the sets it leaves unproven, flat
+    or nearly so, go to ``np.linalg.svd``.  A larger set goes to the SVD
+    first and grows its hull only when solid, since the growth can reach
+    nearly every triple of a flat set.
+
     The margin of a solid set is the signed distance from the origin to the
     nearest facet plane of its convex hull, positive iff the origin lies
     strictly inside.  Sets up to ``_ALL_TRIPLES`` points take their facets
-    from every point triple, in one ``_scan`` of the solid sets.  A larger
-    set grows a subset alone (``_grown_nearest``), starting from its
-    extreme points: each step adds, per facet of the subset's hull, the
-    point farthest outside it, until no point is outside, when the subset's
-    facets are the hull's.  A point less than ``_PLANE_TOL`` outside a
-    plane counts as on it, so the distance can come out short by that
-    much, relative to the set's largest component.  Rounding adds a few
-    units of that component's last digit, and more on facets whose three
-    points nearly line up: on needle-shaped hulls up to about 3e-13 of it.
+    from every point triple.  A larger set grows a subset alone
+    (``_grown_nearest``), starting from its extreme points: each step adds,
+    per facet of the subset's hull, the point farthest outside it, until no
+    point is outside, when the subset's facets are the hull's.  A point
+    less than ``_PLANE_TOL`` outside a plane counts as on it, so the
+    distance can come out short by that much, relative to the set's
+    largest component.  Rounding adds a few units of that component's last
+    digit, and more on facets whose three points nearly line up: on
+    needle-shaped hulls up to about 3e-13 of it.
     """
     if not np.isfinite(stack).all():
         raise ValueError("wrench primitives must be finite")
-    if stack.shape[1] < 3:  # two primitives span no more than a plane
-        return [_OPEN] * len(stack)
+    k, m, _ = stack.shape
+    if m < 3:  # two primitives span no more than a plane
+        return [_OPEN] * k
     scale = np.abs(stack).max(axis=(1, 2))
-    # matrix_rank's test: rank 3 when the third singular value, largest first, passes it
-    solid = np.linalg.svd(stack, compute_uv=False)[:, 2] > _RANK_RTOL * scale
-    margins = np.zeros(len(stack))
-    if solid.any():  # _scan takes one set or more
-        exponent = np.frexp(scale[solid])[1]
-        points = np.ldexp(stack[solid], -exponent[:, None, None])  # exact: the largest component now lies in [0.5, 1)
-        m = stack.shape[1]
-        nearest = _scan(points, m)[0] if m <= _ALL_TRIPLES else [_grown_nearest(set_points) for set_points in points]
-        margins[solid] = np.ldexp(nearest, exponent)
+    exponent = np.frexp(scale)[1]
+    points = np.ldexp(stack, -exponent[:, None, None])  # exact: the largest component now lies in [0.5, 1)
+    if m <= _ALL_TRIPLES:
+        nearest, largest, _ = _scan(points, m)
+        solid = largest > _SOLID_DET
+    else:
+        solid = np.zeros(k, dtype=bool)
+    if not solid.all():
+        unproven = ~solid
+        solid[unproven] = np.linalg.svd(stack[unproven], compute_uv=False)[:, 2] > _RANK_RTOL * scale[unproven]
+    if m > _ALL_TRIPLES:
+        nearest = np.array([_grown_nearest(set_points) if s else 0.0 for set_points, s in zip(points, solid)])
+    margins = np.where(solid, np.ldexp(nearest, exponent), 0.0)
     return [_OPEN if margin <= 0.0 else ForceClosure(True, margin) for margin in margins.tolist()]
 
 
@@ -606,6 +630,8 @@ def is_force_closure(primitives: np.ndarray) -> ForceClosure:
     closed.  Sets of rank below 3 are flat and never closed; the rank
     tolerance is relative to the largest component, so the verdict is
     scale-free and rounding noise cannot pass a flat set off as a thin hull.
+    A point triple whose determinant is large enough proves the rank, and
+    an SVD decides it only for a set that no triple proves solid.
     The hull comes from enumerating point triples (see ``_decide``),
     whose cost grows with the cube of the hull's vertex count: it suits the
     few dozen primitives of a contact set.

@@ -36,6 +36,7 @@ import math
 import os
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
@@ -560,9 +561,42 @@ _NESTING_MARKS = "[{-:?"
 _LIBYAML_NESTING = 1_000
 
 
+@cache  # one class per loader class given
+def _lean(loader_class: type) -> type:
+    """``loader_class`` with the resolver hooks that its composer calls at
+    every node cut to what a safe loader needs.  ``resolve`` returns the tag
+    ``BaseResolver.resolve`` returns, from the same implicit resolvers: a
+    plain scalar tries those filed under its first character, then those
+    filed under None.  A safe loader has no path resolvers, so
+    ``descend_resolver`` and ``ascend_resolver`` do nothing."""
+
+    def resolve(self: Any, kind: type, value: Any, implicit: tuple[bool, bool]) -> str | None:
+        if kind is yaml.ScalarNode:
+            if implicit[0]:
+                resolvers = self.yaml_implicit_resolvers
+                for tag, regexp in resolvers.get(value[:1], ()):
+                    if regexp.match(value):
+                        return tag
+                for tag, regexp in resolvers.get(None, ()):
+                    if regexp.match(value):
+                        return tag
+            return self.DEFAULT_SCALAR_TAG
+        if kind is yaml.SequenceNode:
+            return self.DEFAULT_SEQUENCE_TAG
+        if kind is yaml.MappingNode:
+            return self.DEFAULT_MAPPING_TAG
+        return None
+
+    def skip(self: Any, *node: Any) -> None:
+        pass
+
+    hooks = {"resolve": resolve, "descend_resolver": skip, "ascend_resolver": skip}
+    return type(loader_class.__name__, (loader_class,), hooks)
+
+
 def _load_with(text: str, loader_class: type) -> Any:
     """``yaml.load(text, loader_class)`` as ``_load_yaml`` builds it."""
-    loader = loader_class(text)
+    loader = _lean(loader_class)(text)
     try:
         root = loader.get_single_node()
         if root is None:
@@ -592,7 +626,8 @@ def _load_yaml(text: str) -> Any:
     exception: a tag whose constructor cannot convert its value
     (``!!int 1.5``, ``!!bool maybe``, ``!!timestamp xyz``) raises a
     YAMLError marked at that node, not the ValueError, KeyError or other
-    error PyYAML lets through.
+    error PyYAML lets through.  Either loader composes through ``_lean``,
+    whose resolver tags each node as PyYAML's does with less work per node.
 
     A text libyaml refuses is read again by the Python loader, whose
     verdict (and error message, with its source snippet) stands.  So is a
@@ -1012,11 +1047,18 @@ def _json_text(data: Any, indent: str) -> str:
     return text.replace("\n", "\n" + indent) if indent else text
 
 
+_NO_VALUE = object()  # a column's last value before its first row
+
+
 def _dict_texts(rows: Sequence, indent: str) -> list[str] | None:
     """``_json_text`` of each item of ``rows`` at ``indent``, when they are
     dicts that share one nonempty key set of ``str`` keys, else None.  The
     keys are sorted and encoded once for all rows; a value of a scalar type
-    goes straight to its writer, and any other to ``_json_text``."""
+    goes straight to its writer, and any other to ``_json_text``.  Each key
+    keeps its last value and item text, and a row reuses that text when its
+    value is the same object, or an equal ``float`` of the same sign: equal
+    floats of one sign print alike, where ``0.0`` and ``-0.0``, or ``1``
+    and ``1.0``, do not."""
     first = rows[0]
     if type(first) is not dict or not first or not all(type(key) is str for key in first):
         return None
@@ -1027,13 +1069,20 @@ def _dict_texts(rows: Sequence, indent: str) -> list[str] | None:
     inner = indent + "  "
     sep = ",\n" + inner
     heads = [encode_basestring_ascii(key) + ": " for key in names]
+    columns = range(len(names))
+    last = [_NO_VALUE] * len(names)
+    items = [""] * len(names)
     texts = []
     for row in rows:
-        items = []
-        for head, key in zip(heads, names):
-            value = row[key]
+        for index in columns:
+            value = row[names[index]]
+            before = last[index]
+            if value is before or (type(value) is float and type(before) is float and value == before
+                                   and (value or math.copysign(1.0, value) == math.copysign(1.0, before))):
+                continue
             write = _SCALAR_TEXT.get(type(value))
-            items.append(head + (_json_text(value, inner) if write is None else write(value)))
+            items[index] = heads[index] + (_json_text(value, inner) if write is None else write(value))
+            last[index] = value
         texts.append(f"{{\n{inner}{sep.join(items)}\n{indent}}}")
     return texts
 

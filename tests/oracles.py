@@ -11,6 +11,9 @@ capacity sums by a scalar loop over contact rows, sweeps by parsing a deep
 copy of the written scene at every point, and the planner's windows and
 stage states one angle at a time, from the public ``resolve_contacts`` and
 ``lift_check`` (the package resolves an object's angles in one pass).
+One reference is not independent on purpose: ``svd_first_decisions`` keeps
+the package's facet scan and decides rank by an SVD first, so that the
+package's rank proof can be held to it bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from origrip import (
     cube,
     equator_z,
     finger_bearings,
+    grasp,
     grasp_mode,
     holds_at,
     lift_check,
@@ -145,6 +149,30 @@ def exact_hull_closure(primitives: np.ndarray) -> tuple[bool, float]:
                 squared = Fraction(reach * reach, dot(normal, normal) * unit * unit)
                 nearest = squared if nearest is None else min(nearest, squared)
     return True, math.sqrt(nearest)
+
+
+def svd_first_decisions(stack: np.ndarray) -> list[tuple[bool, float]]:
+    """Force-closure verdict and margin of each (m, 3) set of the (k, m, 3)
+    ``stack``, with rank decided first, by an SVD of every set, and the
+    package's own facet scan (``grasp._scan``, or ``grasp._grown_nearest``
+    past 16 rows) run on the solid sets alone, each scaled by the power of
+    two that brings its largest component into [0.5, 1)."""
+    if not np.isfinite(stack).all():
+        raise ValueError("wrench primitives must be finite")
+    k, m, _ = stack.shape
+    margins = np.zeros(k)
+    if m >= 3:
+        scale = np.abs(stack).max(axis=(1, 2))
+        solid = np.linalg.svd(stack, compute_uv=False)[:, 2] > grasp._RANK_RTOL * scale
+        if solid.any():
+            exponent = np.frexp(scale[solid])[1]
+            points = np.ldexp(stack[solid], -exponent[:, None, None])
+            if m <= grasp._ALL_TRIPLES:
+                nearest = grasp._scan(points, m)[0]
+            else:
+                nearest = [grasp._grown_nearest(set_points) for set_points in points]
+            margins[solid] = np.ldexp(nearest, exponent)
+    return [(True, margin) if margin > 0.0 else (False, 0.0) for margin in margins.tolist()]
 
 
 def random_contact_primitives(rng: np.random.Generator, n_contacts: int) -> np.ndarray:

@@ -1,15 +1,17 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 import yaml
 
-from origrip import cli
+from origrip import cli, scenario
 from origrip.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
 from origrip.demo import demo_scene_path
 from origrip.scenario import MATERIALS_ENV_VAR, scenario_digest
@@ -494,6 +496,36 @@ def test_sweep_range_values(capsys):
     assert code == EXIT_OK
     assert record["axis"] == "theta"
     assert [row["theta"] for row in record["outputs"]] == [30.0, 45.0, 60.0]
+
+
+def _float_run_starts(rows: list[dict]) -> list[str]:
+    """The bits of each float cell of a table, row by row in key order, that
+    does not repeat the cell above it: an equal float of the same sign."""
+    starts = []
+    for above, row in zip([{}, *rows], rows):
+        for key in sorted(row):
+            value, last = row[key], above.get(key)
+            same = type(last) is float and last == value and math.copysign(1.0, last) == math.copysign(1.0, value)
+            if type(value) is float and not same:
+                starts.append(value.hex())
+    return starts
+
+
+@pytest.mark.parametrize("scene", [PARALLEL, ENVELOPING])
+def test_a_bundled_grasp_and_theta_sweep_run_no_svd_and_write_a_column_run_once(monkeypatch, capsys, scene):
+    # the scan's triple determinants prove every set solid, and a table writes a run of equal cells once
+    svd_calls, written = [], []
+    svd, write = np.linalg.svd, scenario._SCALAR_TEXT[float]
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: svd_calls.append(args) or svd(*args, **kwargs))
+    monkeypatch.setitem(scenario._SCALAR_TEXT, float, lambda value: written.append(value.hex()) or write(value))
+    code, record, _ = run_json(capsys, ["grasp", "--scene", scene])
+    assert code == EXIT_OK and record["outputs"]["force_closure"]
+    written.clear()
+    code, record, _ = run_json(capsys, ["sweep", "--scene", scene, "--axis", "theta", "--values", "10:60:2.5"])
+    assert code == EXIT_OK and len(record["outputs"]) == 21
+    assert svd_calls == []
+    assert written == _float_run_starts(record["outputs"])
+    assert len(written) < sum(type(value) is float for row in record["outputs"] for value in row.values())
 
 
 def test_sweep_ranges_step_from_the_start_and_stop_at_the_end(capsys):

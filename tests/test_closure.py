@@ -449,8 +449,9 @@ def test_force_closure_rejects_primitives_that_are_not_finite(bad):
 def _primitive_stack(rows: int, seed: int, kinds: list[str]) -> list[np.ndarray]:
     """One set of ``rows`` primitives per kind, from random contacts: plain,
     with duplicate rows, frictionless (each contact's two cone edges
-    coincide; at two contacts the set is flat), without torque (flat), or
-    repeating the set before it."""
+    coincide; at two contacts the set is flat), without torque (flat), thin
+    (torque times 1e-9, so that the third singular value lies near the rank
+    tolerance), or repeating the set before it."""
     rng = np.random.default_rng(seed)
     sets: list[np.ndarray] = []
     for kind in kinds:
@@ -461,6 +462,8 @@ def _primitive_stack(rows: int, seed: int, kinds: list[str]) -> list[np.ndarray]
             prims[1::2] = prims[0:rows - 1:2]
         elif kind == "no torque":
             prims[:, 2] = 0.0
+        elif kind == "thin":
+            prims[:, 2] *= 1e-9
         elif kind == "repeat" and sets:
             prims = sets[-1].copy()
         sets.append(prims)
@@ -472,7 +475,7 @@ def primitive_stacks(draw) -> list[np.ndarray]:
     """One to eight sets of 4 to 16 primitives each, all of one size, of every kind ``_primitive_stack`` makes."""
     rows = draw(st.integers(4, 16), label="rows")
     seed = draw(st.integers(0, 2**32 - 1), label="seed")
-    kinds = draw(st.lists(st.sampled_from(("plain", "duplicates", "frictionless", "no torque", "repeat")),
+    kinds = draw(st.lists(st.sampled_from(("plain", "duplicates", "frictionless", "no torque", "thin", "repeat")),
                           min_size=1, max_size=8), label="kinds")
     return _primitive_stack(rows, seed, kinds)
 
@@ -498,6 +501,40 @@ def test_deciding_sets_together_equals_deciding_each_alone(sets, grown, seed):
     alone = [_bits(is_force_closure(prims)) for prims in together]
     assert [_bits(result) for result in grasp._force_closures(together)] == alone
     assert [_bits(result) for result in grasp._decide(np.stack(sets))] == alone[:len(sets)]
+
+
+def _oracle_bits(stack: np.ndarray) -> list[tuple[bool, str]]:
+    return [(closed, margin.hex()) for closed, margin in oracles.svd_first_decisions(stack)]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(sets=primitive_stacks())
+@example(sets=_primitive_stack(16, 0, ["thin", "thin", "thin", "plain"]))  # thin: two flat, one solid and closed
+@example(sets=_primitive_stack(4, 2, ["frictionless", "no torque", "duplicates"]))
+def test_the_rank_proof_decides_as_the_svd_first_oracle(sets):
+    # a triple determinant from the scan proves a set solid; the SVD decides only what it leaves unproven
+    stack = np.stack(sets)
+    assert [_bits(result) for result in grasp._decide(stack)] == _oracle_bits(stack)
+
+
+def test_a_rank_one_set_of_32_rows_stays_open():
+    # rank 1: its hull, grown from the rows alone, has a positive margin in rounding noise
+    rng = np.random.default_rng(3)
+    prims = np.outer(rng.uniform(-3.0, 3.0, 32), rng.normal(size=3))
+    assert np.linalg.matrix_rank(prims) == 1
+    assert grasp._grown_nearest(np.ldexp(prims, -np.frexp(np.abs(prims).max())[1])) > 0.0
+    assert _bits(is_force_closure(prims)) == (False, "0x0.0p+0")
+    assert [_bits(result) for result in grasp._decide(prims[None])] == _oracle_bits(prims[None])
+
+
+def test_a_stack_scanned_in_two_triple_blocks_decides_as_each_set_alone():
+    # 600 sets of 16 rows, flat ones among them, bound the side matrix to fewer triples than one set has
+    kinds = ["plain", "duplicates", "frictionless", "no torque", "thin", "repeat"] * 100
+    stack = np.stack(_primitive_stack(16, 5, kinds))
+    assert grasp._SIDE_ENTRIES // (600 * 16) < math.comb(16, 3)
+    together = [_bits(result) for result in grasp._decide(stack)]
+    assert together == [_bits(grasp._decide(prims[None])[0]) for prims in stack]
+    assert together == _oracle_bits(stack)
 
 
 def test_a_run_of_fewer_than_two_contacts_is_never_decided():

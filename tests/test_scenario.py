@@ -17,6 +17,7 @@ from origrip.demo import (
 )
 from origrip.scenario import (
     MATERIALS_ENV_VAR,
+    _lean,
     _load_yaml,
     PickPlaceScenario,
     PulloutScenario,
@@ -556,6 +557,7 @@ TABLES = ROW_KEYS.flatmap(
     )
 )
 MIXED_ROWS = st.lists(st.dictionaries(st.sampled_from("abc"), CELLS, max_size=3), min_size=2, max_size=6)
+SHARED_LIST = [1.5, -0.0]  # one list object in two rows of a table
 
 
 def _poisoned_table(table_cell_bad):
@@ -575,6 +577,12 @@ POISONED_TABLES = st.tuples(TABLES, st.tuples(st.integers(0), st.integers(0)), N
 @example([{"b": 1.5, "a": None, "é": "x"}, {"a": True, "b": -0.0, "é": np.float64(2.0)},
           {"a": 3, "é": "", "b": 5e-324}])
 @example(({"a": [1.0]}, {"a": {}}))
+# a table writes a cell's text once while its column repeats: cells that compare equal but print differently
+@example([{"a": 0.0}, {"a": -0.0}])
+@example([{"a": True}, {"a": 1}, {"a": 1.0}])
+@example([{"a": {"a": 0.0}}, {"a": {"a": -0.0}}])
+@example([{"a": SHARED_LIST}, {"a": SHARED_LIST}])
+@example([{"a": 2.0}, {"a": np.float64(2.0)}])
 def test_write_json_matches_the_json_module_byte_for_byte(data):
     buf = io.StringIO()
     write_json(data, buf)
@@ -727,6 +735,20 @@ def test_generated_yaml_loads_as_safe_load_loads_it(text, libyaml):
         assert outcome[1].count("^") == 1, text
     else:
         assert outcome == expected, text
+
+
+@pytest.mark.parametrize("loader_class", [yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)])
+def test_the_lean_resolver_tags_every_node_as_pyyaml_does(loader_class):
+    # plain, quoted, and tagged or block scalars; the implicit pair is ignored for a list or map
+    loader = _lean(loader_class)("")
+    try:
+        for value in [*SPELLINGS, *KEYS, "", "~", "<<", "="]:
+            for implicit in [(True, False), (False, True), (False, False)]:
+                for kind in [yaml.ScalarNode, yaml.SequenceNode, yaml.MappingNode]:
+                    expected = yaml.resolver.BaseResolver.resolve(loader, kind, value, implicit)
+                    assert loader.resolve(kind, value, implicit) == expected, (value, implicit, kind)
+    finally:
+        loader.dispose()
 
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="libyaml not installed")
