@@ -563,11 +563,11 @@ def _decide(stack: np.ndarray) -> list[ForceClosure]:
     value is at least ``M``'s, at least ``|det M| / 9``: a determinant above
     ``_SOLID_DET`` proves the set solid, by margins far wider than the
     rounding of the determinant or of an SVD.  Sets up to ``_ALL_TRIPLES``
-    points are scanned in one ``_scan`` of the stack, which reports each
-    set's largest determinant, and only the sets it leaves unproven, flat
-    or nearly so, go to ``np.linalg.svd``.  A larger set goes to the SVD
-    first and grows its hull only when solid, since the growth can reach
-    nearly every triple of a flat set.
+    points are scanned by ``_scan``, a chunk of whole sets at a time, which
+    reports each set's largest determinant, and only the sets it leaves
+    unproven, flat or nearly so, go to ``np.linalg.svd``.  A larger set goes
+    to the SVD first and grows its hull only when solid, since the growth
+    can reach nearly every triple of a flat set.
 
     The margin of a solid set is the signed distance from the origin to the
     nearest facet plane of its convex hull, positive iff the origin lies
@@ -590,8 +590,10 @@ def _decide(stack: np.ndarray) -> list[ForceClosure]:
     scale = np.abs(stack).max(axis=(1, 2))
     exponent = np.frexp(scale)[1]
     points = np.ldexp(stack, -exponent[:, None, None])  # exact: the largest component now lies in [0.5, 1)
-    if m <= _ALL_TRIPLES:
-        nearest, largest, _ = _scan(points, m)
+    if m <= _ALL_TRIPLES:  # whole sets per scan, so that each set's triples form one block
+        per_scan = _SIDE_ENTRIES // (m * math.comb(m, 3))
+        scans = [_scan(points[start:start + per_scan], m) for start in range(0, k, per_scan)]
+        nearest, largest, _ = map(np.concatenate, zip(*scans))
         solid = largest > _SOLID_DET
     else:
         solid = np.zeros(k, dtype=bool)

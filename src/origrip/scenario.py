@@ -36,7 +36,6 @@ import math
 import os
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
-from functools import cache
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
@@ -561,42 +560,9 @@ _NESTING_MARKS = "[{-:?"
 _LIBYAML_NESTING = 1_000
 
 
-@cache  # one class per loader class given
-def _lean(loader_class: type) -> type:
-    """``loader_class`` with the resolver hooks that its composer calls at
-    every node cut to what a safe loader needs.  ``resolve`` returns the tag
-    ``BaseResolver.resolve`` returns, from the same implicit resolvers: a
-    plain scalar tries those filed under its first character, then those
-    filed under None.  A safe loader has no path resolvers, so
-    ``descend_resolver`` and ``ascend_resolver`` do nothing."""
-
-    def resolve(self: Any, kind: type, value: Any, implicit: tuple[bool, bool]) -> str | None:
-        if kind is yaml.ScalarNode:
-            if implicit[0]:
-                resolvers = self.yaml_implicit_resolvers
-                for tag, regexp in resolvers.get(value[:1], ()):
-                    if regexp.match(value):
-                        return tag
-                for tag, regexp in resolvers.get(None, ()):
-                    if regexp.match(value):
-                        return tag
-            return self.DEFAULT_SCALAR_TAG
-        if kind is yaml.SequenceNode:
-            return self.DEFAULT_SEQUENCE_TAG
-        if kind is yaml.MappingNode:
-            return self.DEFAULT_MAPPING_TAG
-        return None
-
-    def skip(self: Any, *node: Any) -> None:
-        pass
-
-    hooks = {"resolve": resolve, "descend_resolver": skip, "ascend_resolver": skip}
-    return type(loader_class.__name__, (loader_class,), hooks)
-
-
 def _load_with(text: str, loader_class: type) -> Any:
     """``yaml.load(text, loader_class)`` as ``_load_yaml`` builds it."""
-    loader = _lean(loader_class)(text)
+    loader = loader_class(text)
     try:
         root = loader.get_single_node()
         if root is None:
@@ -626,8 +592,10 @@ def _load_yaml(text: str) -> Any:
     exception: a tag whose constructor cannot convert its value
     (``!!int 1.5``, ``!!bool maybe``, ``!!timestamp xyz``) raises a
     YAMLError marked at that node, not the ValueError, KeyError or other
-    error PyYAML lets through.  Either loader composes through ``_lean``,
-    whose resolver tags each node as PyYAML's does with less work per node.
+    error PyYAML lets through.  This assumes PyYAML's constructors as at
+    import (``_SCALARS`` and ``_CONSTRUCTORS`` copy them), and resolvers
+    registered where both loader classes see them: with one for ``ten`` on
+    ``SafeLoader`` alone, ``a: ten`` is 10 by ``safe_load``, ``'ten'`` by libyaml here.
 
     A text libyaml refuses is read again by the Python loader, whose
     verdict (and error message, with its source snippet) stands.  So is a
@@ -651,11 +619,11 @@ def _load_yaml(text: str) -> Any:
 def _read_yaml(path: Path) -> tuple[Any, bytes]:
     """The YAML data in the UTF-8 file at ``path``, and the bytes read.
 
-    Line ends read as ``Path.read_text`` reads them.  Raises OSError,
+    PyYAML reads CRLF and CR line ends as LF.  Raises OSError,
     UnicodeDecodeError or yaml.YAMLError.
     """
     raw = path.read_bytes()
-    return _load_yaml(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")), raw
+    return _load_yaml(raw.decode("utf-8")), raw
 
 
 def load_scenario(path: str | Path, *, with_digest: bool = False) -> Scenario | tuple[Scenario, str]:

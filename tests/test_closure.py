@@ -537,6 +537,23 @@ def test_a_stack_scanned_in_two_triple_blocks_decides_as_each_set_alone():
     assert together == _oracle_bits(stack)
 
 
+def test_each_set_of_a_wide_stack_is_scanned_in_one_triple_block(monkeypatch):
+    # the stack above: a set's triples are never split, however many sets share its stack
+    kinds = ["plain", "duplicates", "frictionless", "no torque", "thin", "repeat"] * 100
+    stack = np.stack(_primitive_stack(16, 5, kinds))
+    blocks = []
+    triple_blocks = grasp._triple_blocks
+
+    def spy(m, size):
+        for block in triple_blocks(m, size):
+            blocks.append(len(block[1]))
+            yield block
+
+    monkeypatch.setattr(grasp, "_triple_blocks", spy)
+    grasp._decide(stack)
+    assert blocks and set(blocks) == {math.comb(16, 3)}
+
+
 def test_a_run_of_fewer_than_two_contacts_is_never_decided():
     contacts = resolve_contacts(30.0, P_PROBE, material=TPU95A, mu=0.5)
     doubled = contacts._take(np.r_[0, :len(contacts)])

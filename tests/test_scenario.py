@@ -17,7 +17,6 @@ from origrip.demo import (
 )
 from origrip.scenario import (
     MATERIALS_ENV_VAR,
-    _lean,
     _load_yaml,
     PickPlaceScenario,
     PulloutScenario,
@@ -737,18 +736,44 @@ def test_generated_yaml_loads_as_safe_load_loads_it(text, libyaml):
         assert outcome == expected, text
 
 
-@pytest.mark.parametrize("loader_class", [yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)])
-def test_the_lean_resolver_tags_every_node_as_pyyaml_does(loader_class):
-    # plain, quoted, and tagged or block scalars; the implicit pair is ignored for a list or map
-    loader = _lean(loader_class)("")
-    try:
-        for value in [*SPELLINGS, *KEYS, "", "~", "<<", "="]:
-            for implicit in [(True, False), (False, True), (False, False)]:
-                for kind in [yaml.ScalarNode, yaml.SequenceNode, yaml.MappingNode]:
-                    expected = yaml.resolver.BaseResolver.resolve(loader, kind, value, implicit)
-                    assert loader.resolve(kind, value, implicit) == expected, (value, implicit, kind)
-    finally:
-        loader.dispose()
+@pytest.mark.parametrize("libyaml", [True, False])
+def test_a_path_resolver_both_loaders_see_is_honoured(monkeypatch, libyaml):
+    resolver = yaml.resolver.Resolver
+    monkeypatch.setattr(resolver, "yaml_path_resolvers", dict(resolver.yaml_path_resolvers))
+    resolver.add_path_resolver("tag:yaml.org,2002:int", ["a"], yaml.ScalarNode)
+    text = "a: '12'\nb: '12'\n"
+    expected = yaml.safe_load(text)
+    assert expected == {"a": 12, "b": "12"}
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert _load_yaml(text) == expected
+
+
+@pytest.mark.parametrize("libyaml", [True, False])
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_line_ends_read_as_lf(monkeypatch, tmp_path, end, libyaml):
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    path = tmp_path / "scene.yaml"
+
+    def outcome(text, ends):
+        raw = text.replace("\n", ends).encode()
+        path.write_bytes(raw)
+        try:
+            scn, digest = load_scenario(path, with_digest=True)
+        except ScenarioError as exc:
+            return str(exc)
+        assert digest == hashlib.sha256(raw).hexdigest()  # taken over the bytes as written
+        return scn
+
+    for name in DEMO_NAMES:
+        lines = demo_scene_path(name).read_text().splitlines(keepends=True)
+        broken = "".join(lines[:5] + ["oops: [1, 2\n"] + lines[5:])  # an unclosed flow list, mid-file
+        assert outcome("".join(lines), end) == outcome("".join(lines), "\n")
+        message = outcome(broken, end)
+        assert message == outcome(broken, "\n") and "not valid YAML: while parsing" in message
+    for text in YAML_TEXTS.values():
+        assert yaml_outcome(_load_yaml, text.replace("\n", end)) == yaml_outcome(_load_yaml, text)
 
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="libyaml not installed")
