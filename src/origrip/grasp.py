@@ -59,21 +59,22 @@ Each contact adds the two edges of its friction cone as planar wrenches
 the origin lies strictly inside their convex hull, with the distance to the
 nearest hull facet as its margin (Ferrari and Canny's epsilon quality).
 The facets come from numpy alone: a facet is a plane through three
-primitives with every primitive on one side of it (``_scan``).  One
-decision serves ``is_force_closure``, ``closure_summary`` and a sweep
+primitives with every primitive on one side of it (``_scan``).  A gripper
+has at most 4 fingers of at most 4 module levels, so a set has at most 32
+primitives, and more are refused.  One decision serves
+``is_force_closure``, ``closure_summary`` and a sweep
 (``_force_closures``): it tells sets apart by their bytes, decides each
-distinct set once, and scans the sets of each size up to 16 primitives
-together, as one (sets, primitives, 3) stack; a larger set grows its hull
-alone.  A theta sweep hands it every point's set at once, and inside the
-modules' constant-force plateau most points repeat a set; a one-shot grasp
-takes the same path with one set.  The scan's largest triple determinant
-proves a set solid; only a set it leaves unproven, flat or nearly so, has
-its rank taken by an SVD, and a flat set keeps margin 0.  Enveloping
-grasps are also judged for form closure by the angular coverage of their
-wrap patches: the arcs of every run's contacts are normalised and sorted
-in array passes, and merged in one walk.  ``_closures`` reports each fact
-as a column with one entry per run; ``closure_summary`` is its one-run
-case.
+distinct set once, and scans every triple of the sets of each size
+together, as one (sets, primitives, 3) stack.  A theta sweep hands it every
+point's set at once, and inside the modules' constant-force plateau most
+points repeat a set; a one-shot grasp takes the same path with one set.
+The scan's largest triple determinant proves a set solid; only a set it
+leaves unproven, flat or nearly so, has its rank taken by an SVD, and a
+flat set keeps margin 0.  Enveloping grasps are also judged for form
+closure by the angular coverage of their wrap patches: the arcs of every
+run's contacts are normalised and sorted in array passes, and merged in
+one walk.  ``_closures`` reports each fact as a column with one entry per
+run; ``closure_summary`` is its one-run case.
 """
 
 from __future__ import annotations
@@ -81,10 +82,10 @@ from __future__ import annotations
 import math
 from dataclasses import KW_ONLY, dataclass, fields
 from enum import Enum
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations, islice
 from types import MappingProxyType
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -100,7 +101,7 @@ from .shapes import (
     width_along,
     z_span,
 )
-from .transmission import GripperConfig, finger_bearings, opening
+from .transmission import FINGER_COUNTS, MAX_MODULE_LEVELS, GripperConfig, finger_bearings, opening
 
 _MAX_INCLINATION = 89.9  # deg; keeps sin/cos well-conditioned at deep hooks
 _MAX_LIFT_POINTS = 100_000  # a pull-out trace point costs a few microseconds
@@ -458,101 +459,56 @@ _OPEN = ForceClosure(False, 0.0)
 _RANK_RTOL = 1e-9  # singular values below this, relative to the largest component, count as 0
 _SOLID_DET = 2e-8  # a scaled triple determinant above this proves the third singular value passes _RANK_RTOL
 _PLANE_TOL = 2.0**-40  # a point this far past a plane (in a set scaled to at most 1) counts as on it
-_ALL_TRIPLES = 16  # sets up to this size try every triple of points at once, stacked with their equals in size
-_CACHED_TRIPLES = 4096  # index arrays of up to this many triples are kept (sets of up to 30 points)
-_SIDE_ENTRIES = 1 << 22  # bounds the (sets x points x triples) side matrix of one step, 32 MB
-# a larger set starts from its extreme points along these 14 directions (each column, both signs)
-_SEED_DIRECTIONS = np.array(
-    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]], dtype=float
-).T
+_MAX_ROWS = 2 * max(FINGER_COUNTS) * MAX_MODULE_LEVELS  # two cone edges per contact of the largest gripper: 32
+_SIDE_ENTRIES = 1 << 22  # bounds the (sets x points x triples) side matrix of one scan, 32 MB
 # the components of pj - pi, pk - pi, pj - pi, pk - pi in the order n = (pj - pi) x (pk - pi) reads them
 _CROSS_ORDER = np.array([[1, 2, 0], [2, 0, 1], [2, 0, 1], [1, 2, 0]])[:, :, None]
 
 
-def _gathers(triples: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """For (T, 3) indices i < j < k into ``m`` points: indices into their
+@lru_cache(maxsize=None)  # at most 30 entries (3 to 32 points), of at most 0.5 MB each
+def _triples(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """For every triple i < j < k of ``m`` points: indices into their
     flattened (i, j, xyz) differences pj - pi of the four edge vectors that
-    the cross product multiplies, and indices into a flattened (points x T)
-    side matrix of each triple's own entry, in row i."""
-    i, j, k = triples.T
+    the cross product multiplies, and indices into a flattened (points x
+    triples) side matrix of each triple's own entry, in row i."""
+    i, j, k = np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3).T
     edges = 3 * (m * i + np.stack((j, k, j, k)))[:, None, :] + _CROSS_ORDER
-    return edges.ravel(), i * len(triples) + np.arange(len(triples))
+    return edges.ravel(), i * len(i) + np.arange(len(i))
 
 
-@lru_cache(maxsize=None)  # at most 31 entries of at most 0.4 MB each
-def _small_triples(m: int) -> tuple[np.ndarray, np.ndarray]:
-    return _gathers(np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3), m)
+def _scan(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Facets of the convex hull of each set of the (k, m, 3) stack
+    ``points``, from its point triples, set against every point of the
+    set: the smallest signed distance from the origin to a facet plane of
+    each set, and the largest ``|det[pi, pj, pk]|`` of each set's triples.
 
-
-def _triple_blocks(m: int, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``_gathers`` of every triple of ``m`` points, at most ``size`` triples at a time."""
-    if math.comb(m, 3) <= min(size, _CACHED_TRIPLES):
-        yield _small_triples(m)
-        return
-    triples = combinations(range(m), 3)
-    while block := list(islice(triples, size)):
-        yield _gathers(np.array(block, dtype=np.intp), m)
-
-
-def _scan(points: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Facets of the convex hull of ``points[s, :m]``, for each set ``s`` of
-    the (k, n, 3) stack, from its point triples, set against every point of
-    the set: the smallest signed distance from the origin to a facet plane
-    of each set, the largest ``|det[pi, pj, pk]|`` of each set's triples,
-    and, for a stack of one set, the rows past ``m`` that lie farthest
-    outside each facet they lie outside of.
-
-    A triple's plane is a facet when no point of the first ``m`` lies
-    ``_PLANE_TOL`` or more past one of its sides; its outward normal then
-    points to that side, and a plane of a flat subset points both ways.
-    The determinant is the plane's own offset ``pi . ((pj - pi) x (pk - pi))``.
+    A triple's plane is a facet when no point lies ``_PLANE_TOL`` or more
+    past one of its sides; its outward normal then points to that side, and
+    a plane of a flat subset points both ways.  The determinant is the
+    plane's own offset ``pi . ((pj - pi) x (pk - pi))``.
     """
-    k, n, _ = points.shape
-    pairs = (points[:, None, :m] - points[:, :m, None]).reshape(k, -1)  # entry (i, j, xyz): pj - pi
-    nearest, largest, outside = [], [], []
-    for edge_at, own_at in _triple_blocks(m, max(1, _SIDE_ENTRIES // (k * n))):
-        # take of flat indices: a gather with 2-D fancy indexing costs about 3x as much
-        edges = pairs.take(edge_at, axis=1).reshape(k, 4, 3, -1)
-        normals = edges[:, 0] * edges[:, 1] - edges[:, 2] * edges[:, 3]  # (pj - pi) x (pk - pi)
-        side = points @ normals
-        offset = side.reshape(k, -1).take(own_at, axis=1)
-        largest.append(np.abs(offset).max(axis=1, initial=0.0))
-        inner = side[:, :m]
-        norm = np.sqrt(np.einsum("sij,sij->sj", normals, normals))
-        slack = _PLANE_TOL * norm
-        ahead = inner.max(axis=1) - offset < slack  # all on the -n side: n points out
-        behind = offset - inner.min(axis=1) < slack  # all on the +n side: -n points out
-        # strict tests: the zero normal of a repeated point is neither, and its distance inf
-        reach = np.minimum(np.where(ahead, offset, np.inf), np.where(behind, -offset, np.inf))
-        nearest.append((reach / norm).min(axis=1, initial=math.inf))  # no triple: no facet
-        if m < n:  # one set, growing its hull
-            outer, offset, slack = side[0, m:], offset[0], slack[0]
-            past = ahead[0] & (outer.max(axis=0) - offset >= slack)
-            below = behind[0] & (offset - outer.min(axis=0) >= slack)
-            outside += [m + outer.argmax(axis=0)[past], m + outer.argmin(axis=0)[below]]
-    outside = np.unique(np.concatenate(outside)) if outside else np.array([], dtype=np.intp)
-    return reduce(np.minimum, nearest), reduce(np.maximum, largest), outside
-
-
-def _grown_nearest(points: np.ndarray) -> float:
-    """``_scan``'s nearest facet distance for one (n, 3) set, from a subset grown to its hull."""
-    n = len(points)
-    extent = points @ _SEED_DIRECTIONS
-    member = np.zeros(n, dtype=bool)
-    member[extent.argmax(axis=0)] = member[extent.argmin(axis=0)] = True
-    while True:
-        order = np.concatenate((np.flatnonzero(member), np.flatnonzero(~member)))
-        nearest, _, outside = _scan(points[order][None], np.count_nonzero(member))
-        if nearest[0] == math.inf and not member.all():  # collinear extreme points span no plane yet
-            member[:] = True
-        elif outside.size == 0:
-            return float(nearest[0])
-        else:
-            member[order[outside]] = True
+    k, m, _ = points.shape
+    edge_at, own_at = _triples(m)
+    pairs = (points[:, None] - points[:, :, None]).reshape(k, -1)  # entry (i, j, xyz): pj - pi
+    # take of flat indices: a gather with 2-D fancy indexing costs about 3x as much
+    edges = pairs.take(edge_at, axis=1).reshape(k, 4, 3, -1)
+    normals = edges[:, 0] * edges[:, 1] - edges[:, 2] * edges[:, 3]  # (pj - pi) x (pk - pi)
+    side = points @ normals
+    offset = side.reshape(k, -1).take(own_at, axis=1)
+    largest = np.abs(offset).max(axis=1, initial=0.0)
+    norm = np.sqrt(np.einsum("sij,sij->sj", normals, normals))
+    slack = _PLANE_TOL * norm
+    ahead = side.max(axis=1) - offset < slack  # all on the -n side: n points out
+    behind = offset - side.min(axis=1) < slack  # all on the +n side: -n points out
+    # strict tests: the zero normal of a repeated point is neither, and its distance inf
+    reach = np.minimum(np.where(ahead, offset, np.inf), np.where(behind, -offset, np.inf))
+    return (reach / norm).min(axis=1, initial=math.inf), largest  # no triple: no facet
 
 
 def _decide(stack: np.ndarray) -> list[ForceClosure]:
-    """``is_force_closure`` of each (m, 3) set of the (k, m, 3) ``stack``.
+    """``is_force_closure`` of each (m, 3) set of the (k, m, 3) ``stack``,
+    for sets of at most ``_MAX_ROWS`` primitives, the most that a gripper
+    of 4 fingers and 4 module levels builds; a larger set is refused.
 
     A set is solid (rank 3) when its third singular value, largest first,
     passes ``_RANK_RTOL`` relative to its largest component, as
@@ -562,46 +518,43 @@ def _decide(stack: np.ndarray) -> list[ForceClosure]:
     with squared Frobenius norm at most 9, and the set's third singular
     value is at least ``M``'s, at least ``|det M| / 9``: a determinant above
     ``_SOLID_DET`` proves the set solid, by margins far wider than the
-    rounding of the determinant or of an SVD.  Sets up to ``_ALL_TRIPLES``
-    points are scanned by ``_scan``, a chunk of whole sets at a time, which
-    reports each set's largest determinant, and only the sets it leaves
-    unproven, flat or nearly so, go to ``np.linalg.svd``.  A larger set goes
-    to the SVD first and grows its hull only when solid, since the growth
-    can reach nearly every triple of a flat set.
+    rounding of the determinant or of an SVD.  ``_scan`` takes a chunk of
+    whole sets at a time, which bounds its side matrix by ``_SIDE_ENTRIES``,
+    and reports each set's largest determinant; only the sets it leaves
+    unproven, flat or nearly so, go to ``np.linalg.svd``.
 
     The margin of a solid set is the signed distance from the origin to the
     nearest facet plane of its convex hull, positive iff the origin lies
-    strictly inside.  Sets up to ``_ALL_TRIPLES`` points take their facets
-    from every point triple.  A larger set grows a subset alone
-    (``_grown_nearest``), starting from its extreme points: each step adds,
-    per facet of the subset's hull, the point farthest outside it, until no
-    point is outside, when the subset's facets are the hull's.  A point
-    less than ``_PLANE_TOL`` outside a plane counts as on it, so the
+    strictly inside, with the facets taken from every point triple.  A
+    point less than ``_PLANE_TOL`` outside a plane counts as on it, so the
     distance can come out short by that much, relative to the set's
     largest component.  Rounding adds a few units of that component's last
     digit, and more on facets whose three points nearly line up: on
     needle-shaped hulls up to about 3e-13 of it.
     """
+    k, m, _ = stack.shape
+    if m > _MAX_ROWS:
+        raise ValueError(
+            f"force closure takes at most {_MAX_ROWS} wrench primitives (two per contact of "
+            f"{max(FINGER_COUNTS)} fingers x {MAX_MODULE_LEVELS} module levels), got {m}"
+        )
     if not np.isfinite(stack).all():
         raise ValueError("wrench primitives must be finite")
-    k, m, _ = stack.shape
     if m < 3:  # two primitives span no more than a plane
         return [_OPEN] * k
     scale = np.abs(stack).max(axis=(1, 2))
     exponent = np.frexp(scale)[1]
     points = np.ldexp(stack, -exponent[:, None, None])  # exact: the largest component now lies in [0.5, 1)
-    if m <= _ALL_TRIPLES:  # whole sets per scan, so that each set's triples form one block
-        per_scan = _SIDE_ENTRIES // (m * math.comb(m, 3))
-        scans = [_scan(points[start:start + per_scan], m) for start in range(0, k, per_scan)]
-        nearest, largest, _ = map(np.concatenate, zip(*scans))
-        solid = largest > _SOLID_DET
+    per_scan = _SIDE_ENTRIES // (m * math.comb(m, 3))
+    if k <= per_scan:
+        nearest, largest = _scan(points)
     else:
-        solid = np.zeros(k, dtype=bool)
+        scans = [_scan(points[at:at + per_scan]) for at in range(0, k, per_scan)]
+        nearest, largest = map(np.concatenate, zip(*scans))
+    solid = largest > _SOLID_DET
     if not solid.all():
         unproven = ~solid
         solid[unproven] = np.linalg.svd(stack[unproven], compute_uv=False)[:, 2] > _RANK_RTOL * scale[unproven]
-    if m > _ALL_TRIPLES:
-        nearest = np.array([_grown_nearest(set_points) if s else 0.0 for set_points, s in zip(points, solid)])
     margins = np.where(solid, np.ldexp(nearest, exponent), 0.0)
     return [_OPEN if margin <= 0.0 else ForceClosure(True, margin) for margin in margins.tolist()]
 
@@ -635,8 +588,9 @@ def is_force_closure(primitives: np.ndarray) -> ForceClosure:
     A point triple whose determinant is large enough proves the rank, and
     an SVD decides it only for a set that no triple proves solid.
     The hull comes from enumerating point triples (see ``_decide``),
-    whose cost grows with the cube of the hull's vertex count: it suits the
-    few dozen primitives of a contact set.
+    whose cost grows with the cube of the number of primitives, so more
+    than 32, the most that a gripper of 4 fingers and 4 module levels
+    builds, raise ValueError.
 
     This is the one-set case of the decision that ``closure_summary`` and
     a theta sweep make for every point at once, and it keeps nothing: an

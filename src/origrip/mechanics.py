@@ -114,8 +114,10 @@ def compression_forces(strains: np.ndarray | float, material: MaterialModel) -> 
     over the undeformed module depth."""
     strains = np.asarray(strains, dtype=float)
     _require_non_negative(strains, "strain")
-    ramp = material.plateau_force * strains / material.strain_lo
-    overload = material.plateau_force + material.overload_stiffness * (strains - material.strain_hi)
+    # each branch reads the strain clamped to its own side, so a branch not taken cannot overflow
+    ramp = material.plateau_force * np.minimum(strains, material.strain_lo) / material.strain_lo
+    excess = np.maximum(strains, material.strain_hi) - material.strain_hi
+    overload = material.plateau_force + material.overload_stiffness * excess
     return np.where(
         strains < material.strain_lo,
         ramp,
@@ -137,7 +139,8 @@ def bending_torques(angles: np.ndarray | float, material: MaterialModel) -> np.n
     Past the working range the fold holds its plateau: overfold is a flag."""
     angles = np.asarray(angles, dtype=float)
     _require_non_negative(angles, "bend angle")
-    ramp = material.plateau_torque * angles / material.angle_lo
+    # clamped as in compression_forces: past angle_lo the plain ramp can overflow
+    ramp = material.plateau_torque * np.minimum(angles, material.angle_lo) / material.angle_lo
     return np.where(angles < material.angle_lo, ramp, material.plateau_torque)
 
 

@@ -47,10 +47,10 @@ from ._finite import Range, field_problem
 from ._version import __version__
 from .grasp import ContactSet, _closures, _point_totals, _resolve, default_lift_grid, pullout_trace
 from .mechanics import BUILTIN_MATERIALS, MaterialModel, perturbed
-from .planner import PlanError, StackedScene, make_stacked_scene, plan_stacked, simulate_plan
+from .planner import StackedScene, make_stacked_scene, plan_stacked, simulate_plan
 from .shapes import DIM_COUNTS, ObjectShape, Pose, ShapeKind, grasp_width
 from .trajectory import CycleSpec, compare_cycles
-from .transmission import FINGER_COUNTS, GripperConfig, TransmissionLaw, opening
+from .transmission import FINGER_COUNTS, MAX_MODULE_LEVELS, GripperConfig, TransmissionLaw, opening
 
 MATERIALS_ENV_VAR = "ORIGRIP_MATERIALS"
 
@@ -256,7 +256,7 @@ _GRIPPER = Section(
         Field("finger_count", INTEGER, choices=FINGER_COUNTS),
         *(Field(key) for key in ("module_offset", "module_height", "rest_depth", "panel_span", "bend_lever_arm")),
         Field("curvature_threshold"),
-        Field("module_levels", NUMBERS, lengths=(1, 2, 3, 4)),
+        Field("module_levels", NUMBERS, lengths=tuple(range(1, MAX_MODULE_LEVELS + 1))),
     ),
     lambda v: GripperConfig(**v),
 )

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from ._finite import require_finite
 
 FINGER_COUNTS = (2, 4)  # fingers a transmission disk drives
+MAX_MODULE_LEVELS = 4  # the most module levels a finger carries
 
 
 class AngleRangeError(ValueError):
@@ -94,6 +95,8 @@ class GripperConfig:
                 f"module_offset {self.module_offset:g} mm must stay below the "
                 f"fully-closed guide radius {r_closed:g} mm"
             )
+        if not 1 <= len(self.module_levels) <= MAX_MODULE_LEVELS:
+            raise ValueError(f"module_levels holds 1 to {MAX_MODULE_LEVELS} levels, got {len(self.module_levels)}")
         if list(self.module_levels) != sorted(self.module_levels):
             raise ValueError("module_levels must be ascending")
 

@@ -154,9 +154,9 @@ def exact_hull_closure(primitives: np.ndarray) -> tuple[bool, float]:
 def svd_first_decisions(stack: np.ndarray) -> list[tuple[bool, float]]:
     """Force-closure verdict and margin of each (m, 3) set of the (k, m, 3)
     ``stack``, with rank decided first, by an SVD of every set, and the
-    package's own facet scan (``grasp._scan``, or ``grasp._grown_nearest``
-    past 16 rows) run on the solid sets alone, each scaled by the power of
-    two that brings its largest component into [0.5, 1)."""
+    package's own facet scan (``grasp._scan``) run on the solid sets alone,
+    each scaled by the power of two that brings its largest component into
+    [0.5, 1)."""
     if not np.isfinite(stack).all():
         raise ValueError("wrench primitives must be finite")
     k, m, _ = stack.shape
@@ -167,11 +167,7 @@ def svd_first_decisions(stack: np.ndarray) -> list[tuple[bool, float]]:
         if solid.any():
             exponent = np.frexp(scale[solid])[1]
             points = np.ldexp(stack[solid], -exponent[:, None, None])
-            if m <= grasp._ALL_TRIPLES:
-                nearest = grasp._scan(points, m)[0]
-            else:
-                nearest = [grasp._grown_nearest(set_points) for set_points in points]
-            margins[solid] = np.ldexp(nearest, exponent)
+            margins[solid] = np.ldexp(grasp._scan(points)[0], exponent)
     return [(True, margin) if margin > 0.0 else (False, 0.0) for margin in margins.tolist()]
 
 

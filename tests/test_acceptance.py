@@ -4,12 +4,10 @@ Each test prints a one-line verdict even under pytest's capture so a full
 run shows the scorecard at a glance.
 """
 
-import json
 import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 import oracles
 from origrip import (

@@ -432,6 +432,33 @@ def test_forces_friction_and_dwells_above_physical_bounds_are_invalid(capsys, tm
     assert "Traceback" not in err
 
 
+# a material range endpoint at the float limits, and the bundled scenes whose module curves it feeds
+FLOAT_LIMIT_RANGES = {
+    ("strain_range", 0, 5e-324): ("grasp_parallel", "pullout_parallel", "stacked_cubes", "stacked_cuboids",
+                                  "stacked_sphere_cube"),
+    ("strain_range", 1, 1.7976931348623157e308): ("grasp_parallel", "pullout_parallel", "stacked_cubes",
+                                                  "stacked_cuboids", "stacked_sphere_cube"),
+    ("angle_range", 0, 5e-324): ("grasp_enveloping", "pullout_enveloping", "stacked_sphere_cube", "stacked_spheres"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, field, index, value",
+    [(name, *endpoint) for endpoint, names in FLOAT_LIMIT_RANGES.items() for name in names],
+)
+def test_a_material_range_at_the_float_limits_runs_with_nothing_on_stderr(capsys, tmp_path, name, field, index,
+                                                                          value):
+    # each curve entry computes only the branch it takes: the others overflowed, and numpy warned on stderr
+    data = scenario.scenario_to_dict(scenario.load_scenario(demo_scene_path(name)))
+    data["materials"][data["material"]][field][index] = value
+    scene = tmp_path / "scene.yaml"
+    scene.write_text(yaml.safe_dump(data))
+    command = {"single_grasp": "grasp", "pullout": "pullout", "stacked": "multi"}[data["kind"]]
+    code, record, err = run_json(capsys, [command, "--scene", str(scene)])
+    assert (code, err) == (EXIT_OK, "")
+    assert record["kind"] == data["kind"]
+
+
 def test_a_seeded_plateau_drawn_past_its_bound_is_invalid(capsys, tmp_path):
     scene = tmp_path / "heavy.yaml"
     scene.write_text(

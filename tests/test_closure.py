@@ -128,10 +128,11 @@ def test_margin_lies_within_the_sampling_bracket():
         assert sampled - lip * 0.013 <= result.margin <= sampled
 
 
-def _needles(rng: np.random.Generator, count: int, sizes: tuple[int, int] = (17, 40)) -> list[np.ndarray]:
-    """Thin spindles along the diagonal, tips at (1, 1, 1) and (-1, -1, -1):
-    every seed direction of the hull search picks a tip, so the search
-    starts from a segment, which spans no plane."""
+def _needles(rng: np.random.Generator, count: int, sizes: tuple[int, int] = (17, 33)) -> list[np.ndarray]:
+    """Thin spindles of ``sizes`` rows, 17 to 32 by default, along the
+    diagonal, tips at (1, 1, 1) and (-1, -1, -1): nearly every triple of
+    their points nearly lines up, so their facet planes round at more than
+    a few ulps."""
     sets = []
     for n in rng.integers(*sizes, count):
         along = rng.uniform(-0.9, 0.9, (n - 2, 1)) + rng.normal(0.0, 1e-3, (n - 2, 3))
@@ -189,10 +190,10 @@ def test_closure_matches_qhull():
     flat = [np.column_stack((p[:, :2], rng.normal(0.0, 1e-13, len(p)))) for p in base[::4]]
     families = {
         "oracle": base,
-        "doubled": [np.repeat(p, 2, axis=0) for p in base[::2]],
+        "doubled": [np.repeat(p, 2, axis=0) for p in base[::2] if len(p) <= 16],
         "x1e12": [p * 1e12 for p in base[::3]],
         "x1e-12": [p * 1e-12 for p in base[::3]],
-        "half copy on a ray": [np.vstack((p, 0.5 * p[:1])) for p in base[::2]],
+        "half copy on a ray": [np.vstack((p, 0.5 * p[:1])) for p in base[::2] if len(p) < 32],
         "torque noise": flat + [p + rng.normal(0.0, 1e-13, p.shape) for p in base[::4]],
         "4 fingers x 4 levels": _four_by_four_grasps(),
         "needle": _needles(rng, 20),
@@ -229,8 +230,8 @@ def _small_grasps() -> list[np.ndarray]:
 
 
 def _three_and_four_level_grasps() -> list[np.ndarray]:
-    """Resolved 4-finger grasps of 3 and 4 module levels: 24 or 32
-    primitives, which take the grown-subset path."""
+    """Resolved 4-finger grasps of 3 and 4 module levels: up to 24 or 32
+    primitives."""
     sets = []
     for obj in (sphere(60.0), V_PROBE, P_PROBE):
         lo, hi = z_span(obj)
@@ -256,13 +257,12 @@ def test_closure_matches_the_exact_triple_oracle():
         "no torque": [np.column_stack((p[:, :2], np.zeros(len(p)))) for p in base[::7]],
         "resolved grasps": _small_grasps(),
         "needle": _needles(rng, 30, (6, 17)),
-        # the grown-subset path: more than 16 primitives
         "17 to 32 primitives": [
             *(oracles.random_contact_primitives(rng, n) for n in range(9, 17)),  # 18 to 32 primitives
             *(np.vstack((p, 0.5 * p[:1])) for p in base[-30::10] if len(p) == 16),
         ],
         "3 and 4 levels": _three_and_four_level_grasps(),
-        "needle of 17 to 32": _needles(rng, 6, (17, 33)),
+        "needle of 17 to 32": _needles(rng, 6),
     }
     assert {len(p) for p in families["17 to 32 primitives"]} >= {17, 18, 32}
     for family, sets in families.items():
@@ -490,13 +490,13 @@ def _typed_bits(values) -> list[tuple[type, object]]:
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(sets=primitive_stacks(), grown=st.integers(17, 32), seed=st.integers(0, 2**32 - 1))
-@example(sets=_primitive_stack(8, 1, ["no torque", "no torque", "repeat"]), grown=20, seed=2)  # every set flat
-@example(sets=_primitive_stack(12, 3, ["plain"]), grown=17, seed=4)  # a stack of one closed set
-def test_deciding_sets_together_equals_deciding_each_alone(sets, grown, seed):
-    # sets of up to 16 primitives are decided in one stacked pass per size; a
-    # larger set grows its hull alone; each verdict equals the one-set decision bit for bit
-    large = oracles.random_contact_primitives(np.random.default_rng(seed), (grown + 1) // 2)[:grown]
+@given(sets=primitive_stacks(), rows=st.integers(17, 32), seed=st.integers(0, 2**32 - 1))
+@example(sets=_primitive_stack(8, 1, ["no torque", "no torque", "repeat"]), rows=20, seed=2)  # every set flat
+@example(sets=_primitive_stack(12, 3, ["plain"]), rows=17, seed=4)  # a stack of one closed set
+def test_deciding_sets_together_equals_deciding_each_alone(sets, rows, seed):
+    # the sets of each size are decided in one stacked pass; each verdict
+    # equals the one-set decision bit for bit
+    large = oracles.random_contact_primitives(np.random.default_rng(seed), (rows + 1) // 2)[:rows]
     together = [*sets, large, *sets[:1]]
     alone = [_bits(is_force_closure(prims)) for prims in together]
     assert [_bits(result) for result in grasp._force_closures(together)] == alone
@@ -518,40 +518,57 @@ def test_the_rank_proof_decides_as_the_svd_first_oracle(sets):
 
 
 def test_a_rank_one_set_of_32_rows_stays_open():
-    # rank 1: its hull, grown from the rows alone, has a positive margin in rounding noise
+    # rank 1: the rounding noise of its triples spans a hull around the origin, which the rank guard calls flat
     rng = np.random.default_rng(3)
     prims = np.outer(rng.uniform(-3.0, 3.0, 32), rng.normal(size=3))
     assert np.linalg.matrix_rank(prims) == 1
-    assert grasp._grown_nearest(np.ldexp(prims, -np.frexp(np.abs(prims).max())[1])) > 0.0
+    assert grasp._scan(np.ldexp(prims, -np.frexp(np.abs(prims).max())[1])[None])[0][0] > 0.0
     assert _bits(is_force_closure(prims)) == (False, "0x0.0p+0")
     assert [_bits(result) for result in grasp._decide(prims[None])] == _oracle_bits(prims[None])
 
 
-def test_a_stack_scanned_in_two_triple_blocks_decides_as_each_set_alone():
-    # 600 sets of 16 rows, flat ones among them, bound the side matrix to fewer triples than one set has
+def test_a_wide_stack_is_scanned_in_chunks_of_whole_sets(monkeypatch):
+    # 600 sets of 16 rows, flat ones among them, are more than one scan takes
     kinds = ["plain", "duplicates", "frictionless", "no torque", "thin", "repeat"] * 100
     stack = np.stack(_primitive_stack(16, 5, kinds))
-    assert grasp._SIDE_ENTRIES // (600 * 16) < math.comb(16, 3)
+    chunks = []
+    scan = grasp._scan
+    monkeypatch.setattr(grasp, "_scan", lambda points: chunks.append(points.shape) or scan(points))
     together = [_bits(result) for result in grasp._decide(stack)]
+    assert len(chunks) > 1 and sum(k for k, _, _ in chunks) == 600
+    assert {shape[1:] for shape in chunks} == {(16, 3)}
     assert together == [_bits(grasp._decide(prims[None])[0]) for prims in stack]
     assert together == _oracle_bits(stack)
 
 
-def test_each_set_of_a_wide_stack_is_scanned_in_one_triple_block(monkeypatch):
-    # the stack above: a set's triples are never split, however many sets share its stack
-    kinds = ["plain", "duplicates", "frictionless", "no torque", "thin", "repeat"] * 100
-    stack = np.stack(_primitive_stack(16, 5, kinds))
-    blocks = []
-    triple_blocks = grasp._triple_blocks
+def _near_collinear_rows(rng: np.random.Generator, rows: int) -> np.ndarray:
+    """``rows`` rows on a ray from the origin, two of them moved off it by
+    1e-3 of the largest component: solid, and open by a wide margin."""
+    prims = np.outer(rng.uniform(0.5, 3.0, rows), rng.normal(size=3))
+    prims[:2] += 1e-3 * np.abs(prims).max() * rng.normal(size=(2, 3))
+    return prims
 
-    def spy(m, size):
-        for block in triple_blocks(m, size):
-            blocks.append(len(block[1]))
-            yield block
 
-    monkeypatch.setattr(grasp, "_triple_blocks", spy)
-    grasp._decide(stack)
-    assert blocks and set(blocks) == {math.comb(16, 3)}
+def test_a_near_collinear_set_of_32_rows_is_decided_in_one_scan(monkeypatch):
+    prims = _near_collinear_rows(np.random.default_rng(3), 32)
+    assert _solid(prims)
+    calls = []
+    scan = grasp._scan
+    monkeypatch.setattr(grasp, "_scan", lambda points: calls.append(points.shape) or scan(points))
+    assert _bits(is_force_closure(prims)) == (False, "0x0.0p+0")
+    assert calls == [(1, 32, 3)]
+
+
+def test_more_than_32_primitives_are_refused():
+    rng = np.random.default_rng(9)
+    limit = "at most 32 wrench primitives"
+    assert is_force_closure(oracles.random_contact_primitives(rng, 16)).closed
+    with pytest.raises(ValueError, match=limit + r" \(two per contact of 4 fingers x 4 module levels\), got 33$"):
+        is_force_closure(_near_collinear_rows(rng, 33))
+    contacts = resolve_contacts(30.0, P_PROBE, material=TPU95A, mu=0.5)  # 4 contacts
+    many = contacts._take(np.arange(17) % len(contacts))
+    with pytest.raises(ValueError, match=limit):
+        closure_summary(many, P_PROBE)
 
 
 def test_a_run_of_fewer_than_two_contacts_is_never_decided():

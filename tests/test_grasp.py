@@ -373,6 +373,10 @@ def test_non_finite_api_input_is_rejected(build, message):
         pytest.param(lambda: sphere(50.0, pose=Pose(z=-2e4)), "z must be >= -10000, got -20000", id="pose-z"),
         pytest.param(lambda: GripperConfig(module_levels=(20.0, 1e5)), "module_levels must be <= 10000, got 100000",
                      id="levels"),
+        pytest.param(lambda: GripperConfig(module_levels=(10.0, 20.0, 30.0, 40.0, 50.0)),
+                     "^module_levels holds 1 to 4 levels, got 5$", id="levels-count"),
+        pytest.param(lambda: GripperConfig(module_levels=()), "^module_levels holds 1 to 4 levels, got 0$",
+                     id="levels-none"),
         pytest.param(lambda: GripperConfig(bend_lever_arm=1e-307), "bend_lever_arm must be >= 0.001, got 1e-307",
                      id="lever-arm"),
         pytest.param(lambda: TransmissionLaw(r0=1e300), r"r0 must be <= 10000, got 1e\+300", id="law-r0"),

@@ -197,6 +197,18 @@ def test_array_curves_equal_the_scalar_curves(strains, material):
     assert [bending_contact_force(a, 15.0, material, 2.0) for a in angles.tolist()] == contact_forces
 
 
+def test_an_integer_material_gives_the_curves_of_its_float_twin():
+    # the curves return floats whatever the field types: an int array would truncate the ramp
+    whole = MaterialModel("m", 5, 0.05, 40, 0.05, strain_lo=1, strain_hi=2, angle_lo=10, angle_hi=20,
+                          overload_stiffness=3)
+    twin = MaterialModel("m", 5.0, 0.05, 40.0, 0.05, strain_lo=1.0, strain_hi=2.0, angle_lo=10.0, angle_hi=20.0,
+                         overload_stiffness=3.0)
+    strains = np.array([0.0, 0.05, 0.3, 1.0, 1.5, 2.0, 2.5])
+    for curve, values in ((compression_forces, strains), (bending_torques, 10.0 * strains)):
+        assert curve(values, whole).dtype == float
+        assert curve(values, whole).tobytes() == curve(values, twin).tobytes()
+
+
 def test_array_curves_reject_negative_input():
     with pytest.raises(ValueError, match="strain must be non-negative, got -0.1"):
         compression_forces(np.array([0.2, -0.1, -0.3]), SIL950)

@@ -129,6 +129,25 @@ def test_no_module_imports_inside_a_function():
     assert nested == []
 
 
+def test_every_module_level_import_is_used():
+    # an import that nothing reads misleads a reader about what a module
+    # depends on; the package's __init__.py imports to re-export
+    imported_by = [path for path in sorted((SRC / "origrip").glob("*.py")) if path.name != "__init__.py"]
+    imported_by += sorted(Path(__file__).resolve().parent.glob("*.py"))
+    unused = []
+    for path in imported_by:
+        tree = ast.parse(path.read_text())
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.update((alias.asname or alias.name.partition(".")[0], node.lineno) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+    assert unused == []
+
+
 def test_sources_parse_as_the_declared_python_floor():
     # syntax only: ast's feature_version rejects newer grammar (such as
     # `except*` or PEP 695 type parameters), not newer library names

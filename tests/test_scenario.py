@@ -19,10 +19,7 @@ from origrip.scenario import (
     MATERIALS_ENV_VAR,
     _load_yaml,
     PickPlaceScenario,
-    PulloutScenario,
     ScenarioError,
-    SingleGraspScenario,
-    StackedScenario,
     edit_scenario,
     load_scenario,
     make_result_record,

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +6,6 @@ from origrip.trajectory import (
     Action,
     CycleSpec,
     Segment,
-    Trajectory,
     build_multiobject,
     build_sequential,
     compare_cycles,
