@@ -106,6 +106,7 @@ from .transmission import FINGER_COUNTS, MAX_MODULE_LEVELS, GripperConfig, finge
 _MAX_INCLINATION = 89.9  # deg; keeps sin/cos well-conditioned at deep hooks
 _MAX_LIFT_POINTS = 100_000  # a pull-out trace point costs a few microseconds
 _GRAVITY = 9.81  # m/s^2; with masses in kg, weights come out in N
+_FORM_COVERAGE = 210.0  # deg of wrap for form closure: half the section plus a 15 deg slip margin at each end
 
 
 class GraspMode(Enum):
@@ -194,6 +195,8 @@ _COLUMNS = tuple(f.name for f in fields(ContactSet))[2:]  # the per-contact colu
 
 @dataclass(frozen=True)
 class ClosureResult:
+    """Force and form closure of one contact set, with the force-closure margin and the wrap coverage."""
+
     force_closure: bool
     form_closure: bool | None        # None when not applicable (parallel mode)
     margin: float
@@ -202,6 +205,8 @@ class ClosureResult:
 
 @dataclass(frozen=True)
 class LiftResult:
+    """Whether a grasp's pull-out capacity bears the object's weight, with both in N."""
+
     holds: bool
     capacity: float                  # N
     weight: float                    # N
@@ -451,6 +456,8 @@ def _primitives(contacts: ContactSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ForceClosure:
+    """Whether the origin lies strictly inside the wrench hull, and its distance to the nearest facet."""
+
     closed: bool
     margin: float
 
@@ -603,30 +610,19 @@ def is_force_closure(primitives: np.ndarray) -> ForceClosure:
     return _force_closures([primitives])[0]
 
 
-def is_form_closure(
-    contacts: ContactSet,
-    obj: ObjectShape,
-    config: GripperConfig | None = None,
-    slip_margin: float = 15.0,
-) -> tuple[bool, float]:
+def is_form_closure(contacts: ContactSet, obj: ObjectShape, config: GripperConfig | None = None) -> tuple[bool, float]:
     """Frictionless geometric envelopment test for enveloping grasps.
 
     Accumulates the angular sectors of the cross-section covered by wrap
-    patches; the grasp is form closed when coverage reaches
-    180 deg + 2 * slip_margin, with ``slip_margin`` from 0 to 90 deg.
-    Parallel grasps have no wrap and are a domain error.
+    patches; the grasp is form closed when coverage reaches 210 deg, half
+    the section plus a 15 deg slip margin at each end.  Parallel grasps
+    have no wrap and are a domain error.
     """
     config = config or GripperConfig()
-    require("slip_margin", slip_margin)
     if contacts.grasp_mode is not GraspMode.V_ENVELOPING:
         raise ValueError("form closure is defined only for enveloping grasps")
     coverage = _coverages(contacts, [0, len(contacts)], obj, config)[0]
-    return _form_closed(coverage, slip_margin), coverage
-
-
-def _form_closed(coverage: float, slip_margin: float) -> bool:
-    """The form-closure rule: wrap patches cover half the section plus ``slip_margin`` at each end."""
-    return coverage >= 180.0 + 2.0 * slip_margin
+    return coverage >= _FORM_COVERAGE, coverage
 
 
 def _coverages(contacts: ContactSet, bounds: list[int], obj: ObjectShape, config: GripperConfig) -> list[float]:
@@ -674,20 +670,15 @@ def _coverages(contacts: ContactSet, bounds: list[int], obj: ObjectShape, config
     return coverages
 
 
-def closure_summary(
-    contacts: ContactSet,
-    obj: ObjectShape,
-    config: GripperConfig | None = None,
-    slip_margin: float = 15.0,
-) -> ClosureResult:
+def closure_summary(contacts: ContactSet, obj: ObjectShape, config: GripperConfig | None = None) -> ClosureResult:
     """Force closure always; form closure only where it applies.  Fewer than
     two contacts close nothing, and form closure is then not judged."""
-    (closed,), (margin,), (form,), (wrap,) = _closures(contacts, [0, len(contacts)], obj, config, slip_margin)
+    (closed,), (margin,), (form,), (wrap,) = _closures(contacts, [0, len(contacts)], obj, config)
     return ClosureResult(closed, form, margin, wrap)
 
 
 def _closures(
-    contacts: ContactSet, bounds: list[int], obj: ObjectShape, config: GripperConfig | None, slip_margin: float = 15.0
+    contacts: ContactSet, bounds: list[int], obj: ObjectShape, config: GripperConfig | None
 ) -> tuple[list[bool], list[float], list[bool | None], list[float | None]]:
     """``closure_summary`` of each run ``contacts[bounds[p]:bounds[p + 1]]``
     as four columns, one entry per run: force closure, its margin, form
@@ -695,7 +686,6 @@ def _closures(
     for the primitives and the wrap coverage, and one decision of every
     run's primitives."""
     config = config or GripperConfig()
-    require("slip_margin", slip_margin)
     primitives = _primitives(contacts)
     runs = list(zip(bounds, bounds[1:]))
     judged = [hi - lo >= 2 for lo, hi in runs]
@@ -706,7 +696,7 @@ def _closures(
     if contacts.grasp_mode is not GraspMode.V_ENVELOPING:
         return closed, margins, [None] * len(runs), [None] * len(runs)
     wraps = [wrap if ok else None for wrap, ok in zip(_coverages(contacts, bounds, obj, config), judged)]
-    forms = [None if wrap is None else _form_closed(wrap, slip_margin) for wrap in wraps]
+    forms = [None if wrap is None else wrap >= _FORM_COVERAGE for wrap in wraps]
     return closed, margins, forms, wraps
 
 
@@ -775,33 +765,26 @@ def _point_totals(contacts: ContactSet, bounds: list[int]) -> tuple[list[int], l
     return counts, squeezes, sides, capacities
 
 
-def lift_check(
-    contacts: ContactSet,
-    obj: ObjectShape,
-    gravity: float = _GRAVITY,
-    safety: float = 1.0,
-) -> LiftResult:
-    """Does the grasp carry the object's weight with the given safety factor?"""
+def lift_check(contacts: ContactSet, obj: ObjectShape, safety: float = 1.0) -> LiftResult:
+    """Does the grasp carry the object's weight, mass x 9.81 m/s^2, with the given safety factor?"""
     capacity = pullout_capacity(contacts)
-    weight, (holds,) = _bears([capacity], obj, gravity, safety)
+    weight, (holds,) = _bears([capacity], obj, safety)
     return LiftResult(holds=holds, capacity=capacity, weight=weight, margin=capacity - weight)
 
 
-def _bears(
-    capacities: Sequence[float], obj: ObjectShape, gravity: float = _GRAVITY, safety: float = 1.0
-) -> tuple[float, list[bool]]:
+def _bears(capacities: Sequence[float], obj: ObjectShape, safety: float = 1.0) -> tuple[float, list[bool]]:
     """The hold rule: the object's weight, mass x gravity (N), and whether
     each pull-out capacity (N) bears it, capacity >= safety x weight.
-    ``gravity`` and ``safety`` are judged first.  ``lift_check`` is its
-    one-capacity case."""
-    require("gravity", gravity)
+    ``safety`` is judged first.  ``lift_check`` is its one-capacity case."""
     require("safety", safety)
-    weight = obj.mass * gravity
+    weight = obj.mass * _GRAVITY
     return weight, [capacity >= safety * weight for capacity in capacities]
 
 
 @dataclass(frozen=True)
 class PulloutTrace:
+    """Extraction resistance over the lift grid, and the lifts at which each stage begins."""
+
     lifts: np.ndarray                # mm, ascending
     forces: np.ndarray               # N
     t1: float                        # lift start

@@ -99,12 +99,16 @@ BUILTIN_MATERIALS: dict[str, MaterialModel] = {m.name: m for m in (TPU95A, SIL95
 
 @dataclass(frozen=True)
 class CompressionState:
+    """A module's axial force at one strain, and whether the strain exceeds full depth."""
+
     force: float
     overcompressed: bool
 
 
 @dataclass(frozen=True)
 class BendingState:
+    """A panel's fold torque at one bend angle, and whether the angle exceeds the working range."""
+
     torque: float
     overfolded: bool
 
@@ -198,17 +202,13 @@ def perturbed(material: MaterialModel, noise_seed: int) -> MaterialModel:
     )
 
 
-def sample_compression_curve(
-    material: MaterialModel, strain_max: float = 0.6, samples: int = 121
-) -> tuple[np.ndarray, np.ndarray]:
-    """(strain, force) arrays for plotting or export."""
-    strains = np.linspace(0.0, strain_max, samples)
+def sample_compression_curve(material: MaterialModel, samples: int = 121) -> tuple[np.ndarray, np.ndarray]:
+    """(strain, force) arrays for plotting or export, strain from 0 to 0.6."""
+    strains = np.linspace(0.0, 0.6, samples)
     return strains, compression_forces(strains, material)
 
 
-def sample_bending_curve(
-    material: MaterialModel, angle_max: float = 30.0, samples: int = 121
-) -> tuple[np.ndarray, np.ndarray]:
-    """(angle, torque) arrays for plotting or export."""
-    angles = np.linspace(0.0, angle_max, samples)
+def sample_bending_curve(material: MaterialModel, samples: int = 121) -> tuple[np.ndarray, np.ndarray]:
+    """(angle, torque) arrays for plotting or export, angle from 0 to 30 deg."""
+    angles = np.linspace(0.0, 30.0, samples)
     return angles, bending_torques(angles, material)

@@ -53,6 +53,8 @@ class LimitingFactor(Enum):
 
 @dataclass(frozen=True)
 class HoldWindow:
+    """The closure angles, in deg, that hold one object, and what limits the window."""
+
     theta_lo: float
     theta_hi: float
     limiting_factor: LimitingFactor
@@ -181,6 +183,8 @@ def hold_window(
 
 @dataclass(frozen=True)
 class StackedScene:
+    """A stacked pair, the gripper and material that carry it, friction, safety factor and torque scale."""
+
     top: ObjectShape
     bottom: ObjectShape
     config: GripperConfig
@@ -310,6 +314,8 @@ def plan_stacked(scene: StackedScene) -> Plan:
 
 @dataclass(frozen=True)
 class StageState:
+    """Which objects the gripper carries at one stage of a replayed plan."""
+
     stage: str
     theta: float
     top_held: bool

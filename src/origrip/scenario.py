@@ -71,6 +71,8 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class SingleGraspScenario:
+    """A ``single_grasp`` scene: one object squeezed at one servo angle."""
+
     name: str
     config: GripperConfig
     material: MaterialModel
@@ -85,6 +87,8 @@ class SingleGraspScenario:
 
 @dataclass(frozen=True)
 class PulloutScenario:
+    """A ``pullout`` scene: the gripper rising off a fixed probe in steps of ``lift_step``."""
+
     name: str
     config: GripperConfig
     material: MaterialModel
@@ -100,6 +104,8 @@ class PulloutScenario:
 
 @dataclass(frozen=True)
 class StackedScenario:
+    """A ``stacked`` scene: a pair of objects to plan sequential release for."""
+
     name: str
     scene: StackedScene
     clearance: float
@@ -110,6 +116,8 @@ class StackedScenario:
 
 @dataclass(frozen=True)
 class PickPlaceScenario:
+    """A ``pickplace`` scene: one transport task, moved sequentially and as a stack."""
+
     name: str
     spec: CycleSpec
 
@@ -799,7 +807,7 @@ def run_pullout(scn: PulloutScenario, seed: int | None = None) -> dict:
 
 
 def run_stacked(scn: StackedScenario, seed: int | None = None) -> dict:
-    scene = replace(scn.scene, material=seeded_material(scn.scene.material, seed))
+    scene = scn.scene if seed is None else replace(scn.scene, material=seeded_material(scn.scene.material, seed))
     plan = plan_stacked(scene)
     stages = simulate_plan(scene, plan)
     return {

@@ -65,6 +65,8 @@ class Pose:
 
 @dataclass(frozen=True)
 class ObjectShape:
+    """A primitive object: its kind, dimensions in mm, mass in kg and pose."""
+
     kind: ShapeKind
     dims: tuple[float, ...]
     mass: float = 0.0         # kg

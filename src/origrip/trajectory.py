@@ -41,6 +41,8 @@ _MOVES = (Action.DESCEND, Action.ASCEND, Action.TRAVEL)
 
 @dataclass(frozen=True)
 class Segment:
+    """One motion or dwell of a transport cycle."""
+
     action: Action
     length: float                # mm, 0 for dwells
     duration: float              # s
@@ -56,6 +58,8 @@ class Segment:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """A transport cycle as segments in order, with their total distance and time."""
+
     segments: tuple[Segment, ...]
 
     @property
@@ -137,6 +141,8 @@ def build_multiobject(spec: CycleSpec) -> Trajectory:
 
 @dataclass(frozen=True)
 class CycleComparison:
+    """A sequential and a multi-object cycle of one task, and the share of path and time saved."""
+
     sequential: Trajectory
     multiobject: Trajectory
     distance_reduction: float    # fraction of the sequential path saved

@@ -349,9 +349,6 @@ def test_two_finger_wrap_coverage():
     closed, coverage = is_form_closure(contacts, V_PROBE)
     assert not closed  # 182 deg of wrap, below the 210 deg requirement
     assert coverage == pytest.approx(182.3318792244, abs=1e-6)
-    # with no slip margin the same wrap passes the bare half-circle bar
-    barely, _ = is_form_closure(contacts, V_PROBE, slip_margin=0.0)
-    assert barely
 
 
 def test_four_finger_wrap_closes():
@@ -423,16 +420,13 @@ def test_arc_union_oracle_self_check():
     assert oracles.arc_union_measure([(0.0, 400.0)]) == 360.0
 
 
-def test_slip_margin_must_lie_from_0_to_90_degrees():
-    config = GripperConfig(finger_count=4)
-    contacts = resolve_contacts(60.0, V_PROBE, config, TPU95A, mu=MU_STAR)
-    # coverage caps at 360 = 180 + 2 * 90; below -90 even no wrap at all would count as form closed
-    assert is_form_closure(contacts, V_PROBE, config, slip_margin=90.0) == (True, 360.0)
-    assert is_form_closure(contacts, V_PROBE, config, slip_margin=0.0)[0]
-    for margin in (math.nan, math.inf, -200.0, -1e-9, 90.5):
-        for judge in (is_form_closure, closure_summary):
-            with pytest.raises(ValueError, match="^slip_margin must be"):
-                judge(contacts, V_PROBE, config, slip_margin=margin)
+def test_form_closure_needs_210_degrees_of_wrap(monkeypatch):
+    # half the section plus 15 deg at each end: exactly 210 passes, the float below it fails
+    contacts = resolve_contacts(60.0, V_PROBE, material=TPU95A, mu=MU_STAR)
+    for coverage, closed in ((210.0, True), (math.nextafter(210.0, 0.0), False)):
+        monkeypatch.setattr(grasp, "_coverages", lambda contacts, bounds, obj, config: [coverage])
+        assert is_form_closure(contacts, V_PROBE) == (closed, coverage)
+        assert closure_summary(contacts, V_PROBE).form_closure is closed
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -207,15 +207,12 @@ def test_lift_check():
     ball = sphere(60.0, mass=0.05, pose=Pose(z=10.0))
     contacts = resolve_contacts(60.0, ball, material=SIL950, mu=0.5)
     result = lift_check(contacts, ball)
-    assert result.weight == pytest.approx(0.05 * 9.81)
+    assert result.weight == 0.05 * 9.81  # bit for bit: one gravity, 9.81 m/s^2
     assert result.capacity == pytest.approx(pullout_capacity(contacts))
     assert result.margin == pytest.approx(result.capacity - result.weight)
     assert result.holds == (result.capacity >= result.weight)
     heavy = sphere(60.0, mass=50.0, pose=Pose(z=10.0))
     assert not lift_check(resolve_contacts(60.0, heavy, material=SIL950, mu=0.5), heavy).holds
-    for gravity in (math.nan, math.inf, -math.inf, 0.0, -1.0):  # no weight of nan or inf N
-        with pytest.raises(ValueError, match="^gravity must be"):
-            lift_check(contacts, ball, gravity=gravity)
     with pytest.raises(ValueError):
         lift_check(contacts, ball, safety=0.5)
 

@@ -175,9 +175,9 @@ def test_sample_compression_curve():
 
 
 def test_sample_bending_curve():
-    angles, torques = sample_bending_curve(TPU95A, angle_max=25.0, samples=11)
+    angles, torques = sample_bending_curve(TPU95A, samples=11)
     assert len(angles) == 11
-    assert angles[-1] == pytest.approx(25.0)
+    assert angles[-1] == 30.0
     expected = np.array([oracles.scalar_bending_torque(float(a), TPU95A) for a in angles])
     assert np.array_equal(torques, expected)
 
@@ -216,10 +216,3 @@ def test_array_curves_reject_negative_input():
         bending_torques(np.array([-1.0]), SIL950)
     with pytest.raises(ValueError, match="torque_scale must be > 0, got 0"):
         bending_contact_force(np.array([1.0]), 15.0, SIL950, 0.0)
-
-
-def test_sampled_curves_reject_a_negative_range():
-    with pytest.raises(ValueError, match="strain must be non-negative, got -0.000833333"):
-        sample_compression_curve(SIL950, strain_max=-0.1)
-    with pytest.raises(ValueError, match="bend angle must be non-negative, got -0.25"):
-        sample_bending_curve(SIL950, angle_max=-30.0)

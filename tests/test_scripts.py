@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 import subprocess
@@ -126,3 +127,13 @@ def test_compare_outcomes_names_the_first_demo_file_that_differs(tmp_path):
     proc = run_script("compare_outcomes.py", str(ROOT), str(copy))
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == "first difference: demo suite with no seed: index.json differs\n"
+
+
+def test_edge_scan_of_one_scene_runs_every_leaf_cleanly():
+    proc = run_script("edge_scan.py", "--scene", "grasp_parallel")
+    assert proc.returncode == 0, proc.stdout[-2000:]
+    summary = json.loads(proc.stdout)
+    assert summary["failures"] == []
+    # some edges are accepted and some refused; none is infeasible for a single grasp
+    assert set(summary["exit_codes"]) == {"0", "2"}
+    assert summary["runs"] == sum(summary["exit_codes"].values())
