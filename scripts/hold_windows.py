@@ -14,6 +14,7 @@ import argparse
 import math
 
 from origrip import GripperConfig, ObjectShape, Pose, ShapeKind, field_problem, hold_window, material_table
+from origrip.scenario import stepped_values
 from origrip.transmission import FINGER_COUNTS
 
 MAX_ROWS = 1000
@@ -28,15 +29,12 @@ def size_range(spec: str) -> list[float]:
         raise ValueError(f"expected lo:hi:step, got {spec!r}") from None
     if not all(map(math.isfinite, (lo, hi, step))) or not 0.0 < lo <= hi or step <= 0.0:
         raise ValueError(f"need finite numbers with 0 < lo <= hi and step > 0, got {spec!r}")
-    # a billionth of a step of slack keeps an end that the division leaves short
-    span = (hi - lo) / step + 1e-9
-    if span >= MAX_ROWS:  # floor(span) + 1 sizes, more than MAX_ROWS; also an infinite span
+    count, sizes = stepped_values(lo, hi, step, MAX_ROWS)  # no size lies past hi, so none past the scene bound
+    if count > MAX_ROWS:
         raise ValueError(f"{spec!r} gives more than {MAX_ROWS} sizes")
     if (why := field_problem("size", hi)) is not None:
         raise ValueError(f"largest size {why}")
-    # each size from lo and its index, so rounding cannot build up over the
-    # steps and carry the last one past hi (and past the scene bound)
-    return [min(round(lo + k * step, 12), hi) for k in range(math.floor(span) + 1)]
+    return sizes
 
 
 def main() -> None:

@@ -27,7 +27,7 @@ from functools import cache
 
 from ._version import __version__
 from .demo import list_demo_scenes
-from .mechanics import sample_bending_curve, sample_compression_curve
+from .mechanics import require_samples, sample_bending_curve, sample_compression_curve
 from .planner import PlanError
 from .scenario import (
     Scenario,
@@ -40,6 +40,7 @@ from .scenario import (
     run_scenario,
     run_sweep,
     seeded_material,
+    stepped_values,
     write_csv,
     write_json,
 )
@@ -58,7 +59,6 @@ EXIT_INFEASIBLE = 1
 EXIT_INVALID = 2
 
 _MAX_SWEEP_POINTS = 10_000  # each point is a whole scene run
-_MAX_SAMPLES = 100_000  # as many as the points of a pull-out lift grid
 
 
 def _add_output_args(parser: argparse.ArgumentParser) -> None:
@@ -172,13 +172,10 @@ def _parse_values(spec: str) -> list[float]:
         raise ScenarioError([usage]) from None
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise ScenarioError([usage])
-    # a billionth of a step of slack keeps an end that the division leaves short
-    points = (hi - lo) / step + 1.0 + 1e-9
-    count = math.floor(points) if points < math.inf else points
+    count, values = stepped_values(lo, hi, step, _MAX_SWEEP_POINTS)
     if count > _MAX_SWEEP_POINTS:
         raise ScenarioError([f"--values: {spec!r} spans {count:.6g} points, more than {_MAX_SWEEP_POINTS}"])
-    # each value from lo and its index, so rounding cannot build up over the steps and carry one past hi
-    return [min(round(lo + k * step, 12), hi) for k in range(count)]
+    return values
 
 
 def _run_kinematics(args) -> int:
@@ -202,10 +199,10 @@ def _run_material_curve(args) -> int:
         raise
     except ValueError as exc:
         raise ScenarioError([f"--material: {exc}"]) from None
-    if args.samples < 2:
-        raise ScenarioError([f"--samples: need at least 2, got {args.samples}"])
-    if args.samples > _MAX_SAMPLES:
-        raise ScenarioError([f"--samples: {args.samples} samples, more than {_MAX_SAMPLES}"])
+    try:  # before the seed draws the material
+        require_samples(args.samples)
+    except ValueError as exc:
+        raise ScenarioError([f"--{exc}"]) from None
     material = seeded_material(material, args.seed)
     if args.mode == "compression":
         strains, forces = sample_compression_curve(material, samples=args.samples)

@@ -363,10 +363,7 @@ def _contact_loads(
     pen = (geometry.width - aperture) / 2.0
     hit = pen > 0.0
     pen = pen[hit]
-    enveloping = geometry.mode is GraspMode.V_ENVELOPING
-    if not pen.size:  # empty columns: no curve, and no torque scale, is judged, as in the scalar model
-        return hit, pen, pen if enveloping else None, pen, hit[hit]
-    if not enveloping:
+    if geometry.mode is not GraspMode.V_ENVELOPING:
         strain = pen / config.rest_depth
         return hit, pen, None, compression_forces(strain, material), strain > 1.0
     bend = _wrap_edge(pen, np.broadcast_to(geometry.r_h, hit.shape)[hit], config.panel_span / 2.0) / 2.0
@@ -398,11 +395,13 @@ def _resolve(
     contact model: the lift-0 faces meet a column of apertures, so the
     contacts come out point by point, point ``p`` holding the entries
     ``bounds[p]:bounds[p + 1]``.  Each pressing face brings its lift-0
-    columns by name, and the loads fill the rest."""
+    columns by name, and the loads fill the rest.  ``mu`` and
+    ``torque_scale`` are judged first, whether or not a face presses."""
     config = config or GripperConfig()
     material = material or TPU95A
     faces, char_radius = _resting_geometry(obj, config)
     require("mu", mu)
+    require("torque_scale", torque_scale)
     openings = tuple(opening(theta, config) for theta in thetas)
     apertures = np.array(openings)[:, None]
     hit, pens, bends, curves, overloads = _contact_loads(faces, apertures, config, material, torque_scale)
@@ -859,6 +858,7 @@ def pullout_trace(
 
     geometry = _contact_geometry(probe, config, lifts)
     require("mu", mu)
+    require("torque_scale", torque_scale)
     hit, _, _, curves, _ = _contact_loads(geometry, opening(theta, config), config, material, torque_scale)
     # each curve is run once per (level, column) cell that presses at some lift
     cells = np.zeros(hit.shape)

@@ -21,11 +21,14 @@ the explicit seeded hook.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._finite import require, require_finite
+
+_MAX_SAMPLES = 100_000  # points of a sampled curve: as many as the points of a pull-out lift grid
 
 # --------------------------------------------------------------------------
 # material description
@@ -202,13 +205,25 @@ def perturbed(material: MaterialModel, noise_seed: int) -> MaterialModel:
     )
 
 
+def require_samples(samples: int) -> None:
+    """Raise ValueError, led by ``samples:``, unless ``samples`` is an int from 2 to ``_MAX_SAMPLES``."""
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
+        raise ValueError(f"samples: expected an integer, got {type(samples).__name__}")
+    if samples < 2:
+        raise ValueError(f"samples: need at least 2, got {samples}")
+    if samples > _MAX_SAMPLES:
+        raise ValueError(f"samples: {samples} samples, more than {_MAX_SAMPLES}")
+
+
 def sample_compression_curve(material: MaterialModel, samples: int = 121) -> tuple[np.ndarray, np.ndarray]:
     """(strain, force) arrays for plotting or export, strain from 0 to 0.6."""
+    require_samples(samples)
     strains = np.linspace(0.0, 0.6, samples)
     return strains, compression_forces(strains, material)
 
 
 def sample_bending_curve(material: MaterialModel, samples: int = 121) -> tuple[np.ndarray, np.ndarray]:
     """(angle, torque) arrays for plotting or export, angle from 0 to 30 deg."""
+    require_samples(samples)
     angles = np.linspace(0.0, 30.0, samples)
     return angles, bending_torques(angles, material)

@@ -23,8 +23,9 @@ on the fingers.
 Every hold judgement goes through ``_held``, one contact-model pass over
 an object's angles: a window's two edges together, a plan's three stage
 angles per object together, and a bisection one step at a time.  Outputs
-and errors equal those of one ``resolve_contacts`` and ``lift_check`` call
-per angle.
+equal those of one ``resolve_contacts`` and ``lift_check`` call per angle.
+Every public function judges friction, torque scale and safety factor
+before its first pass, and a ``StackedScene`` when it is built.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from ._finite import require
+from ._finite import require, require_finite
 from .grasp import _bears, _point_totals, _resolve
 from .mechanics import SIL950, MaterialModel
 from .shapes import ObjectShape, equator_z, grasp_width, stack_on
@@ -93,14 +94,19 @@ def _held(
     """Whether the gripper carries the object at each of ``thetas``: it
     touches the object and the contacts bear its weight with the safety
     factor.  One pass of the contact model resolves every angle, and the
-    hold rule reads each angle's pull-out capacity; ``safety`` is judged
-    only when some angle has a contact, where the rule applies."""
+    hold rule, which judges ``safety`` on every pass, reads each angle's
+    pull-out capacity."""
     _, contacts, bounds = _resolve(thetas, obj, config, material, mu, torque_scale)
     counts, _, _, capacities = _point_totals(contacts, bounds)
-    if not any(counts):
-        return [False] * len(counts)
     _, bears = _bears(capacities, obj, safety=safety)
     return [count > 0 and held for count, held in zip(counts, bears)]
+
+
+def _require_model(mu: float, torque_scale: float, safety: float) -> None:
+    """Raise ValueError, led by the field name, unless each of the three fills its field."""
+    require("mu", mu)
+    require("torque_scale", torque_scale)
+    require("safety", safety)
 
 
 def holds_at(
@@ -117,6 +123,7 @@ def holds_at(
     Secure means the squeeze strain is inside the material's plateau band
     and the resolved contacts carry the weight with the safety factor.
     """
+    _require_model(mu, torque_scale, safety)
     config = config or GripperConfig()
     material = material or SIL950
     opening(theta, config)  # raises outside the law's angle range
@@ -140,11 +147,11 @@ def hold_window(
     weakens a contact and can only recruit more of them), so the holdable
     set inside the strain band is an interval whose lower edge is found by
     bisection when weight is the binding constraint.  Returns None when no
-    angle holds the object.  Both edges are judged in one pass: the jaws
-    touch the object at the lower edge only where they touch it at the
-    upper one, so judging the lower edge also when the upper one fails
-    raises nothing more.
+    angle holds the object.  ``mu``, ``torque_scale`` and ``safety`` are
+    judged on entry, before an empty strain band can return, and both
+    edges are judged in one pass.
     """
+    _require_model(mu, torque_scale, safety)
     config = config or GripperConfig()
     material = material or SIL950
     lo, hi = _strain_interval(obj, config, material)
@@ -192,6 +199,9 @@ class StackedScene:
     mu: float = 0.5
     safety: float = 1.2
     torque_scale: float = 1.0
+
+    def __post_init__(self):
+        require_finite(self)
 
 
 def make_stacked_scene(
@@ -328,8 +338,9 @@ def simulate_plan(scene: StackedScene, plan: Plan) -> tuple[StageState, ...]:
     An object counts as carried when it is touched at all and the contacts
     bear its weight outright (no planning safety margin here); the expected
     progression is (both, top only, none).  Each object's three stage
-    angles are judged in one pass; a bad plan or scene raises the error
-    that judging stage by stage, top object first, meets first.
+    angles are judged in one pass.  The scene judged its numbers when it
+    was built, so a bad plan can raise only an angle error, and the top
+    object's pass meets the first bad angle in stage order.
     """
     stages = (
         ("grasp", plan.theta_grasp),
@@ -338,15 +349,8 @@ def simulate_plan(scene: StackedScene, plan: Plan) -> tuple[StageState, ...]:
     )
     thetas = [theta for _, theta in stages]
     carry = (scene.config, scene.material, scene.mu, scene.torque_scale)
-    try:
-        top = _held(thetas, scene.top, *carry)
-        bottom = _held(thetas, scene.bottom, *carry)
-    except ValueError:
-        # raise the error that a stage-by-stage replay, top before bottom, meets first
-        for theta in thetas:
-            for obj in (scene.top, scene.bottom):
-                _held((theta,), obj, *carry)
-        raise
+    top = _held(thetas, scene.top, *carry)
+    bottom = _held(thetas, scene.bottom, *carry)
     return tuple(
         StageState(stage, theta, top_held, bottom_held)
         for (stage, theta), top_held, bottom_held in zip(stages, top, bottom)

@@ -897,13 +897,14 @@ def run_sweep(
 
     ``axis`` is a dotted path into the scene mapping (for example ``theta``,
     ``mu``, ``object.mass``, or ``cycle.travel_speed``).  Rows keep the
-    input order; outputs are flattened to scalar columns.  Each point
+    input order; outputs are flattened to scalar columns.  Every point
     parses the written scene with its value on the axis, which defines the
-    material it uses, so no point reads the ``ORIGRIP_MATERIALS`` file.
+    material it uses, so no point reads the ``ORIGRIP_MATERIALS`` file,
+    and no point runs before every point has parsed.
 
-    A ``theta`` sweep of a single grasp parses nothing: it runs ``scn``
-    itself at every point, in one pass of the contact model, and judges
-    each theta as a scene file's ``theta`` is judged.  A hand-built ``scn``
+    A ``theta`` sweep of a single grasp parses nothing: it judges each
+    theta as a scene file's ``theta`` is judged, then runs ``scn`` itself
+    at every point, in one pass of the contact model.  A hand-built ``scn``
     that a scene file would reject therefore fails as ``run_scenario(scn)``
     does, with the model's ValueError rather than a ScenarioError.
     """
@@ -915,9 +916,10 @@ def run_sweep(
     if axis == _THETA.key and scn.kind == "single_grasp" and values:
         return _theta_rows(scn, list(map(float, values)), seed)
     base = scenario_to_dict(scn)
+    points = [(value, parse_scenario(_set(base, axis, value))) for value in map(cast, values)]
     rows: list[dict] = []
-    for value in map(cast, values):
-        outputs = run_scenario(parse_scenario(_set(base, axis, value)), seed=seed)
+    for value, point in points:
+        outputs = run_scenario(point, seed=seed)
         row: dict[str, Any] = {axis: value}
         _flatten("", outputs, row)
         rows.append(row)
@@ -926,20 +928,29 @@ def run_sweep(
 
 def _theta_rows(scn: SingleGraspScenario, thetas: list[float], seed: int | None) -> list[dict]:
     """Rows of a theta sweep of ``scn``, failing where the per-point loop
-    would: each theta is judged by a scene ``theta``'s own convert, the
-    first before the seed draws the material and the rest after it."""
-    def judge(some: list[float]) -> None:
-        try:
-            for theta in some:
-                _THETA.convert(theta, gripper)
-        except ValueError as exc:
-            raise ScenarioError([f"{_THETA.key}: {exc}"]) from None
-
+    would: every theta is judged by a scene ``theta``'s own convert before
+    the seed draws the material."""
     gripper = {"gripper": scn.config}
-    judge(thetas[:1])
+    try:
+        for theta in thetas:
+            _THETA.convert(theta, gripper)
+    except ValueError as exc:
+        raise ScenarioError([f"{_THETA.key}: {exc}"]) from None
     material = seeded_material(scn.material, seed)
-    judge(thetas[1:])
     return _grasp_points(scn, thetas, material)[0]  # flat rows, theta first as the axis column
+
+
+def stepped_values(lo: float, hi: float, step: float, most: int) -> tuple[float, list[float]]:
+    """How many values ``lo:hi:step`` spans (finite ``lo <= hi``, ``step > 0``;
+    infinite when the division overflows), and the values up to ``hi``, or
+    none when there are more than ``most``."""
+    # a billionth of a step of slack keeps an end that the division leaves short
+    points = (hi - lo) / step + 1.0 + 1e-9
+    count = math.floor(points) if points < math.inf else points
+    if count > most:
+        return count, []
+    # each value from lo and its index, so rounding cannot build up over the steps and carry one past hi
+    return count, [min(round(lo + k * step, 12), hi) for k in range(count)]
 
 
 def _axis_field(scn: Scenario, axis: str) -> Field:

@@ -323,18 +323,22 @@ _BISECT_TOL = 1e-6  # deg, as in the package
 
 def carries(theta, obj, config, material, mu, torque_scale, safety=1.0) -> bool:
     """Whether the gripper carries the object at one angle: the public
-    ``resolve_contacts`` at ``theta``, then ``lift_check`` of a touched
-    object with the safety factor."""
+    ``resolve_contacts`` at ``theta``, then ``lift_check`` with the safety
+    factor, which judges it whether or not the object is touched."""
     contacts = resolve_contacts(theta, obj, config, material, mu, torque_scale)
-    return len(contacts) > 0 and lift_check(contacts, obj, safety=safety).holds
+    held = lift_check(contacts, obj, safety=safety).holds
+    return len(contacts) > 0 and held
 
 
 def per_angle_hold_window(obj, config, material, mu=0.5, safety=1.2, torque_scale=1.0):
     """``hold_window`` with one ``carries`` call per angle: the upper edge,
     then the lower edge only when the upper one holds, then each midpoint
     of the bisection.  The strain band, judged on the width along the
-    closure axis, is worked out from the drive law."""
+    closure axis, is worked out from the drive law.  A first ``carries``
+    call at the law's smallest angle judges ``mu``, ``torque_scale`` and
+    ``safety`` before the band can come out empty."""
     law = config.law
+    carries(law.theta_min, obj, config, material, mu, torque_scale, safety)
     width = width_along(obj, 0.0)
     lo = unclamped_theta_for_opening(width - 2.0 * material.strain_lo * config.rest_depth, config)
     hi = unclamped_theta_for_opening(width - 2.0 * material.strain_hi * config.rest_depth, config)
@@ -488,6 +492,8 @@ def level_contacts(theta, obj, config, material, mu, lift, torque_scale) -> list
     level and one finger at a time."""
     if not 0.0 <= mu < math.inf:
         raise ValueError(f"mu must be finite and non-negative, got {mu:g}")
+    if not 0.0 < torque_scale < math.inf:  # judged whether or not a bending contact reads it
+        raise ValueError(f"torque_scale must be finite and positive, got {torque_scale:g}")
     aperture = opening(theta, config)
     mode = grasp_mode(obj, config)
     span_lo, span_hi = z_span(obj)
@@ -561,7 +567,8 @@ def _flat_row(value, prefix: str, row: dict) -> None:
 
 def sweep_rows(scn, axis: str, values, seed=None) -> list[dict]:
     """Rows of a sweep of the numeric field at dotted ``axis``: every point
-    parses its own deep copy of the written scene and runs it."""
+    parses its own deep copy of the written scene, and then each parsed
+    point runs in order."""
     base = scenario_to_dict(scn)
     *parents, leaf = axis.split(".")
     node = base
@@ -571,13 +578,16 @@ def sweep_rows(scn, axis: str, values, seed=None) -> list[dict]:
     for value in values:
         if cast is int and not float(value).is_integer():
             raise ScenarioError([f"{axis}: expected an integer, got {value:g}"])
-    rows = []
+    points = []
     for value in map(cast, values):
         data = node = copy.deepcopy(base)
         for part in parents:
             node = node[part]
         node[leaf] = value
+        points.append((value, parse_scenario(data)))
+    rows = []
+    for value, point in points:
         row = {axis: value}
-        _flat_row(run_scenario(parse_scenario(data), seed=seed), "", row)
+        _flat_row(run_scenario(point, seed=seed), "", row)
         rows.append(row)
     return rows

@@ -700,10 +700,14 @@ def test_trace_and_contacts_reject_the_same_input():
             pullout_trace(probe=V_PROBE, material=TPU95A, **kwargs)
         with pytest.raises(error, match=message):
             resolve_contacts(obj=V_PROBE, material=TPU95A, **kwargs)
-    # the torque scale is only read by bending contacts, and only by contacts that press
-    assert pullout_trace(60.0, P_PROBE, torque_scale=0.0).forces[0] > 0.0
-    assert pullout_trace(60.0, cylinder(60.0, 90.0), torque_scale=0.0, lift_grid=[500.0]).forces.tolist() == [0.0]
-    assert len(resolve_contacts(60.0, P_PROBE, torque_scale=0.0)) == 4
+    # the torque scale is judged whether or not a pressing bending contact reads it
+    message = "torque_scale must be > 0, got 0"
+    with pytest.raises(ValueError, match=message):
+        pullout_trace(60.0, P_PROBE, torque_scale=0.0)
+    with pytest.raises(ValueError, match=message):
+        pullout_trace(60.0, cylinder(60.0, 90.0), torque_scale=0.0, lift_grid=[500.0])
+    with pytest.raises(ValueError, match=message):
+        resolve_contacts(60.0, P_PROBE, torque_scale=0.0)
 
 
 def test_a_trace_runs_the_module_curve_once_per_level_and_column():

@@ -182,6 +182,22 @@ def test_sample_bending_curve():
     assert np.array_equal(torques, expected)
 
 
+@pytest.mark.parametrize("sample", [sample_compression_curve, sample_bending_curve], ids=["compression", "bending"])
+@pytest.mark.parametrize("samples, message", [
+    (0, "need at least 2, got 0"),
+    (1, "need at least 2, got 1"),
+    (-1, "need at least 2, got -1"),
+    (2.5, "expected an integer, got float"),
+    (True, "expected an integer, got bool"),
+    (100_001, "100001 samples, more than 100000"),  # refused before anything is allocated
+], ids=["0", "1", "minus_1", "2.5", "True", "100001"])
+def test_sampled_curves_take_2_to_100000_samples(sample, samples, message):
+    with pytest.raises(ValueError) as raised:
+        sample(SIL950, samples)
+    assert str(raised.value) == f"samples: {message}"
+    assert [len(axis) for axis in sample(SIL950, 2) + sample(SIL950, np.int64(3))] == [2, 2, 3, 3]
+
+
 @given(st.lists(st.floats(0.0, 2.0), max_size=50), st.sampled_from(MATERIALS))
 def test_array_curves_equal_the_scalar_curves(strains, material):
     # strains past the overload knee, angles past the overfold limit

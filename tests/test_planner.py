@@ -462,8 +462,8 @@ AWAY = sphere(60.0, 0.10, pose=Pose(z=300.0))  # above every module face: no ang
 
 @pytest.mark.parametrize("obj, changes, raised", [
     (BALLS.top, dict(mu=-0.1), "mu"),
-    (BALLS.top, dict(safety=0.5), "safety"),  # the upper edge touches the ball: safety is judged there
-    (AWAY, dict(safety=0.5), None),  # no angle touches: safety is never judged, and nothing holds
+    (BALLS.top, dict(safety=0.5), "safety"),
+    (AWAY, dict(safety=0.5), "safety"),  # no angle touches, and safety is judged all the same
     (BALLS.top, dict(torque_scale=-1.0), "torque_scale"),
     (AWAY, dict(mu=-0.1, torque_scale=-1.0), "mu"),  # mu is judged before any contact
 ])
@@ -477,21 +477,22 @@ def test_windows_raise_what_the_per_angle_path_raises(obj, changes, raised):
             oracles.carries, theta, obj, CFG4, SIL950, model["mu"], model["torque_scale"], model["safety"])
 
 
-@pytest.mark.parametrize("changes, angles", [
-    (dict(mu=-0.1), (57.6, 44.1, 0.0)),
-    (dict(mu=-0.1), (57.6, 120.0, 0.0)),  # mu before the angle range
-    (dict(torque_scale=-1.0), (57.6, 120.0, 0.0)),  # the grasp stage touches before 120 deg is reached
-    (dict(torque_scale=-1.0), (0.0, 120.0, 57.6)),  # nothing touches at 0 deg: 120 deg is reached first
-    (dict(torque_scale=-1.0), (0.0, 0.0, 0.0)),  # nothing touches: no torque scale is judged
+@pytest.mark.parametrize("angles, raised", [
+    ((57.6, 44.1, 0.0), None),
+    ((57.6, 120.0, 0.0), "120"),
+    ((57.6, 120.0, -5.0), "120"),  # the first bad angle in stage order
+    ((0.0, 0.0, 95.0), "95"),  # nothing touches at 0 deg
+    ((-1.0, 120.0, 57.6), "-1"),
 ])
-def test_a_stage_replay_raises_what_the_per_angle_path_raises(changes, angles):
-    """simulate_plan resolves each object's stage angles in one pass, and a
-    hand-built plan or scene can be bad in two ways at once: the first
-    problem stage by stage, top object first, is the one raised."""
-    scene = dataclasses.replace(BALLS, **changes)
+def test_a_stage_replay_raises_what_the_per_angle_path_raises(angles, raised):
+    """simulate_plan resolves each object's stage angles in one pass.  A
+    scene judges its own numbers when built, so a hand-built plan can fail
+    only on an angle, and the first bad one in stage order is raised."""
     plan = dataclasses.replace(plan_stacked(BALLS), theta_grasp=angles[0], theta_release_bottom=angles[1],
                                theta_release_top=angles[2])
-    assert _outcome(simulate_plan, scene, plan) == _outcome(oracles.per_angle_stages, scene, plan)
+    outcome = _outcome(simulate_plan, BALLS, plan)
+    assert outcome == _outcome(oracles.per_angle_stages, BALLS, plan)
+    assert outcome.startswith("(StageState(") if raised is None else outcome[1].startswith(f"servo angle {raised} deg")
 
 
 @pytest.mark.parametrize("name", ["stacked_cubes", "stacked_cuboids", "stacked_sphere_cube", "stacked_spheres"])

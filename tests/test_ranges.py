@@ -6,6 +6,9 @@
 2. Every bundled scene with one bounded field set just inside a bound ends
    cleanly: finite output that ``write_json`` accepts, ``ScenarioError``, or
    ``PlanError``.
+3. Every public model function judges its friction, torque scale and
+   safety factor before its first contact pass, so it refuses them also
+   where no face presses or the strain band is empty.
 """
 
 import io
@@ -17,18 +20,28 @@ import pytest
 
 from origrip import (
     RANGES,
+    SIL950,
+    GripperConfig,
     PlanError,
     ScenarioError,
+    StackedScene,
+    calibrate_friction,
+    cube,
+    cuboid,
     default_lift_grid,
     edit_scenario,
+    hold_window,
+    holds_at,
     lift_check,
     list_demo_scenes,
     load_scenario,
     make_result_record,
     make_stacked_scene,
+    pullout_trace,
     resolve_contacts,
     run_scenario,
     scenario_to_dict,
+    sphere,
     write_json,
 )
 from origrip.demo import demo_scene_path
@@ -107,6 +120,10 @@ CASES = {
 }
 
 
+# a stacked scene judges its own friction, safety factor and torque scale when built
+SCENE_CASES = {key: ("stacked_spheres", key, None, _replace("scene", key)) for key in ("mu", "safety", "torque_scale")}
+
+
 @cache
 def _scene(name):
     return load_scenario(demo_scene_path(name))
@@ -134,8 +151,17 @@ def test_every_table_entry_has_a_case():
 
 @pytest.mark.parametrize("key", sorted(RANGES))
 def test_scene_and_api_apply_the_same_range(key):
+    _check_same_range(key, CASES[key])
+
+
+@pytest.mark.parametrize("key", sorted(SCENE_CASES))
+def test_stacked_scene_applies_the_scene_range(key):
+    _check_same_range(key, SCENE_CASES[key])
+
+
+def _check_same_range(key, case):
     bounds = RANGES[key]
-    scene_name, path, item, api = CASES[key]
+    scene_name, path, item, api = case
     scn = _scene(scene_name)
     for value in _edge_values(bounds):
         why = bounds.problem(value)
@@ -198,3 +224,34 @@ def test_bundled_scenes_end_cleanly_with_a_field_at_its_bound(name):
             except (ScenarioError, PlanError):
                 continue
             write_json(make_result_record(edited.kind, edited, outputs), io.StringIO())
+
+
+SHUT_OUT = cube(20.0)  # no face presses it at 0 deg
+PROBE = cuboid(63.0, 45.4, 100.0)  # spans both module levels; no face presses it at 0 deg
+TINY = sphere(10.0, 0.01)  # narrower than the closed jaws: its strain band is empty
+TOP, BOTTOM = sphere(60.0, 0.1), sphere(50.0, 0.06)
+
+MODEL_CALLS = {
+    "resolve_contacts": (lambda **kw: resolve_contacts(0.0, SHUT_OUT, **kw), ("mu", "torque_scale")),
+    "pullout_trace": (lambda **kw: pullout_trace(0.0, PROBE, **kw), ("mu", "torque_scale")),
+    "calibrate_friction": (lambda **kw: calibrate_friction(PROBE, 0.0, **kw), ("torque_scale",)),
+    "hold_window": (lambda **kw: hold_window(TINY, **kw), ("mu", "torque_scale", "safety")),
+    "holds_at": (lambda **kw: holds_at(45.0, TINY, **kw), ("mu", "torque_scale", "safety")),
+    "StackedScene": (lambda **kw: StackedScene(TOP, BOTTOM, GripperConfig(), SIL950, **kw),
+                     ("mu", "torque_scale", "safety")),
+    "make_stacked_scene": (lambda **kw: make_stacked_scene(TOP, BOTTOM, **kw), ("mu", "torque_scale", "safety")),
+}
+OUT_OF_RANGE = {"mu": -0.1, "torque_scale": 0.0, "safety": 0.5}
+
+
+def test_the_model_inputs_press_nothing():
+    assert not resolve_contacts(0.0, SHUT_OUT) and not resolve_contacts(0.0, PROBE)
+    assert hold_window(TINY) is None and not holds_at(45.0, TINY)
+
+
+@pytest.mark.parametrize("call, key", [(call, key) for call, (_, keys) in MODEL_CALLS.items() for key in keys])
+def test_model_functions_judge_every_input_before_any_contact(call, key):
+    value = OUT_OF_RANGE[key]
+    with pytest.raises(ValueError) as raised:
+        MODEL_CALLS[call][0](**{key: value})
+    assert str(raised.value) == f"{key} {RANGES[key].problem(value)}"

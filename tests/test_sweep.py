@@ -1,9 +1,10 @@
 """Sweeps against the per-point oracle, and what a sweep parses and decides once.
 
-A sweep point parses the written scene with its value on the axis, which
-defines the material it uses; a theta sweep of a single grasp parses
-nothing, resolves every point of the scenario it is given in one pass of
-the contact model and decides the closure of every point in one call.
+Every sweep point parses the written scene with its value on the axis,
+which defines the material it uses, before any point runs; a theta sweep
+of a single grasp parses nothing, judges every theta first, resolves every
+point of the scenario it is given in one pass of the contact model and
+decides the closure of every point in one call.
 The oracle ``oracles.sweep_rows`` parses a deep copy of the whole scene
 at every point, so any value, message or error order the shortcuts
 change shows up here.
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 import oracles
 from origrip import RANGES, PlanError, ScenarioError, list_demo_scenes, load_scenario, parse_scenario, run_sweep
-from origrip import grasp, run_scenario, scenario
+from origrip import cli, grasp, run_scenario, scenario
 from origrip.demo import demo_scene_path
 from origrip.scenario import MATERIALS_ENV_VAR, run_single_grasp, scenario_to_dict
 from origrip.shapes import width_along
@@ -433,12 +434,14 @@ def test_a_theta_sweep_takes_any_iterable_of_angles(values):
     [
         ([45.0, 50.0, 55.0, 200.0], None, "theta: must be <= 90, got 200"),
         ([45.0, math.nan, 55.0], None, "theta: must be finite, got nan"),
-        # the seed draws the material at the first point, before a later theta is judged
-        ([45.0, 50.0, 55.0, 200.0], 1, "--seed: material 'stiff' drawn with seed 1"),
+        # every theta is judged before the seed draws the material
+        ([45.0, 50.0, 55.0, 200.0], 1, "theta: must be <= 90, got 200"),
         ([200.0, 50.0], 1, "theta: must be <= 90, got 200"),
         ([45.0, 50.0, 55.0, 200.0], 2, "theta: must be <= 90, got 200"),
+        ([45.0, 50.0, 55.0], 1, "--seed: material 'stiff' drawn with seed 1"),
     ],
-    ids=["bad_later_theta", "nan_theta", "seed_before_bad_theta", "bad_first_theta_before_seed", "good_seed"],
+    ids=["bad_later_theta", "nan_theta", "bad_later_theta_before_seed", "bad_first_theta_before_seed",
+         "good_seed", "bad_seed"],
 )
 def test_a_theta_sweep_fails_where_the_per_point_loop_fails(values, seed, message):
     scn = parse_scenario({
@@ -448,6 +451,31 @@ def test_a_theta_sweep_fails_where_the_per_point_loop_fails(values, seed, messag
     outcome = _outcome(run_sweep, scn, "theta", values, seed)
     assert outcome == _outcome(oracles.sweep_rows, scn, "theta", values, seed)
     assert outcome[0] == "invalid" and outcome[1][0].startswith(message)
+
+
+@pytest.mark.parametrize(
+    "name, axis, values, seed, message",
+    [
+        ("grasp_parallel", "theta", "45,50,200", 1, "theta: must be <= 90, got 200"),
+        ("grasp_parallel", "mu", "0.5,0.6,11", 1, "mu: must be <= 10, got 11"),
+        # a 50 kg top object has no hold window: the second point is infeasible
+        ("stacked_spheres", "top.mass", "0.1,50,-1", None, "top.mass: must be >= 0, got -1"),
+        ("stacked_spheres", "top.mass", "0.1,50,-1", 1, "top.mass: must be >= 0, got -1"),
+    ],
+    ids=["theta_bad_seed", "per_point_bad_seed", "per_point_after_infeasible", "per_point_both"],
+)
+def test_a_bad_third_value_fails_before_any_point_runs(tmp_path, capsys, name, axis, values, seed, message):
+    data = scenario_to_dict(load_scenario(demo_scene_path(name)))
+    if seed is not None:  # seed 1 draws the stiff material's plateau past its bound
+        data.update(materials={**data["materials"], **_STIFF}, material="stiff")
+    scene_file = tmp_path / f"{name}.yaml"
+    scene_file.write_text(yaml.safe_dump(data))
+    flags = [] if seed is None else ["--seed", str(seed)]
+    assert cli.main(["sweep", "--scene", str(scene_file), "--axis", axis, "--values", values, *flags]) == 2
+    assert f"  - {message}\n" in capsys.readouterr().err
+    scn, floats = parse_scenario(data), [float(v) for v in values.split(",")]
+    outcome = _outcome(run_sweep, scn, axis, floats, seed)
+    assert outcome == ("invalid", [message]) == _outcome(oracles.sweep_rows, scn, axis, floats, seed)
 
 
 def test_a_theta_sweep_judges_every_theta_by_the_scene_theta_convert_alone(monkeypatch):
